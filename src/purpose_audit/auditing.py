@@ -4,11 +4,25 @@ Given a purpose's model and a logged behavior, the audit decides whether any
 agent planning for that purpose could have produced the log. It runs in two
 steps. Step one scans the log for inherently redundant moves: a non-nothing
 step through a pair whose one-step optimal value is not positive can never be
-part of a non-redundant plan. Step two rewrites the rewards so that deviating
-from the logged choices at an observed state costs a penalty no plan can
-absorb, re-solves, and compares optimal values: the constrained and original
-optima agree at every state exactly when some optimal strategy is consistent
-with the log. A gap at any state therefore proves emptiness.
+part of a non-redundant plan.
+
+Step two asks whether some optimal strategy agrees with the logged choices.
+The paper answers it with a penalised model (:func:`compute_fix`): deviating
+from the logged action at an observed state costs a penalty no plan can
+absorb, and the log fits iff the penalised optimum equals the original one at
+every state, so a gap at any state proves emptiness.
+
+Exact mode reads the same answer off the one solution already computed. A
+stationary strategy is optimal iff it picks an argmax-Q* action at every
+state, so the log fits iff every logged action lies in the greedy set of its
+state: O(|b|) lookups. Otherwise the penalised optimum equals V* at exactly
+the states of the *safe set*: the greatest set of states, none observed with
+a non-greedy action, from each of which some allowed action (the logged one
+at an observed state, any greedy one elsewhere) keeps every successor in the
+set. The gap witness is the first state outside it, which is the first state
+where the penalised optimum falls short. The penalised values stay available
+as evidence, computed only when ``AuditOutcome.v_star_fixed`` is read. Float
+mode still solves the penalised model and compares values with tolerances.
 
 Verdicts lift the boolean to policy rules: a restrictive (only-for) rule is
 violated when the log fits none of the allowed purposes; a prohibitive
@@ -17,11 +31,11 @@ violated when the log fits none of the allowed purposes; a prohibitive
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentBehavior
 from .model import (
@@ -108,6 +122,9 @@ class AuditOutcome:
       optimal strategy matches the log; not empty.
     - INCONSISTENT_BEHAVIOR: the log itself forces two actions at one state,
       so no stationary strategy fits; empty.
+
+    ``penalised`` produces the penalised model's optimal values; it is None
+    when step one or an inconsistency decided the audit.
     """
 
     empty_intersection: bool
@@ -115,8 +132,16 @@ class AuditOutcome:
     witness_state: State | None = None
     witness_action: Action | None = None
     v_star: Mapping[State, Rational] | None = None
-    v_star_fixed: Mapping[State, Rational] | None = None
     mode: str = "exact"
+    penalised: Callable[[], Mapping[State, Rational]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def v_star_fixed(self) -> Mapping[State, Rational] | None:
+        """Optimal values of the penalised model, solved on first read in
+        exact mode."""
+        return None if self.penalised is None else self.penalised()
 
 
 def _leq_zero(value, mode: str, scale: float) -> bool:
@@ -125,9 +150,7 @@ def _leq_zero(value, mode: str, scale: float) -> bool:
     return float(value) <= FLOAT_EQUALITY * scale
 
 
-def _values_equal(left, right, mode: str) -> bool:
-    if mode == "exact":
-        return left == right
+def _floats_equal(left, right) -> bool:
     tolerance = FLOAT_EQUALITY * max(1.0, abs(float(left)), abs(float(right)))
     return abs(float(left) - float(right)) <= tolerance
 
@@ -148,7 +171,11 @@ def audit(
     """
     validate_behavior(model, behavior)
     solution = solution or solve_optimal(model, mode=mode)
-    scale = max(1.0, float(model.max_reward_magnitude()) / (1.0 - float(model.discount)))
+    scale = 1.0
+    if mode != "exact":
+        scale = max(
+            1.0, float(model.max_reward_magnitude()) / (1.0 - float(model.discount))
+        )
 
     for q, a in behavior.pairs():
         if a == model.nothing_action:
@@ -164,7 +191,7 @@ def audit(
             )
 
     try:
-        fixed = compute_fix(model, behavior)
+        choices = observed_choices(behavior)
     except InconsistentBehavior as exc:
         return AuditOutcome(
             empty_intersection=True,
@@ -175,24 +202,85 @@ def audit(
             mode=mode,
         )
 
-    fixed_solution = solve_optimal(fixed, mode=mode)
+    if mode != "exact":
+        return _penalised_comparison(model, behavior, solution, mode)
+
+    def penalised():
+        return solve_optimal(compute_fix(model, behavior), mode=mode).v_star
+
+    greedy = solution.greedy
+    if all(a in greedy[q] for q, a in choices.items()):
+        return AuditOutcome(
+            empty_intersection=False,
+            reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
+            witness_state=behavior.start,
+            v_star=solution.v_star,
+            mode=mode,
+            penalised=penalised,
+        )
+    safe = _safe_states(model, greedy, choices)
+    return AuditOutcome(
+        empty_intersection=True,
+        reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
+        witness_state=next(q for q in model.states if q not in safe),
+        v_star=solution.v_star,
+        mode=mode,
+        penalised=penalised,
+    )
+
+
+def _safe_states(
+    model: EnvironmentModel,
+    greedy: Mapping[State, tuple[Action, ...]],
+    choices: Mapping[State, Action],
+) -> set[State]:
+    """The states where the penalised optimum equals V*.
+
+    The greatest fixed point: start from every state not observed with a
+    non-greedy action, then drop a state while none of its allowed actions
+    keeps every successor in the set. The logged action is the only allowed
+    one at an observed state; any greedy action is allowed elsewhere.
+    """
+    allowed = {q: (choices[q],) if q in choices else greedy[q] for q in model.states}
+    safe = {q for q in model.states if q not in choices or choices[q] in greedy[q]}
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for q in model.states:
+            if q in safe and not any(
+                all(t in safe for t in model.successors(q, a)) for a in allowed[q]
+            ):
+                safe.discard(q)
+                shrinking = True
+    return safe
+
+
+def _penalised_comparison(
+    model: EnvironmentModel,
+    behavior: Behavior,
+    solution: OptimalSolution,
+    mode: str,
+) -> AuditOutcome:
+    """Step two by the paper's construction, for float mode: solve the
+    penalised model and compare optimal values state by state."""
+    fixed_v_star = solve_optimal(compute_fix(model, behavior), mode=mode).v_star
     for q in model.states:
-        if not _values_equal(solution.v_star[q], fixed_solution.v_star[q], mode):
+        if not _floats_equal(solution.v_star[q], fixed_v_star[q]):
             return AuditOutcome(
                 empty_intersection=True,
                 reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
                 witness_state=q,
                 v_star=solution.v_star,
-                v_star_fixed=fixed_solution.v_star,
                 mode=mode,
+                penalised=lambda: fixed_v_star,
             )
     return AuditOutcome(
         empty_intersection=False,
         reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
         witness_state=behavior.start,
         v_star=solution.v_star,
-        v_star_fixed=fixed_solution.v_star,
         mode=mode,
+        penalised=lambda: fixed_v_star,
     )
 
 
@@ -241,26 +329,42 @@ def _require_shared_structure(models: Mapping[str, EnvironmentModel]) -> None:
             )
 
 
+def _audit_rule_purposes(
+    models: Mapping[str, EnvironmentModel],
+    rule: PolicyRule,
+    behavior: Behavior,
+    mode: str,
+    solutions: Mapping[str, OptimalSolution] | None,
+) -> dict[str, AuditOutcome]:
+    missing = [p for p in rule.purposes if p not in models]
+    if missing:
+        raise KeyError(f"rule references unknown purposes {missing}")
+    _require_shared_structure({p: models[p] for p in rule.purposes})
+    solutions = solutions or {}
+    return {
+        p: audit(models[p], behavior, mode=mode, solution=solutions.get(p))
+        for p in rule.purposes
+    }
+
+
 def check_restrictive(
     models: Mapping[str, EnvironmentModel],
     rule: PolicyRule,
     behavior: Behavior,
     *,
     mode: str = "exact",
+    solutions: Mapping[str, OptimalSolution] | None = None,
 ) -> Verdict:
     """Audit an only-for rule.
 
     Violation iff the behavior fits none of the allowed purposes. Compliance
     is never reported: the log fitting an allowed purpose does not rule out an
-    ulterior one.
+    ulterior one. ``solutions`` may map purposes to precomputed optimal
+    solutions, as ``audit``'s ``solution`` does; missing ones are solved here.
     """
     if rule.kind is not RuleKind.RESTRICTIVE:
         raise ValueError("check_restrictive needs an only-for rule")
-    missing = [p for p in rule.purposes if p not in models]
-    if missing:
-        raise KeyError(f"rule references unknown purposes {missing}")
-    _require_shared_structure({p: models[p] for p in rule.purposes})
-    outcomes = {p: audit(models[p], behavior, mode=mode) for p in rule.purposes}
+    outcomes = _audit_rule_purposes(models, rule, behavior, mode, solutions)
     if all(outcome.empty_intersection for outcome in outcomes.values()):
         return Verdict(VerdictStatus.VIOLATION, outcomes)
     return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
@@ -272,19 +376,17 @@ def check_prohibitive(
     behavior: Behavior,
     *,
     mode: str = "exact",
+    solutions: Mapping[str, OptimalSolution] | None = None,
 ) -> Verdict:
     """Audit a not-for rule.
 
     Compliant iff the behavior fits none of the prohibited purposes;
     otherwise the auditor can neither prove nor disprove a violation.
+    ``solutions`` is as for :func:`check_restrictive`.
     """
     if rule.kind is not RuleKind.PROHIBITIVE:
         raise ValueError("check_prohibitive needs a not-for rule")
-    missing = [p for p in rule.purposes if p not in models]
-    if missing:
-        raise KeyError(f"rule references unknown purposes {missing}")
-    _require_shared_structure({p: models[p] for p in rule.purposes})
-    outcomes = {p: audit(models[p], behavior, mode=mode) for p in rule.purposes}
+    outcomes = _audit_rule_purposes(models, rule, behavior, mode, solutions)
     if all(outcome.empty_intersection for outcome in outcomes.values()):
         return Verdict(VerdictStatus.COMPLIANT, outcomes)
     return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
@@ -296,18 +398,27 @@ def triage(
     behavior: Behavior,
     *,
     mode: str = "exact",
+    prohibited_solution: OptimalSolution | None = None,
+    allowed_solutions: Sequence[OptimalSolution] | None = None,
 ) -> bool:
     """Is this log worth investigating for the prohibited purpose?
 
     True iff the behavior could fit the prohibited purpose and no allowed
     purpose explains it away. With no allowed purposes the check reduces to
-    the prohibited-purpose audit alone.
+    the prohibited-purpose audit alone. The optional solutions are
+    precomputed optimal solutions, ``allowed_solutions`` one per allowed
+    model in order.
     """
-    if audit(prohibited, behavior, mode=mode).empty_intersection:
+    allowed = list(allowed)
+    if allowed_solutions is None:
+        allowed_solutions = [None] * len(allowed)
+    if audit(
+        prohibited, behavior, mode=mode, solution=prohibited_solution
+    ).empty_intersection:
         return False
     return all(
-        audit(candidate, behavior, mode=mode).empty_intersection
-        for candidate in allowed
+        audit(candidate, behavior, mode=mode, solution=solution).empty_intersection
+        for candidate, solution in zip(allowed, allowed_solutions, strict=True)
     )
 
 
@@ -318,16 +429,10 @@ def audit_batch(
     mode: str = "exact",
     jobs: int = 1,
 ) -> list[AuditOutcome]:
-    """Audit many behaviors against one model.
+    """Audit many behaviors against one model, in input order.
 
-    The model is solved once and shared; results are in input order regardless
-    of execution order.
+    The model is solved once and shared. ``jobs`` is accepted and ignored:
+    the decisions are pure-Python work that threads would only serialise.
     """
     solution = solve_optimal(model, mode=mode)
-    items = list(behaviors)
-    if jobs <= 1 or len(items) <= 1:
-        return [audit(model, b, mode=mode, solution=solution) for b in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(lambda b: audit(model, b, mode=mode, solution=solution), items)
-        )
+    return [audit(model, b, mode=mode, solution=solution) for b in behaviors]

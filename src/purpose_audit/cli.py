@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .auditing import (
@@ -35,6 +34,9 @@ from .model import Behavior, EnvironmentModel
 from .modelfile import parse_log, parse_model
 from .oracle import oracle_audit
 from .solve import solve_optimal
+
+
+_JOBS_HELP = "accepted for compatibility and ignored; behaviors run in order"
 
 
 class _UsageError(Exception):
@@ -68,7 +70,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("audit", help="emptiness decision per behavior")
     add_common(p)
     p.add_argument("--purpose", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("check", help="policy verdict per behavior")
     add_common(p)
@@ -77,7 +79,7 @@ def _build_parser() -> _Parser:
         required=True,
         help="only-for:P1,P2 or not-for:P",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("triage", help="flag logs worth investigating")
     add_common(p)
@@ -150,13 +152,6 @@ def _outcome_line(index: int, outcome: AuditOutcome) -> str:
     )
 
 
-def _ordered_parallel(jobs: int, work, items):
-    if jobs <= 1 or len(items) <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
-
-
 def _cmd_validate(args, out) -> int:
     models = _load_models(args.model)
     first = next(iter(models.values()))
@@ -202,11 +197,7 @@ def _cmd_audit(args, out) -> int:
     model = _pick(_load_models(args.model), args.purpose)
     behaviors = _load_behaviors(args.log, model)
     solution = solve_optimal(model, mode=args.mode)
-    outcomes = _ordered_parallel(
-        args.jobs,
-        lambda b: audit(model, b, mode=args.mode, solution=solution),
-        behaviors,
-    )
+    outcomes = [audit(model, b, mode=args.mode, solution=solution) for b in behaviors]
     for i, (behavior, outcome) in enumerate(zip(behaviors, outcomes), start=1):
         if args.json:
             print(json.dumps(_outcome_record(i, behavior, args.purpose, outcome)), file=out)
@@ -224,11 +215,11 @@ def _cmd_check(args, out) -> int:
     checker = (
         check_restrictive if rule.kind is RuleKind.RESTRICTIVE else check_prohibitive
     )
-    verdicts = _ordered_parallel(
-        args.jobs,
-        lambda b: checker(models, rule, b, mode=args.mode),
-        behaviors,
-    )
+    solutions = {p: solve_optimal(models[p], mode=args.mode) for p in rule.purposes}
+    verdicts = [
+        checker(models, rule, b, mode=args.mode, solutions=solutions)
+        for b in behaviors
+    ]
     for i, (behavior, verdict) in enumerate(zip(behaviors, verdicts), start=1):
         if args.json:
             record = {
@@ -253,8 +244,17 @@ def _cmd_triage(args, out) -> int:
     allowed_names = [name for name in args.allowed.split(",") if name]
     allowed = [_pick(models, name) for name in allowed_names]
     behaviors = _load_behaviors(args.log, prohibited)
+    prohibited_solution = solve_optimal(prohibited, mode=args.mode)
+    allowed_solutions = [solve_optimal(m, mode=args.mode) for m in allowed]
     for i, behavior in enumerate(behaviors, start=1):
-        investigate = triage(prohibited, allowed, behavior, mode=args.mode)
+        investigate = triage(
+            prohibited,
+            allowed,
+            behavior,
+            mode=args.mode,
+            prohibited_solution=prohibited_solution,
+            allowed_solutions=allowed_solutions,
+        )
         if args.json:
             record = {
                 "behavior": i,

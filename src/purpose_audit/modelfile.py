@@ -14,11 +14,12 @@ A model document is line oriented::
     reward: 2 diagnose = 12
 
 Probabilities, rewards and gamma are exact rationals, written "a/b" or as
-terminating decimals. Rewards not listed for a defined transition are zero.
-The nothing-action rows are implicit (the validator adds them); a document may
-still declare them, as long as they are zero-reward self-loops. One
-environment model is produced per declared purpose, all sharing states,
-actions, transitions and gamma.
+terminating decimals, with at most MAX_LITERAL_DIGITS digits and a decimal
+exponent of at most MAX_LITERAL_EXPONENT in magnitude. Rewards not listed for
+a defined transition are zero. The nothing-action rows are implicit (the
+validator adds them); a document may still declare them, as long as they are
+zero-reward self-loops. One environment model is produced per declared
+purpose, all sharing states, actions, transitions and gamma.
 
 A log document holds one behavior per line: alternating state and action
 tokens, starting and ending with a state.
@@ -47,7 +48,35 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
+#: Most digits a numeric literal may carry.
+MAX_LITERAL_DIGITS = 300
+#: Largest decimal exponent magnitude a numeric literal may carry: "1e300".
+MAX_LITERAL_EXPONENT = 300
+# A literal this short without an exponent cannot exceed the bounds.
+_SHORT_LITERAL = 32
+
+
+def _check_literal_size(token: str, line_no: int) -> None:
+    """Reject literals whose exact value would be huge before building it:
+    ``Fraction("1e10000000")`` alone takes seconds."""
+    mantissa, _, exponent = token.lower().partition("e")
+    if sum(ch.isdecimal() for ch in mantissa) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"numeric literal has more than {MAX_LITERAL_DIGITS} digits", line_no
+        )
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (
+        len(exponent) > len(str(MAX_LITERAL_EXPONENT))
+        or int(exponent) > MAX_LITERAL_EXPONENT
+    ):
+        raise ParseError(
+            f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}", line_no
+        )
+
+
 def _rational(token: str, line_no: int) -> Fraction:
+    if len(token) > _SHORT_LITERAL or "e" in token or "E" in token:
+        _check_literal_size(token, line_no)
     try:
         return as_rational(token)
     except ValueError as exc:

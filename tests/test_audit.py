@@ -310,3 +310,28 @@ class TestFixProperties:
             v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
             gap_somewhere = any(v_model[q] != v_fixed[q] for q in model.states)
             assert (not consistent_optimal) == gap_somewhere
+
+
+class TestFloatModeDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="float audit compares penalised values iterated to a residual "
+        "scaled by omega at a 1e-6 relative tolerance, so a fit reads as a "
+        "gap; hardening float mode is ROADMAP item 5",
+    )
+    def test_fitting_log_is_not_a_gap(self):
+        rng = random.Random(2)
+        model = random_model(rng, n_states=(4, 6), gammas=(F(9, 10),))
+        trap = next(pair for pair in model.pairs() if pair[1] != model.nothing_action)
+        model = model.with_rewards({**model.rewards, trap: -120})
+        solution = solve_optimal(model)
+        choice = {q: solution.greedy[q][0] for q in model.states}
+        q = start = rng.choice(model.states)
+        steps = []
+        for _ in range(6):
+            target = rng.choice(sorted(model.successors(q, choice[q])))
+            steps.append((choice[q], target))
+            q = target
+        behavior = Behavior(start, tuple(steps))
+        assert not audit(model, behavior, solution=solution).empty_intersection
+        assert not audit(model, behavior, mode="float").empty_intersection

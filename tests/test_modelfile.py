@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from purpose_audit.fixtures import (
     physician_document,
     travel_document,
 )
+from purpose_audit.modelfile import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT
 
 
 class TestParseModel:
@@ -155,3 +157,32 @@ class TestParseLog:
     def test_format_round_trip(self, treat):
         behaviors = parse_log(PHYSICIAN_LOG, treat)
         assert parse_log(format_log(behaviors), treat) == behaviors
+
+
+class TestLiteralBounds:
+    DOCUMENT = (
+        "gamma: 9/10\nstates: a b\nactions: x\n"
+        "transition: a x -> b 1\npurpose: p\nreward: a x = {}\n"
+    )
+
+    def test_huge_exponent_fails_fast(self):
+        # Building this value exactly takes seconds; the bound rejects it first.
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_model(self.DOCUMENT.format("1e10000000"))
+        assert time.perf_counter() - start < 0.5
+        assert err.value.line == 6
+        assert "exponent" in err.value.message
+
+    def test_too_many_digits_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_model(self.DOCUMENT.format("1" * (MAX_LITERAL_DIGITS + 1)))
+        assert err.value.line == 6
+
+    def test_literals_at_the_bounds_accepted(self):
+        big = parse_model(self.DOCUMENT.format(f"1e{MAX_LITERAL_EXPONENT}"))["p"]
+        assert big.reward("a", "x") == 10**MAX_LITERAL_EXPONENT
+        tiny = parse_model(self.DOCUMENT.format(f"25e-{MAX_LITERAL_EXPONENT}"))["p"]
+        assert tiny.reward("a", "x") == Fraction(25, 10**MAX_LITERAL_EXPONENT)
+        wide = parse_model(self.DOCUMENT.format("7" * MAX_LITERAL_DIGITS))["p"]
+        assert wide.reward("a", "x") == int("7" * MAX_LITERAL_DIGITS)

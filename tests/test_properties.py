@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
+    AuditReason,
     Behavior,
     Strategy,
     audit,
@@ -17,6 +19,7 @@ from purpose_audit import (
     oracle_audit,
     q_value,
     solve_optimal,
+    validate_model,
 )
 from purpose_audit.model import observed_choices
 from purpose_audit.oracle import (
@@ -152,3 +155,79 @@ class TestAuditInvariants:
         model = random_model(rng)
         start = rng.choice(model.states)
         assert not audit(model, Behavior(start)).empty_intersection
+
+
+class TestExactDecisionMatchesPenalisedModel:
+    """Exact audits decide step two from the greedy sets; the paper decides it
+    by solving the penalised model. Both must give the same verdict and the
+    same gap witness: the first state whose penalised optimum differs."""
+
+    GAMMAS = (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(99, 100))
+
+    @staticmethod
+    def _mostly_greedy_walk(rng, model, solution) -> Behavior:
+        # A fixed strategy that is greedy at most states, so fits, gaps and
+        # zero-reward ties all occur; following it never forces two actions.
+        choice = {
+            q: rng.choice(
+                solution.greedy[q]
+                if rng.random() < 0.8
+                else model.available_actions(q)
+            )
+            for q in model.states
+        }
+        q = start = rng.choice(model.states)
+        steps = []
+        for _ in range(rng.randint(0, 6)):
+            target = rng.choice(sorted(model.successors(q, choice[q])))
+            steps.append((choice[q], target))
+            q = target
+        return Behavior(start, tuple(steps))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seeds, st.sampled_from(GAMMAS), st.sampled_from((0.3, 0.6)))
+    def test_verdict_and_witness_match(self, seed, gamma, zero_fraction):
+        rng = random.Random(seed)
+        model = random_model(
+            rng,
+            n_states=(2, 6),
+            gammas=(gamma,),
+            zero_reward_fraction=zero_fraction,
+        )
+        solution = solve_optimal(model)
+        for _ in range(4):
+            behavior = self._mostly_greedy_walk(rng, model, solution)
+            outcome = audit(model, behavior, solution=solution)
+            if outcome.reason is AuditReason.STEP_ONE_USELESS:
+                continue
+            v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
+            gaps = [q for q in model.states if v_fixed[q] != solution.v_star[q]]
+            assert outcome.empty_intersection == bool(gaps)
+            if gaps:
+                assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
+                assert outcome.witness_state == gaps[0]
+            else:
+                assert outcome.reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
+            assert outcome.v_star_fixed == v_fixed
+
+    def test_tie_at_an_observed_state_binds_the_logged_action(self):
+        # At s0, "a" (into s1) and "b" (a self-loop) tie at V* = 2. The log
+        # takes "a", then the non-greedy "N" at s1. Only "a" is free of the
+        # penalty at s0, so s0 falls short too and is the first gap state,
+        # although "b" alone would keep the optimum there.
+        model = validate_model(
+            states=["s0", "s1", "s2"],
+            actions=["a", "b", "c"],
+            transitions={
+                ("s0", "a"): {"s1": 1},
+                ("s0", "b"): {"s0": 1},
+                ("s1", "c"): {"s2": 1},
+            },
+            rewards={("s0", "a"): Fraction(3, 2), ("s0", "b"): 1, ("s1", "c"): 1},
+            discount=Fraction(1, 2),
+        )
+        behavior = Behavior.from_tokens(["s0", "a", "s1", "N", "s1"])
+        outcome = audit(model, behavior)
+        assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
+        assert outcome.witness_state == "s0"
+        assert outcome.v_star_fixed["s0"] == Fraction(3, 2) < outcome.v_star["s0"]

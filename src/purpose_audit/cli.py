@@ -32,7 +32,7 @@ from .fixtures import (
 )
 from .model import Behavior, EnvironmentModel
 from .modelfile import parse_log, parse_model
-from .oracle import oracle_audit
+from .oracle import evaluate_all_strategies, oracle_audit
 from .solve import solve_optimal
 
 
@@ -274,10 +274,11 @@ def _cmd_oracle(args, out) -> int:
     model = _pick(_load_models(args.model), args.purpose)
     behaviors = _load_behaviors(args.log, model)
     solution = solve_optimal(model)
+    tables = evaluate_all_strategies(model) if behaviors else None
     disagreements = 0
     for i, behavior in enumerate(behaviors, start=1):
         engine = audit(model, behavior, solution=solution).empty_intersection
-        reference = oracle_audit(model, behavior)
+        reference = oracle_audit(model, behavior, tables=tables)
         agree = engine == reference
         disagreements += 0 if agree else 1
         if args.json:

@@ -55,7 +55,9 @@ class UndefinedPair(PurposeAuditError):
 
 
 class ConvergenceError(PurposeAuditError):
-    """The iterative solver did not reach its residual target within the cap."""
+    """The iterative solver did not reach its residual target within the cap,
+    or cannot run in floating point: the discount rounds to 1.0, or the
+    values may leave the float range."""
 
 
 class SizeCapExceeded(PurposeAuditError):

@@ -35,11 +35,37 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+#: Most digits a numeric literal may carry.
+MAX_LITERAL_DIGITS = 300
+#: Largest decimal exponent magnitude a numeric literal may carry: "1e300".
+MAX_LITERAL_EXPONENT = 300
+# A literal this short without an exponent cannot exceed the bounds.
+_SHORT_LITERAL = 32
+
+
+def _check_literal_size(text: str) -> None:
+    """Reject literals whose exact value would be huge before building it:
+    ``Fraction("1e10000000")`` alone takes seconds."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(ch.isdecimal() for ch in mantissa) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"numeric literal has more than {MAX_LITERAL_DIGITS} digits")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (
+        len(exponent) > len(str(MAX_LITERAL_EXPONENT))
+        or int(exponent) > MAX_LITERAL_EXPONENT
+    ):
+        raise ValueError(
+            f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}"
+        )
+
+
 def as_rational(value) -> Fraction:
     """Convert a number to an exact Fraction.
 
-    Strings may be "a/b" or terminating decimals; floats are read through their
-    decimal repr so that 0.9 means 9/10, not the nearest binary double.
+    Strings may be "a/b" or terminating decimals, with at most
+    MAX_LITERAL_DIGITS digits and a decimal exponent of at most
+    MAX_LITERAL_EXPONENT in magnitude; floats are read through their decimal
+    repr so that 0.9 means 9/10, not the nearest binary double.
     """
     if isinstance(value, bool):
         raise TypeError(f"cannot interpret {value!r} as a rational number")
@@ -50,6 +76,8 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
+        if len(value) > _SHORT_LITERAL or "e" in value or "E" in value:
+            _check_literal_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

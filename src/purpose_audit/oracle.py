@@ -123,20 +123,24 @@ def oracle_audit(
     model: EnvironmentModel,
     behavior: Behavior,
     options: OracleOptions = DEFAULT_OPTIONS,
+    *,
+    tables: dict[Strategy, dict[State, Rational]] | None = None,
 ) -> bool:
     """Reference emptiness decision for "could this log come from an agent
     planning for this purpose".
 
     True iff (1) some observed non-nothing step uses a pair that is useless
     under every strategy, or (2) no optimal strategy is consistent with the
-    behavior. No contingency enumeration is involved.
+    behavior. No contingency enumeration is involved. ``tables``, the value
+    table of every strategy from :func:`evaluate_all_strategies`, may be
+    passed in to share one enumeration across the behaviors of a model.
     """
     try:
         constraints = observed_choices(behavior)
     except InconsistentBehavior:
         return True
 
-    tables = evaluate_all_strategies(model, options)
+    tables = tables if tables is not None else evaluate_all_strategies(model, options)
 
     useless = oracle_useless(model, options, tables=tables)
     if any(pair in useless for pair in behavior.pairs()):

@@ -1,16 +1,25 @@
 """Exact and iterative solvers for strategy values and optimal values.
 
-Exact mode works entirely in rational arithmetic: strategy evaluation solves
-the Bellman linear system with Gaussian elimination over Fractions, and
-optimal values come from policy iteration with exact evaluation, which
-terminates because there are finitely many strategies and every round strictly
-improves some state. Float mode runs plain value iteration to a configurable
-residual and is meant for larger models where exact arithmetic gets expensive;
-audit verdicts derived from float values are advisory.
+Exact mode works entirely in rational arithmetic. Strategy evaluation solves
+the Bellman system (I - gamma P_sigma) V = r_sigma one strongly connected
+component of sigma's successor graph at a time, sinks first. In that order the
+system is block-triangular, so each component is a small Gaussian elimination
+over Fractions (one division for a single state), with the values already
+known downstream folded into its right-hand side. Optimal values come from
+policy iteration with exact evaluation, which terminates because there are
+finitely many strategies and every round strictly improves some state. It
+starts from the greedy policy of a short float value iteration on the rewards
+divided by max |r|; that guess only picks where the exact loop begins. The
+loop stops when no action improves any state in Fractions, so V*, Q* and the
+greedy sets do not depend on the guess. Float mode runs plain value iteration
+to a configurable residual and is meant for larger models where exact
+arithmetic gets expensive; audit verdicts derived from float values are
+advisory.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -19,12 +28,19 @@ from .errors import ConvergenceError, UndefinedPair
 from .model import Action, EnvironmentModel, Rational, State, Strategy, validate_strategy
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 #: Default relative Bellman-residual target for float mode.
 FLOAT_RESIDUAL = 1e-9
 #: Default relative tolerance for float-mode equality tests.
 FLOAT_EQUALITY = 1e-6
 FLOAT_ITERATION_CAP = 1_000_000
+
+# The float value iteration that picks exact policy iteration's first policy:
+# relative residual and sweep cap. A coarse guess is enough, since exact
+# rounds repair any action it gets wrong.
+_WARM_RESIDUAL = 1e-3
+_WARM_SWEEPS = 200
 
 ValueTable = Mapping[State, Rational]
 
@@ -44,8 +60,8 @@ def solve_linear_system(
 ) -> list[Fraction]:
     """Solve A x = b exactly by Gaussian elimination with back substitution.
 
-    The Bellman matrices used here (I - gamma * P) are strictly diagonally
-    dominant, hence nonsingular.
+    The Bellman matrices used here (I - gamma * P restricted to a set of
+    states) are strictly diagonally dominant, hence nonsingular.
     """
     n = len(matrix)
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
@@ -71,28 +87,92 @@ def solve_linear_system(
     return x
 
 
+def _components_sinks_first(successors: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a graph on 0..n-1, by Tarjan's
+    algorithm with an explicit stack (no recursion limit). Each component is
+    listed after every component it can reach."""
+    n = len(successors)
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(successors[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
 def evaluate_strategy(
     model: EnvironmentModel, strategy: Strategy
 ) -> dict[State, Rational]:
     """Exact expected total discounted reward of a strategy, per state.
 
-    Solves V(q) = r(q, s(q)) + gamma * sum t(q, s(q))(q') V(q').
+    Solves V(q) = r(q, s(q)) + gamma * sum t(q, s(q))(q') V(q') block by block
+    over the strongly connected components of the strategy's successor graph,
+    sinks first.
     """
     validate_strategy(model, strategy)
-    index = {q: i for i, q in enumerate(model.states)}
-    n = len(model.states)
+    states = model.states
     gamma = model.discount
-    matrix = [[ZERO] * n for _ in range(n)]
-    rhs = [ZERO] * n
     choice = strategy.as_dict()
-    for q, i in index.items():
-        action = choice[q]
-        matrix[i][i] += 1
-        for target, probability in model.successors(q, action).items():
-            matrix[i][index[target]] -= gamma * probability
-        rhs[i] = model.reward(q, action)
-    solution = solve_linear_system(matrix, rhs)
-    return {q: solution[index[q]] for q in model.states}
+    position = {q: i for i, q in enumerate(states)}
+    rows = [
+        [(position[t], gamma * p) for t, p in model.successors(q, choice[q]).items()]
+        for q in states
+    ]
+    values: list[Fraction] = [ZERO] * len(states)
+    for block in _components_sinks_first([[j for j, _ in row] for row in rows]):
+        local = {i: k for k, i in enumerate(block)}
+        matrix = [[ZERO] * len(block) for _ in block]
+        rhs = []
+        for k, i in enumerate(block):
+            matrix[k][k] = ONE
+            acc = model.reward(states[i], choice[states[i]])
+            for j, weight in rows[i]:
+                if j in local:
+                    matrix[k][local[j]] -= weight
+                else:
+                    acc += weight * values[j]
+            rhs.append(acc)
+        if len(block) == 1:
+            values[block[0]] = rhs[0] / matrix[0][0]
+        else:
+            for i, value in zip(block, solve_linear_system(matrix, rhs)):
+                values[i] = value
+    return dict(zip(states, values))
 
 
 def q_value(model: EnvironmentModel, values: ValueTable, state: State, action: Action):
@@ -107,89 +187,149 @@ def q_value(model: EnvironmentModel, values: ValueTable, state: State, action: A
 
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
-    choice: dict[State, Action] = {}
-    for q in model.states:
-        available = model.available_actions(q)
-        choice[q] = (
-            model.nothing_action
-            if model.nothing_action in available
-            else available[0]
-        )
+    available = {q: model.available_actions(q) for q in model.states}
+    choice = _warm_start(model, available)
     while True:
         strategy = Strategy.from_mapping(choice, model)
         values = evaluate_strategy(model, strategy)
+        q_star = {}
         changed = False
         for q in model.states:
             best_action = choice[q]
-            best = q_value(model, values, q, best_action)
-            for a in model.available_actions(q):
-                candidate = q_value(model, values, q, a)
-                if candidate > best:
-                    best, best_action = candidate, a
+            for a in available[q]:
+                q_star[(q, a)] = q_value(model, values, q, a)
+            for a in available[q]:
+                if q_star[(q, a)] > q_star[(q, best_action)]:
+                    best_action = a
             if best_action != choice[q]:
                 choice[q] = best_action
                 changed = True
         if not changed:
             break
-    q_star = {pair: q_value(model, values, *pair) for pair in model.pairs()}
     greedy = {
-        q: tuple(
-            a for a in model.available_actions(q) if q_star[(q, a)] == values[q]
-        )
+        q: tuple(a for a in available[q] if q_star[(q, a)] == values[q])
         for q in model.states
     }
     return OptimalSolution(v_star=values, q_star=q_star, greedy=greedy, mode="exact")
+
+
+def _float_iteration(
+    model: EnvironmentModel,
+    available: Mapping[State, tuple[Action, ...]],
+    rewards: Mapping[tuple[State, Action], float],
+    gamma: float,
+    target: float,
+    sweeps: int,
+) -> tuple[list[float], list[list[float]], bool]:
+    """Value iteration in floats from V = 0, one Jacobi sweep at a time,
+    until gamma * (largest change in a sweep) <= target or ``sweeps`` run out.
+
+    Returns the last values (in state order), the one-step lookahead of every
+    available action on them (per state, in action order), and whether the
+    target was met.
+    """
+    position = {q: i for i, q in enumerate(model.states)}
+    rows = [
+        [
+            (
+                rewards[(q, a)],
+                [(position[t], gamma * float(p)) for t, p in model.successors(q, a).items()],
+            )
+            for a in available[q]
+        ]
+        for q in model.states
+    ]
+
+    def lookahead(values: list[float]) -> list[list[float]]:
+        table = []
+        for row in rows:
+            backups = []
+            for acc, successors in row:
+                for j, weight in successors:
+                    acc += weight * values[j]
+                backups.append(acc)
+            table.append(backups)
+        return table
+
+    values = [0.0] * len(rows)
+    for _ in range(sweeps):
+        updated = [max(backups) for backups in lookahead(values)]
+        gap = max(abs(new - old) for new, old in zip(updated, values))
+        values = updated
+        if gamma * gap <= target:
+            return values, lookahead(values), True
+    return values, lookahead(values), False
+
+
+def _warm_start(
+    model: EnvironmentModel, available: Mapping[State, tuple[Action, ...]]
+) -> dict[State, Action]:
+    """Greedy policy of a short float value iteration, the first policy of
+    exact policy iteration.
+
+    Rewards are divided by max |r| as Fractions before they become floats, so
+    every value stays in float range whatever the model's magnitudes; with
+    values bounded by 1/(1-gamma), the relative stop test reduces to
+    gamma * gap <= residual. A discount that rounds to 0 or 1 only makes the
+    guess worse. Never raises.
+    """
+    top = model.max_reward_magnitude() or ONE
+    rewards = {pair: float(r / top) for pair, r in model.rewards.items()}
+    _, backups, _ = _float_iteration(
+        model, available, rewards, float(model.discount), _WARM_RESIDUAL, _WARM_SWEEPS
+    )
+    return {
+        q: available[q][row.index(max(row))]
+        for q, row in zip(model.states, backups)
+    }
 
 
 def _value_iteration(
     model: EnvironmentModel, residual: float, max_iterations: int
 ) -> OptimalSolution:
     gamma = float(model.discount)
+    if gamma == 1.0:
+        raise ConvergenceError(
+            f"discount {model.discount} rounds to 1.0 in floating point; "
+            "value iteration cannot converge, use exact mode"
+        )
+    # Values lie in [-bound, bound], so a sweep's change is at most 2 * bound.
+    bound = model.max_reward_magnitude() / (1 - model.discount)
+    if 2 * bound > sys.float_info.max:
+        raise ConvergenceError(
+            "optimal values may reach max |r| / (1 - gamma), beyond the "
+            "floating-point range; use exact mode"
+        )
     rewards = {pair: float(r) for pair, r in model.rewards.items()}
-    transitions = {
-        pair: [(target, float(p)) for target, p in dist.items()]
-        for pair, dist in model.transitions.items()
-    }
     scale = max(1.0, max((abs(r) for r in rewards.values()), default=0.0) / (1 - gamma))
+    available = {q: model.available_actions(q) for q in model.states}
     # Stop when the step gap guarantees sup-distance to the fixed point of at
     # most residual * scale: ||V_k - V*|| <= gamma/(1-gamma) * ||V_k - V_{k-1}||.
-    target = residual * scale * (1 - gamma) / gamma
-
-    values = {q: 0.0 for q in model.states}
-
-    def backup(q: State, a: Action, table) -> float:
-        acc = rewards[(q, a)]
-        for nxt, p in transitions[(q, a)]:
-            acc += gamma * p * table[nxt]
-        return acc
-
-    for _ in range(max_iterations):
-        updated = {
-            q: max(backup(q, a, values) for a in model.available_actions(q))
-            for q in model.states
-        }
-        gap = max(abs(updated[q] - values[q]) for q in model.states)
-        values = updated
-        # Returned table's own Bellman residual is at most gamma * gap.
-        if gap <= target:
-            break
-    else:
+    # The returned table's own Bellman residual is at most gamma * gap.
+    target = residual * scale * (1 - gamma)
+    values, backups, converged = _float_iteration(
+        model, available, rewards, gamma, target, max_iterations
+    )
+    if not converged:
         raise ConvergenceError(
-            f"value iteration did not reach residual {target} "
+            f"value iteration did not reach residual {residual * scale} "
             f"within {max_iterations} iterations"
         )
 
-    q_star = {pair: backup(pair[0], pair[1], values) for pair in model.pairs()}
+    v_star = dict(zip(model.states, values))
+    q_star = {
+        (q, a): value
+        for q, row in zip(model.states, backups)
+        for a, value in zip(available[q], row)
+    }
     tolerance = FLOAT_EQUALITY * scale
     greedy = {
         q: tuple(
-            a
-            for a in model.available_actions(q)
-            if abs(q_star[(q, a)] - values[q]) <= tolerance
+            a for a in available[q] if abs(q_star[(q, a)] - v_star[q]) <= tolerance
         )
         for q in model.states
     }
-    return OptimalSolution(v_star=values, q_star=q_star, greedy=greedy, mode="float")
+    return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="float")
 
 
 def solve_optimal(

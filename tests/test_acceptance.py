@@ -138,7 +138,7 @@ def test_criterion_4_audit_equals_oracle():
                 behavior = random_walk_behavior(rng, model, force_pair=force)
                 pairs += 1
                 engine = audit(model, behavior, solution=solution).empty_intersection
-                reference = oracle_audit(model, behavior)
+                reference = oracle_audit(model, behavior, tables=tables)
                 if engine != reference:
                     disagreements += 1
         assert pairs >= 500

@@ -3,8 +3,11 @@ from __future__ import annotations
 import io
 import json
 
+from fractions import Fraction
+
 import pytest
 
+from purpose_audit import ConvergenceError, parse_model, solve_optimal
 from purpose_audit.cli import main
 
 
@@ -55,6 +58,55 @@ class TestSolve:
         )
         assert code == 1
         assert "unknown purpose" in err
+
+
+class TestNumbersBeyondFloat:
+    """Valid documents whose numbers do not fit a float: exact mode solves
+    them, float mode either solves them or exits 1 with a message."""
+
+    DOCUMENT = (
+        "gamma: {}\nstates: a b\nactions: go\n"
+        "transition: a go -> b 1\ntransition: b go -> a 1\n"
+        "purpose: p\nreward: a go = {}\n"
+    )
+    CASES = {
+        # gamma = 1e-591: float(gamma) is 0.0.
+        "tiny-gamma": ("0." + "0" * 290 + "1e-300", "1"),
+        # float(gamma) is 1.0.
+        "gamma-near-one": ("0.99999999999999999999", "1"),
+        # 1e320 is beyond the largest float.
+        "huge-reward": ("9/10", "99999999999999999999e300"),
+    }
+
+    def write(self, tmp_path, case):
+        gamma, reward = self.CASES[case]
+        path = tmp_path / f"{case}.model"
+        path.write_text(self.DOCUMENT.format(gamma, reward))
+        return path, Fraction(gamma), Fraction(reward)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_mode_solves(self, tmp_path, case):
+        path, gamma, reward = self.write(tmp_path, case)
+        code, out, err = run("solve", str(path), "--purpose", "p")
+        assert (code, err) == (0, "")
+        v_a = reward / (1 - gamma**2)
+        assert out == f"V*(a) = {v_a}  greedy=go\nV*(b) = {gamma * v_a}  greedy=go\n"
+
+    @pytest.mark.parametrize("case", ["gamma-near-one", "huge-reward"])
+    def test_float_mode_refuses(self, tmp_path, case):
+        path, _, _ = self.write(tmp_path, case)
+        model = parse_model(path.read_text())["p"]
+        with pytest.raises(ConvergenceError):
+            solve_optimal(model, mode="float")
+        code, out, err = run("solve", str(path), "--purpose", "p", "--mode", "float")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exact mode" in err
+
+    def test_float_mode_rounds_tiny_gamma_to_zero(self, tmp_path):
+        path, _, _ = self.write(tmp_path, "tiny-gamma")
+        code, out, err = run("solve", str(path), "--purpose", "p", "--mode", "float")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "V*(a) = 1.0  greedy=go"
 
 
 class TestAudit:

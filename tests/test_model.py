@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit.errors import ModelError
+from purpose_audit.model import MAX_LITERAL_DIGITS
 
 
 def tiny(**overrides):
@@ -42,6 +44,18 @@ class TestAsRational:
 
     def test_float_via_decimal_repr(self):
         assert as_rational(0.9) == Fraction(9, 10)
+
+    def test_huge_literals_rejected_fast(self):
+        # Building 10**10000000 exactly takes seconds; the size cap answers first.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            as_rational("1e10000000")
+        assert time.perf_counter() - start < 0.01
+        with pytest.raises(ValueError, match="digits"):
+            as_rational("1" * (MAX_LITERAL_DIGITS + 1))
+        with pytest.raises(ValueError):
+            model = tiny()
+            model.with_rewards({**model.rewards, ("s", "a"): "1e10000000"})
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
     Strategy,
@@ -16,6 +17,7 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit.oracle import random_model
+from purpose_audit.solve import _warm_start
 
 F = Fraction
 
@@ -183,3 +185,134 @@ class TestRandomizedSolverProperties:
             solution = solve_optimal(model)
             choice = {q: solution.greedy[q][0] for q in model.states}
             assert is_optimal(model, Strategy.from_mapping(choice, model), solution=solution)
+
+
+# ---------------------------------------------------------------------------
+# The block-by-block, warm-started solver against a dense reference written
+# here: whole-system Gauss-Jordan elimination and cold-start policy iteration.
+
+SWEEP_GAMMAS = (F(1, 2), F(9, 10), F(99, 100), F(999, 1000))
+
+
+def dense_values(model, choice):
+    """Strategy values from one elimination over the whole system."""
+    states = model.states
+    n = len(states)
+    column = {q: j for j, q in enumerate(states)}
+    rows = []
+    for i, q in enumerate(states):
+        row = [F(int(i == j)) for j in range(n)] + [model.reward(q, choice[q])]
+        for target, p in model.successors(q, choice[q]).items():
+            row[column[target]] -= model.discount * p
+        rows.append(row)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return {q: rows[i][n] for i, q in enumerate(states)}
+
+
+def dense_optimal(model):
+    """(V*, Q*, greedy) by policy iteration from the all-nothing strategy."""
+    choice = {q: model.nothing_action for q in model.states}
+    while True:
+        values = dense_values(model, choice)
+        q_star = {pair: q_value(model, values, *pair) for pair in model.pairs()}
+        changed = False
+        for q in model.states:
+            best = max(model.available_actions(q), key=lambda a: q_star[(q, a)])
+            if q_star[(q, best)] > q_star[(q, choice[q])]:
+                choice[q] = best
+                changed = True
+        if not changed:
+            greedy = {
+                q: tuple(
+                    a for a in model.available_actions(q) if q_star[(q, a)] == values[q]
+                )
+                for q in model.states
+            }
+            return values, q_star, greedy
+
+
+def sweep_model(seed, gamma, zero_fraction):
+    return random_model(
+        random.Random(seed),
+        n_states=(2, 8),
+        n_actions=(2, 3),
+        gammas=(gamma,),
+        zero_reward_fraction=zero_fraction,
+    )
+
+
+sweep = given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from(SWEEP_GAMMAS),
+    st.sampled_from((0.3, 0.6)),
+)
+
+
+class TestSolverMatchesDenseReference:
+    @settings(max_examples=60, deadline=None)
+    @sweep
+    def test_solve_optimal(self, seed, gamma, zero_fraction):
+        model = sweep_model(seed, gamma, zero_fraction)
+        solution = solve_optimal(model)
+        v_star, q_star, greedy = dense_optimal(model)
+        assert dict(solution.v_star) == v_star
+        assert dict(solution.q_star) == q_star
+        assert dict(solution.greedy) == greedy
+        assert bellman_residual(model, solution.v_star) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @sweep
+    def test_evaluate_strategy(self, seed, gamma, zero_fraction):
+        model = sweep_model(seed, gamma, zero_fraction)
+        rng = random.Random(seed + 1)
+        choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
+        sigma = Strategy.from_mapping(choice, model)
+        assert evaluate_strategy(model, sigma) == dense_values(model, choice)
+
+
+class TestWarmStartedSolver:
+    def test_near_tie_below_warm_residual(self):
+        # Q*(s, b) beats Q*(s, a) by a relative 1e-6, far below the warm
+        # start's 1e-3 residual: b's reward arrives one step late, so the
+        # float guess picks a, and exact rounds must repair it.
+        gamma = F(9, 10)
+        lift = 1 + F(1, 10**6)
+        model = validate_model(
+            states=["s", "t"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"s": 1}, ("s", "b"): {"t": 1}, ("t", "a"): {"t": 1}},
+            rewards={("s", "a"): 1, ("s", "b"): 0, ("t", "a"): lift / gamma},
+            discount=gamma,
+        )
+        available = {q: model.available_actions(q) for q in model.states}
+        assert _warm_start(model, available)["s"] == "a"
+        solution = solve_optimal(model)
+        assert solution.v_star == {"s": 10 * lift, "t": 10 * lift / gamma}
+        assert solution.greedy == {"s": ("b",), "t": ("a",)}
+        assert solution.q_star[("s", "a")] == 1 + gamma * 10 * lift
+        assert bellman_residual(model, solution.v_star) == 0
+
+    def test_long_chain_needs_no_recursion(self):
+        # A depth-first search over this chain is thousands of frames deep.
+        n = 5000
+        states = [f"q{i}" for i in range(n)]
+        transitions = {(q, "go"): {nxt: 1} for q, nxt in zip(states, states[1:])}
+        model = validate_model(
+            states=states,
+            actions=["go"],
+            transitions=transitions,
+            rewards={pair: 1 for pair in transitions},
+            discount="1/2",
+        )
+        choice = {q: "go" for q in states[:-1]} | {states[-1]: "N"}
+        values = evaluate_strategy(model, Strategy.from_mapping(choice, model))
+        assert values[states[-1]] == 0
+        assert values[states[-2]] == 1
+        assert values[states[0]] == 2 - F(1, 2 ** (n - 2))

@@ -315,13 +315,18 @@ class Verdict:
 
 
 def _require_shared_structure(models: Mapping[str, EnvironmentModel]) -> None:
+    # Purposes parsed from one document share their transitions object, so
+    # the identity test settles the common case without a deep comparison.
     items = list(models.values())
     first = items[0]
     for other in items[1:]:
         if (
             other.states != first.states
             or other.actions != first.actions
-            or other.transitions != first.transitions
+            or (
+                other.transitions is not first.transitions
+                and other.transitions != first.transitions
+            )
             or other.discount != first.discount
         ):
             raise ValueError(

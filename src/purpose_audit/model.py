@@ -9,7 +9,7 @@ factor are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -174,8 +174,9 @@ def validate_model(
     """Validate a raw model description and return an immutable model.
 
     The nothing-action is auto-completed (zero-reward self-loop) at any state
-    that omits it; a user-supplied nothing row must already be a zero-reward
-    self-loop. ``complete_missing_actions`` additionally adds zero-reward
+    that omits it; a user-supplied nothing row must already be a self-loop,
+    and a nothing-action reward must be zero whether its row was supplied or
+    completed. ``complete_missing_actions`` additionally adds zero-reward
     self-loops for every other action missing at a state, matching diagrams
     that leave such loops implicit. ``fill_missing_rewards`` defaults omitted
     rewards on defined pairs to zero instead of raising DomainMismatch.
@@ -209,8 +210,6 @@ def validate_model(
     if not ZERO < gamma < ONE:
         raise DiscountError(f"discount must satisfy 0 < gamma < 1, got {gamma}")
 
-    reward_table = {pair: as_rational(r) for pair, r in (rewards or {}).items()}
-
     transition_table: dict[tuple[State, Action], dict[State, Rational]] = {}
     for (q, a), distribution in transitions.items():
         if q not in state_set:
@@ -235,15 +234,10 @@ def validate_model(
                 raise NothingActionConflict(
                     f"nothing-action at {q!r} must be a self-loop with probability 1"
                 )
-            if reward_table.get(key, ZERO) != 0:
-                raise NothingActionConflict(
-                    f"nothing-action at {q!r} must have reward 0"
-                )
-            reward_table[key] = ZERO
         elif q in allowed_nothing:
             transition_table[key] = {q: ONE}
-            reward_table[key] = ZERO
 
+    reward_table = dict(rewards or {})
     if complete_missing_actions:
         for q in state_list:
             for a in action_tuple:
@@ -251,34 +245,60 @@ def validate_model(
                     transition_table[(q, a)] = {q: ONE}
                     reward_table.setdefault((q, a), ZERO)
 
-    for pair in reward_table:
-        if pair not in transition_table:
-            raise DomainMismatch(f"reward defined for {pair} but no transition is")
-    for pair in transition_table:
-        if pair not in reward_table:
-            if fill_missing_rewards:
-                reward_table[pair] = ZERO
-            else:
-                raise DomainMismatch(f"transition defined for {pair} but no reward is")
-
     ordered_transitions: dict[tuple[State, Action], Mapping[State, Rational]] = {}
-    ordered_rewards: dict[tuple[State, Action], Rational] = {}
     for q in state_list:
         if not any((q, a) in transition_table for a in action_tuple):
             raise ModelError(f"state {q!r} has no available actions")
         for a in action_tuple:
             if (q, a) in transition_table:
-                ordered_transitions[(q, a)] = dict(transition_table[(q, a)])
-                ordered_rewards[(q, a)] = reward_table[(q, a)]
+                ordered_transitions[(q, a)] = transition_table[(q, a)]
 
-    return EnvironmentModel(
+    structure = EnvironmentModel(
         states=state_list,
         actions=action_tuple,
         transitions=ordered_transitions,
-        rewards=ordered_rewards,
+        rewards={},
         discount=gamma,
         nothing_action=nothing_action,
     )
+    return replace(
+        structure,
+        rewards=_reward_table(
+            structure, reward_table, fill_missing=fill_missing_rewards
+        ),
+    )
+
+
+def _reward_table(
+    structure: EnvironmentModel, rewards: Mapping, *, fill_missing: bool
+) -> dict[tuple[State, Action], Rational]:
+    """Check a raw reward table against a validated structure.
+
+    Every reward must sit on a defined pair and every nothing-action reward
+    must be zero, whether the caller declared that row or the validator
+    added it. A missing nothing-action reward is zero; other missing rewards
+    are zero when ``fill_missing`` is set, else a DomainMismatch. The result
+    is ordered like ``structure.pairs()``; the structure's own ``rewards``
+    are not read.
+    """
+    table = {pair: as_rational(r) for pair, r in rewards.items()}
+    transitions = structure.transitions
+    for q in structure.states:
+        key = (q, structure.nothing_action)
+        if table.get(key, ZERO) != 0 and key in transitions:
+            raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
+    for pair in table:
+        if pair not in transitions:
+            raise DomainMismatch(f"reward defined for {pair} but no transition is")
+    ordered: dict[tuple[State, Action], Rational] = {}
+    for pair in transitions:
+        reward = table.get(pair)
+        if reward is None:
+            if not fill_missing and pair[1] != structure.nothing_action:
+                raise DomainMismatch(f"transition defined for {pair} but no reward is")
+            reward = ZERO
+        ordered[pair] = reward
+    return ordered
 
 
 @dataclass(frozen=True)

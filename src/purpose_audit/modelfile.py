@@ -18,8 +18,10 @@ terminating decimals, with at most MAX_LITERAL_DIGITS digits and a decimal
 exponent of at most MAX_LITERAL_EXPONENT in magnitude. Rewards not listed for
 a defined transition are zero. The nothing-action rows are implicit (the
 validator adds them); a document may still declare them, as long as they are
-zero-reward self-loops. One environment model is produced per declared
-purpose, all sharing states, actions, transitions and gamma.
+self-loops. A reward on a nothing-action pair must be zero, whether its row is
+declared or implicit. One environment model is produced per declared purpose,
+all sharing one validated structure: the states, actions, gamma and the very
+same transitions object.
 
 A log document holds one behavior per line: alternating state and action
 tokens, starting and ending with a state.
@@ -27,6 +29,7 @@ tokens, starting and ending with a state.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -38,6 +41,7 @@ from .model import (  # the literal caps are re-exported: they bound this format
     Behavior,
     EnvironmentModel,
     State,
+    _reward_table,
     as_rational,
     validate_behavior,
     validate_model,
@@ -50,15 +54,26 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
-def _rational(token: str, line_no: int) -> Fraction:
-    try:
-        return as_rational(token)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
+def _rational(token: str, line_no: int, literals: dict[str, Fraction]) -> Fraction:
+    """The value of ``token``, converted once per document: a token that
+    fails raises and stays out of ``literals``, so it fails again."""
+    value = literals.get(token)
+    if value is None:
+        try:
+            value = literals[token] = as_rational(token)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+    return value
 
 
 def parse_model(text: str) -> dict[str, EnvironmentModel]:
-    """Parse a model document into one validated model per purpose."""
+    """Parse a model document into one validated model per purpose.
+
+    The structure (states, actions, gamma, transitions) is validated once;
+    every purpose is that model with its own reward table, so all purposes
+    share one ``transitions`` object.
+    """
+    literals: dict[str, Fraction] = {}
     states: list[str] | None = None
     actions: list[str] | None = None
     gamma = None
@@ -85,7 +100,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
             if not actions:
                 raise ParseError("actions line lists no actions", line_no)
         elif directive == "gamma":
-            gamma = _rational(rest, line_no)
+            gamma = _rational(rest, line_no, literals)
         elif directive == "transition":
             head, arrow, targets = rest.partition("->")
             if not arrow:
@@ -111,7 +126,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                     raise ParseError(
                         f"duplicate target {target} in transition", line_no
                     )
-                distribution[target] = _rational(probability, line_no)
+                distribution[target] = _rational(probability, line_no, literals)
             transitions[(q, a)] = distribution
         elif directive == "purpose":
             name = rest
@@ -135,7 +150,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                 raise ParseError(
                     f"duplicate reward for {pair} under purpose {current!r}", line_no
                 )
-            purposes[current][pair] = _rational(value.strip(), line_no)
+            purposes[current][pair] = _rational(value.strip(), line_no, literals)
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no)
 
@@ -150,14 +165,16 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     if not purposes:
         raise ParseError("no purposes declared")
 
+    structure = validate_model(
+        states=states,
+        actions=actions,
+        transitions=transitions,
+        discount=gamma,
+        fill_missing_rewards=True,
+    )
     return {
-        name: validate_model(
-            states=states,
-            actions=actions,
-            transitions=transitions,
-            rewards=rewards,
-            discount=gamma,
-            fill_missing_rewards=True,
+        name: replace(
+            structure, rewards=_reward_table(structure, rewards, fill_missing=True)
         )
         for name, rewards in purposes.items()
     }
@@ -180,14 +197,14 @@ def format_model_document(models: Mapping[str, EnvironmentModel]) -> str:
         "actions: " + " ".join(a for a in first.actions if a != first.nothing_action),
         "",
     ]
+    position = {q: i for i, q in enumerate(first.states)}
     for q, a in first.pairs():
         if a == first.nothing_action:
             continue
         targets = ", ".join(
             f"{target} {_format_rational(p)}"
             for target, p in sorted(
-                first.successors(q, a).items(),
-                key=lambda kv: first.states.index(kv[0]),
+                first.successors(q, a).items(), key=lambda kv: position[kv[0]]
             )
         )
         lines.append(f"transition: {q} {a} -> {targets}")

@@ -228,6 +228,27 @@ class TestPolicyChecks:
         with pytest.raises(ValueError):
             PolicyRule(RuleKind.RESTRICTIVE, ())
 
+    def test_shared_structure_compared_by_value(self):
+        # Hand-built purposes own distinct but equal transition tables.
+        def build(target, reward):
+            return validate_model(
+                states=["s", "t", "u"],
+                actions=["go"],
+                transitions={("s", "go"): {target: 1}},
+                rewards={("s", "go"): reward},
+                discount="1/2",
+                fill_missing_rewards=True,
+            )
+
+        rule = PolicyRule(RuleKind.RESTRICTIVE, ("p", "q"))
+        b = Behavior.from_tokens(["s", "go", "t"])
+        p, q = build("t", 1), build("t", 2)
+        assert p.transitions is not q.transitions
+        verdict = check_restrictive({"p": p, "q": q}, rule, b)
+        assert verdict.status is VerdictStatus.INCONCLUSIVE
+        with pytest.raises(ValueError, match="share"):
+            check_restrictive({"p": p, "q": build("u", 2)}, rule, b)
+
     def test_unknown_purpose_rejected(self, physician, logs):
         b1, _ = logs
         with pytest.raises(KeyError):

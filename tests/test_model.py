@@ -116,6 +116,27 @@ class TestValidateModel:
                 rewards={("s", "a"): 1, ("s", "N"): 5},
             )
 
+    def test_nothing_reward_rejected_on_implicit_row(self):
+        # The validator adds the (s, N) row here; a nonzero reward on it is
+        # the same conflict as on a declared row, not silently zeroed.
+        implicit = {("s", "a"): 1, ("s", "N"): 5}
+        with pytest.raises(NothingActionConflict) as undeclared:
+            tiny(rewards=implicit)
+        with pytest.raises(NothingActionConflict) as declared:
+            tiny(
+                transitions={("s", "a"): {"u": 1}, ("s", "N"): {"s": 1}},
+                rewards=implicit,
+            )
+        assert str(undeclared.value) == str(declared.value)
+        assert "'s' must have reward 0" in str(undeclared.value)
+
+    def test_missing_nothing_reward_is_zero(self):
+        # Without fill_missing_rewards, a declared nothing row still needs
+        # no reward entry.
+        model = tiny(transitions={("s", "a"): {"u": 1}, ("s", "N"): {"s": 1}})
+        assert model.reward("s", "N") == 0
+        assert list(model.rewards) == list(model.pairs())
+
     def test_explicit_valid_nothing_row_accepted(self):
         model = tiny(
             transitions={("s", "a"): {"u": 1}, ("s", "N"): {"s": 1}},

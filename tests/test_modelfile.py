@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
     AlternationError,
     DomainMismatch,
+    NothingActionConflict,
     ParseError,
+    PurposeAuditError,
     format_log,
     format_model_document,
     parse_log,
     parse_model,
+    validate_model,
 )
 from purpose_audit.fixtures import (
     PHYSICIAN_LOG,
@@ -20,7 +25,8 @@ from purpose_audit.fixtures import (
     physician_document,
     travel_document,
 )
-from purpose_audit.modelfile import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT
+from purpose_audit.modelfile import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT, _rational
+from purpose_audit.oracle import random_model
 
 
 class TestParseModel:
@@ -42,6 +48,23 @@ class TestParseModel:
         assert lecture.reward("home", "driveDC") == 2
         assert lecture.reward("home", "flyDC") == 1
         assert business.transitions == lecture.transitions
+
+    def test_purposes_share_one_structure(self):
+        treat, profit = parse_model(physician_document()).values()
+        assert treat.transitions is profit.transitions
+
+    def test_nothing_reward_rejected_declared_or_implicit(self):
+        body = (
+            "gamma: 1/2\nstates: s t\nactions: go\ntransition: s go -> t 1\n{}"
+            "purpose: p\nreward: s N = 5\n"
+        )
+        with pytest.raises(NothingActionConflict) as implicit:
+            parse_model(body.format(""))
+        with pytest.raises(NothingActionConflict) as declared:
+            parse_model(body.format("transition: s N -> s 1\n"))
+        assert str(implicit.value) == str(declared.value)
+        zero = parse_model(body.format("").replace("= 5", "= 0"))["p"]
+        assert zero.reward("s", "N") == 0
 
     def test_missing_gamma(self):
         text = "states: a\nactions: x\ntransition: a x -> a 1\npurpose: p\n"
@@ -114,10 +137,6 @@ class TestRoundTrip:
         assert parse_model(format_model_document(models)) == models
 
     def test_random_models_round_trip(self):
-        import random
-
-        from purpose_audit.oracle import random_model
-
         rng = random.Random(103)
         for i in range(10):
             model = random_model(rng)
@@ -186,3 +205,120 @@ class TestLiteralBounds:
         assert tiny.reward("a", "x") == Fraction(25, 10**MAX_LITERAL_EXPONENT)
         wide = parse_model(self.DOCUMENT.format("7" * MAX_LITERAL_DIGITS))["p"]
         assert wide.reward("a", "x") == int("7" * MAX_LITERAL_DIGITS)
+
+
+def reward_family(seed: int, count: int) -> dict:
+    """A random structure with ``count`` reward tables on it."""
+    rng = random.Random(seed)
+    model = random_model(rng, zero_reward_fraction=0.3)
+    return {
+        f"p{i}": model.with_rewards(
+            {
+                (q, a): 0 if a == model.nothing_action else rng.randint(-9, 9)
+                for q, a in model.transitions
+            }
+        )
+        for i in range(count)
+    }
+
+
+class TestSharedStructure:
+    """``parse_model`` validates the structure once and shares it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(2, 4))
+    def test_equals_per_purpose_validation(self, seed, count):
+        family = reward_family(seed, count)
+        parsed = parse_model(format_model_document(family))
+        assert parsed == family
+        first = next(iter(parsed.values()))
+        for name, model in parsed.items():
+            assert model.transitions is first.transitions
+            alone = validate_model(
+                states=model.states,
+                actions=model.actions,
+                transitions=family[name].transitions,
+                rewards=family[name].rewards,
+                discount=model.discount,
+                fill_missing_rewards=True,
+            )
+            assert model == alone
+            assert list(model.rewards) == list(alone.rewards)
+
+    def test_long_literal_under_last_purpose(self):
+        family = reward_family(5, 3)
+        q, a = next(iter(family["p0"].transitions))
+        text = format_model_document(family) + "purpose: last\n"
+        line_no = text.count("\n") + 1
+        bad = text + f"reward: {q} {a} = {'1' * (MAX_LITERAL_DIGITS + 1)}\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(bad)
+        assert err.value.line == line_no
+        assert "digits" in err.value.message
+
+    def test_undefined_pair_under_last_purpose(self):
+        text = format_model_document(reward_family(6, 3))
+        with pytest.raises(DomainMismatch):
+            parse_model(text + "reward: q0 nowhere = 1\n")
+
+    def test_rejected_token_is_rejected_again(self):
+        literals = {}
+        for line_no in (3, 8):
+            with pytest.raises(ParseError) as err:
+                _rational("1/0", line_no, literals)
+            assert err.value.line == line_no
+        assert literals == {}
+        assert _rational("1/4", 9, literals) is _rational("1/4", 12, literals)
+        text = (
+            "gamma: 1/2\nstates: a b\nactions: x y\n"
+            "transition: a x -> b 1\ntransition: a y -> b 1e999\n"
+        )
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_model(text)
+            assert err.value.line == 5
+
+
+HEADER = "gamma: 1/2\nstates: a b\nactions: x y\n"
+DIRECTIVES = ("gamma:", "states:", "actions:", "transition:", "purpose:", "reward:")
+NAMES = ("a", "b", "x", "y", "N", "zz")
+NUMBERS = ("1", "0", "5", "-1", "1/2", "1/0", "0.5", "1e400", "1e-3", "nan", "inf")
+WORDS = (*NAMES, *NUMBERS, "->", "=", ",", ":", "#", "\t", *DIRECTIVES)
+names, numbers = st.sampled_from(NAMES), st.sampled_from(NUMBERS)
+words = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
+targets = st.lists(st.tuples(names, numbers).map(" ".join), max_size=3).map(", ".join)
+lines = st.one_of(
+    st.text(max_size=80),
+    words,
+    st.tuples(st.sampled_from(DIRECTIVES), words).map(" ".join),
+    st.tuples(names, names, targets).map("transition: {0[0]} {0[1]} -> {0[2]}".format),
+    st.tuples(names, names, numbers).map("reward: {0[0]} {0[1]} = {0[2]}".format),
+    names.map("purpose: {}".format),
+)
+# No header, a header, or a whole valid document, then fuzzed lines.
+PREFIXES = ("", HEADER, HEADER + "transition: a x -> b 1\npurpose: p\n")
+documents = st.tuples(st.sampled_from(PREFIXES), st.lists(lines, max_size=6)).map(
+    lambda parts: parts[0] + "\n".join(parts[1])
+)
+
+
+class TestParserFuzz:
+    """Any text either parses or raises a PurposeAuditError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_parse_model(self, text):
+        try:
+            parse_model(text)
+        except PurposeAuditError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_parse_log(self, text):
+        model = parse_model(PREFIXES[2])["p"]
+        for against in (None, model):
+            try:
+                parse_log(text, against)
+            except PurposeAuditError:
+                pass

@@ -19,10 +19,16 @@ state: O(|b|) lookups. Otherwise the penalised optimum equals V* at exactly
 the states of the *safe set*: the greatest set of states, none observed with
 a non-greedy action, from each of which some allowed action (the logged one
 at an observed state, any greedy one elsewhere) keeps every successor in the
-set. The gap witness is the first state outside it, which is the first state
+set, found by a worklist that re-checks only the predecessors of a dropped
+state. The gap witness is the first state outside it, which is the first state
 where the penalised optimum falls short. The penalised values stay available
-as evidence, computed only when ``AuditOutcome.v_star_fixed`` is read. Float
-mode still solves the penalised model and compares values with tolerances.
+as evidence, computed only when ``AuditOutcome.v_star_fixed`` is read.
+
+Float mode still solves the penalised model and compares values with
+tolerances, but never builds it: it copies the purpose's float reward vector,
+writes float(-omega) on the unlogged pairs of the observed states, and runs
+the values-only float iteration on the model's shared structure index. The
+values are bit-identical to solving ``compute_fix(model, b)`` in float mode.
 
 Verdicts lift the boolean to policy rules: a restrictive (only-for) rule is
 violated when the log fits none of the allowed purposes; a prohibitive
@@ -50,6 +56,7 @@ from .model import (
 from .solve import (
     FLOAT_EQUALITY,
     OptimalSolution,
+    _float_values,
     solve_optimal,
 )
 
@@ -170,7 +177,16 @@ def audit(
     tolerances where exact mode uses equality of rationals.
     """
     validate_behavior(model, behavior)
-    solution = solution or solve_optimal(model, mode=mode)
+    return _decide(model, behavior, mode, solution or solve_optimal(model, mode=mode))
+
+
+def _decide(
+    model: EnvironmentModel,
+    behavior: Behavior,
+    mode: str,
+    solution: OptimalSolution,
+) -> AuditOutcome:
+    """The audit of a behavior already validated against ``model``."""
     scale = 1.0
     if mode != "exact":
         scale = max(
@@ -203,7 +219,7 @@ def audit(
         )
 
     if mode != "exact":
-        return _penalised_comparison(model, behavior, solution, mode)
+        return _penalised_comparison(model, behavior, choices, solution, mode)
 
     def penalised():
         return solve_optimal(compute_fix(model, behavior), mode=mode).v_star
@@ -222,7 +238,7 @@ def audit(
     return AuditOutcome(
         empty_intersection=True,
         reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
-        witness_state=next(q for q in model.states if q not in safe),
+        witness_state=model.states[safe.index(False)],
         v_star=solution.v_star,
         mode=mode,
         penalised=penalised,
@@ -233,37 +249,76 @@ def _safe_states(
     model: EnvironmentModel,
     greedy: Mapping[State, tuple[Action, ...]],
     choices: Mapping[State, Action],
-) -> set[State]:
-    """The states where the penalised optimum equals V*.
+) -> list[bool]:
+    """Per state position, whether the penalised optimum equals V* there.
 
     The greatest fixed point: start from every state not observed with a
     non-greedy action, then drop a state while none of its allowed actions
     keeps every successor in the set. The logged action is the only allowed
-    one at an observed state; any greedy action is allowed elsewhere.
+    one at an observed state; any greedy action is allowed elsewhere. A
+    worklist re-checks only the predecessors of a dropped state, so the work
+    is linear in the model's size.
     """
-    allowed = {q: (choices[q],) if q in choices else greedy[q] for q in model.states}
-    safe = {q for q in model.states if q not in choices or choices[q] in greedy[q]}
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for q in model.states:
-            if q in safe and not any(
-                all(t in safe for t in model.successors(q, a)) for a in allowed[q]
-            ):
-                safe.discard(q)
-                shrinking = True
+    index = model._index
+    states = model.states
+    safe = [q not in choices or choices[q] in greedy[q] for q in states]
+
+    def keeps_safe(i: int) -> bool:
+        q = states[i]
+        allowed = (choices[q],) if q in choices else greedy[q]
+        return any(
+            all(safe[j] for j, _ in successors)
+            for a, (_, successors) in zip(index.available[i], index.rows[i])
+            if a in allowed
+        )
+
+    pending = list(range(len(states)))
+    while pending:
+        i = pending.pop()
+        if safe[i] and not keeps_safe(i):
+            safe[i] = False
+            pending.extend(index.predecessors[i])
     return safe
 
 
 def _penalised_comparison(
     model: EnvironmentModel,
     behavior: Behavior,
+    choices: Mapping[State, Action],
     solution: OptimalSolution,
     mode: str,
 ) -> AuditOutcome:
     """Step two by the paper's construction, for float mode: solve the
-    penalised model and compare optimal values state by state."""
-    fixed_v_star = solve_optimal(compute_fix(model, behavior), mode=mode).v_star
+    penalised model and compare optimal values state by state.
+
+    The penalised model is not built: its float reward vector is the
+    model's, with float(-omega) written on the unlogged pairs of the observed
+    states, and the values-only float iteration runs on the shared index. The
+    values, the range checks and the stop test are those of solving
+    ``compute_fix(model, behavior)`` in float mode, bit for bit.
+    """
+    if mode != "float":
+        raise ValueError(f"unknown solver mode {mode!r}")
+    index = model._index
+    penalised_pairs = []
+    for q, logged in choices.items():
+        i = index.position[q]
+        for a, (k, _) in zip(index.available[i], index.rows[i]):
+            if a != logged:
+                penalised_pairs.append(k)
+    omega = compute_omega(model).omega
+    # The penalised table's max |r|: omega exceeds every |r| once it is used.
+    top = omega if penalised_pairs else model.max_reward_magnitude()
+
+    def rewards() -> list[float]:
+        vector = list(model._float_rewards)
+        penalty = float(-omega)
+        for k in penalised_pairs:
+            vector[k] = penalty
+        return vector
+
+    values, _ = _float_values(model, top, rewards)
+    fixed_v_star = dict(zip(model.states, values))
     for q in model.states:
         if not _floats_equal(solution.v_star[q], fixed_v_star[q]):
             return AuditOutcome(
@@ -345,9 +400,16 @@ def _audit_rule_purposes(
     if missing:
         raise KeyError(f"rule references unknown purposes {missing}")
     _require_shared_structure({p: models[p] for p in rule.purposes})
+    # One structure, so one validation serves every purpose.
+    validate_behavior(models[rule.purposes[0]], behavior)
     solutions = solutions or {}
     return {
-        p: audit(models[p], behavior, mode=mode, solution=solutions.get(p))
+        p: _decide(
+            models[p],
+            behavior,
+            mode,
+            solutions.get(p) or solve_optimal(models[p], mode=mode),
+        )
         for p in rule.purposes
     }
 

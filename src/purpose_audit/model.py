@@ -9,8 +9,9 @@ factor are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -85,6 +86,85 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+class StructureIndex:
+    """Integer-indexed view of one model structure, built on first use.
+
+    Holds a state -> position map, the available actions of each state, per
+    defined pair its successor list of (position, float(gamma) * float(p)),
+    and the predecessor positions of each state. Pairs are numbered in state order, then action order, as
+    :meth:`EnvironmentModel.pairs` yields them; a reward vector is a sequence
+    indexed by that number. Every model made from the same validated
+    structure (each purpose of a document, each ``with_rewards`` result)
+    holds the same index, so these lists are built once per structure.
+    """
+
+    def __init__(self, states, actions, transitions, discount):
+        self.states = states
+        self.actions = actions
+        self.transitions = transitions
+        self.discount = discount
+
+    def built_from(self, model: EnvironmentModel) -> bool:
+        """Whether this index describes ``model``'s structure objects."""
+        return (
+            model.states is self.states
+            and model.actions is self.actions
+            and model.transitions is self.transitions
+            and model.discount is self.discount
+        )
+
+    @cached_property
+    def position(self) -> dict[State, int]:
+        return {q: i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def available(self) -> tuple[tuple[Action, ...], ...]:
+        """Available actions per state position, in action order."""
+        transitions = self.transitions
+        return tuple(
+            tuple(a for a in self.actions if (q, a) in transitions)
+            for q in self.states
+        )
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[State, Action], ...]:
+        """Defined pairs in pair-number order."""
+        return tuple(
+            (q, a) for q, actions in zip(self.states, self.available) for a in actions
+        )
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, tuple[tuple[int, float], ...]], ...], ...]:
+        """Per state position, one (pair number, successor list) per
+        available action, in action order; successors keep the order of the
+        transition table."""
+        gamma = float(self.discount)
+        position = self.position
+        rows = []
+        number = 0
+        for q, actions in zip(self.states, self.available):
+            row = []
+            for a in actions:
+                successors = tuple(
+                    (position[t], gamma * float(p))
+                    for t, p in self.transitions[(q, a)].items()
+                )
+                row.append((number, successors))
+                number += 1
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Per state position, the positions with some action leading there."""
+        sources: list[set[int]] = [set() for _ in self.available]
+        for i, row in enumerate(self.rows):
+            for _, successors in row:
+                for j, _ in successors:
+                    sources[j].add(i)
+        return tuple(tuple(sorted(s)) for s in sources)
+
+
 @dataclass(frozen=True)
 class EnvironmentModel:
     """A validated model: states, actions, transitions, rewards, discount.
@@ -92,6 +172,9 @@ class EnvironmentModel:
     ``transitions`` maps each defined (state, action) pair to a distribution
     over successor states; ``rewards`` is defined on exactly the same pairs.
     Instances are immutable; construct them through :func:`validate_model`.
+    ``_index`` is the structure's :class:`StructureIndex`, carried over by
+    ``with_rewards`` and ``dataclasses.replace`` and rebuilt when the
+    structure objects differ; it takes no part in ``==`` or ``repr``.
     """
 
     states: tuple[State, ...]
@@ -100,6 +183,14 @@ class EnvironmentModel:
     rewards: Mapping[tuple[State, Action], Rational]
     discount: Rational
     nothing_action: Action = NOTHING
+    _index: StructureIndex | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._index is None or not self._index.built_from(self):
+            index = StructureIndex(
+                self.states, self.actions, self.transitions, self.discount
+            )
+            object.__setattr__(self, "_index", index)
 
     def available_actions(self, state: State) -> tuple[Action, ...]:
         """Actions with a transition entry at ``state``, in action order."""
@@ -113,10 +204,7 @@ class EnvironmentModel:
 
     def pairs(self) -> Iterator[tuple[State, Action]]:
         """Defined (state, action) pairs in deterministic state/action order."""
-        for q in self.states:
-            for a in self.actions:
-                if (q, a) in self.transitions:
-                    yield (q, a)
+        return iter(self._index.pairs)
 
     def with_rewards(
         self, rewards: Mapping[tuple[State, Action], Rational]
@@ -134,11 +222,23 @@ class EnvironmentModel:
             rewards=table,
             discount=self.discount,
             nothing_action=self.nothing_action,
+            _index=self._index,
         )
 
     def max_reward_magnitude(self) -> Rational:
         """Largest |r(q, a)| over the defined pairs."""
+        return self._max_reward_magnitude
+
+    @cached_property
+    def _max_reward_magnitude(self) -> Rational:
         return max((abs(r) for r in self.rewards.values()), default=ZERO)
+
+    @cached_property
+    def _float_rewards(self) -> tuple[float, ...]:
+        """float(r) per defined pair, in the index's pair order: the reward
+        vector float value iteration runs on."""
+        rewards = self.rewards
+        return tuple(float(rewards[pair]) for pair in self._index.pairs)
 
 
 def _check_distribution(pair, distribution) -> dict[State, Rational]:
@@ -183,8 +283,8 @@ def validate_model(
 
     ``nothing_states`` is a documented extension, off by default: when given,
     the nothing-action is only auto-completed at those states, so stopping is
-    not available everywhere. Every state must still end up with at least one
-    action.
+    not available everywhere; ``complete_missing_actions`` does not add it
+    elsewhere either. Every state must still end up with at least one action.
     """
     if raw is not None:
         states = raw.get("states", states)
@@ -241,6 +341,8 @@ def validate_model(
     if complete_missing_actions:
         for q in state_list:
             for a in action_tuple:
+                if a == nothing_action and q not in allowed_nothing:
+                    continue
                 if (q, a) not in transition_table:
                     transition_table[(q, a)] = {q: ONE}
                     reward_table.setdefault((q, a), ZERO)

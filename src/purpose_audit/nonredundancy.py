@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 
-from .errors import IndeterminateComparison, SizeCapExceeded
+from .errors import SizeCapExceeded
 from .model import (
     Action,
     Behavior,
@@ -77,7 +77,6 @@ def replace_useless_with_nothing(
 class Precedence(Enum):
     YES = "yes"
     NO = "no"
-    INDETERMINATE = "indeterminate"
 
 
 class _Refuted(Exception):
@@ -228,28 +227,15 @@ def opt_star_enumerate(
     """The optimal strategies not preceded by another optimal strategy.
 
     Enumerates the optimal set exactly (oracle scale), then prunes every
-    strategy some other optimal strategy precedes. Indeterminate comparisons
-    are propagated, never treated as No.
+    strategy some other optimal strategy precedes.
     """
     optimal = oracle_opt(model, options)
-    survivors = []
-    for candidate in optimal:
-        undecided = None
-        dominated = False
-        for other in optimal:
-            if other == candidate:
-                continue
-            verdict = precedes(model, other, candidate, options)
-            if verdict is Precedence.YES:
-                dominated = True
-                break
-            if verdict is Precedence.INDETERMINATE:
-                undecided = other
-        if dominated:
-            continue
-        if undecided is not None:
-            raise IndeterminateComparison(
-                "could not decide whether a strategy is redundant within the horizon"
-            )
-        survivors.append(candidate)
-    return survivors
+    return [
+        candidate
+        for candidate in optimal
+        if not any(
+            precedes(model, other, candidate, options) is Precedence.YES
+            for other in optimal
+            if other != candidate
+        )
+    ]

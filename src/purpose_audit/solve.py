@@ -15,17 +15,33 @@ greedy sets do not depend on the guess. Float mode runs plain value iteration
 to a configurable residual and is meant for larger models where exact
 arithmetic gets expensive; audit verdicts derived from float values are
 advisory.
+
+Every float iteration (the warm start, float mode, and the values-only entry
+point that float audits use for penalised reward vectors) runs one sweep
+kernel on the model's shared :class:`~purpose_audit.model.StructureIndex`:
+a reward vector indexed by pair number, successor lists with weights
+float(gamma) * float(p), backups accumulated in successor order and the first
+maximum kept, so its values are the same bit for bit whichever caller runs it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConvergenceError, UndefinedPair
-from .model import Action, EnvironmentModel, Rational, State, Strategy, validate_strategy
+from .model import (
+    Action,
+    EnvironmentModel,
+    Rational,
+    State,
+    Strategy,
+    StructureIndex,
+    validate_strategy,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -187,8 +203,8 @@ def q_value(model: EnvironmentModel, values: ValueTable, state: State, action: A
 
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
-    available = {q: model.available_actions(q) for q in model.states}
-    choice = _warm_start(model, available)
+    available = dict(zip(model.states, model._index.available))
+    choice = _warm_start(model)
     while True:
         strategy = Strategy.from_mapping(choice, model)
         values = evaluate_strategy(model, strategy)
@@ -213,57 +229,63 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
     return OptimalSolution(v_star=values, q_star=q_star, greedy=greedy, mode="exact")
 
 
-def _float_iteration(
-    model: EnvironmentModel,
-    available: Mapping[State, tuple[Action, ...]],
-    rewards: Mapping[tuple[State, Action], float],
+def _sweeps(
+    index: StructureIndex,
+    rewards: Sequence[float],
     gamma: float,
     target: float,
     sweeps: int,
-) -> tuple[list[float], list[list[float]], bool]:
+) -> tuple[list[float], bool]:
     """Value iteration in floats from V = 0, one Jacobi sweep at a time,
     until gamma * (largest change in a sweep) <= target or ``sweeps`` run out.
 
-    Returns the last values (in state order), the one-step lookahead of every
-    available action on them (per state, in action order), and whether the
-    target was met.
+    ``rewards`` is indexed by the index's pair numbers. Each backup is
+    r + w1*V[j1] + w2*V[j2] + ... in successor order, and a state takes the
+    first maximum over its actions, so the values are a function of these
+    inputs, bit for bit. Returns the last values (in state order) and whether
+    the target was met.
     """
-    position = {q: i for i, q in enumerate(model.states)}
-    rows = [
-        [
-            (
-                rewards[(q, a)],
-                [(position[t], gamma * float(p)) for t, p in model.successors(q, a).items()],
-            )
-            for a in available[q]
-        ]
-        for q in model.states
-    ]
-
-    def lookahead(values: list[float]) -> list[list[float]]:
-        table = []
-        for row in rows:
-            backups = []
-            for acc, successors in row:
-                for j, weight in successors:
-                    acc += weight * values[j]
-                backups.append(acc)
-            table.append(backups)
-        return table
-
+    rows = index.rows
     values = [0.0] * len(rows)
     for _ in range(sweeps):
-        updated = [max(backups) for backups in lookahead(values)]
-        gap = max(abs(new - old) for new, old in zip(updated, values))
+        updated = []
+        gap = 0.0
+        for old, row in zip(values, rows):
+            best = -math.inf
+            for k, successors in row:
+                acc = rewards[k]
+                for j, weight in successors:
+                    acc += weight * values[j]
+                if acc > best:
+                    best = acc
+            updated.append(best)
+            change = abs(best - old)
+            if change > gap:
+                gap = change
         values = updated
         if gamma * gap <= target:
-            return values, lookahead(values), True
-    return values, lookahead(values), False
+            return values, True
+    return values, False
 
 
-def _warm_start(
-    model: EnvironmentModel, available: Mapping[State, tuple[Action, ...]]
-) -> dict[State, Action]:
+def _lookahead(
+    index: StructureIndex, rewards: Sequence[float], values: list[float]
+) -> list[list[float]]:
+    """The backup of every available action on ``values`` (per state, in
+    action order), with the arithmetic of :func:`_sweeps`."""
+    table = []
+    for row in index.rows:
+        backups = []
+        for k, successors in row:
+            acc = rewards[k]
+            for j, weight in successors:
+                acc += weight * values[j]
+            backups.append(acc)
+        table.append(backups)
+    return table
+
+
+def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
     """Greedy policy of a short float value iteration, the first policy of
     exact policy iteration.
 
@@ -273,20 +295,37 @@ def _warm_start(
     gamma * gap <= residual. A discount that rounds to 0 or 1 only makes the
     guess worse. Never raises.
     """
+    index = model._index
     top = model.max_reward_magnitude() or ONE
-    rewards = {pair: float(r / top) for pair, r in model.rewards.items()}
-    _, backups, _ = _float_iteration(
-        model, available, rewards, float(model.discount), _WARM_RESIDUAL, _WARM_SWEEPS
+    rewards = [float(model.rewards[pair] / top) for pair in index.pairs]
+    values, _ = _sweeps(
+        index, rewards, float(model.discount), _WARM_RESIDUAL, _WARM_SWEEPS
     )
     return {
-        q: available[q][row.index(max(row))]
-        for q, row in zip(model.states, backups)
+        q: actions[row.index(max(row))]
+        for q, actions, row in zip(
+            model.states, index.available, _lookahead(index, rewards, values)
+        )
     }
 
 
-def _value_iteration(
-    model: EnvironmentModel, residual: float, max_iterations: int
-) -> OptimalSolution:
+def _float_values(
+    model: EnvironmentModel,
+    top: Rational,
+    rewards: Callable[[], Sequence[float]],
+    residual: float = FLOAT_RESIDUAL,
+    max_iterations: int = FLOAT_ITERATION_CAP,
+) -> tuple[list[float], float]:
+    """Float value iteration on a reward vector over ``model``'s structure.
+
+    ``top`` is the exact max |r| of the reward table and ``rewards`` builds
+    its float vector, in the index's pair order; it is called only after
+    the range checks pass, since a reward beyond the float range has no
+    float. Raises ConvergenceError when the discount rounds to 1.0, when
+    values may leave the float range, or when ``max_iterations`` sweeps do
+    not reach the residual. Returns the values (in state order) and the
+    scale that the residual and equality tolerances are relative to.
+    """
     gamma = float(model.discount)
     if gamma == 1.0:
         raise ConvergenceError(
@@ -294,40 +333,49 @@ def _value_iteration(
             "value iteration cannot converge, use exact mode"
         )
     # Values lie in [-bound, bound], so a sweep's change is at most 2 * bound.
-    bound = model.max_reward_magnitude() / (1 - model.discount)
+    bound = top / (1 - model.discount)
     if 2 * bound > sys.float_info.max:
         raise ConvergenceError(
             "optimal values may reach max |r| / (1 - gamma), beyond the "
             "floating-point range; use exact mode"
         )
-    rewards = {pair: float(r) for pair, r in model.rewards.items()}
-    scale = max(1.0, max((abs(r) for r in rewards.values()), default=0.0) / (1 - gamma))
-    available = {q: model.available_actions(q) for q in model.states}
+    vector = rewards()
+    scale = max(1.0, max(map(abs, vector), default=0.0) / (1 - gamma))
     # Stop when the step gap guarantees sup-distance to the fixed point of at
     # most residual * scale: ||V_k - V*|| <= gamma/(1-gamma) * ||V_k - V_{k-1}||.
     # The returned table's own Bellman residual is at most gamma * gap.
     target = residual * scale * (1 - gamma)
-    values, backups, converged = _float_iteration(
-        model, available, rewards, gamma, target, max_iterations
-    )
+    values, converged = _sweeps(model._index, vector, gamma, target, max_iterations)
     if not converged:
         raise ConvergenceError(
             f"value iteration did not reach residual {residual * scale} "
             f"within {max_iterations} iterations"
         )
+    return values, scale
 
+
+def _value_iteration(
+    model: EnvironmentModel, residual: float, max_iterations: int
+) -> OptimalSolution:
+    index = model._index
+    values, scale = _float_values(
+        model,
+        model.max_reward_magnitude(),
+        lambda: model._float_rewards,
+        residual,
+        max_iterations,
+    )
+    backups = _lookahead(index, model._float_rewards, values)
     v_star = dict(zip(model.states, values))
     q_star = {
         (q, a): value
-        for q, row in zip(model.states, backups)
-        for a, value in zip(available[q], row)
+        for q, actions, row in zip(model.states, index.available, backups)
+        for a, value in zip(actions, row)
     }
     tolerance = FLOAT_EQUALITY * scale
     greedy = {
-        q: tuple(
-            a for a in available[q] if abs(q_star[(q, a)] - v_star[q]) <= tolerance
-        )
-        for q in model.states
+        q: tuple(a for a in actions if abs(q_star[(q, a)] - v_star[q]) <= tolerance)
+        for q, actions in zip(model.states, index.available)
     }
     return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="float")
 

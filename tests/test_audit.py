@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from purpose_audit import (
     AuditReason,
     Behavior,
+    BehaviorError,
     InconsistentBehavior,
     PolicyRule,
     RuleKind,
@@ -24,7 +27,8 @@ from purpose_audit import (
     useless_pairs,
     validate_model,
 )
-from purpose_audit.model import observed_choices
+from purpose_audit import auditing
+from purpose_audit.model import observed_choices, validate_behavior
 from purpose_audit.oracle import random_consistent_behavior, random_model
 
 F = Fraction
@@ -253,6 +257,71 @@ class TestPolicyChecks:
         b1, _ = logs
         with pytest.raises(KeyError):
             check_restrictive(physician, PolicyRule(RuleKind.RESTRICTIVE, ("billing",)), b1)
+
+    def test_rule_checks_validate_a_log_once(self, physician, logs, monkeypatch):
+        calls = []
+
+        def counting(model, behavior):
+            calls.append(behavior)
+            return validate_behavior(model, behavior)
+
+        monkeypatch.setattr(auditing, "validate_behavior", counting)
+        b1, b2 = logs
+        only = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
+        not_for = PolicyRule(RuleKind.PROHIBITIVE, ("profit", "treat"))
+        for b in (b1, b2):
+            restrictive = check_restrictive(physician, only, b)
+            prohibitive = check_prohibitive(physician, not_for, b)
+            for p, outcome in restrictive.per_purpose.items():
+                assert outcome == audit(physician[p], b)
+                assert prohibitive.per_purpose[p] == outcome
+        assert len(calls) == 4 + 4  # one per verdict, one per audit call
+
+    def test_invalid_log_raises_as_audit_does(self, physician):
+        rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
+        for tokens in (["1", "take", "9"], ["1", "fly", "2"], ["7"]):
+            b = Behavior.from_tokens(tokens)
+            with pytest.raises(BehaviorError) as expected:
+                audit(physician["treat"], b)
+            with pytest.raises(BehaviorError, match=re.escape(str(expected.value))):
+                check_restrictive(physician, rule, b)
+
+
+class TestSafeSet:
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_long_chain_gap(self, forward):
+        # A chain of 2000 states from s0 whose last one is observed with the
+        # non-greedy "small". Each state drops out of the safe set only after
+        # its successor. Along state order (forward), a whole-model pass in
+        # state order drops one state per pass, about n passes. Against it
+        # (s0, then s1999 down to s1), s0 is only reached by re-checking the
+        # predecessors of each dropped state.
+        n = 2000
+        states = [f"s{i}" for i in range(n)]
+        chain = states if forward else [states[0], *states[:0:-1]]
+        end = chain[-1]
+        transitions = {(q, "go"): {t: 1} for q, t in zip(chain, chain[1:])}
+        transitions[(end, "big")] = {end: 1}
+        transitions[(end, "small")] = {end: 1}
+        rewards = {pair: 0 for pair in transitions}
+        rewards[(end, "big")], rewards[(end, "small")] = 2, 1
+        model = validate_model(
+            states=states,
+            actions=["go", "big", "small"],
+            transitions=transitions,
+            rewards=rewards,
+            discount=F(1, 2),
+        )
+        solution = solve_optimal(model)
+        assert all(solution.greedy[q] == ("go",) for q in chain[:-1])
+        behavior = Behavior.from_tokens([end, "small", end])
+        started = time.perf_counter()
+        outcome = audit(model, behavior, solution=solution)
+        elapsed = time.perf_counter() - started
+        assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
+        assert outcome.witness_state == "s0"
+        assert outcome.v_star_fixed[chain[0]] < outcome.v_star[chain[0]]
+        assert elapsed < 0.5
 
 
 class TestTriage:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,17 @@ class TestValidateModel:
         assert ("s", "N") not in model.transitions
         assert ("u", "N") in model.transitions
 
+    def test_completion_keeps_nothing_states_restriction(self):
+        model = tiny(nothing_states=["u"], complete_missing_actions=True)
+        assert model.available_actions("s") == ("a",)
+        assert ("s", "N") not in model.transitions
+
+    def test_completion_adds_nothing_at_nothing_states(self):
+        model = tiny(nothing_states=["u"], complete_missing_actions=True)
+        assert model.available_actions("u") == ("a", "N")
+        assert model.successors("u", "N") == {"u": Fraction(1)}
+        assert model.reward("u", "N") == 0
+
     def test_unknown_target_state_rejected(self):
         with pytest.raises(ModelError):
             tiny(transitions={("s", "a"): {"x": 1}})
@@ -229,3 +241,39 @@ class TestObservedChoices:
         clash = Behavior.from_tokens(["2", "send", "2", "diagnose", "6"])
         with pytest.raises(InconsistentBehavior):
             observed_choices(clash)
+
+
+class TestStructureIndex:
+    def test_shared_by_derived_models(self):
+        model = tiny()
+        other = model.with_rewards({("s", "a"): 3, ("s", "N"): 0, ("u", "N"): 0})
+        assert other._index is model._index
+        assert replace(model, rewards=other.rewards)._index is model._index
+
+    def test_rebuilt_for_a_new_structure(self):
+        model = tiny()
+        shifted = replace(model, discount=Fraction(1, 3))
+        assert shifted._index is not model._index
+        assert shifted._index.rows[0][0][1] == ((1, 1 / 3),)
+
+    def test_not_part_of_equality_or_repr(self):
+        first, second = tiny(), tiny()
+        assert first._index is not second._index
+        assert first == second
+        assert repr(first) == repr(second)
+        assert "_index" not in repr(first)
+
+    def test_lists(self):
+        model = tiny(
+            transitions={("s", "a"): {"u": Fraction(1, 4), "s": Fraction(3, 4)}}
+        )
+        index = model._index
+        assert index.position == {"s": 0, "u": 1}
+        assert index.available == (("a", "N"), ("N",))
+        assert index.pairs == (("s", "a"), ("s", "N"), ("u", "N"))
+        assert index.rows == (
+            ((0, ((1, 0.5 * 0.25), (0, 0.5 * 0.75))), (1, ((0, 0.5),))),
+            ((2, ((1, 0.5),)),),
+        )
+        assert index.predecessors == ((0,), (0, 1))
+        assert model._float_rewards == (1.0, 0.0, 0.0)

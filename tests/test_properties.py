@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
     AuditReason,
     Behavior,
+    ConvergenceError,
     Strategy,
     audit,
     bellman_residual,
@@ -22,6 +24,7 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit.model import observed_choices
+from purpose_audit.solve import FLOAT_EQUALITY, FLOAT_ITERATION_CAP, FLOAT_RESIDUAL
 from purpose_audit.oracle import (
     random_consistent_behavior,
     random_model,
@@ -231,3 +234,159 @@ class TestExactDecisionMatchesPenalisedModel:
         assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
         assert outcome.witness_state == "s0"
         assert outcome.v_star_fixed["s0"] == Fraction(3, 2) < outcome.v_star["s0"]
+
+
+def reference_value_iteration(model):
+    """Float value iteration as the solver first ran it: Jacobi sweeps from
+    V = 0 over a full lookahead table, ``max`` per row, stopping once
+    gamma * (largest change) <= FLOAT_RESIDUAL * scale * (1 - gamma).
+    Returns (V*, Q*, greedy) in state, then action, order."""
+    gamma = float(model.discount)
+    rewards = {pair: float(r) for pair, r in model.rewards.items()}
+    scale = max(1.0, max(abs(r) for r in rewards.values()) / (1 - gamma))
+    target = FLOAT_RESIDUAL * scale * (1 - gamma)
+    position = {q: i for i, q in enumerate(model.states)}
+    available = {q: model.available_actions(q) for q in model.states}
+    rows = [
+        [
+            (
+                rewards[(q, a)],
+                [(position[t], gamma * float(p)) for t, p in model.successors(q, a).items()],
+            )
+            for a in available[q]
+        ]
+        for q in model.states
+    ]
+
+    def lookahead(values):
+        table = []
+        for row in rows:
+            backups = []
+            for acc, successors in row:
+                for j, weight in successors:
+                    acc += weight * values[j]
+                backups.append(acc)
+            table.append(backups)
+        return table
+
+    values = [0.0] * len(rows)
+    for _ in range(FLOAT_ITERATION_CAP):
+        updated = [max(backups) for backups in lookahead(values)]
+        gap = max(abs(new - old) for new, old in zip(updated, values))
+        values = updated
+        if gamma * gap <= target:
+            break
+    else:
+        raise AssertionError("reference value iteration did not converge")
+    v_star = dict(zip(model.states, values))
+    q_star = {
+        (q, a): value
+        for q, row in zip(model.states, lookahead(values))
+        for a, value in zip(available[q], row)
+    }
+    tolerance = FLOAT_EQUALITY * scale
+    greedy = {
+        q: tuple(a for a in available[q] if abs(q_star[(q, a)] - v_star[q]) <= tolerance)
+        for q in model.states
+    }
+    return v_star, q_star, greedy
+
+
+def hexed(table):
+    return [(key, value.hex()) for key, value in table.items()]
+
+
+class TestFloatModeIsBitIdentical:
+    """Float mode runs on the shared structure index, and float step two
+    rewrites a reward vector instead of building the penalised model. Values
+    must be bit for bit those of the reference iteration on the full model
+    and on ``compute_fix(model, b)``, so every float verdict is unchanged."""
+
+    GAMMAS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
+
+    @staticmethod
+    def _expected(model, behavior, base):
+        # The float audit's step two by its definition: solve the penalised
+        # model, then compare values at a relative 1e-6 tolerance.
+        fixed, _, _ = reference_value_iteration(compute_fix(model, behavior))
+        for q in model.states:
+            left, right = base[q], fixed[q]
+            if abs(left - right) > FLOAT_EQUALITY * max(1.0, abs(left), abs(right)):
+                return AuditReason.VALUE_GAP_AT_ALL_STATES, q, fixed
+        return AuditReason.WITNESS_STATE_EQUAL_VALUE, behavior.start, fixed
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, st.sampled_from(GAMMAS), st.sampled_from((0.3, 0.6)))
+    def test_solve_and_audit_match_reference(self, seed, gamma, zero_fraction):
+        rng = random.Random(seed)
+        model = random_model(
+            rng, n_states=(2, 6), gammas=(gamma,), zero_reward_fraction=zero_fraction
+        )
+        solution = solve_optimal(model, mode="float")
+        v_star, q_star, greedy = reference_value_iteration(model)
+        assert hexed(solution.v_star) == hexed(v_star)
+        assert hexed(solution.q_star) == hexed(q_star)
+        assert list(solution.greedy.items()) == list(greedy.items())
+        exact = solve_optimal(model)
+        for _ in range(3):
+            behavior = TestExactDecisionMatchesPenalisedModel._mostly_greedy_walk(
+                rng, model, exact
+            )
+            outcome = audit(model, behavior, mode="float", solution=solution)
+            if outcome.reason in (
+                AuditReason.STEP_ONE_USELESS,
+                AuditReason.INCONSISTENT_BEHAVIOR,
+            ):
+                continue
+            reason, witness, fixed = self._expected(model, behavior, v_star)
+            assert (outcome.reason, outcome.witness_state) == (reason, witness)
+            assert hexed(outcome.v_star_fixed) == hexed(fixed)
+
+    def test_log_without_observed_choice(self):
+        model = random_model(random.Random(5), n_states=(3, 3))
+        behavior = Behavior("q1")
+        outcome = audit(model, behavior, mode="float")
+        reason, witness, fixed = self._expected(
+            model, behavior, reference_value_iteration(model)[0]
+        )
+        assert outcome.reason is reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
+        assert outcome.witness_state == witness == "q1"
+        assert hexed(outcome.v_star_fixed) == hexed(fixed)
+
+    def test_observed_state_with_only_the_nothing_action(self):
+        # "u" has no action but N, so the penalised table has no -omega entry
+        # and its bound and scale are the model's own.
+        model = validate_model(
+            states=["s", "u"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"u": 1}, ("s", "b"): {"s": 1}},
+            rewards={("s", "a"): 3, ("s", "b"): 1},
+            discount=Fraction(9, 10),
+        )
+        behavior = Behavior.from_tokens(["u", "N", "u"])
+        assert compute_fix(model, behavior).rewards == model.rewards
+        outcome = audit(model, behavior, mode="float")
+        reason, witness, fixed = self._expected(
+            model, behavior, reference_value_iteration(model)[0]
+        )
+        assert (outcome.reason, outcome.witness_state) == (reason, witness)
+        assert hexed(outcome.v_star_fixed) == hexed(fixed)
+
+    def test_penalised_bound_beyond_float_range_raises(self):
+        # max |r| = 2**1020 keeps the model's own bound 2 * r / (1 - gamma)
+        # = 2**1022 in float range, but omega = 4 * r + 1 puts the penalised
+        # bound 2 * omega / (1 - gamma) beyond it.
+        model = validate_model(
+            states=["s"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"s": 1}, ("s", "b"): {"s": 1}},
+            rewards={("s", "a"): Fraction(2**1020), ("s", "b"): Fraction(0)},
+            discount=Fraction(1, 2),
+        )
+        solution = solve_optimal(model, mode="float")
+        assert solution.v_star["s"] == pytest.approx(2.0**1021, rel=1e-6)
+        behavior = Behavior.from_tokens(["s", "a", "s"])
+        with pytest.raises(ConvergenceError, match="floating-point range"):
+            audit(model, behavior, mode="float", solution=solution)
+        with pytest.raises(ConvergenceError, match="floating-point range"):
+            solve_optimal(compute_fix(model, behavior), mode="float")

@@ -291,8 +291,7 @@ class TestWarmStartedSolver:
             rewards={("s", "a"): 1, ("s", "b"): 0, ("t", "a"): lift / gamma},
             discount=gamma,
         )
-        available = {q: model.available_actions(q) for q in model.states}
-        assert _warm_start(model, available)["s"] == "a"
+        assert _warm_start(model)["s"] == "a"
         solution = solve_optimal(model)
         assert solution.v_star == {"s": 10 * lift, "t": 10 * lift / gamma}
         assert solution.greedy == {"s": ("b",), "t": ("a",)}

@@ -56,6 +56,7 @@ from .model import (
 from .solve import (
     FLOAT_EQUALITY,
     OptimalSolution,
+    _float_discount,
     _float_values,
     solve_optimal,
 )
@@ -189,9 +190,8 @@ def _decide(
     """The audit of a behavior already validated against ``model``."""
     scale = 1.0
     if mode != "exact":
-        scale = max(
-            1.0, float(model.max_reward_magnitude()) / (1.0 - float(model.discount))
-        )
+        top = model.max_reward_magnitude()
+        scale = max(1.0, float(top) / (1.0 - _float_discount(model, top)))
 
     for q, a in behavior.pairs():
         if a == model.nothing_action:

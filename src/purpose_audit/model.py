@@ -90,8 +90,9 @@ class StructureIndex:
     """Integer-indexed view of one model structure, built on first use.
 
     Holds a state -> position map, the available actions of each state, per
-    defined pair its successor list of (position, float(gamma) * float(p)),
-    and the predecessor positions of each state. Pairs are numbered in state order, then action order, as
+    defined pair its successors as (position, float(gamma) * float(p)) and as
+    exact (position, gamma * p), and the predecessors of each state. Pairs
+    are numbered in state order, then action order, as
     :meth:`EnvironmentModel.pairs` yields them; a reward vector is a sequence
     indexed by that number. Every model made from the same validated
     structure (each purpose of a document, each ``with_rewards`` result)
@@ -134,25 +135,34 @@ class StructureIndex:
         )
 
     @cached_property
+    def number(self) -> dict[tuple[State, Action], int]:
+        """Pair -> pair number."""
+        return {pair: k for k, pair in enumerate(self.pairs)}
+
+    @cached_property
+    def exact(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per pair number, its successors as (position, gamma * p), in table order."""
+        return tuple(
+            tuple((self.position[t], self.discount * p) for t, p in row.items())
+            for row in map(self.transitions.__getitem__, self.pairs)
+        )
+
+    @cached_property
     def rows(self) -> tuple[tuple[tuple[int, tuple[tuple[int, float], ...]], ...], ...]:
         """Per state position, one (pair number, successor list) per
         available action, in action order; successors keep the order of the
         transition table."""
-        gamma = float(self.discount)
-        position = self.position
-        rows = []
-        number = 0
-        for q, actions in zip(self.states, self.available):
-            row = []
-            for a in actions:
-                successors = tuple(
+        gamma, position = float(self.discount), self.position
+        return tuple(
+            tuple(
+                (self.number[(q, a)], tuple(
                     (position[t], gamma * float(p))
                     for t, p in self.transitions[(q, a)].items()
-                )
-                row.append((number, successors))
-                number += 1
-            rows.append(tuple(row))
-        return tuple(rows)
+                ))
+                for a in actions
+            )
+            for q, actions in zip(self.states, self.available)
+        )
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
@@ -194,7 +204,8 @@ class EnvironmentModel:
 
     def available_actions(self, state: State) -> tuple[Action, ...]:
         """Actions with a transition entry at ``state``, in action order."""
-        return tuple(a for a in self.actions if (state, a) in self.transitions)
+        i = self._index.position.get(state)
+        return () if i is None else self._index.available[i]
 
     def successors(self, state: State, action: Action) -> Mapping[State, Rational]:
         return self.transitions[(state, action)]
@@ -234,11 +245,15 @@ class EnvironmentModel:
         return max((abs(r) for r in self.rewards.values()), default=ZERO)
 
     @cached_property
+    def _exact_rewards(self) -> tuple[Rational, ...]:
+        """r per defined pair, in pair order: the reward vector of exact backups."""
+        return tuple(map(self.rewards.__getitem__, self._index.pairs))
+
+    @cached_property
     def _float_rewards(self) -> tuple[float, ...]:
-        """float(r) per defined pair, in the index's pair order: the reward
-        vector float value iteration runs on."""
-        rewards = self.rewards
-        return tuple(float(rewards[pair]) for pair in self._index.pairs)
+        """float(r) per defined pair, in pair order: the reward vector float
+        value iteration runs on."""
+        return tuple(map(float, self._exact_rewards))
 
 
 def _check_distribution(pair, distribution) -> dict[State, Rational]:

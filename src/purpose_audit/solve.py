@@ -3,18 +3,19 @@
 Exact mode works entirely in rational arithmetic. Strategy evaluation solves
 the Bellman system (I - gamma P_sigma) V = r_sigma one strongly connected
 component of sigma's successor graph at a time, sinks first. In that order the
-system is block-triangular, so each component is a small Gaussian elimination
-over Fractions (one division for a single state), with the values already
-known downstream folded into its right-hand side. Optimal values come from
-policy iteration with exact evaluation, which terminates because there are
-finitely many strategies and every round strictly improves some state. It
-starts from the greedy policy of a short float value iteration on the rewards
-divided by max |r|; that guess only picks where the exact loop begins. The
-loop stops when no action improves any state in Fractions, so V*, Q* and the
-greedy sets do not depend on the guess. Float mode runs plain value iteration
-to a configurable residual and is meant for larger models where exact
-arithmetic gets expensive; audit verdicts derived from float values are
-advisory.
+system is block-triangular, so each component is its own sparse elimination
+over Fractions (one division for a single state, Markowitz pivoting on the
+diagonal for more), with the values already known downstream folded into its
+right-hand side. Optimal values come from policy iteration with exact
+evaluation, which terminates because there are finitely many strategies and
+every round strictly improves some state. It starts from the greedy policy of
+a short float value iteration on the rewards divided by max |r|; that guess
+only picks where the exact loop begins. The loop stops when no action
+improves any state in Fractions, so V*, Q* and the greedy sets do not depend
+on the guess. Every exact backup reads the index's exact successor lists and
+the model's exact reward vector. Float mode runs plain value iteration to a
+configurable residual and is meant for larger models where exact arithmetic
+gets expensive; audit verdicts derived from float values are advisory.
 
 Every float iteration (the warm start, float mode, and the values-only entry
 point that float audits use for penalised reward vectors) runs one sweep
@@ -26,6 +27,7 @@ maximum kept, so its values are the same bit for bit whichever caller runs it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -72,34 +74,49 @@ class OptimalSolution:
 
 
 def solve_linear_system(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[dict[int, Fraction]], rhs: list[Fraction]
 ) -> list[Fraction]:
-    """Solve A x = b exactly by Gaussian elimination with back substitution.
+    """Solve A x = b exactly; ``rows`` holds A as sparse rows {column: entry}.
 
-    The Bellman matrices used here (I - gamma * P restricted to a set of
-    states) are strictly diagonally dominant, hence nonsingular.
+    Eliminates on the diagonal, each time at the remaining entry of least
+    Markowitz count (r - 1)(c - 1), which keeps fill-in small (Markowitz
+    1957), with no row exchange: I - gamma * P on a set of states and each of
+    its Schur complements are strictly diagonally dominant, so every diagonal
+    pivot is nonzero. ``rows`` and ``rhs`` are overwritten.
     """
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular Bellman system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n + 1):
-                a[r][c] -= factor * a[col][c]
-    x = [ZERO] * n
-    for row in range(n - 1, -1, -1):
-        acc = a[row][n]
-        for c in range(row + 1, n):
-            acc -= a[row][c] * x[c]
-        x[row] = acc / a[row][row]
+    columns: list[set[int]] = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            columns[j].add(i)
+
+    def count(k: int) -> int:
+        return (len(rows[k]) - 1) * (len(columns[k]) - 1)
+
+    heap = [(count(k), k) for k in range(len(rows))]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        markowitz, p = heapq.heappop(heap)
+        if not columns[p] or markowitz != count(p):
+            continue  # eliminated, or a count that has changed since
+        order.append(p)
+        pivot_row = rows[p]
+        for j in pivot_row:
+            columns[j].discard(p)
+        for i in columns[p]:
+            factor = rows[i].pop(p) / pivot_row[p]
+            for j, entry in pivot_row.items():
+                if j != p:
+                    rows[i][j] = rows[i].get(j, ZERO) - factor * entry
+                    columns[j].add(i)
+            rhs[i] -= factor * rhs[p]
+        touched, columns[p] = columns[p] | pivot_row.keys() - {p}, set()
+        for k in touched:
+            heapq.heappush(heap, (count(k), k))
+    x = [ZERO] * len(rows)
+    for p in reversed(order):
+        row = rows[p]
+        x[p] = (rhs[p] - sum(e * x[j] for j, e in row.items() if j != p)) / row[p]
     return x
 
 
@@ -161,72 +178,66 @@ def evaluate_strategy(
     sinks first.
     """
     validate_strategy(model, strategy)
-    states = model.states
-    gamma = model.discount
+    index, rewards = model._index, model._exact_rewards
     choice = strategy.as_dict()
-    position = {q: i for i, q in enumerate(states)}
-    rows = [
-        [(position[t], gamma * p) for t, p in model.successors(q, choice[q]).items()]
-        for q in states
-    ]
-    values: list[Fraction] = [ZERO] * len(states)
-    for block in _components_sinks_first([[j for j, _ in row] for row in rows]):
-        local = {i: k for k, i in enumerate(block)}
-        matrix = [[ZERO] * len(block) for _ in block]
-        rhs = []
-        for k, i in enumerate(block):
-            matrix[k][k] = ONE
-            acc = model.reward(states[i], choice[states[i]])
-            for j, weight in rows[i]:
+    chosen = [index.number[(q, choice[q])] for q in model.states]
+    values: list[Fraction] = [ZERO] * len(chosen)
+    graph = [[j for j, _ in index.exact[k]] for k in chosen]
+    for block in _components_sinks_first(graph):
+        local = {i: b for b, i in enumerate(block)}
+        rows, rhs = [], []
+        for b, i in enumerate(block):
+            row, acc = {b: ONE}, rewards[chosen[i]]
+            for j, weight in index.exact[chosen[i]]:
                 if j in local:
-                    matrix[k][local[j]] -= weight
+                    row[local[j]] = row.get(local[j], ZERO) - weight
                 else:
                     acc += weight * values[j]
+            rows.append(row)
             rhs.append(acc)
         if len(block) == 1:
-            values[block[0]] = rhs[0] / matrix[0][0]
+            values[block[0]] = rhs[0] / rows[0][0]
         else:
-            for i, value in zip(block, solve_linear_system(matrix, rhs)):
+            for i, value in zip(block, solve_linear_system(rows, rhs)):
                 values[i] = value
-    return dict(zip(states, values))
+    return dict(zip(model.states, values))
+
+
+def _backup(model: EnvironmentModel, k: int, value: Callable[[int], Rational]):
+    """r + sum of gamma * p * value(j) over the successors j of pair number k,
+    from the index's exact successor lists: every exact backup is this one."""
+    terms = (weight * value(j) for j, weight in model._index.exact[k])
+    return sum(terms, model._exact_rewards[k])
 
 
 def q_value(model: EnvironmentModel, values: ValueTable, state: State, action: Action):
     """One-step lookahead value r(q,a) + gamma * sum t(q,a)(q') v(q')."""
-    if (state, action) not in model.transitions:
+    k = model._index.number.get((state, action))
+    if k is None:
         raise UndefinedPair(f"action {action!r} is not defined at state {state!r}")
-    gamma = model.discount
-    acc = model.reward(state, action)
-    for target, probability in model.successors(state, action).items():
-        acc += gamma * probability * values[target]
-    return acc
+    return _backup(model, k, lambda j: values[model.states[j]])
 
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
-    available = dict(zip(model.states, model._index.available))
-    choice = _warm_start(model)
+    index = model._index
+    choice = [index.number[pair] for pair in _warm_start(model).items()]
     while True:
-        strategy = Strategy.from_mapping(choice, model)
-        values = evaluate_strategy(model, strategy)
-        q_star = {}
+        strategy = Strategy(tuple(index.pairs[k] for k in choice))
+        values = list(evaluate_strategy(model, strategy).values())
+        q_star = [_backup(model, k, values.__getitem__) for k in range(len(index.pairs))]
         changed = False
-        for q in model.states:
-            best_action = choice[q]
-            for a in available[q]:
-                q_star[(q, a)] = q_value(model, values, q, a)
-            for a in available[q]:
-                if q_star[(q, a)] > q_star[(q, best_action)]:
-                    best_action = a
-            if best_action != choice[q]:
-                choice[q] = best_action
-                changed = True
+        for i, row in enumerate(index.rows):
+            best = max((k for k, _ in row), key=q_star.__getitem__)
+            if q_star[best] > q_star[choice[i]]:
+                choice[i], changed = best, True
         if not changed:
             break
     greedy = {
-        q: tuple(a for a in available[q] if q_star[(q, a)] == values[q])
-        for q in model.states
+        q: tuple(index.pairs[k][1] for k, _ in row if q_star[k] == value)
+        for q, row, value in zip(model.states, index.rows, values)
     }
-    return OptimalSolution(v_star=values, q_star=q_star, greedy=greedy, mode="exact")
+    v_star, q_star = dict(zip(model.states, values)), dict(zip(index.pairs, q_star))
+    return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="exact")
 
 
 def _sweeps(
@@ -309,6 +320,23 @@ def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
     }
 
 
+def _float_discount(model: EnvironmentModel, top: Rational) -> float:
+    """float(gamma); ConvergenceError if floats can't iterate on max |r| ``top``."""
+    gamma = float(model.discount)
+    if gamma == 1.0:
+        raise ConvergenceError(
+            f"discount {model.discount} rounds to 1.0 in floating point; "
+            "value iteration cannot converge, use exact mode"
+        )
+    # Values lie in [-bound, bound], so a sweep's change is at most 2 * bound.
+    if 2 * top / (1 - model.discount) > sys.float_info.max:
+        raise ConvergenceError(
+            "optimal values may reach max |r| / (1 - gamma), beyond the "
+            "floating-point range; use exact mode"
+        )
+    return gamma
+
+
 def _float_values(
     model: EnvironmentModel,
     top: Rational,
@@ -326,19 +354,7 @@ def _float_values(
     not reach the residual. Returns the values (in state order) and the
     scale that the residual and equality tolerances are relative to.
     """
-    gamma = float(model.discount)
-    if gamma == 1.0:
-        raise ConvergenceError(
-            f"discount {model.discount} rounds to 1.0 in floating point; "
-            "value iteration cannot converge, use exact mode"
-        )
-    # Values lie in [-bound, bound], so a sweep's change is at most 2 * bound.
-    bound = top / (1 - model.discount)
-    if 2 * bound > sys.float_info.max:
-        raise ConvergenceError(
-            "optimal values may reach max |r| / (1 - gamma), beyond the "
-            "floating-point range; use exact mode"
-        )
+    gamma = _float_discount(model, top)
     vector = rewards()
     scale = max(1.0, max(map(abs, vector), default=0.0) / (1 - gamma))
     # Stop when the step gap guarantees sup-distance to the fixed point of at
@@ -405,12 +421,11 @@ def bellman_residual(model: EnvironmentModel, values: ValueTable):
 
     Exactly zero (as a Fraction) for exact optimal values.
     """
-    worst = None
-    for q in model.states:
-        best = max(q_value(model, values, q, a) for a in model.available_actions(q))
-        gap = abs(values[q] - best)
-        worst = gap if worst is None else max(worst, gap)
-    return worst
+    table = [values[q] for q in model.states]
+    return max(
+        abs(v - max(_backup(model, k, table.__getitem__) for k, _ in row))
+        for v, row in zip(table, model._index.rows)
+    )
 
 
 def is_optimal(

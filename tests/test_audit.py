@@ -11,6 +11,7 @@ from purpose_audit import (
     AuditReason,
     Behavior,
     BehaviorError,
+    ConvergenceError,
     InconsistentBehavior,
     PolicyRule,
     RuleKind,
@@ -178,6 +179,21 @@ class TestAudit:
         assert audit(treat, b1, mode="float").empty_intersection
         assert not audit(treat, b2, mode="float").empty_intersection
         assert audit(treat, b1, mode="float").mode == "float"
+
+    def test_float_audit_refuses_discount_that_rounds_to_one(self):
+        # The float scale divides by 1 - float(gamma); a given solution must
+        # not skip the check that solving in float mode would make.
+        model = validate_model(
+            states=["s"],
+            actions=["go"],
+            transitions={("s", "go"): {"s": 1}},
+            rewards={("s", "go"): 1},
+            discount=1 - F(1, 10**20),
+        )
+        solution = solve_optimal(model)
+        behavior = Behavior.from_tokens(["s", "go", "s"])
+        with pytest.raises(ConvergenceError, match="rounds to 1.0"):
+            audit(model, behavior, mode="float", solution=solution)
 
     def test_batch_preserves_order(self, treat, logs):
         b1, b2 = logs

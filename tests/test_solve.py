@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from purpose_audit import (
     Strategy,
@@ -16,8 +17,9 @@ from purpose_audit import (
     solve_optimal,
     validate_model,
 )
+from purpose_audit import solve
 from purpose_audit.oracle import random_model
-from purpose_audit.solve import _warm_start
+from purpose_audit.solve import _warm_start, solve_linear_system
 
 F = Fraction
 
@@ -315,3 +317,132 @@ class TestWarmStartedSolver:
         assert values[states[-1]] == 0
         assert values[states[-2]] == 1
         assert values[states[0]] == 2 - F(1, 2 ** (n - 2))
+
+
+# ---------------------------------------------------------------------------
+# Sparse block elimination against dense Gauss-Jordan written here, its pivot
+# order on a block where a bad order fills in the whole matrix, and the two
+# functions that count policy-iteration rounds and block solves.
+
+
+def dense_solve(rows, rhs):
+    """Gauss-Jordan elimination with row exchanges on the dense form."""
+    n = len(rows)
+    a = [[row.get(j, F(0)) for j in range(n)] + [b] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                factor = a[r][c]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
+    return [a[i][n] for i in range(n)]
+
+
+entries = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def dominant_systems(draw):
+    """Sparse rows, strictly diagonally dominant, with a right-hand side."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = []
+    for i in range(n):
+        columns = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+        row = {j: draw(entries) for j in sorted(columns - {i})}
+        margin = draw(st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12))
+        row[i] = draw(st.sampled_from((1, -1))) * (sum(map(abs, row.values())) + margin)
+        rows.append(row)
+    return rows, [draw(entries) for _ in range(n)]
+
+
+class TestSparseElimination:
+    @settings(max_examples=100, deadline=None)
+    @given(dominant_systems())
+    @example(([{0: F(3, 2)}], [F(-2)]))
+    @example(([{0: F(1), 1: F(-9, 10)}, {0: F(-1, 2), 1: F(1)}], [F(1), F(2)]))
+    @example(([{0: F(2), 1: F(0)}, {1: F(-1)}], [F(1), F(1)]))
+    def test_matches_dense_gauss_jordan(self, system):
+        rows, rhs = system
+        expected = dense_solve(rows, rhs)
+        assert solve_linear_system([dict(row) for row in rows], list(rhs)) == expected
+
+    def test_star_block_eliminates_leaves_first(self):
+        # The hub 0 leads to every leaf and every leaf back to it. Pivoting
+        # on the hub first would fill in the whole n x n matrix; a leaf has
+        # the least Markowitz count, and eliminating it touches only the
+        # hub's row.
+        n = 2000
+        gamma = F(9, 10)
+        rows = [{0: F(1)} | {j: -gamma / (n - 1) for j in range(1, n)}]
+        rows += [{j: F(1), 0: -gamma} for j in range(1, n)]
+        rhs = [F(j % 7 - 3) for j in range(n)]
+        start = time.perf_counter()
+        x = solve_linear_system([dict(row) for row in rows], list(rhs))
+        elapsed = time.perf_counter() - start
+        for row, b in zip(rows, rhs):
+            assert sum(entry * x[j] for j, entry in row.items()) == b
+        assert elapsed < 2.0
+
+    def test_hooks_count_rounds_and_blocks(self, monkeypatch):
+        # s's two actions differ by a relative 1e-6, so the warm start picks
+        # "a" and one more round switches to "b". Under either strategy
+        # {t, u} and {c, d} are two-state blocks.
+        gamma = F(9, 10)
+        lift = (1 + F(1, 10**6)) / gamma
+        model = validate_model(
+            states=["s", "t", "u", "c", "d"],
+            actions=["a", "b"],
+            transitions={
+                ("s", "a"): {"s": 1},
+                ("s", "b"): {"t": 1},
+                ("t", "a"): {"u": 1},
+                ("u", "a"): {"t": 1},
+                ("c", "a"): {"d": F(1, 2), "c": F(1, 2)},
+                ("d", "a"): {"c": 1},
+            },
+            rewards={
+                ("s", "a"): 1,
+                ("s", "b"): 0,
+                ("t", "a"): lift,
+                ("u", "a"): lift,
+                ("c", "a"): 1,
+                ("d", "a"): 2,
+            },
+            discount=gamma,
+        )
+        evaluated, solves = [], []
+
+        def count_evaluations(model, strategy):
+            evaluated.append(strategy.as_dict())
+            return evaluate(model, strategy)
+
+        def count_solves(rows, rhs):
+            solves.append(len(rows))
+            return block_solve(rows, rhs)
+
+        evaluate, block_solve = solve.evaluate_strategy, solve.solve_linear_system
+        monkeypatch.setattr(solve, "evaluate_strategy", count_evaluations)
+        monkeypatch.setattr(solve, "solve_linear_system", count_solves)
+        solution = solve_optimal(model)
+        assert [choice["s"] for choice in evaluated] == ["a", "b"]
+        assert solves == [2, 2, 2, 2]
+        assert all(solution.greedy[q][0] == a for q, a in evaluated[-1].items())
+        assert solution.greedy["s"] == ("b",)
+
+
+class TestSolverAtScale:
+    def test_n640_exact_solve(self):
+        model = random_model(
+            random.Random(5),
+            n_states=(640, 640),
+            n_actions=(3, 3),
+            max_support=3,
+            gammas=(F(9, 10),),
+        )
+        start = time.perf_counter()
+        solution = solve_optimal(model)
+        elapsed = time.perf_counter() - start
+        assert bellman_residual(model, solution.v_star) == 0
+        assert elapsed < 2.0

@@ -17,6 +17,7 @@ from .auditing import (
     VerdictStatus,
     audit,
     audit_batch,
+    check,
     check_prohibitive,
     check_restrictive,
     compute_fix,

@@ -30,9 +30,12 @@ writes float(-omega) on the unlogged pairs of the observed states, and runs
 the values-only float iteration on the model's shared structure index. The
 values are bit-identical to solving ``compute_fix(model, b)`` in float mode.
 
-Verdicts lift the boolean to policy rules: a restrictive (only-for) rule is
-violated when the log fits none of the allowed purposes; a prohibitive
-(not-for) rule is obeyed when the log fits none of the prohibited ones.
+One rule check, :func:`check`, lifts the boolean to a policy verdict. It
+decides the log for every purpose the rule names; when the log fits none of
+them, a restrictive (only-for) rule is violated and a prohibitive (not-for)
+rule is obeyed, and otherwise the verdict is inconclusive. The purposes of
+one check, or of one :func:`triage` call, share a structure, so the log is
+validated once per call.
 """
 
 from __future__ import annotations
@@ -178,16 +181,18 @@ def audit(
     tolerances where exact mode uses equality of rationals.
     """
     validate_behavior(model, behavior)
-    return _decide(model, behavior, mode, solution or solve_optimal(model, mode=mode))
+    return _decide(model, behavior, mode, solution)
 
 
 def _decide(
     model: EnvironmentModel,
     behavior: Behavior,
     mode: str,
-    solution: OptimalSolution,
+    solution: OptimalSolution | None,
 ) -> AuditOutcome:
-    """The audit of a behavior already validated against ``model``."""
+    """The audit of a behavior already validated against ``model``; the
+    model is solved here when ``solution`` is None."""
+    solution = solution or solve_optimal(model, mode=mode)
     scale = 1.0
     if mode != "exact":
         top = model.max_reward_magnitude()
@@ -369,12 +374,11 @@ class Verdict:
     per_purpose: Mapping[str, AuditOutcome]
 
 
-def _require_shared_structure(models: Mapping[str, EnvironmentModel]) -> None:
+def _require_shared_structure(models: Sequence[EnvironmentModel]) -> None:
     # Purposes parsed from one document share their transitions object, so
     # the identity test settles the common case without a deep comparison.
-    items = list(models.values())
-    first = items[0]
-    for other in items[1:]:
+    first = models[0]
+    for other in models[1:]:
         if (
             other.states != first.states
             or other.actions != first.actions
@@ -389,74 +393,57 @@ def _require_shared_structure(models: Mapping[str, EnvironmentModel]) -> None:
             )
 
 
-def _audit_rule_purposes(
+# The verdict when the log fits none of the rule's purposes.
+_EMPTY_FOR_ALL = {
+    RuleKind.RESTRICTIVE: VerdictStatus.VIOLATION,
+    RuleKind.PROHIBITIVE: VerdictStatus.COMPLIANT,
+}
+
+
+def check(
     models: Mapping[str, EnvironmentModel],
     rule: PolicyRule,
     behavior: Behavior,
-    mode: str,
-    solutions: Mapping[str, OptimalSolution] | None,
-) -> dict[str, AuditOutcome]:
+    *,
+    mode: str = "exact",
+    solutions: Mapping[str, OptimalSolution] | None = None,
+) -> Verdict:
+    """Lift the audit of every purpose the rule names to a policy verdict.
+
+    When the behavior fits none of them, an only-for rule is violated and a
+    not-for rule is obeyed. Otherwise the verdict is INCONCLUSIVE: a fit to
+    an allowed purpose does not rule out an ulterior one, and a fit to a
+    prohibited one does not prove it was pursued. The purposes must share
+    one structure, so the behavior is validated once. ``solutions`` may map
+    purposes to precomputed optimal solutions, as ``audit``'s ``solution``
+    does; missing ones are solved here.
+    """
     missing = [p for p in rule.purposes if p not in models]
     if missing:
         raise KeyError(f"rule references unknown purposes {missing}")
-    _require_shared_structure({p: models[p] for p in rule.purposes})
-    # One structure, so one validation serves every purpose.
+    _require_shared_structure([models[p] for p in rule.purposes])
     validate_behavior(models[rule.purposes[0]], behavior)
     solutions = solutions or {}
-    return {
-        p: _decide(
-            models[p],
-            behavior,
-            mode,
-            solutions.get(p) or solve_optimal(models[p], mode=mode),
-        )
-        for p in rule.purposes
+    outcomes = {
+        p: _decide(models[p], behavior, mode, solutions.get(p)) for p in rule.purposes
     }
+    if all(outcome.empty_intersection for outcome in outcomes.values()):
+        return Verdict(_EMPTY_FOR_ALL[rule.kind], outcomes)
+    return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
 
 
-def check_restrictive(
-    models: Mapping[str, EnvironmentModel],
-    rule: PolicyRule,
-    behavior: Behavior,
-    *,
-    mode: str = "exact",
-    solutions: Mapping[str, OptimalSolution] | None = None,
-) -> Verdict:
-    """Audit an only-for rule.
-
-    Violation iff the behavior fits none of the allowed purposes. Compliance
-    is never reported: the log fitting an allowed purpose does not rule out an
-    ulterior one. ``solutions`` may map purposes to precomputed optimal
-    solutions, as ``audit``'s ``solution`` does; missing ones are solved here.
-    """
+def check_restrictive(models, rule, behavior, **options) -> Verdict:
+    """:func:`check` for an only-for rule: VIOLATION or INCONCLUSIVE."""
     if rule.kind is not RuleKind.RESTRICTIVE:
         raise ValueError("check_restrictive needs an only-for rule")
-    outcomes = _audit_rule_purposes(models, rule, behavior, mode, solutions)
-    if all(outcome.empty_intersection for outcome in outcomes.values()):
-        return Verdict(VerdictStatus.VIOLATION, outcomes)
-    return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
+    return check(models, rule, behavior, **options)
 
 
-def check_prohibitive(
-    models: Mapping[str, EnvironmentModel],
-    rule: PolicyRule,
-    behavior: Behavior,
-    *,
-    mode: str = "exact",
-    solutions: Mapping[str, OptimalSolution] | None = None,
-) -> Verdict:
-    """Audit a not-for rule.
-
-    Compliant iff the behavior fits none of the prohibited purposes;
-    otherwise the auditor can neither prove nor disprove a violation.
-    ``solutions`` is as for :func:`check_restrictive`.
-    """
+def check_prohibitive(models, rule, behavior, **options) -> Verdict:
+    """:func:`check` for a not-for rule: COMPLIANT or INCONCLUSIVE."""
     if rule.kind is not RuleKind.PROHIBITIVE:
         raise ValueError("check_prohibitive needs a not-for rule")
-    outcomes = _audit_rule_purposes(models, rule, behavior, mode, solutions)
-    if all(outcome.empty_intersection for outcome in outcomes.values()):
-        return Verdict(VerdictStatus.COMPLIANT, outcomes)
-    return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
+    return check(models, rule, behavior, **options)
 
 
 def triage(
@@ -472,19 +459,20 @@ def triage(
 
     True iff the behavior could fit the prohibited purpose and no allowed
     purpose explains it away. With no allowed purposes the check reduces to
-    the prohibited-purpose audit alone. The optional solutions are
+    the prohibited-purpose audit alone. The models must share one structure,
+    so the behavior is validated once. The optional solutions are
     precomputed optimal solutions, ``allowed_solutions`` one per allowed
     model in order.
     """
     allowed = list(allowed)
     if allowed_solutions is None:
         allowed_solutions = [None] * len(allowed)
-    if audit(
-        prohibited, behavior, mode=mode, solution=prohibited_solution
-    ).empty_intersection:
+    _require_shared_structure([prohibited, *allowed])
+    validate_behavior(prohibited, behavior)
+    if _decide(prohibited, behavior, mode, prohibited_solution).empty_intersection:
         return False
     return all(
-        audit(candidate, behavior, mode=mode, solution=solution).empty_intersection
+        _decide(candidate, behavior, mode, solution).empty_intersection
         for candidate, solution in zip(allowed, allowed_solutions, strict=True)
     )
 
@@ -494,12 +482,7 @@ def audit_batch(
     behaviors: Iterable[Behavior],
     *,
     mode: str = "exact",
-    jobs: int = 1,
 ) -> list[AuditOutcome]:
-    """Audit many behaviors against one model, in input order.
-
-    The model is solved once and shared. ``jobs`` is accepted and ignored:
-    the decisions are pure-Python work that threads would only serialise.
-    """
+    """Audit many behaviors against one model, solved once, in input order."""
     solution = solve_optimal(model, mode=mode)
     return [audit(model, b, mode=mode, solution=solution) for b in behaviors]

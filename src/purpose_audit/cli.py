@@ -19,6 +19,7 @@ from .auditing import (
     RuleKind,
     VerdictStatus,
     audit,
+    audit_batch,
     check_prohibitive,
     check_restrictive,
     triage,
@@ -34,9 +35,6 @@ from .model import Behavior, EnvironmentModel
 from .modelfile import parse_log, parse_model
 from .oracle import evaluate_all_strategies, oracle_audit
 from .solve import solve_optimal
-
-
-_JOBS_HELP = "accepted for compatibility and ignored; behaviors run in order"
 
 
 class _UsageError(Exception):
@@ -70,7 +68,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("audit", help="emptiness decision per behavior")
     add_common(p)
     p.add_argument("--purpose", required=True)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("check", help="policy verdict per behavior")
     add_common(p)
@@ -79,7 +76,6 @@ def _build_parser() -> _Parser:
         required=True,
         help="only-for:P1,P2 or not-for:P",
     )
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("triage", help="flag logs worth investigating")
     add_common(p)
@@ -196,8 +192,7 @@ def _cmd_solve(args, out) -> int:
 def _cmd_audit(args, out) -> int:
     model = _pick(_load_models(args.model), args.purpose)
     behaviors = _load_behaviors(args.log, model)
-    solution = solve_optimal(model, mode=args.mode)
-    outcomes = [audit(model, b, mode=args.mode, solution=solution) for b in behaviors]
+    outcomes = audit_batch(model, behaviors, mode=args.mode)
     for i, (behavior, outcome) in enumerate(zip(behaviors, outcomes), start=1):
         if args.json:
             print(json.dumps(_outcome_record(i, behavior, args.purpose, outcome)), file=out)

@@ -274,7 +274,6 @@ def _check_distribution(pair, distribution) -> dict[State, Rational]:
 
 
 def validate_model(
-    raw: Mapping | None = None,
     *,
     states: Iterable[State] | None = None,
     actions: Iterable[Action] | None = None,
@@ -286,7 +285,7 @@ def validate_model(
     fill_missing_rewards: bool = False,
     nothing_states: Iterable[State] | None = None,
 ) -> EnvironmentModel:
-    """Validate a raw model description and return an immutable model.
+    """Validate a model description and return an immutable model.
 
     The nothing-action is auto-completed (zero-reward self-loop) at any state
     that omits it; a user-supplied nothing row must already be a self-loop,
@@ -301,14 +300,6 @@ def validate_model(
     not available everywhere; ``complete_missing_actions`` does not add it
     elsewhere either. Every state must still end up with at least one action.
     """
-    if raw is not None:
-        states = raw.get("states", states)
-        actions = raw.get("actions", actions)
-        transitions = raw.get("transitions", transitions)
-        rewards = raw.get("rewards", rewards)
-        if discount is None:
-            discount = raw.get("discount", raw.get("gamma"))
-
     if states is None or actions is None or transitions is None or discount is None:
         raise ModelError("states, actions, transitions and discount are all required")
 

@@ -8,6 +8,11 @@ every resolution of chance, it produces the same execution or a strict
 sub-execution, i.e. it provably achieves the same outcome with fewer actions.
 The non-redundant optimal strategies are the optimal ones not preceded by any
 other optimal strategy.
+
+The precedence test enumerates the stationary contingencies lazily: both
+traces run through :func:`~purpose_audit.traces.simulate` on a partial
+contingency, and the first chance node one of them reaches unresolved is
+where the enumeration branches.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from enum import Enum
 from .errors import SizeCapExceeded
 from .model import (
     Action,
-    Behavior,
     EnvironmentModel,
     State,
     Strategy,
@@ -27,9 +31,7 @@ from .model import (
 from .oracle import DEFAULT_OPTIONS, OracleOptions, oracle_opt
 from .solve import OptimalSolution, solve_optimal
 from .traces import (
-    ExecutionPrefix,
     SampledContingency,
-    Termination,
     TraceOrder,
     active_tokens,
     compare_active,
@@ -83,47 +85,17 @@ class _Refuted(Exception):
     pass
 
 
-def _trace_under_partial(
-    model: EnvironmentModel,
-    strategy: Strategy,
-    assignment: dict[tuple[State, Action], State],
-    start: State,
-):
-    """Simulate under a partially resolved stationary contingency.
+class _Unresolved(Exception):
+    """A trace reached a chance node that the partial contingency leaves
+    open; the exception's one argument is that (state, action) pair."""
 
-    Returns (prefix, None) when every chance node hit is already resolved,
-    or (None, pair) at the first transition that still needs a decision.
-    """
-    nothing = model.nothing_action
-    choice = strategy.as_dict()
-    steps: list[tuple[Action, State]] = []
-    seen: dict[State, int] = {}
-    q = start
-    while True:
-        a = choice[q]
-        if a == nothing:
-            steps.append((a, q))
-            prefix = ExecutionPrefix(
-                Behavior(start, tuple(steps)), Termination.NOTHING_ABSORBED
-            )
-            return prefix, None
-        if q in seen:
-            prefix = ExecutionPrefix(
-                Behavior(start, tuple(steps)),
-                Termination.LOOP_DETECTED,
-                loop_start=seen[q],
-            )
-            return prefix, None
-        seen[q] = len(steps)
-        support = model.successors(q, a)
-        if len(support) == 1:
-            target = next(iter(support))
-        elif (q, a) in assignment:
-            target = assignment[(q, a)]
-        else:
-            return None, (q, a)
-        steps.append((a, target))
-        q = target
+
+class _PartialContingency(dict):
+    """A stationary contingency resolved so far; ``simulate`` reading a
+    pair it does not resolve yet raises _Unresolved."""
+
+    def __missing__(self, pair):
+        raise _Unresolved(pair)
 
 
 def _check_dominated_from(
@@ -131,7 +103,7 @@ def _check_dominated_from(
     smaller: Strategy,
     larger: Strategy,
     start: State,
-    assignment: dict[tuple[State, Action], State],
+    assignment: _PartialContingency,
     budget: list[int],
 ) -> None:
     """Raise _Refuted unless smaller's trace is <= larger's from ``start``
@@ -145,22 +117,23 @@ def _check_dominated_from(
     if budget[0] < 0:
         raise SizeCapExceeded("stationary contingency enumeration cap hit")
 
-    small_trace, branch = _trace_under_partial(model, smaller, assignment, start)
-    if branch is None:
-        large_trace, branch = _trace_under_partial(model, larger, assignment, start)
-    if branch is not None:
-        for target in sorted(model.successors(*branch)):
-            assignment[branch] = target
-            _check_dominated_from(model, smaller, larger, start, assignment, budget)
-        del assignment[branch]
+    try:
+        small_trace = simulate(model, smaller, assignment, start)
+        large_trace = simulate(model, larger, assignment, start)
+    except _Unresolved as unresolved:
+        (branch,) = unresolved.args
+    else:
+        nothing = model.nothing_action
+        order = compare_active(
+            active_tokens(small_trace, nothing), active_tokens(large_trace, nothing)
+        )
+        if order not in (TraceOrder.EQUAL, TraceOrder.PROPER):
+            raise _Refuted
         return
-
-    nothing = model.nothing_action
-    order = compare_active(
-        active_tokens(small_trace, nothing), active_tokens(large_trace, nothing)
-    )
-    if order not in (TraceOrder.EQUAL, TraceOrder.PROPER):
-        raise _Refuted
+    for target in sorted(model.successors(*branch)):
+        assignment[branch] = target
+        _check_dominated_from(model, smaller, larger, start, assignment, budget)
+    del assignment[branch]
 
 
 def _sampled_refutation(
@@ -213,7 +186,9 @@ def precedes(
     budget = [options.max_contingencies]
     try:
         for start in model.states:
-            _check_dominated_from(model, earlier, later, start, {}, budget)
+            _check_dominated_from(
+                model, earlier, later, start, _PartialContingency(), budget
+            )
     except _Refuted:
         return Precedence.NO
     if _sampled_refutation(model, earlier, later, options):

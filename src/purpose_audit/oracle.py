@@ -155,17 +155,6 @@ def oracle_audit(
     return not consistent
 
 
-def max_q_over_strategies(
-    model: EnvironmentModel,
-    state: State,
-    action: Action,
-    options: OracleOptions = DEFAULT_OPTIONS,
-) -> Rational:
-    """max over strategies of the one-step value of (state, action)."""
-    tables = evaluate_all_strategies(model, options)
-    return max(q_value(model, table, state, action) for table in tables.values())
-
-
 # ---------------------------------------------------------------------------
 # Randomized generators for the property suites.
 

@@ -13,9 +13,10 @@ a short float value iteration on the rewards divided by max |r|; that guess
 only picks where the exact loop begins. The loop stops when no action
 improves any state in Fractions, so V*, Q* and the greedy sets do not depend
 on the guess. Every exact backup reads the index's exact successor lists and
-the model's exact reward vector. Float mode runs plain value iteration to a
-configurable residual and is meant for larger models where exact arithmetic
-gets expensive; audit verdicts derived from float values are advisory.
+the model's exact reward vector. Float mode runs plain value iteration to the
+relative residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps,
+and is meant for larger models where exact arithmetic gets expensive; audit
+verdicts derived from float values are advisory.
 
 Every float iteration (the warm start, float mode, and the values-only entry
 point that float audits use for penalised reward vectors) runs one sweep
@@ -48,10 +49,11 @@ from .model import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Default relative Bellman-residual target for float mode.
+#: Relative Bellman-residual target for float mode.
 FLOAT_RESIDUAL = 1e-9
-#: Default relative tolerance for float-mode equality tests.
+#: Relative tolerance for float-mode equality tests.
 FLOAT_EQUALITY = 1e-6
+#: Sweeps float mode runs before it gives up with ConvergenceError.
 FLOAT_ITERATION_CAP = 1_000_000
 
 # The float value iteration that picks exact policy iteration's first policy:
@@ -341,8 +343,6 @@ def _float_values(
     model: EnvironmentModel,
     top: Rational,
     rewards: Callable[[], Sequence[float]],
-    residual: float = FLOAT_RESIDUAL,
-    max_iterations: int = FLOAT_ITERATION_CAP,
 ) -> tuple[list[float], float]:
     """Float value iteration on a reward vector over ``model``'s structure.
 
@@ -350,8 +350,8 @@ def _float_values(
     its float vector, in the index's pair order; it is called only after
     the range checks pass, since a reward beyond the float range has no
     float. Raises ConvergenceError when the discount rounds to 1.0, when
-    values may leave the float range, or when ``max_iterations`` sweeps do
-    not reach the residual. Returns the values (in state order) and the
+    values may leave the float range, or when ``FLOAT_ITERATION_CAP`` sweeps
+    do not reach ``FLOAT_RESIDUAL``. Returns the values (in state order) and the
     scale that the residual and equality tolerances are relative to.
     """
     gamma = _float_discount(model, top)
@@ -360,26 +360,22 @@ def _float_values(
     # Stop when the step gap guarantees sup-distance to the fixed point of at
     # most residual * scale: ||V_k - V*|| <= gamma/(1-gamma) * ||V_k - V_{k-1}||.
     # The returned table's own Bellman residual is at most gamma * gap.
-    target = residual * scale * (1 - gamma)
-    values, converged = _sweeps(model._index, vector, gamma, target, max_iterations)
+    target = FLOAT_RESIDUAL * scale * (1 - gamma)
+    values, converged = _sweeps(
+        model._index, vector, gamma, target, FLOAT_ITERATION_CAP
+    )
     if not converged:
         raise ConvergenceError(
-            f"value iteration did not reach residual {residual * scale} "
-            f"within {max_iterations} iterations"
+            f"value iteration did not reach residual {FLOAT_RESIDUAL * scale} "
+            f"within {FLOAT_ITERATION_CAP} iterations"
         )
     return values, scale
 
 
-def _value_iteration(
-    model: EnvironmentModel, residual: float, max_iterations: int
-) -> OptimalSolution:
+def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
     index = model._index
     values, scale = _float_values(
-        model,
-        model.max_reward_magnitude(),
-        lambda: model._float_rewards,
-        residual,
-        max_iterations,
+        model, model.max_reward_magnitude(), lambda: model._float_rewards
     )
     backups = _lookahead(index, model._float_rewards, values)
     v_star = dict(zip(model.states, values))
@@ -396,23 +392,17 @@ def _value_iteration(
     return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="float")
 
 
-def solve_optimal(
-    model: EnvironmentModel,
-    mode: str = "exact",
-    *,
-    residual: float = FLOAT_RESIDUAL,
-    max_iterations: int = FLOAT_ITERATION_CAP,
-) -> OptimalSolution:
+def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSolution:
     """Optimal value of every state, V*(q) = max over strategies of V(sigma, q).
 
     ``mode`` is "exact" (policy iteration, rational arithmetic) or "float"
-    (value iteration to the given relative residual; raises ConvergenceError
-    if the iteration cap is hit first).
+    (value iteration to the relative residual ``FLOAT_RESIDUAL``; raises
+    ConvergenceError if ``FLOAT_ITERATION_CAP`` sweeps are not enough).
     """
     if mode == "exact":
         return _policy_iteration(model)
     if mode == "float":
-        return _value_iteration(model, residual, max_iterations)
+        return _value_iteration(model)
     raise ValueError(f"unknown solver mode {mode!r}")
 
 
@@ -432,17 +422,14 @@ def is_optimal(
     model: EnvironmentModel,
     strategy: Strategy,
     *,
-    mode: str = "exact",
     solution: OptimalSolution | None = None,
-    tolerance: float = FLOAT_EQUALITY,
 ) -> bool:
-    """Whether the strategy attains the optimal value at every state."""
-    solution = solution or solve_optimal(model, mode=mode)
+    """Whether the strategy attains the exact optimal value at every state.
+
+    ``solution``, when given, must be an exact solution of ``model``.
+    """
+    solution = solution or solve_optimal(model)
+    if solution.mode != "exact":
+        raise ValueError("is_optimal needs an exact solution")
     values = evaluate_strategy(model, strategy)
-    if mode == "exact" and solution.mode == "exact":
-        return all(values[q] == solution.v_star[q] for q in model.states)
-    return all(
-        abs(float(values[q]) - float(solution.v_star[q]))
-        <= tolerance * max(1.0, abs(float(solution.v_star[q])))
-        for q in model.states
-    )
+    return all(values[q] == solution.v_star[q] for q in model.states)

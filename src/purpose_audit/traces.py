@@ -56,19 +56,6 @@ class StationaryContingency:
         return self.choice[(state, action)]
 
 
-def validate_contingency(
-    model: EnvironmentModel, contingency: StationaryContingency
-) -> None:
-    """A contingency may only pick successors of nonzero probability."""
-    for (q, a), target in contingency.choice.items():
-        if (q, a) not in model.transitions:
-            raise ModelError(f"contingency resolves undefined pair {(q, a)}")
-        if model.successors(q, a).get(target, 0) == 0:
-            raise ModelError(
-                f"contingency picks zero-probability successor {target!r} for {(q, a)}"
-            )
-
-
 class SampledContingency:
     """Occurrence-indexed contingency drawn lazily from the transition supports.
 

@@ -197,7 +197,7 @@ class TestAudit:
 
     def test_batch_preserves_order(self, treat, logs):
         b1, b2 = logs
-        outcomes = audit_batch(treat, [b1, b2, b1], jobs=3)
+        outcomes = audit_batch(treat, [b1, b2, b1])
         assert [o.empty_intersection for o in outcomes] == [True, False, True]
 
 
@@ -359,6 +359,45 @@ class TestTriage:
         b1, _ = logs
         # The treat model cannot explain b1, so as "prohibited" it is moot.
         assert triage(treat, [], b1) is False
+
+    def test_validates_a_log_once(self, treat, profit, logs, monkeypatch):
+        calls = []
+
+        def counting(model, behavior):
+            calls.append(behavior)
+            return validate_behavior(model, behavior)
+
+        monkeypatch.setattr(auditing, "validate_behavior", counting)
+        b1, b2 = logs
+        assert triage(profit, [treat, treat], b1) is True
+        assert triage(profit, [treat], b2) is False
+        assert calls == [b1, b2]
+
+    def test_empty_prohibited_purpose_decides_no_allowed_one(
+        self, treat, profit, logs, monkeypatch
+    ):
+        solved = []
+
+        def counting(model, mode="exact"):
+            solved.append(model)
+            return solve_optimal(model, mode)
+
+        monkeypatch.setattr(auditing, "solve_optimal", counting)
+        b1, _ = logs
+        assert triage(treat, [profit], b1) is False
+        assert solved == [treat]
+
+    def test_models_must_share_structure(self, profit, logs):
+        b1, _ = logs
+        other = validate_model(
+            states=["1"],
+            actions=["take"],
+            transitions={("1", "take"): {"1": 1}},
+            rewards={("1", "take"): 1},
+            discount="1/2",
+        )
+        with pytest.raises(ValueError, match="share"):
+            triage(profit, [other], b1)
 
 
 class TestFixProperties:

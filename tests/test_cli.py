@@ -149,15 +149,23 @@ class TestAudit:
         )
         assert run(*args) == run(*args)
 
-    def test_parallel_matches_serial(self, example_dir):
-        args = [
-            "audit",
+    @pytest.mark.parametrize(
+        "command",
+        [("audit", "--purpose", "treat"), ("check", "--rule", "only-for:treat")],
+    )
+    def test_jobs_is_a_usage_error(self, example_dir, command):
+        name, *options = command
+        code, out, err = run(
+            name,
             str(example_dir / "physician.model"),
             str(example_dir / "physician.log"),
-            "--purpose",
-            "treat",
-        ]
-        assert run(*args)[1] == run(*args, "--jobs", "4")[1]
+            *options,
+            "--jobs",
+            "4",
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
 
 
 class TestCheck:

@@ -69,6 +69,27 @@ class TestPrecedes:
         assert precedes(treat, sigma1, sigma3) is Precedence.YES
         assert precedes(treat, sigma3, sigma1) is Precedence.NO
 
+    def test_only_the_larger_trace_reaches_a_chance_node(self):
+        # From s the smaller strategy stops at once, so only the larger one's
+        # trace reaches the unresolved chance node (s, go): the enumeration
+        # branches there, on t and on u.
+        model = validate_model(
+            states=["s", "t", "u"],
+            actions=["go"],
+            transitions={("s", "go"): {"t": "1/2", "u": "1/2"}},
+            rewards={("s", "go"): 1},
+            discount="1/2",
+            fill_missing_rewards=True,
+        )
+        stop = Strategy.from_mapping({"s": "N", "t": "N", "u": "N"}, model)
+        go = Strategy.from_mapping({"s": "go", "t": "N", "u": "N"}, model)
+        assert precedes(model, go, stop) is Precedence.NO
+        # One call per start state plus one per branch at (s, go).
+        options = OracleOptions(max_contingencies=5)
+        assert precedes(model, stop, go, options) is Precedence.YES
+        with pytest.raises(SizeCapExceeded):
+            precedes(model, stop, go, OracleOptions(max_contingencies=4))
+
     def test_size_cap(self, treat, sigmas):
         sigma1, _, sigma3 = sigmas
         with pytest.raises(SizeCapExceeded):

@@ -17,13 +17,21 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit.oracle import (
+    DEFAULT_OPTIONS,
     OracleOptions,
-    max_q_over_strategies,
+    evaluate_all_strategies,
     random_consistent_behavior,
     random_model,
     random_walk_behavior,
     strategy_space_size,
 )
+from purpose_audit.solve import q_value
+
+
+def max_q_over_strategies(model, state, action, options=DEFAULT_OPTIONS):
+    """max over strategies of the one-step value of (state, action)."""
+    tables = evaluate_all_strategies(model, options)
+    return max(q_value(model, table, state, action) for table in tables.values())
 
 
 def flat(states, actions, rewards, gamma="1/2"):

@@ -144,6 +144,11 @@ class TestIsOptimal:
         sigma1, _, _ = sigmas
         assert is_optimal(profit, sigma1)
 
+    def test_float_solution_rejected(self, treat, sigmas):
+        sigma1, _, _ = sigmas
+        with pytest.raises(ValueError, match="exact"):
+            is_optimal(treat, sigma1, solution=solve_optimal(treat, "float"))
+
 
 class TestRandomizedSolverProperties:
     def test_value_bounds(self):

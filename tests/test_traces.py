@@ -14,7 +14,18 @@ from purpose_audit import (
     simulate,
 )
 from purpose_audit.errors import ModelError
-from purpose_audit.traces import ExecutionPrefix, Termination, validate_contingency
+from purpose_audit.traces import ExecutionPrefix, Termination
+
+
+def validate_contingency(model, contingency):
+    """A contingency may only pick successors of nonzero probability."""
+    for (q, a), target in contingency.choice.items():
+        if (q, a) not in model.transitions:
+            raise ModelError(f"contingency resolves undefined pair {(q, a)}")
+        if model.successors(q, a).get(target, 0) == 0:
+            raise ModelError(
+                f"contingency picks zero-probability successor {target!r} for {(q, a)}"
+            )
 
 
 def absorbed(tokens):

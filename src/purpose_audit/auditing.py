@@ -260,9 +260,11 @@ def _safe_states(
     The greatest fixed point: start from every state not observed with a
     non-greedy action, then drop a state while none of its allowed actions
     keeps every successor in the set. The logged action is the only allowed
-    one at an observed state; any greedy action is allowed elsewhere. A
-    worklist re-checks only the predecessors of a dropped state, so the work
-    is linear in the model's size.
+    one at an observed state; any greedy action is allowed elsewhere. The
+    worklist starts from the predecessors of the states unsafe at the start,
+    the only states that can fail the first check, and re-checks only the
+    predecessors of a dropped state, so the work is linear in the model's
+    size.
     """
     index = model._index
     states = model.states
@@ -277,7 +279,9 @@ def _safe_states(
             if a in allowed
         )
 
-    pending = list(range(len(states)))
+    pending = list(
+        {j for i, ok in enumerate(safe) if not ok for j in index.predecessors[i]}
+    )
     while pending:
         i = pending.pop()
         if safe[i] and not keeps_safe(i):
@@ -462,18 +466,23 @@ def triage(
     the prohibited-purpose audit alone. The models must share one structure,
     so the behavior is validated once. The optional solutions are
     precomputed optimal solutions, ``allowed_solutions`` one per allowed
-    model in order.
+    model in order (ValueError, before any decision, if the counts differ).
     """
     allowed = list(allowed)
     if allowed_solutions is None:
         allowed_solutions = [None] * len(allowed)
+    if len(allowed_solutions) != len(allowed):
+        raise ValueError(
+            f"{len(allowed_solutions)} allowed solutions "
+            f"for {len(allowed)} allowed models"
+        )
     _require_shared_structure([prohibited, *allowed])
     validate_behavior(prohibited, behavior)
     if _decide(prohibited, behavior, mode, prohibited_solution).empty_intersection:
         return False
     return all(
         _decide(candidate, behavior, mode, solution).empty_intersection
-        for candidate, solution in zip(allowed, allowed_solutions, strict=True)
+        for candidate, solution in zip(allowed, allowed_solutions)
     )
 
 

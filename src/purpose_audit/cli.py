@@ -50,11 +50,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="purpose-audit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, log=True):
+    def add_common(p, log=True, mode=True):
         p.add_argument("model", help="model document")
         if log:
             p.add_argument("log", help="log document, one behavior per line")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--json", action="store_true", help="machine-readable records")
 
     p = sub.add_parser("validate", help="parse and validate a model document")
@@ -82,8 +83,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--prohibited", required=True)
     p.add_argument("--allowed", default="", help="comma-separated purposes")
 
-    p = sub.add_parser("oracle", help="cross-check the engine by brute force")
-    add_common(p)
+    p = sub.add_parser("oracle", help="cross-check exact mode by brute force")
+    add_common(p, mode=False)
     p.add_argument("--purpose", required=True)
 
     p = sub.add_parser("examples", help="write the bundled example files")

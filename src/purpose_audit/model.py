@@ -9,6 +9,7 @@ factor are exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -90,13 +91,16 @@ class StructureIndex:
     """Integer-indexed view of one model structure, built on first use.
 
     Holds a state -> position map, the available actions of each state, per
-    defined pair its successors as (position, float(gamma) * float(p)) and as
-    exact (position, gamma * p), and the predecessors of each state. Pairs
-    are numbered in state order, then action order, as
-    :meth:`EnvironmentModel.pairs` yields them; a reward vector is a sequence
-    indexed by that number. Every model made from the same validated
-    structure (each purpose of a document, each ``with_rewards`` result)
-    holds the same index, so these lists are built once per structure.
+    defined pair its successors as (position, float(gamma) * float(p)), and
+    the predecessors of each state. Exact backups use integers: each state
+    has a scale L, the least common multiple of the denominators of
+    gamma * p over its pairs, and each pair its successors as
+    (position, L * gamma * p). Pairs are numbered in state order, then
+    action order, as :meth:`EnvironmentModel.pairs` yields them; a reward
+    vector is a sequence indexed by that number. Every model made from the
+    same validated structure (each purpose of a document, each
+    ``with_rewards`` result) holds the same index, so these lists are built
+    once per structure.
     """
 
     def __init__(self, states, actions, transitions, discount):
@@ -140,11 +144,33 @@ class StructureIndex:
         return {pair: k for k, pair in enumerate(self.pairs)}
 
     @cached_property
-    def exact(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Per pair number, its successors as (position, gamma * p), in table order."""
+    def scales(self) -> tuple[int, ...]:
+        """Per state position, L: the lcm of the denominators of gamma * p
+        over the state's pairs."""
+        gn, gd = self.discount.numerator, self.discount.denominator
+        transitions = self.transitions
         return tuple(
-            tuple((self.position[t], self.discount * p) for t, p in row.items())
-            for row in map(self.transitions.__getitem__, self.pairs)
+            math.lcm(*(
+                gd * p.denominator // math.gcd(gn * p.numerator, gd * p.denominator)
+                for a in actions
+                for p in transitions[(q, a)].values()
+            ))
+            for q, actions in zip(self.states, self.available)
+        )
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per pair number, its successors as (position, L * gamma * p), an
+        integer, in table order; L is the scale of the pair's state."""
+        gn, gd = self.discount.numerator, self.discount.denominator
+        position, transitions = self.position, self.transitions
+        return tuple(
+            tuple(
+                (position[t], scale * gn * p.numerator // (gd * p.denominator))
+                for t, p in transitions[(q, a)].items()
+            )
+            for q, actions, scale in zip(self.states, self.available, self.scales)
+            for a in actions
         )
 
     @cached_property
@@ -238,22 +264,26 @@ class EnvironmentModel:
 
     def max_reward_magnitude(self) -> Rational:
         """Largest |r(q, a)| over the defined pairs."""
-        return self._max_reward_magnitude
+        numerators, denominator = self._reward_numerators
+        return Fraction(max(map(abs, numerators), default=0), denominator)
 
     @cached_property
-    def _max_reward_magnitude(self) -> Rational:
-        return max((abs(r) for r in self.rewards.values()), default=ZERO)
-
-    @cached_property
-    def _exact_rewards(self) -> tuple[Rational, ...]:
-        """r per defined pair, in pair order: the reward vector of exact backups."""
-        return tuple(map(self.rewards.__getitem__, self._index.pairs))
+    def _reward_numerators(self) -> tuple[tuple[int, ...], int]:
+        """(n per defined pair in pair order, R): each reward is n / R over
+        one common denominator R, the reward vector of exact backups."""
+        rewards = tuple(map(self.rewards.__getitem__, self._index.pairs))
+        denominator = math.lcm(*(r.denominator for r in rewards))
+        return (
+            tuple(r.numerator * (denominator // r.denominator) for r in rewards),
+            denominator,
+        )
 
     @cached_property
     def _float_rewards(self) -> tuple[float, ...]:
         """float(r) per defined pair, in pair order: the reward vector float
         value iteration runs on."""
-        return tuple(map(float, self._exact_rewards))
+        numerators, denominator = self._reward_numerators
+        return tuple(n / denominator for n in numerators)
 
 
 def _check_distribution(pair, distribution) -> dict[State, Rational]:

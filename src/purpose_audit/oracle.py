@@ -3,7 +3,10 @@
 Everything here works by exhaustive enumeration over the (finite) strategy
 space, evaluated exactly, and is deliberately independent of the optimized
 paths it cross-checks: no policy iteration, no Q*-shortcut for useless pairs,
-no penalty construction. Enumeration sizes are capped.
+no penalty construction, and nothing from the solver module. A strategy's
+values come from dense Gaussian elimination in Fractions, and one-step
+values straight from the transition and reward tables. Enumeration sizes are
+capped.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .model import (
     observed_choices,
     validate_model,
 )
-from .solve import evaluate_strategy, q_value
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,46 @@ def enumerate_strategies(
     ]
 
 
+def strategy_values(
+    model: EnvironmentModel, strategy: Strategy
+) -> dict[State, Rational]:
+    """Exact values of a strategy: (I - gamma P_sigma) V = r_sigma solved by
+    dense Gaussian elimination with row exchanges and back-substitution, in
+    Fractions."""
+    states, choice = model.states, strategy.as_dict()
+    n = len(states)
+    column = {q: j for j, q in enumerate(states)}
+    matrix = []
+    for i, q in enumerate(states):
+        a = choice[q]
+        row = [ONE if j == i else ZERO for j in range(n)] + [model.rewards[(q, a)]]
+        for target, p in model.transitions[(q, a)].items():
+            row[column[target]] -= model.discount * p
+        matrix.append(row)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if matrix[r][c] != 0)
+        matrix[c], matrix[pivot] = matrix[pivot], matrix[c]
+        top = matrix[c]
+        for row in matrix[c + 1 :]:
+            if row[c]:
+                factor = row[c] / top[c]
+                for j in range(c, n + 1):
+                    if top[j]:
+                        row[j] -= factor * top[j]
+    values = [ZERO] * n
+    for i in reversed(range(n)):
+        row = matrix[i]
+        known = sum((row[j] * values[j] for j in range(i + 1, n)), ZERO)
+        values[i] = (row[n] - known) / row[i]
+    return dict(zip(states, values))
+
+
 def evaluate_all_strategies(
     model: EnvironmentModel, options: OracleOptions = DEFAULT_OPTIONS
 ) -> dict[Strategy, dict[State, Rational]]:
     """Exact value table of every strategy."""
     return {
-        sigma: evaluate_strategy(model, sigma)
+        sigma: strategy_values(model, sigma)
         for sigma in enumerate_strategies(model, options)
     }
 
@@ -113,7 +150,13 @@ def oracle_useless(
     for q, a in model.pairs():
         if a == model.nothing_action:
             continue
-        best = max(q_value(model, table, q, a) for table in tables.values())
+        # r(q, a) + sum of gamma * t(q, a)(q') * V(q'), under each strategy.
+        successors = model.transitions[(q, a)].items()
+        weights = [(t, model.discount * p) for t, p in successors]
+        reward = model.rewards[(q, a)]
+        best = max(
+            sum((w * table[t] for t, w in weights), reward) for table in tables.values()
+        )
         if best <= 0:
             useless.add((q, a))
     return frozenset(useless)

@@ -1,22 +1,28 @@
 """Exact and iterative solvers for strategy values and optimal values.
 
-Exact mode works entirely in rational arithmetic. Strategy evaluation solves
-the Bellman system (I - gamma P_sigma) V = r_sigma one strongly connected
-component of sigma's successor graph at a time, sinks first. In that order the
-system is block-triangular, so each component is its own sparse elimination
-over Fractions (one division for a single state, Markowitz pivoting on the
-diagonal for more), with the values already known downstream folded into its
-right-hand side. Optimal values come from policy iteration with exact
-evaluation, which terminates because there are finitely many strategies and
-every round strictly improves some state. It starts from the greedy policy of
-a short float value iteration on the rewards divided by max |r|; that guess
-only picks where the exact loop begins. The loop stops when no action
-improves any state in Fractions, so V*, Q* and the greedy sets do not depend
-on the guess. Every exact backup reads the index's exact successor lists and
-the model's exact reward vector. Float mode runs plain value iteration to the
-relative residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps,
-and is meant for larger models where exact arithmetic gets expensive; audit
-verdicts derived from float values are advisory.
+Exact mode works entirely in rational arithmetic, carried as integers.
+Strategy evaluation solves the Bellman system (I - gamma P_sigma) V = r_sigma
+one strongly connected component of sigma's successor graph at a time, sinks
+first. In that order the system is block-triangular, so each component is its
+own sparse fraction-free elimination (one division for a single state,
+Markowitz pivoting on the diagonal for more), with the values already known
+downstream folded into its right-hand side. Optimal values come from policy
+iteration with exact evaluation, which terminates because there are finitely
+many strategies and every round strictly improves some state. It starts from
+the greedy policy of a short float value iteration on the rewards divided by
+max |r|; that guess only picks where the exact loop begins. The loop stops
+when no action improves any state, so V*, Q* and the greedy sets do not depend
+on the guess.
+
+Every exact backup is one integer dot product (:func:`_backup`) of the
+index's coefficients L * gamma * p, where L is the state's scale, with values
+over one common denominator D; rewards are numerators over the model's common
+reward denominator R. So a round puts V over D once, compares the Q-values of
+a state as the integers Q * R * L * D, and Fractions are built only for the
+V* and Q* returned. Float mode runs plain value iteration to the relative
+residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps, and is
+meant for larger models where exact arithmetic gets expensive; audit verdicts
+derived from float values are advisory.
 
 Every float iteration (the warm start, float mode, and the values-only entry
 point that float audits use for penalised reward vectors) runs one sweep
@@ -47,7 +53,6 @@ from .model import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 #: Relative Bellman-residual target for float mode.
 FLOAT_RESIDUAL = 1e-9
@@ -76,16 +81,26 @@ class OptimalSolution:
 
 
 def solve_linear_system(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction]
+    rows: list[dict[int, Rational]], rhs: list[Rational]
 ) -> list[Fraction]:
-    """Solve A x = b exactly; ``rows`` holds A as sparse rows {column: entry}.
+    """Solve A x = b exactly; ``rows`` holds A as sparse rows {column: entry}
+    of ints or Fractions.
 
     Eliminates on the diagonal, each time at the remaining entry of least
     Markowitz count (r - 1)(c - 1), which keeps fill-in small (Markowitz
     1957), with no row exchange: I - gamma * P on a set of states and each of
     its Schur complements are strictly diagonally dominant, so every diagonal
-    pivot is nonzero. ``rows`` and ``rhs`` are overwritten.
+    pivot is nonzero. The elimination is fraction-free: each equation is
+    scaled to integers, and eliminating column p from row i replaces it by
+    A_pp * row_i - A_ip * row_p divided by the gcd of its entries. Every row
+    stays a multiple of its row of the Schur complement, so it is that row's
+    primitive integer form, no larger than the minors of Bareiss's
+    elimination. ``rows`` and ``rhs`` are overwritten.
     """
+    for i, row in enumerate(rows):
+        scale = math.lcm(rhs[i].denominator, *(e.denominator for e in row.values()))
+        rows[i] = {j: e.numerator * (scale // e.denominator) for j, e in row.items()}
+        rhs[i] = rhs[i].numerator * (scale // rhs[i].denominator)
     columns: list[set[int]] = [set() for _ in rows]
     for i, row in enumerate(rows):
         for j in row:
@@ -106,20 +121,44 @@ def solve_linear_system(
         for j in pivot_row:
             columns[j].discard(p)
         for i in columns[p]:
-            factor = rows[i].pop(p) / pivot_row[p]
-            for j, entry in pivot_row.items():
+            row = rows[i]
+            entry, pivot = row.pop(p), pivot_row[p]
+            g = math.gcd(entry, pivot)
+            entry, pivot = entry // g, pivot // g
+            if pivot != 1:
+                for j in row:
+                    row[j] *= pivot
+                rhs[i] *= pivot
+            for j, e in pivot_row.items():
                 if j != p:
-                    rows[i][j] = rows[i].get(j, ZERO) - factor * entry
+                    row[j] = row.get(j, 0) - entry * e
                     columns[j].add(i)
-            rhs[i] -= factor * rhs[p]
+            rhs[i] -= entry * rhs[p]
+            content = math.gcd(rhs[i], *row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
+                rhs[i] //= content
         touched, columns[p] = columns[p] | pivot_row.keys() - {p}, set()
         for k in touched:
             heapq.heappush(heap, (count(k), k))
-    x = [ZERO] * len(rows)
+    # Back-substitute in reverse pivot order over one common denominator.
+    x, denominator = [0] * len(rows), 1
     for p in reversed(order):
         row = rows[p]
-        x[p] = (rhs[p] - sum(e * x[j] for j, e in row.items() if j != p)) / row[p]
-    return x
+        numerator = rhs[p] * denominator - sum(
+            e * x[j] for j, e in row.items() if j != p
+        )
+        pivot = row[p]
+        g = math.gcd(numerator, pivot)
+        numerator, pivot = numerator // g, pivot // g
+        if pivot < 0:
+            numerator, pivot = -numerator, -pivot
+        if pivot != 1:
+            denominator *= pivot
+            x = [v * pivot for v in x]
+        x[p] = numerator
+    return [Fraction(v, denominator) for v in x]
 
 
 def _components_sinks_first(successors: list[list[int]]) -> list[list[int]]:
@@ -177,47 +216,103 @@ def evaluate_strategy(
 
     Solves V(q) = r(q, s(q)) + gamma * sum t(q, s(q))(q') V(q') block by block
     over the strongly connected components of the strategy's successor graph,
-    sinks first.
+    sinks first. Row q is scaled by its state's L, so its entries are
+    integers; the right-hand side is scaled by a common denominator M of the
+    block's rewards and of the values already known downstream, so it is an
+    integer too, and the block's solution is divided by M.
     """
     validate_strategy(model, strategy)
-    index, rewards = model._index, model._exact_rewards
+    index = model._index
+    scales, coefficients = index.scales, index.coefficients
+    rewards, reward_denominator = model._reward_numerators
     choice = strategy.as_dict()
     chosen = [index.number[(q, choice[q])] for q in model.states]
     values: list[Fraction] = [ZERO] * len(chosen)
-    graph = [[j for j, _ in index.exact[k]] for k in chosen]
+    # Downstream values over the current block's M. A state's entry is set
+    # only once it is solved, so the entries of unsolved states, the current
+    # block's included, are 0 and drop out of the backup.
+    numerators = [0] * len(chosen)
+    graph = [[j for j, _ in coefficients[k]] for k in chosen]
     for block in _components_sinks_first(graph):
         local = {i: b for b, i in enumerate(block)}
+        downstream = {
+            j for i in block for j, _ in coefficients[chosen[i]] if j not in local
+        }
+        common = math.lcm(
+            reward_denominator, *(values[j].denominator for j in downstream)
+        )
+        for j in downstream:
+            numerators[j] = values[j].numerator * (common // values[j].denominator)
+        reward_scale = common // reward_denominator
         rows, rhs = [], []
         for b, i in enumerate(block):
-            row, acc = {b: ONE}, rewards[chosen[i]]
-            for j, weight in index.exact[chosen[i]]:
+            k = chosen[i]
+            row = {b: scales[i]}
+            for j, coefficient in coefficients[k]:
                 if j in local:
-                    row[local[j]] = row.get(local[j], ZERO) - weight
-                else:
-                    acc += weight * values[j]
+                    row[local[j]] = row.get(local[j], 0) - coefficient
             rows.append(row)
-            rhs.append(acc)
+            rhs.append(
+                scales[i] * rewards[k] * reward_scale + _backup(index, k, numerators)
+            )
         if len(block) == 1:
-            values[block[0]] = rhs[0] / rows[0][0]
+            values[block[0]] = Fraction(rhs[0], rows[0][0] * common)
         else:
             for i, value in zip(block, solve_linear_system(rows, rhs)):
-                values[i] = value
+                values[i] = value / common
     return dict(zip(model.states, values))
 
 
-def _backup(model: EnvironmentModel, k: int, value: Callable[[int], Rational]):
-    """r + sum of gamma * p * value(j) over the successors j of pair number k,
-    from the index's exact successor lists: every exact backup is this one."""
-    terms = (weight * value(j) for j, weight in model._index.exact[k])
-    return sum(terms, model._exact_rewards[k])
+def _backup(
+    index: StructureIndex, k: int, numerators: Sequence[int] | Mapping[int, int]
+) -> int:
+    """sum of L * gamma * p * numerators[j] over the successors j of pair
+    number k: the one integer dot product of every exact backup."""
+    return sum(c * numerators[j] for j, c in index.coefficients[k])
+
+
+def _over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their least common denominator."""
+    denominator = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
+def _q_numerators(
+    model: EnvironmentModel, numerators: Sequence[int], denominator: int
+) -> list[int]:
+    """Per pair number k, at state q: Q(q, a) * R * L * D, an integer, for
+    values V = numerators / D, rewards over R and q's scale L. The factor
+    R * L * D is the same for every action of a state, so these integers
+    compare as the state's Q-values do."""
+    index = model._index
+    rewards, reward_denominator = model._reward_numerators
+    out = []
+    for row, scale in zip(index.rows, index.scales):
+        weight = scale * denominator
+        for k, _ in row:
+            out.append(
+                rewards[k] * weight + reward_denominator * _backup(index, k, numerators)
+            )
+    return out
 
 
 def q_value(model: EnvironmentModel, values: ValueTable, state: State, action: Action):
-    """One-step lookahead value r(q,a) + gamma * sum t(q,a)(q') v(q')."""
-    k = model._index.number.get((state, action))
+    """One-step lookahead value r(q,a) + gamma * sum t(q,a)(q') v(q'), for
+    exact values."""
+    index = model._index
+    k = index.number.get((state, action))
     if k is None:
         raise UndefinedPair(f"action {action!r} is not defined at state {state!r}")
-    return _backup(model, k, lambda j: values[model.states[j]])
+    successors = [j for j, _ in index.coefficients[k]]
+    numerators, denominator = _over_common_denominator(
+        [values[model.states[j]] for j in successors]
+    )
+    rewards, reward_denominator = model._reward_numerators
+    scale = index.scales[index.position[state]] * denominator
+    backup = _backup(index, k, dict(zip(successors, numerators)))
+    return Fraction(
+        rewards[k] * scale + reward_denominator * backup, reward_denominator * scale
+    )
 
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
@@ -226,19 +321,33 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
     while True:
         strategy = Strategy(tuple(index.pairs[k] for k in choice))
         values = list(evaluate_strategy(model, strategy).values())
-        q_star = [_backup(model, k, values.__getitem__) for k in range(len(index.pairs))]
+        numerators, denominator = _over_common_denominator(values)
+        q = _q_numerators(model, numerators, denominator)
         changed = False
         for i, row in enumerate(index.rows):
-            best = max((k for k, _ in row), key=q_star.__getitem__)
-            if q_star[best] > q_star[choice[i]]:
+            best = max((k for k, _ in row), key=q.__getitem__)
+            if q[best] > q[choice[i]]:
                 choice[i], changed = best, True
         if not changed:
             break
-    greedy = {
-        q: tuple(index.pairs[k][1] for k, _ in row if q_star[k] == value)
-        for q, row, value in zip(model.states, index.rows, values)
-    }
-    v_star, q_star = dict(zip(model.states, values)), dict(zip(index.pairs, q_star))
+    _, reward_denominator = model._reward_numerators
+    greedy, q_star = {}, {}
+    for state, row, scale, value, numerator in zip(
+        model.states, index.rows, index.scales, values, numerators
+    ):
+        # Q(q, a) = V(q) exactly when the integers agree.
+        factor = reward_denominator * scale
+        attained = numerator * factor
+        actions = []
+        for k, _ in row:
+            pair = index.pairs[k]
+            if q[k] == attained:
+                actions.append(pair[1])
+                q_star[pair] = value
+            else:
+                q_star[pair] = Fraction(q[k], factor * denominator)
+        greedy[state] = tuple(actions)
+    v_star = dict(zip(model.states, values))
     return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="exact")
 
 
@@ -309,8 +418,9 @@ def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
     guess worse. Never raises.
     """
     index = model._index
-    top = model.max_reward_magnitude() or ONE
-    rewards = [float(model.rewards[pair] / top) for pair in index.pairs]
+    numerators, _ = model._reward_numerators
+    top = max(map(abs, numerators)) or 1
+    rewards = [n / top for n in numerators]
     values, _ = _sweeps(
         index, rewards, float(model.discount), _WARM_RESIDUAL, _WARM_SWEEPS
     )
@@ -407,14 +517,23 @@ def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSoluti
 
 
 def bellman_residual(model: EnvironmentModel, values: ValueTable):
-    """max over states of |v(q) - max_a [r(q,a) + gamma * sum t v]|.
+    """max over states of |v(q) - max_a [r(q,a) + gamma * sum t v]|, for
+    exact values.
 
     Exactly zero (as a Fraction) for exact optimal values.
     """
     table = [values[q] for q in model.states]
+    numerators, denominator = _over_common_denominator(table)
+    q = _q_numerators(model, numerators, denominator)
+    _, reward_denominator = model._reward_numerators
+    index = model._index
     return max(
-        abs(v - max(_backup(model, k, table.__getitem__) for k, _ in row))
-        for v, row in zip(table, model._index.rows)
+        Fraction(abs(v * factor - max(q[k] for k, _ in row)), factor * denominator)
+        for v, row, factor in zip(
+            numerators,
+            index.rows,
+            (reward_denominator * scale for scale in index.scales),
+        )
     )
 
 

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
     AuditReason,
@@ -340,6 +341,48 @@ class TestSafeSet:
         assert elapsed < 0.5
 
 
+def reference_safe_states(model, greedy, choices):
+    """The same greatest fixed point, from a worklist of every state."""
+    index = model._index
+    safe = [q not in choices or choices[q] in greedy[q] for q in model.states]
+
+    def keeps_safe(i):
+        q = model.states[i]
+        allowed = (choices[q],) if q in choices else greedy[q]
+        return any(
+            all(safe[model.states.index(t)] for t in model.successors(q, a))
+            for a in model.available_actions(q)
+            if a in allowed
+        )
+
+    pending = list(range(len(model.states)))
+    while pending:
+        i = pending.pop()
+        if safe[i] and not keeps_safe(i):
+            safe[i] = False
+            pending.extend(index.predecessors[i])
+    return safe
+
+
+class TestSafeSetWorklist:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from((0.0, 0.5)))
+    def test_matches_all_states_worklist(self, seed, zero_fraction):
+        rng = random.Random(seed)
+        model = random_model(
+            rng, n_states=(2, 9), max_support=3, zero_reward_fraction=zero_fraction
+        )
+        solution = solve_optimal(model)
+        # Log a random action at a random subset of states.
+        choices = {
+            q: rng.choice(model.available_actions(q))
+            for q in model.states
+            if rng.random() < 0.4
+        }
+        safe = auditing._safe_states(model, solution.greedy, choices)
+        assert safe == reference_safe_states(model, solution.greedy, choices)
+
+
 class TestTriage:
     def test_b2_explained_by_treatment(self, treat, profit, logs):
         _, b2 = logs
@@ -398,6 +441,22 @@ class TestTriage:
         )
         with pytest.raises(ValueError, match="share"):
             triage(profit, [other], b1)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_solution_count_must_match(self, treat, profit, logs, monkeypatch, count):
+        decided = []
+
+        def counting(model, behavior, mode, solution):
+            decided.append(model)
+            return decide(model, behavior, mode, solution)
+
+        decide = auditing._decide
+        monkeypatch.setattr(auditing, "_decide", counting)
+        _, b2 = logs
+        solution = solve_optimal(treat)
+        with pytest.raises(ValueError, match="allowed solutions"):
+            triage(profit, [treat], b2, allowed_solutions=[solution] * count)
+        assert decided == []
 
 
 class TestFixProperties:

@@ -244,6 +244,21 @@ class TestOracle:
             assert code == 0
             assert "DISAGREE" not in out
 
+    def test_mode_is_a_usage_error(self, example_dir):
+        # The oracle is exact only, so it takes no --mode.
+        code, out, err = run(
+            "oracle",
+            str(example_dir / "physician.model"),
+            str(example_dir / "physician.log"),
+            "--purpose",
+            "treat",
+            "--mode",
+            "float",
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
 
 class TestExamples:
     def test_emitted_files_are_usable(self, example_dir):

@@ -277,3 +277,11 @@ class TestStructureIndex:
         )
         assert index.predecessors == ((0,), (0, 1))
         assert model._float_rewards == (1.0, 0.0, 0.0)
+        # gamma * p is 1/8, 3/8 and 1/2 at s, and 1/2 at u.
+        assert index.scales == (8, 2)
+        assert index.coefficients == (((1, 1), (0, 3)), ((0, 4),), ((1, 1),))
+        thirds = model.with_rewards(
+            {("s", "a"): Fraction(-2, 3), ("s", "N"): 0, ("u", "N"): 0}
+        )
+        assert thirds._reward_numerators == ((-2, 0, 0), 3)
+        assert thirds.max_reward_magnitude() == Fraction(2, 3)

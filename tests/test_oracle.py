@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from purpose_audit import (
     Behavior,
     SizeCapExceeded,
+    Strategy,
     audit,
     enumerate_strategies,
     evaluate_strategy,
@@ -16,6 +19,7 @@ from purpose_audit import (
     solve_optimal,
     validate_model,
 )
+from purpose_audit import oracle, solve
 from purpose_audit.oracle import (
     DEFAULT_OPTIONS,
     OracleOptions,
@@ -24,14 +28,20 @@ from purpose_audit.oracle import (
     random_model,
     random_walk_behavior,
     strategy_space_size,
+    strategy_values,
 )
-from purpose_audit.solve import q_value
+
+
+def lookahead(model, values, q, a):
+    """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
+    expected = sum(p * values[t] for t, p in model.successors(q, a).items())
+    return model.reward(q, a) + model.discount * expected
 
 
 def max_q_over_strategies(model, state, action, options=DEFAULT_OPTIONS):
     """max over strategies of the one-step value of (state, action)."""
     tables = evaluate_all_strategies(model, options)
-    return max(q_value(model, table, state, action) for table in tables.values())
+    return max(lookahead(model, table, state, action) for table in tables.values())
 
 
 def flat(states, actions, rewards, gamma="1/2"):
@@ -190,3 +200,43 @@ class TestGenerators:
         for _ in range(30):
             model = random_model(rng)
             observed_choices(random_consistent_behavior(rng, model))
+
+
+class TestOracleIndependence:
+    def test_imports_nothing_from_solve(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = [
+            node.module or ""
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ] + [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        ]
+        assert not [name for name in imported if name.split(".")[-1] == "solve"]
+        assert not [
+            name
+            for name, value in vars(oracle).items()
+            if getattr(value, "__module__", None) == "purpose_audit.solve"
+        ]
+
+    def test_runs_with_the_solver_disabled(self, treat, logs, monkeypatch):
+        def disabled(*args, **kwargs):
+            raise AssertionError("the oracle called the solver")
+
+        for name, value in vars(solve).items():
+            if callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(solve, name, disabled)
+        tables = evaluate_all_strategies(treat)
+        assert oracle_useless(treat, tables=tables) == {("6", "send")}
+        assert [oracle_audit(treat, b, tables=tables) for b in logs] == [True, False]
+
+    def test_values_match_engine(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            model = random_model(rng, n_states=(2, 6), zero_reward_fraction=0.3)
+            choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
+            sigma = Strategy.from_mapping(choice, model)
+            assert strategy_values(model, sigma) == evaluate_strategy(model, sigma)

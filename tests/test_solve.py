@@ -223,12 +223,18 @@ def dense_values(model, choice):
     return {q: rows[i][n] for i, q in enumerate(states)}
 
 
+def lookahead(model, values, q, a):
+    """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
+    expected = sum(p * values[t] for t, p in model.successors(q, a).items())
+    return model.reward(q, a) + model.discount * expected
+
+
 def dense_optimal(model):
     """(V*, Q*, greedy) by policy iteration from the all-nothing strategy."""
     choice = {q: model.nothing_action for q in model.states}
     while True:
         values = dense_values(model, choice)
-        q_star = {pair: q_value(model, values, *pair) for pair in model.pairs()}
+        q_star = {pair: lookahead(model, values, *pair) for pair in model.pairs()}
         changed = False
         for q in model.states:
             best = max(model.available_actions(q), key=lambda a: q_star[(q, a)])
@@ -282,6 +288,72 @@ class TestSolverMatchesDenseReference:
         choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
         sigma = Strategy.from_mapping(choice, model)
         assert evaluate_strategy(model, sigma) == dense_values(model, choice)
+
+
+# Primes up to 10**6, so the denominators of one model are pairwise coprime
+# and every state's scale, the reward denominator and V*'s denominators are
+# products of several of them.
+COPRIME_DENOMINATORS = (
+    2, 3, 5, 7, 11, 13, 97, 101, 7919, 104729, 999953, 999959, 999961, 999979, 999983,
+)
+
+
+def coprime_model(seed, gamma):
+    """A random model whose rewards and probabilities are fractions over
+    pairwise coprime denominators, drawn without replacement."""
+    rng = random.Random(seed)
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    actions = ["a", "b"]
+    denominators = iter(rng.sample(COPRIME_DENOMINATORS, len(COPRIME_DENOMINATORS)))
+
+    def fraction(bound):
+        # A fresh denominator while they last, then small ones.
+        d = next(denominators, rng.randint(2, 9))
+        return F(rng.randint(-bound * d, bound * d), d)
+
+    transitions, rewards = {}, {}
+    for q in states:
+        for a in actions:
+            if rng.random() < 0.8:
+                support = rng.sample(states, rng.randint(1, len(states)))
+                probabilities = [abs(fraction(1)) / len(support) for _ in support[1:]]
+                transitions[(q, a)] = dict(
+                    zip(support, [1 - sum(probabilities)] + probabilities)
+                )
+                rewards[(q, a)] = 0 if rng.random() < 0.2 else fraction(12)
+    return validate_model(
+        states=states,
+        actions=actions,
+        transitions=transitions,
+        rewards=rewards,
+        discount=gamma,
+    )
+
+
+class TestRationalInputs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from((F(1, 3), F(7, 11), F(999, 1000))),
+    )
+    def test_against_plain_fractions(self, seed, gamma):
+        model = coprime_model(seed, gamma)
+        solution = solve_optimal(model)
+        v_star, q_star, greedy = dense_optimal(model)
+        assert dict(solution.v_star) == v_star
+        assert dict(solution.q_star) == q_star
+        assert dict(solution.greedy) == greedy
+        assert bellman_residual(model, solution.v_star) == 0
+        for pair in model.pairs():
+            assert q_value(model, solution.v_star, *pair) == q_star[pair]
+        assert model.max_reward_magnitude() == max(map(abs, model.rewards.values()))
+        # Off the fixed point: the residual of V* + 1 at every state.
+        shifted = {q: v + 1 for q, v in solution.v_star.items()}
+        backups = {pair: lookahead(model, shifted, *pair) for pair in model.pairs()}
+        assert bellman_residual(model, shifted) == max(
+            abs(shifted[q] - max(backups[(q, a)] for a in model.available_actions(q)))
+            for q in model.states
+        )
 
 
 class TestWarmStartedSolver:

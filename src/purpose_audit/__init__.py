@@ -10,7 +10,6 @@ only-for and not-for rules.
 from .auditing import (
     AuditOutcome,
     AuditReason,
-    FixParameters,
     PolicyRule,
     RuleKind,
     Verdict,

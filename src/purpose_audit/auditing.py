@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentBehavior
 from .model import (
+    NOTHING,
     Action,
     Behavior,
     EnvironmentModel,
@@ -59,7 +60,6 @@ from .model import (
 from .solve import (
     FLOAT_EQUALITY,
     OptimalSolution,
-    _float_discount,
     _float_values,
     solve_optimal,
 )
@@ -68,40 +68,27 @@ ONE = Fraction(1)
 TWO = Fraction(2)
 
 
-@dataclass(frozen=True)
-class FixParameters:
-    """Penalty sizing: omega = 2*r*/(1-gamma) + 1 exceeds any achievable
-    swing in total discounted reward, since values live in
-    [-r*/(1-gamma), r*/(1-gamma)]."""
+def compute_omega(model: EnvironmentModel) -> Rational:
+    """The penalty omega = 2 * r* / (1 - gamma) + 1, r* = max |r(q, a)|.
 
-    r_star: Rational
-    omega: Rational
-
-
-def compute_omega(model: EnvironmentModel) -> FixParameters:
-    """Exact penalty parameters for a model's reward table."""
-    r_star = model.max_reward_magnitude()
-    omega = TWO * r_star / (ONE - model.discount) + ONE
-    return FixParameters(r_star=r_star, omega=omega)
+    It exceeds any achievable swing in total discounted reward, since values
+    live in [-r*/(1-gamma), r*/(1-gamma)].
+    """
+    return TWO * model.max_reward_magnitude() / (ONE - model.discount) + ONE
 
 
-def compute_fix(
-    model: EnvironmentModel,
-    behavior: Behavior,
-    *,
-    parameters: FixParameters | None = None,
-) -> EnvironmentModel:
+def compute_fix(model: EnvironmentModel, behavior: Behavior) -> EnvironmentModel:
     """Rewrite rewards so optimization must respect the logged choices.
 
     At every observed state, each action other than the logged one (the
-    nothing-action included) gets reward -omega; observed pairs and unobserved
-    states keep their rewards. An empty behavior leaves the model unchanged.
-    ``parameters`` lets callers freeze omega across repeated applications.
+    nothing-action included) gets reward -omega, with omega from
+    :func:`compute_omega` on ``model``; observed pairs and unobserved states
+    keep their rewards. An empty behavior leaves the model unchanged.
     """
     constraints = observed_choices(behavior)
     if not constraints:
         return model
-    omega = (parameters or compute_omega(model)).omega
+    omega = compute_omega(model)
     rewards = {
         (q, a): (-omega if q in constraints and a != constraints[q] else r)
         for (q, a), r in model.rewards.items()
@@ -155,12 +142,6 @@ class AuditOutcome:
         return None if self.penalised is None else self.penalised()
 
 
-def _leq_zero(value, mode: str, scale: float) -> bool:
-    if mode == "exact":
-        return value <= 0
-    return float(value) <= FLOAT_EQUALITY * scale
-
-
 def _floats_equal(left, right) -> bool:
     tolerance = FLOAT_EQUALITY * max(1.0, abs(float(left)), abs(float(right)))
     return abs(float(left) - float(right)) <= tolerance
@@ -175,10 +156,11 @@ def audit(
 ) -> AuditOutcome:
     """Decide whether the behavior could come from planning for this purpose.
 
-    ``solution`` may carry a precomputed optimal solution for ``model`` (it
-    must match the mode); batch callers auditing many behaviors against one
-    model should pass it. Float mode is advisory: its comparisons use
-    tolerances where exact mode uses equality of rationals.
+    ``solution`` may carry a precomputed optimal solution for ``model``, from
+    the solver ``mode`` names (ValueError otherwise); batch callers auditing
+    many behaviors against one model should pass it. Float mode is advisory:
+    its comparisons use tolerances where exact mode uses equality of
+    rationals.
     """
     validate_behavior(model, behavior)
     return _decide(model, behavior, mode, solution)
@@ -191,17 +173,17 @@ def _decide(
     solution: OptimalSolution | None,
 ) -> AuditOutcome:
     """The audit of a behavior already validated against ``model``; the
-    model is solved here when ``solution`` is None."""
-    solution = solution or solve_optimal(model, mode=mode)
-    scale = 1.0
-    if mode != "exact":
-        top = model.max_reward_magnitude()
-        scale = max(1.0, float(top) / (1.0 - _float_discount(model, top)))
+    model is solved here when ``solution`` is None. A given solution must
+    come from the solver ``mode`` names (ValueError otherwise)."""
+    if solution is None:
+        solution = solve_optimal(model, mode=mode)
+    elif solution.mode != mode:
+        raise ValueError(
+            f"solution mode {solution.mode!r} does not match audit mode {mode!r}"
+        )
 
     for q, a in behavior.pairs():
-        if a == model.nothing_action:
-            continue
-        if _leq_zero(solution.q_star[(q, a)], mode, scale):
+        if a != NOTHING and solution.q_star[(q, a)] <= solution.tolerance:
             return AuditOutcome(
                 empty_intersection=True,
                 reason=AuditReason.STEP_ONE_USELESS,
@@ -224,7 +206,7 @@ def _decide(
         )
 
     if mode != "exact":
-        return _penalised_comparison(model, behavior, choices, solution, mode)
+        return _penalised_comparison(model, behavior, choices, solution)
 
     def penalised():
         return solve_optimal(compute_fix(model, behavior), mode=mode).v_star
@@ -295,7 +277,6 @@ def _penalised_comparison(
     behavior: Behavior,
     choices: Mapping[State, Action],
     solution: OptimalSolution,
-    mode: str,
 ) -> AuditOutcome:
     """Step two by the paper's construction, for float mode: solve the
     penalised model and compare optimal values state by state.
@@ -306,8 +287,6 @@ def _penalised_comparison(
     values, the range checks and the stop test are those of solving
     ``compute_fix(model, behavior)`` in float mode, bit for bit.
     """
-    if mode != "float":
-        raise ValueError(f"unknown solver mode {mode!r}")
     index = model._index
     penalised_pairs = []
     for q, logged in choices.items():
@@ -315,7 +294,7 @@ def _penalised_comparison(
         for a, (k, _) in zip(index.available[i], index.rows[i]):
             if a != logged:
                 penalised_pairs.append(k)
-    omega = compute_omega(model).omega
+    omega = compute_omega(model)
     # The penalised table's max |r|: omega exceeds every |r| once it is used.
     top = omega if penalised_pairs else model.max_reward_magnitude()
 
@@ -335,7 +314,7 @@ def _penalised_comparison(
                 reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
                 witness_state=q,
                 v_star=solution.v_star,
-                mode=mode,
+                mode="float",
                 penalised=lambda: fixed_v_star,
             )
     return AuditOutcome(
@@ -343,7 +322,7 @@ def _penalised_comparison(
         reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
         witness_state=behavior.start,
         v_star=solution.v_star,
-        mode=mode,
+        mode="float",
         penalised=lambda: fixed_v_star,
     )
 
@@ -419,8 +398,8 @@ def check(
     an allowed purpose does not rule out an ulterior one, and a fit to a
     prohibited one does not prove it was pursued. The purposes must share
     one structure, so the behavior is validated once. ``solutions`` may map
-    purposes to precomputed optimal solutions, as ``audit``'s ``solution``
-    does; missing ones are solved here.
+    purposes to precomputed optimal solutions, which must match ``mode`` as
+    ``audit``'s ``solution`` must; missing ones are solved here.
     """
     missing = [p for p in rule.purposes if p not in models]
     if missing:
@@ -465,8 +444,9 @@ def triage(
     purpose explains it away. With no allowed purposes the check reduces to
     the prohibited-purpose audit alone. The models must share one structure,
     so the behavior is validated once. The optional solutions are
-    precomputed optimal solutions, ``allowed_solutions`` one per allowed
-    model in order (ValueError, before any decision, if the counts differ).
+    precomputed optimal solutions of ``mode``, ``allowed_solutions`` one per
+    allowed model in order (ValueError, before any decision, if the counts
+    differ).
     """
     allowed = list(allowed)
     if allowed_solutions is None:

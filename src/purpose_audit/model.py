@@ -30,7 +30,7 @@ State = str
 Action = str
 Rational = Fraction
 
-#: Default name of the distinguished do-nothing action.
+#: The distinguished do-nothing action.
 NOTHING = "N"
 
 ONE = Fraction(1)
@@ -207,6 +207,7 @@ class EnvironmentModel:
 
     ``transitions`` maps each defined (state, action) pair to a distribution
     over successor states; ``rewards`` is defined on exactly the same pairs.
+    Every state has the pair (q, ``NOTHING``), a zero-reward self-loop.
     Instances are immutable; construct them through :func:`validate_model`.
     ``_index`` is the structure's :class:`StructureIndex`, carried over by
     ``with_rewards`` and ``dataclasses.replace`` and rebuilt when the
@@ -218,7 +219,6 @@ class EnvironmentModel:
     transitions: Mapping[tuple[State, Action], Mapping[State, Rational]]
     rewards: Mapping[tuple[State, Action], Rational]
     discount: Rational
-    nothing_action: Action = NOTHING
     _index: StructureIndex | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -258,7 +258,6 @@ class EnvironmentModel:
             transitions=self.transitions,
             rewards=table,
             discount=self.discount,
-            nothing_action=self.nothing_action,
             _index=self._index,
         )
 
@@ -310,25 +309,16 @@ def validate_model(
     transitions: Mapping | None = None,
     rewards: Mapping | None = None,
     discount=None,
-    nothing_action: Action = NOTHING,
-    complete_missing_actions: bool = False,
     fill_missing_rewards: bool = False,
-    nothing_states: Iterable[State] | None = None,
 ) -> EnvironmentModel:
     """Validate a model description and return an immutable model.
 
-    The nothing-action is auto-completed (zero-reward self-loop) at any state
-    that omits it; a user-supplied nothing row must already be a self-loop,
-    and a nothing-action reward must be zero whether its row was supplied or
-    completed. ``complete_missing_actions`` additionally adds zero-reward
-    self-loops for every other action missing at a state, matching diagrams
-    that leave such loops implicit. ``fill_missing_rewards`` defaults omitted
-    rewards on defined pairs to zero instead of raising DomainMismatch.
-
-    ``nothing_states`` is a documented extension, off by default: when given,
-    the nothing-action is only auto-completed at those states, so stopping is
-    not available everywhere; ``complete_missing_actions`` does not add it
-    elsewhere either. Every state must still end up with at least one action.
+    Every model has the nothing-action ``NOTHING`` as a zero-reward self-loop
+    at every state, so every state has an available action: it is completed
+    where a state omits it, a supplied nothing row must already be that
+    self-loop, and a nothing-action reward must be zero whether its row was
+    supplied or completed. ``fill_missing_rewards`` defaults omitted rewards
+    on defined pairs to zero instead of raising DomainMismatch.
     """
     if states is None or actions is None or transitions is None or discount is None:
         raise ModelError("states, actions, transitions and discount are all required")
@@ -337,8 +327,8 @@ def validate_model(
     if not state_list:
         raise ModelError("a model needs at least one state")
     action_list = list(dict.fromkeys(actions))
-    if nothing_action not in action_list:
-        action_list.append(nothing_action)
+    if NOTHING not in action_list:
+        action_list.append(NOTHING)
     action_tuple = tuple(action_list)
     state_set = set(state_list)
 
@@ -360,49 +350,28 @@ def validate_model(
                 )
         transition_table[(q, a)] = cleaned
 
-    # The nothing-action is owned by the model: verify supplied rows, then
-    # complete the missing ones.
-    allowed_nothing = state_set if nothing_states is None else set(nothing_states)
     for q in state_list:
-        key = (q, nothing_action)
-        if key in transition_table:
-            if transition_table[key] != {q: ONE}:
-                raise NothingActionConflict(
-                    f"nothing-action at {q!r} must be a self-loop with probability 1"
-                )
-        elif q in allowed_nothing:
-            transition_table[key] = {q: ONE}
-
-    reward_table = dict(rewards or {})
-    if complete_missing_actions:
-        for q in state_list:
-            for a in action_tuple:
-                if a == nothing_action and q not in allowed_nothing:
-                    continue
-                if (q, a) not in transition_table:
-                    transition_table[(q, a)] = {q: ONE}
-                    reward_table.setdefault((q, a), ZERO)
-
-    ordered_transitions: dict[tuple[State, Action], Mapping[State, Rational]] = {}
-    for q in state_list:
-        if not any((q, a) in transition_table for a in action_tuple):
-            raise ModelError(f"state {q!r} has no available actions")
-        for a in action_tuple:
-            if (q, a) in transition_table:
-                ordered_transitions[(q, a)] = transition_table[(q, a)]
+        if transition_table.setdefault((q, NOTHING), {q: ONE}) != {q: ONE}:
+            raise NothingActionConflict(
+                f"nothing-action at {q!r} must be a self-loop with probability 1"
+            )
 
     structure = EnvironmentModel(
         states=state_list,
         actions=action_tuple,
-        transitions=ordered_transitions,
+        transitions={
+            (q, a): transition_table[(q, a)]
+            for q in state_list
+            for a in action_tuple
+            if (q, a) in transition_table
+        },
         rewards={},
         discount=gamma,
-        nothing_action=nothing_action,
     )
     return replace(
         structure,
         rewards=_reward_table(
-            structure, reward_table, fill_missing=fill_missing_rewards
+            structure, rewards or {}, fill_missing=fill_missing_rewards
         ),
     )
 
@@ -422,8 +391,7 @@ def _reward_table(
     table = {pair: as_rational(r) for pair, r in rewards.items()}
     transitions = structure.transitions
     for q in structure.states:
-        key = (q, structure.nothing_action)
-        if table.get(key, ZERO) != 0 and key in transitions:
+        if table.get((q, NOTHING), ZERO) != 0:
             raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
     for pair in table:
         if pair not in transitions:
@@ -432,7 +400,7 @@ def _reward_table(
     for pair in transitions:
         reward = table.get(pair)
         if reward is None:
-            if not fill_missing and pair[1] != structure.nothing_action:
+            if not fill_missing and pair[1] != NOTHING:
                 raise DomainMismatch(f"transition defined for {pair} but no reward is")
             reward = ZERO
         ordered[pair] = reward

@@ -37,6 +37,7 @@ from .errors import AlternationError, BehaviorError, ParseError
 from .model import (  # the literal caps are re-exported: they bound this format
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
+    NOTHING,
     Action,
     Behavior,
     EnvironmentModel,
@@ -194,12 +195,12 @@ def format_model_document(models: Mapping[str, EnvironmentModel]) -> str:
     lines = [
         f"gamma: {_format_rational(first.discount)}",
         "states: " + " ".join(first.states),
-        "actions: " + " ".join(a for a in first.actions if a != first.nothing_action),
+        "actions: " + " ".join(a for a in first.actions if a != NOTHING),
         "",
     ]
     position = {q: i for i, q in enumerate(first.states)}
     for q, a in first.pairs():
-        if a == first.nothing_action:
+        if a == NOTHING:
             continue
         targets = ", ".join(
             f"{target} {_format_rational(p)}"
@@ -212,7 +213,7 @@ def format_model_document(models: Mapping[str, EnvironmentModel]) -> str:
         lines.append("")
         lines.append(f"purpose: {name}")
         for q, a in model.pairs():
-            if a == model.nothing_action:
+            if a == NOTHING:
                 continue
             reward = model.reward(q, a)
             if reward != 0:

@@ -22,6 +22,7 @@ from enum import Enum
 
 from .errors import SizeCapExceeded
 from .model import (
+    NOTHING,
     Action,
     EnvironmentModel,
     State,
@@ -56,12 +57,12 @@ def useless_pairs(
     return frozenset(
         (q, a)
         for (q, a) in model.pairs()
-        if a != model.nothing_action and solution.q_star[(q, a)] <= 0
+        if a != NOTHING and solution.q_star[(q, a)] <= 0
     )
 
 
 def replace_useless_with_nothing(
-    strategy: Strategy, useless: frozenset[tuple[State, Action]], nothing: Action
+    strategy: Strategy, useless: frozenset[tuple[State, Action]]
 ) -> Strategy:
     """Swap every useless choice for the nothing-action.
 
@@ -70,7 +71,7 @@ def replace_useless_with_nothing(
     """
     return Strategy(
         tuple(
-            (q, nothing if (q, a) in useless else a)
+            (q, NOTHING if (q, a) in useless else a)
             for q, a in strategy.assignments
         )
     )
@@ -123,10 +124,7 @@ def _check_dominated_from(
     except _Unresolved as unresolved:
         (branch,) = unresolved.args
     else:
-        nothing = model.nothing_action
-        order = compare_active(
-            active_tokens(small_trace, nothing), active_tokens(large_trace, nothing)
-        )
+        order = compare_active(active_tokens(small_trace), active_tokens(large_trace))
         if order not in (TraceOrder.EQUAL, TraceOrder.PROPER):
             raise _Refuted
         return
@@ -148,7 +146,6 @@ def _sampled_refutation(
     definite failure counts, so a True here is a genuine counterexample.
     """
     rng = random.Random(options.seed)
-    nothing = model.nothing_action
     for _ in range(options.occurrence_samples):
         contingency = SampledContingency(model, rng)
         for start in model.states:
@@ -158,9 +155,7 @@ def _sampled_refutation(
             large = simulate(
                 model, larger, contingency, start, horizon=options.horizon
             )
-            order = compare_active(
-                active_tokens(small, nothing), active_tokens(large, nothing)
-            )
+            order = compare_active(active_tokens(small), active_tokens(large))
             if order is TraceOrder.NEITHER:
                 return True
     return False

@@ -19,6 +19,7 @@ from itertools import product
 
 from .errors import InconsistentBehavior, SizeCapExceeded
 from .model import (
+    NOTHING,
     Action,
     Behavior,
     EnvironmentModel,
@@ -148,7 +149,7 @@ def oracle_useless(
     tables = tables if tables is not None else evaluate_all_strategies(model, options)
     useless = set()
     for q, a in model.pairs():
-        if a == model.nothing_action:
+        if a == NOTHING:
             continue
         # r(q, a) + sum of gamma * t(q, a)(q') * V(q'), under each strategy.
         successors = model.transitions[(q, a)].items()
@@ -307,7 +308,7 @@ def random_consistent_behavior(
     q = start
     for _ in range(rng.randint(0, max_length)):
         a = choice[q]
-        if a == model.nothing_action:
+        if a == NOTHING:
             steps.append((a, q))
             break
         target = _random_successor(rng, model, q, a)

@@ -72,12 +72,20 @@ ValueTable = Mapping[State, Rational]
 
 @dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal values, Q-values and the per-state set of maximizing actions."""
+    """Optimal values, Q-values and the per-state set of maximizing actions.
+
+    ``mode`` is the solver that produced them, "exact" or "float".
+    ``tolerance`` is how far apart two of its values may be and still count
+    as equal: 0 in exact mode, and in float mode ``FLOAT_EQUALITY`` times the
+    scale max(1, max |r| / (1 - gamma)). The greedy sets hold the actions
+    whose Q-value is within it of V*.
+    """
 
     v_star: Mapping[State, Rational]
     q_star: Mapping[tuple[State, Action], Rational]
     greedy: Mapping[State, tuple[Action, ...]]
     mode: str
+    tolerance: Rational | float
 
 
 def solve_linear_system(
@@ -348,7 +356,9 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
                 q_star[pair] = Fraction(q[k], factor * denominator)
         greedy[state] = tuple(actions)
     v_star = dict(zip(model.states, values))
-    return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="exact")
+    return OptimalSolution(
+        v_star=v_star, q_star=q_star, greedy=greedy, mode="exact", tolerance=0
+    )
 
 
 def _sweeps(
@@ -499,7 +509,9 @@ def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
         q: tuple(a for a in actions if abs(q_star[(q, a)] - v_star[q]) <= tolerance)
         for q, actions in zip(model.states, index.available)
     }
-    return OptimalSolution(v_star=v_star, q_star=q_star, greedy=greedy, mode="float")
+    return OptimalSolution(
+        v_star=v_star, q_star=q_star, greedy=greedy, mode="float", tolerance=tolerance
+    )
 
 
 def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSolution:

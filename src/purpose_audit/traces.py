@@ -103,7 +103,6 @@ def simulate(
     )
 
     choice = strategy.as_dict()
-    nothing = model.nothing_action
     steps: list[tuple[Action, State]] = []
     seen: dict[State, int] = {}
     occurrences: dict[tuple[State, Action], int] = {}
@@ -111,8 +110,8 @@ def simulate(
     position = 0
     while True:
         action = choice[q]
-        if action == nothing:
-            steps.append((nothing, q))
+        if action == NOTHING:
+            steps.append((NOTHING, q))
             return ExecutionPrefix(
                 Behavior(start, tuple(steps)), Termination.NOTHING_ABSORBED
             )
@@ -146,9 +145,7 @@ def simulate(
         position += 1
 
 
-def active_prefix(
-    execution: ExecutionPrefix | Behavior, nothing: Action = NOTHING
-) -> Behavior:
+def active_prefix(execution: ExecutionPrefix | Behavior) -> Behavior:
     """The stored tokens before the first nothing-action.
 
     Equals the input behavior when no nothing-action occurs in it.
@@ -157,7 +154,7 @@ def active_prefix(
         execution.behavior if isinstance(execution, ExecutionPrefix) else execution
     )
     for i, (action, _) in enumerate(behavior.steps):
-        if action == nothing:
+        if action == NOTHING:
             return Behavior(behavior.start, behavior.steps[:i])
     return behavior
 
@@ -179,12 +176,10 @@ class ActiveTokens:
         return self.complete and self.period is None
 
 
-def active_tokens(
-    execution: ExecutionPrefix, nothing: Action = NOTHING
-) -> ActiveTokens:
+def active_tokens(execution: ExecutionPrefix) -> ActiveTokens:
     tokens = execution.behavior.tokens()
     for step, action in enumerate(execution.behavior.actions()):
-        if action == nothing:
+        if action == NOTHING:
             # Tokens before the first nothing-action: [q0 .. q_step].
             return ActiveTokens(tuple(tokens[: 2 * step + 1]), None, True)
     if execution.termination is Termination.LOOP_DETECTED:
@@ -282,18 +277,14 @@ def compare_active(left: ActiveTokens, right: ActiveTokens) -> TraceOrder:
     return TraceOrder.UNDECIDED
 
 
-def is_proper_subexecution(
-    first: ExecutionPrefix, second: ExecutionPrefix, nothing: Action = NOTHING
-) -> bool:
+def is_proper_subexecution(first: ExecutionPrefix, second: ExecutionPrefix) -> bool:
     """Whether the first execution's active part is a strict subsequence of
     the second's.
 
     Raises IndeterminateComparison when a horizon cut on either side prevents
     a verdict.
     """
-    order = compare_active(
-        active_tokens(first, nothing), active_tokens(second, nothing)
-    )
+    order = compare_active(active_tokens(first), active_tokens(second))
     if order is TraceOrder.UNDECIDED:
         raise IndeterminateComparison(
             "horizon-cut execution prefix: comparison undecided"

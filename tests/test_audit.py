@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
+    NOTHING,
     AuditReason,
     Behavior,
     BehaviorError,
@@ -39,27 +40,24 @@ F = Fraction
 class TestComputeOmega:
     def test_all_zero_rewards(self, treat):
         zeroed = treat.with_rewards({pair: 0 for pair in treat.transitions})
-        params = compute_omega(zeroed)
-        assert params.r_star == 0
-        assert params.omega == 1
+        assert zeroed.max_reward_magnitude() == 0
+        assert compute_omega(zeroed) == 1
 
     def test_treat_fixture(self, treat):
-        params = compute_omega(treat)
-        assert params.r_star == 12
-        assert params.omega == 241
+        assert treat.max_reward_magnitude() == 12
+        assert compute_omega(treat) == 241
 
     def test_profit_uses_its_own_table(self, profit):
         # r* comes from the reward table actually passed.
-        params = compute_omega(profit)
-        assert params.r_star == 12
-        assert params.omega == 241
+        assert profit.max_reward_magnitude() == 12
+        assert compute_omega(profit) == 241
 
     def test_strict_bound(self):
         rng = random.Random(43)
         for _ in range(20):
             model = random_model(rng)
-            params = compute_omega(model)
-            assert params.omega > 2 * params.r_star / (1 - model.discount)
+            r_star = model.max_reward_magnitude()
+            assert compute_omega(model) > 2 * r_star / (1 - model.discount)
 
 
 class TestComputeFix:
@@ -69,7 +67,7 @@ class TestComputeFix:
     def test_b1_rewrites(self, treat, logs):
         b1, _ = logs
         fixed = compute_fix(treat, b1)
-        omega = compute_omega(treat).omega
+        omega = compute_omega(treat)
         assert fixed.reward("2", "diagnose") == -omega
         assert fixed.reward("2", "send") == treat.reward("2", "send")
         assert fixed.reward("2", "N") == -omega
@@ -81,13 +79,6 @@ class TestComputeFix:
         # Structure is untouched.
         assert fixed.transitions == treat.transitions
         assert fixed.discount == treat.discount
-
-    def test_idempotent_with_frozen_omega(self, treat, logs):
-        b1, _ = logs
-        params = compute_omega(treat)
-        once = compute_fix(treat, b1, parameters=params)
-        twice = compute_fix(once, b1, parameters=params)
-        assert once == twice
 
     def test_inconsistent_behavior_rejected(self, treat):
         clash = Behavior.from_tokens(
@@ -182,8 +173,8 @@ class TestAudit:
         assert audit(treat, b1, mode="float").mode == "float"
 
     def test_float_audit_refuses_discount_that_rounds_to_one(self):
-        # The float scale divides by 1 - float(gamma); a given solution must
-        # not skip the check that solving in float mode would make.
+        # Float mode divides by 1 - float(gamma), so solving refuses this
+        # discount; an exact solution cannot stand in for the float one.
         model = validate_model(
             states=["s"],
             actions=["go"],
@@ -191,10 +182,19 @@ class TestAudit:
             rewards={("s", "go"): 1},
             discount=1 - F(1, 10**20),
         )
-        solution = solve_optimal(model)
         behavior = Behavior.from_tokens(["s", "go", "s"])
         with pytest.raises(ConvergenceError, match="rounds to 1.0"):
-            audit(model, behavior, mode="float", solution=solution)
+            audit(model, behavior, mode="float")
+        with pytest.raises(ValueError, match="solution mode 'exact'"):
+            audit(model, behavior, mode="float", solution=solve_optimal(model))
+
+    @pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
+    def test_solution_of_the_other_mode_rejected(self, treat, logs, mode, other):
+        # A verdict labelled with one mode must be decided in that mode.
+        b1, _ = logs
+        solution = solve_optimal(treat, mode=other)
+        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
+            audit(treat, b1, mode=mode, solution=solution)
 
     def test_batch_preserves_order(self, treat, logs):
         b1, b2 = logs
@@ -218,6 +218,17 @@ class TestPolicyChecks:
         verdict = check_restrictive(physician, rule, b2)
         assert verdict.status is VerdictStatus.INCONCLUSIVE
 
+    @pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
+    def test_solution_of_the_other_mode_rejected(self, physician, logs, mode, other):
+        b1, _ = logs
+        rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
+        solutions = {
+            "treat": solve_optimal(physician["treat"], mode=mode),
+            "profit": solve_optimal(physician["profit"], mode=other),
+        }
+        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
+            check_restrictive(physician, rule, b1, mode=mode, solutions=solutions)
+
     def test_not_for_profit(self, physician, logs):
         b1, b2 = logs
         rule = PolicyRule(RuleKind.PROHIBITIVE, ("profit",))
@@ -228,7 +239,7 @@ class TestPolicyChecks:
         # A purpose whose every real action hurts: any active log is not for it.
         hopeless = treat.with_rewards(
             {
-                (q, a): (0 if a == treat.nothing_action else -1)
+                (q, a): (0 if a == NOTHING else -1)
                 for (q, a) in treat.transitions
             }
         )
@@ -458,6 +469,28 @@ class TestTriage:
             triage(profit, [treat], b2, allowed_solutions=[solution] * count)
         assert decided == []
 
+    @pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
+    def test_solution_of_the_other_mode_rejected(self, treat, profit, logs, mode, other):
+        _, b2 = logs
+        own = solve_optimal(treat, mode=mode)
+        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
+            triage(
+                profit,
+                [treat],
+                b2,
+                mode=mode,
+                prohibited_solution=solve_optimal(profit, mode=other),
+                allowed_solutions=[own],
+            )
+        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
+            triage(
+                profit,
+                [treat],
+                b2,
+                mode=mode,
+                allowed_solutions=[solve_optimal(treat, mode=other)],
+            )
+
 
 class TestFixProperties:
     """Randomized checks of the penalty construction."""
@@ -526,7 +559,7 @@ class TestFloatModeDefects:
     def test_fitting_log_is_not_a_gap(self):
         rng = random.Random(2)
         model = random_model(rng, n_states=(4, 6), gammas=(F(9, 10),))
-        trap = next(pair for pair in model.pairs() if pair[1] != model.nothing_action)
+        trap = next(pair for pair in model.pairs() if pair[1] != NOTHING)
         model = model.with_rewards({**model.rewards, trap: -120})
         solution = solve_optimal(model)
         choice = {q: solution.greedy[q][0] for q in model.states}

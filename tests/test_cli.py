@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import io
 import json
-
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from purpose_audit import ConvergenceError, parse_model, solve_optimal
 from purpose_audit.cli import main
+
+# Command line (fixture name, command, options) -> its full stdout on the
+# bundled example files.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,24 @@ class TestValidate:
         code, _, err = run("validate", "/nonexistent.model")
         assert code == 1
         assert err
+
+
+class TestGoldenOutput:
+    """The whole stdout of audit, check and triage on the physician and
+    travel examples, in exact and float mode, as text and as --json, is
+    pinned byte for byte."""
+
+    @pytest.mark.parametrize("command_line", sorted(GOLDEN))
+    def test_stdout(self, example_dir, command_line):
+        fixture, command, *options = command_line.split()
+        code, out, err = run(
+            command,
+            str(example_dir / f"{fixture}.model"),
+            str(example_dir / f"{fixture}.log"),
+            *options,
+        )
+        assert (code, err) == (0, "")
+        assert out == GOLDEN[command_line]
 
 
 class TestSolve:

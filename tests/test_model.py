@@ -145,39 +145,9 @@ class TestValidateModel:
         )
         assert model.successors("s", "N") == {"s": Fraction(1)}
 
-    def test_complete_missing_actions_adds_self_loops(self):
-        model = tiny(complete_missing_actions=True)
-        assert model.successors("u", "a") == {"u": Fraction(1)}
-        assert model.reward("u", "a") == 0
-
-    def test_nothing_states_restriction(self):
-        # Documented extension: stopping only where listed.
-        model = tiny(
-            transitions={("s", "a"): {"u": 1}, ("u", "a"): {"u": 1}},
-            rewards={("s", "a"): 1, ("u", "a"): 0},
-            nothing_states=["u"],
-        )
-        assert ("s", "N") not in model.transitions
-        assert ("u", "N") in model.transitions
-
-    def test_completion_keeps_nothing_states_restriction(self):
-        model = tiny(nothing_states=["u"], complete_missing_actions=True)
-        assert model.available_actions("s") == ("a",)
-        assert ("s", "N") not in model.transitions
-
-    def test_completion_adds_nothing_at_nothing_states(self):
-        model = tiny(nothing_states=["u"], complete_missing_actions=True)
-        assert model.available_actions("u") == ("a", "N")
-        assert model.successors("u", "N") == {"u": Fraction(1)}
-        assert model.reward("u", "N") == 0
-
     def test_unknown_target_state_rejected(self):
         with pytest.raises(ModelError):
             tiny(transitions={("s", "a"): {"x": 1}})
-
-    def test_state_without_actions_rejected(self):
-        with pytest.raises(ModelError):
-            tiny(nothing_states=[], transitions={("s", "a"): {"u": 1}})
 
 
 class TestStrategy:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
+    NOTHING,
     AlternationError,
     DomainMismatch,
     NothingActionConflict,
@@ -214,12 +215,65 @@ def reward_family(seed: int, count: int) -> dict:
     return {
         f"p{i}": model.with_rewards(
             {
-                (q, a): 0 if a == model.nothing_action else rng.randint(-9, 9)
+                (q, a): 0 if a == NOTHING else rng.randint(-9, 9)
                 for q, a in model.transitions
             }
         )
         for i in range(count)
     }
+
+
+class TestNothingAtEveryState:
+    """Every validated model, built directly or parsed from a document, has
+    (q, N) -> {q: 1} with reward 0 at every state, so no state is left
+    without an available action; a declared N row that is not that
+    self-loop is rejected."""
+
+    @staticmethod
+    def _model(seed: int, presence: float):
+        # A low action presence leaves states with no action but N.
+        return random_model(
+            random.Random(seed), action_presence=presence, zero_reward_fraction=0.3
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from((0.2, 0.5, 0.85)))
+    def test_self_loop_with_reward_zero(self, seed, presence):
+        built = self._model(seed, presence)
+        models = [built]
+        if any(a != NOTHING for _, a in built.transitions):
+            models.append(parse_model(format_model_document({"p": built}))["p"])
+        for model in models:
+            for q in model.states:
+                assert NOTHING in model.available_actions(q)
+                assert model.successors(q, NOTHING) == {q: 1}
+                assert model.reward(q, NOTHING) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from((0.2, 0.5, 0.85)), st.data())
+    def test_declared_non_self_loop_rejected(self, seed, presence, data):
+        model = self._model(seed, presence)
+        q = data.draw(st.sampled_from(model.states))
+        other = data.draw(st.sampled_from([t for t in model.states if t != q]))
+        row = data.draw(
+            st.sampled_from(
+                [{other: Fraction(1)}, {q: Fraction(1, 2), other: Fraction(1, 2)}]
+            )
+        )
+        targets = ", ".join(f"{t} {p}" for t, p in row.items())
+        lines = format_model_document({"p": model}).split("\n")
+        # After the gamma, states and actions lines.
+        lines.insert(3, f"transition: {q} {NOTHING} -> {targets}")
+        with pytest.raises(NothingActionConflict, match=repr(q)):
+            parse_model("\n".join(lines))
+        with pytest.raises(NothingActionConflict, match=repr(q)):
+            validate_model(
+                states=model.states,
+                actions=model.actions,
+                transitions={**model.transitions, (q, NOTHING): row},
+                rewards=model.rewards,
+                discount=model.discount,
+            )
 
 
 class TestSharedStructure:

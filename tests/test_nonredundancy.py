@@ -53,7 +53,7 @@ class TestUselessReplacement:
             checked += 1
             choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
             sigma = Strategy.from_mapping(choice, model)
-            swapped = replace_useless_with_nothing(sigma, useless, model.nothing_action)
+            swapped = replace_useless_with_nothing(sigma, useless)
             before = evaluate_strategy(model, sigma)
             after = evaluate_strategy(model, swapped)
             assert all(after[q] >= before[q] for q in model.states)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from purpose_audit import (
     AuditReason,
@@ -122,9 +122,9 @@ class TestOmegaInvariants:
     @given(seeds)
     def test_omega_exceeds_twice_value_bound(self, seed):
         model = random_model(random.Random(seed))
-        params = compute_omega(model)
-        assert params.omega > 2 * params.r_star / (1 - model.discount)
-        assert params.r_star == max(abs(r) for r in model.rewards.values())
+        r_star = model.max_reward_magnitude()
+        assert compute_omega(model) > 2 * r_star / (1 - model.discount)
+        assert r_star == max(abs(r) for r in model.rewards.values())
 
 
 class TestAuditInvariants:
@@ -144,7 +144,7 @@ class TestAuditInvariants:
         behavior = random_consistent_behavior(rng, model)
         constraints = observed_choices(behavior)
         fixed = compute_fix(model, behavior)
-        omega = compute_omega(model).omega
+        omega = compute_omega(model)
         for (q, a), reward in model.rewards.items():
             if q in constraints and a != constraints[q]:
                 assert fixed.reward(q, a) == -omega
@@ -341,6 +341,56 @@ class TestFloatModeIsBitIdentical:
             reason, witness, fixed = self._expected(model, behavior, v_star)
             assert (outcome.reason, outcome.witness_state) == (reason, witness)
             assert hexed(outcome.v_star_fixed) == hexed(fixed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from(GAMMAS),
+        st.sampled_from((0.3, 0.6)),
+        st.sampled_from((Fraction(-1, 2), 0, Fraction(1, 2), 2)),
+    )
+    def test_step_one_threshold(self, seed, gamma, zero_fraction, near):
+        # Float step one reads a logged non-N pair as useless when its float
+        # Q* is at most 1e-6 * max(1, max |r| / (1 - gamma)), all in floats.
+        rng = random.Random(seed)
+        model = random_model(
+            rng, n_states=(2, 6), gammas=(gamma,), zero_reward_fraction=zero_fraction
+        )
+        candidates = [pair for pair in model.pairs() if pair[1] != "N"]
+        assume(candidates)
+        # A near tie: with (q, a) too costly to be optimal, V* does not depend
+        # on its reward, so the reward eps - gamma * sum p V*(q') puts Q*(q, a)
+        # at eps, `near` times the threshold, whenever V*(q) >= eps.
+        q, a = rng.choice(candidates)
+        top = model.max_reward_magnitude()
+        penalty = -2 * top / (1 - gamma) - 1
+        v = solve_optimal(model.with_rewards({**model.rewards, (q, a): penalty})).v_star
+        eps = near * Fraction(1, 10**6) * max(1, top / (1 - gamma))
+        backup = gamma * sum(p * v[t] for t, p in model.successors(q, a).items())
+        model = model.with_rewards({**model.rewards, (q, a): eps - backup})
+
+        top = float(max(abs(r) for r in model.rewards.values()))
+        threshold = 1e-6 * max(1.0, top / (1 - float(gamma)))
+        _, q_star, _ = reference_value_iteration(model)
+        solution = solve_optimal(model, mode="float")
+        exact = solve_optimal(model)
+        behaviors = [Behavior(q, ((a, rng.choice(sorted(model.successors(q, a)))),))]
+        for _ in range(3):
+            behaviors.append(
+                TestExactDecisionMatchesPenalisedModel._mostly_greedy_walk(
+                    rng, model, exact
+                )
+            )
+        for behavior in behaviors:
+            useless = [
+                pair
+                for pair in behavior.pairs()
+                if pair[1] != "N" and q_star[pair] <= threshold
+            ]
+            outcome = audit(model, behavior, mode="float", solution=solution)
+            assert (outcome.reason is AuditReason.STEP_ONE_USELESS) == bool(useless)
+            if useless:
+                assert (outcome.witness_state, outcome.witness_action) == useless[0]
 
     def test_log_without_observed_choice(self):
         model = random_model(random.Random(5), n_states=(3, 3))

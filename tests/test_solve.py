@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from purpose_audit import (
+    NOTHING,
     Strategy,
     UndefinedPair,
     bellman_residual,
@@ -179,7 +180,7 @@ class TestRandomizedSolverProperties:
             before = evaluate_strategy(model, sigma)
             q = rng.choice(model.states)
             bumped = dict(model.rewards)
-            if choice[q] == model.nothing_action:
+            if choice[q] == NOTHING:
                 continue
             bumped[(q, choice[q])] += 1
             after = evaluate_strategy(model.with_rewards(bumped), sigma)
@@ -231,7 +232,7 @@ def lookahead(model, values, q, a):
 
 def dense_optimal(model):
     """(V*, Q*, greedy) by policy iteration from the all-nothing strategy."""
-    choice = {q: model.nothing_action for q in model.states}
+    choice = {q: NOTHING for q in model.states}
     while True:
         values = dense_values(model, choice)
         q_star = {pair: lookahead(model, values, *pair) for pair in model.pairs()}

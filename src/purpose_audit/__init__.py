@@ -15,7 +15,6 @@ from .auditing import (
     Verdict,
     VerdictStatus,
     audit,
-    audit_batch,
     check,
     check_prohibitive,
     check_restrictive,
@@ -77,7 +76,6 @@ from .solve import (
 from .traces import (
     ExecutionPrefix,
     SampledContingency,
-    StationaryContingency,
     Termination,
     active_prefix,
     is_proper_subexecution,

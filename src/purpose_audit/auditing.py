@@ -12,17 +12,23 @@ from the logged action at an observed state costs a penalty no plan can
 absorb, and the log fits iff the penalised optimum equals the original one at
 every state, so a gap at any state proves emptiness.
 
-Exact mode reads the same answer off the one solution already computed. A
-stationary strategy is optimal iff it picks an argmax-Q* action at every
-state, so the log fits iff every logged action lies in the greedy set of its
-state: O(|b|) lookups. Otherwise the penalised optimum equals V* at exactly
-the states of the *safe set*: the greatest set of states, none observed with
-a non-greedy action, from each of which some allowed action (the logged one
-at an observed state, any greedy one elsewhere) keeps every successor in the
-set, found by a worklist that re-checks only the predecessors of a dropped
-state. The gap witness is the first state outside it, which is the first state
-where the penalised optimum falls short. The penalised values stay available
-as evidence, computed only when ``AuditOutcome.v_star_fixed`` is read.
+Every decision reads its purpose's optimal solution from the model, which
+keeps one per solver mode: the first decision that consults a purpose in a
+mode solves it there, so a run solves each consulted purpose once per mode
+however many logs it decides, and a purpose that no decision consults is
+never solved.
+
+Exact mode reads the same answer off that one solution. A stationary strategy
+is optimal iff it picks an argmax-Q* action at every state, so the log fits
+iff every logged action lies in the greedy set of its state: O(|b|) lookups.
+Otherwise the penalised optimum equals V* at exactly the states of the *safe
+set*: the greatest set of states, none observed with a non-greedy action,
+from each of which some allowed action (the logged one at an observed state,
+any greedy one elsewhere) keeps every successor in the set, found by a
+worklist that re-checks only the predecessors of a dropped state. The gap
+witness is the first state outside it, which is the first state where the
+penalised optimum falls short. The penalised values stay available as
+evidence, computed only when ``AuditOutcome.v_star_fixed`` is read.
 
 Float mode still solves the penalised model and compares values with
 tolerances, but never builds it: it copies the purpose's float reward vector,
@@ -148,39 +154,26 @@ def _floats_equal(left, right) -> bool:
 
 
 def audit(
-    model: EnvironmentModel,
-    behavior: Behavior,
-    *,
-    mode: str = "exact",
-    solution: OptimalSolution | None = None,
+    model: EnvironmentModel, behavior: Behavior, *, mode: str = "exact"
 ) -> AuditOutcome:
     """Decide whether the behavior could come from planning for this purpose.
 
-    ``solution`` may carry a precomputed optimal solution for ``model``, from
-    the solver ``mode`` names (ValueError otherwise); batch callers auditing
-    many behaviors against one model should pass it. Float mode is advisory:
-    its comparisons use tolerances where exact mode uses equality of
-    rationals.
+    The model is solved in ``mode`` on its first audit and that solution is
+    kept on the model, so auditing many behaviors against one model solves
+    it once. Float mode is advisory: its comparisons use tolerances where
+    exact mode uses equality of rationals.
     """
     validate_behavior(model, behavior)
-    return _decide(model, behavior, mode, solution)
+    return _decide(model, behavior, mode)
 
 
-def _decide(
-    model: EnvironmentModel,
-    behavior: Behavior,
-    mode: str,
-    solution: OptimalSolution | None,
-) -> AuditOutcome:
-    """The audit of a behavior already validated against ``model``; the
-    model is solved here when ``solution`` is None. A given solution must
-    come from the solver ``mode`` names (ValueError otherwise)."""
+def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutcome:
+    """The audit of a behavior already validated against ``model``, on the
+    model's ``mode`` solution, solved here on the first decision that needs
+    it."""
+    solution = model._solutions.get(mode)
     if solution is None:
-        solution = solve_optimal(model, mode=mode)
-    elif solution.mode != mode:
-        raise ValueError(
-            f"solution mode {solution.mode!r} does not match audit mode {mode!r}"
-        )
+        solution = model._solutions[mode] = solve_optimal(model, mode=mode)
 
     for q, a in behavior.pairs():
         if a != NOTHING and solution.q_star[(q, a)] <= solution.tolerance:
@@ -389,7 +382,6 @@ def check(
     behavior: Behavior,
     *,
     mode: str = "exact",
-    solutions: Mapping[str, OptimalSolution] | None = None,
 ) -> Verdict:
     """Lift the audit of every purpose the rule names to a policy verdict.
 
@@ -397,19 +389,15 @@ def check(
     not-for rule is obeyed. Otherwise the verdict is INCONCLUSIVE: a fit to
     an allowed purpose does not rule out an ulterior one, and a fit to a
     prohibited one does not prove it was pursued. The purposes must share
-    one structure, so the behavior is validated once. ``solutions`` may map
-    purposes to precomputed optimal solutions, which must match ``mode`` as
-    ``audit``'s ``solution`` must; missing ones are solved here.
+    one structure, so the behavior is validated once; each is solved on its
+    first decision, as in :func:`audit`.
     """
     missing = [p for p in rule.purposes if p not in models]
     if missing:
         raise KeyError(f"rule references unknown purposes {missing}")
     _require_shared_structure([models[p] for p in rule.purposes])
     validate_behavior(models[rule.purposes[0]], behavior)
-    solutions = solutions or {}
-    outcomes = {
-        p: _decide(models[p], behavior, mode, solutions.get(p)) for p in rule.purposes
-    }
+    outcomes = {p: _decide(models[p], behavior, mode) for p in rule.purposes}
     if all(outcome.empty_intersection for outcome in outcomes.values()):
         return Verdict(_EMPTY_FOR_ALL[rule.kind], outcomes)
     return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
@@ -435,43 +423,18 @@ def triage(
     behavior: Behavior,
     *,
     mode: str = "exact",
-    prohibited_solution: OptimalSolution | None = None,
-    allowed_solutions: Sequence[OptimalSolution] | None = None,
 ) -> bool:
     """Is this log worth investigating for the prohibited purpose?
 
     True iff the behavior could fit the prohibited purpose and no allowed
     purpose explains it away. With no allowed purposes the check reduces to
     the prohibited-purpose audit alone. The models must share one structure,
-    so the behavior is validated once. The optional solutions are
-    precomputed optimal solutions of ``mode``, ``allowed_solutions`` one per
-    allowed model in order (ValueError, before any decision, if the counts
-    differ).
+    so the behavior is validated once; a purpose is solved only when a
+    decision consults it, as in :func:`audit`.
     """
     allowed = list(allowed)
-    if allowed_solutions is None:
-        allowed_solutions = [None] * len(allowed)
-    if len(allowed_solutions) != len(allowed):
-        raise ValueError(
-            f"{len(allowed_solutions)} allowed solutions "
-            f"for {len(allowed)} allowed models"
-        )
     _require_shared_structure([prohibited, *allowed])
     validate_behavior(prohibited, behavior)
-    if _decide(prohibited, behavior, mode, prohibited_solution).empty_intersection:
+    if _decide(prohibited, behavior, mode).empty_intersection:
         return False
-    return all(
-        _decide(candidate, behavior, mode, solution).empty_intersection
-        for candidate, solution in zip(allowed, allowed_solutions)
-    )
-
-
-def audit_batch(
-    model: EnvironmentModel,
-    behaviors: Iterable[Behavior],
-    *,
-    mode: str = "exact",
-) -> list[AuditOutcome]:
-    """Audit many behaviors against one model, solved once, in input order."""
-    solution = solve_optimal(model, mode=mode)
-    return [audit(model, b, mode=mode, solution=solution) for b in behaviors]
+    return all(_decide(m, behavior, mode).empty_intersection for m in allowed)

@@ -3,7 +3,9 @@
 Subcommands: validate, solve, audit, check, triage, oracle, examples.
 Exit codes: 0 all verdicts printed, 1 usage or input error, 2 internal
 invariant failure (the brute-force cross-check disagreed with the engine).
-Output is a pure function of the inputs and flags.
+Output is a pure function of the inputs and flags. ``audit``, ``check`` and
+``triage`` decide every log before printing, so an error leaves stdout empty;
+a purpose is solved on its first decision and at most once per run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .auditing import (
     RuleKind,
     VerdictStatus,
     audit,
-    audit_batch,
     check_prohibitive,
     check_restrictive,
     triage,
@@ -193,7 +194,7 @@ def _cmd_solve(args, out) -> int:
 def _cmd_audit(args, out) -> int:
     model = _pick(_load_models(args.model), args.purpose)
     behaviors = _load_behaviors(args.log, model)
-    outcomes = audit_batch(model, behaviors, mode=args.mode)
+    outcomes = [audit(model, b, mode=args.mode) for b in behaviors]
     for i, (behavior, outcome) in enumerate(zip(behaviors, outcomes), start=1):
         if args.json:
             print(json.dumps(_outcome_record(i, behavior, args.purpose, outcome)), file=out)
@@ -211,11 +212,7 @@ def _cmd_check(args, out) -> int:
     checker = (
         check_restrictive if rule.kind is RuleKind.RESTRICTIVE else check_prohibitive
     )
-    solutions = {p: solve_optimal(models[p], mode=args.mode) for p in rule.purposes}
-    verdicts = [
-        checker(models, rule, b, mode=args.mode, solutions=solutions)
-        for b in behaviors
-    ]
+    verdicts = [checker(models, rule, b, mode=args.mode) for b in behaviors]
     for i, (behavior, verdict) in enumerate(zip(behaviors, verdicts), start=1):
         if args.json:
             record = {
@@ -240,17 +237,8 @@ def _cmd_triage(args, out) -> int:
     allowed_names = [name for name in args.allowed.split(",") if name]
     allowed = [_pick(models, name) for name in allowed_names]
     behaviors = _load_behaviors(args.log, prohibited)
-    prohibited_solution = solve_optimal(prohibited, mode=args.mode)
-    allowed_solutions = [solve_optimal(m, mode=args.mode) for m in allowed]
-    for i, behavior in enumerate(behaviors, start=1):
-        investigate = triage(
-            prohibited,
-            allowed,
-            behavior,
-            mode=args.mode,
-            prohibited_solution=prohibited_solution,
-            allowed_solutions=allowed_solutions,
-        )
+    flags = [triage(prohibited, allowed, b, mode=args.mode) for b in behaviors]
+    for i, (behavior, investigate) in enumerate(zip(behaviors, flags), start=1):
         if args.json:
             record = {
                 "behavior": i,
@@ -269,11 +257,10 @@ def _cmd_triage(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     model = _pick(_load_models(args.model), args.purpose)
     behaviors = _load_behaviors(args.log, model)
-    solution = solve_optimal(model)
     tables = evaluate_all_strategies(model) if behaviors else None
     disagreements = 0
     for i, behavior in enumerate(behaviors, start=1):
-        engine = audit(model, behavior, solution=solution).empty_intersection
+        engine = audit(model, behavior).empty_intersection
         reference = oracle_audit(model, behavior, tables=tables)
         agree = engine == reference
         disagreements += 0 if agree else 1

@@ -123,12 +123,18 @@ class StructureIndex:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
+    def action_position(self) -> dict[Action, int]:
+        return {a: i for i, a in enumerate(self.actions)}
+
+    @cached_property
     def available(self) -> tuple[tuple[Action, ...], ...]:
         """Available actions per state position, in action order."""
-        transitions = self.transitions
+        available: list[list[Action]] = [[] for _ in self.states]
+        for q, a in self.transitions:
+            available[self.position[q]].append(a)
         return tuple(
-            tuple(a for a in self.actions if (q, a) in transitions)
-            for q in self.states
+            tuple(sorted(actions, key=self.action_position.__getitem__))
+            for actions in available
         )
 
     @cached_property
@@ -211,7 +217,11 @@ class EnvironmentModel:
     Instances are immutable; construct them through :func:`validate_model`.
     ``_index`` is the structure's :class:`StructureIndex`, carried over by
     ``with_rewards`` and ``dataclasses.replace`` and rebuilt when the
-    structure objects differ; it takes no part in ``==`` or ``repr``.
+    structure objects differ. ``_solutions`` holds the model's optimal
+    solution per solver mode, filled by the audit's first decision in that
+    mode; every new model, ``with_rewards`` and ``dataclasses.replace``
+    results included, starts with it empty. Neither takes part in ``==`` or
+    ``repr``.
     """
 
     states: tuple[State, ...]
@@ -220,6 +230,9 @@ class EnvironmentModel:
     rewards: Mapping[tuple[State, Action], Rational]
     discount: Rational
     _index: StructureIndex | None = field(default=None, compare=False, repr=False)
+    _solutions: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self._index is None or not self._index.built_from(self):
@@ -330,7 +343,8 @@ def validate_model(
     if NOTHING not in action_list:
         action_list.append(NOTHING)
     action_tuple = tuple(action_list)
-    state_set = set(state_list)
+    state_position = {q: i for i, q in enumerate(state_list)}
+    action_position = {a: i for i, a in enumerate(action_tuple)}
 
     gamma = as_rational(discount)
     if not ZERO < gamma < ONE:
@@ -338,13 +352,13 @@ def validate_model(
 
     transition_table: dict[tuple[State, Action], dict[State, Rational]] = {}
     for (q, a), distribution in transitions.items():
-        if q not in state_set:
+        if q not in state_position:
             raise ModelError(f"transition references unknown state {q!r}")
-        if a not in action_tuple:
+        if a not in action_position:
             raise ModelError(f"transition references unknown action {a!r}")
         cleaned = _check_distribution((q, a), distribution)
         for target in cleaned:
-            if target not in state_set:
+            if target not in state_position:
                 raise ModelError(
                     f"transition {(q, a)} targets unknown state {target!r}"
                 )
@@ -360,10 +374,11 @@ def validate_model(
         states=state_list,
         actions=action_tuple,
         transitions={
-            (q, a): transition_table[(q, a)]
-            for q in state_list
-            for a in action_tuple
-            if (q, a) in transition_table
+            pair: transition_table[pair]
+            for pair in sorted(
+                transition_table,
+                key=lambda pair: (state_position[pair[0]], action_position[pair[1]]),
+            )
         },
         rewards={},
         discount=gamma,
@@ -478,9 +493,6 @@ class Behavior:
             out.append(state)
         return out
 
-    def states(self) -> list[State]:
-        return [self.start] + [state for _, state in self.steps]
-
     def actions(self) -> list[Action]:
         return [action for action, _ in self.steps]
 
@@ -520,14 +532,14 @@ def validate_behavior(model: EnvironmentModel, behavior: Behavior) -> None:
     defined (state, action) pair, and every transition taken must have nonzero
     probability; a logged behavior has to be consistent with some contingency.
     """
-    state_set = set(model.states)
-    if behavior.start not in state_set:
+    index = model._index
+    if behavior.start not in index.position:
         raise BehaviorError(f"unknown state {behavior.start!r} in behavior")
     q = behavior.start
     for action, target in behavior.steps:
-        if action not in model.actions:
+        if action not in index.action_position:
             raise BehaviorError(f"unknown action {action!r} in behavior")
-        if target not in state_set:
+        if target not in index.position:
             raise BehaviorError(f"unknown state {target!r} in behavior")
         if (q, action) not in model.transitions:
             raise BehaviorError(f"action {action!r} is not available at state {q!r}")

@@ -30,7 +30,7 @@ from .model import (
     observed_choices,
 )
 from .oracle import DEFAULT_OPTIONS, OracleOptions, oracle_opt
-from .solve import OptimalSolution, solve_optimal
+from .solve import solve_optimal
 from .traces import (
     SampledContingency,
     TraceOrder,
@@ -49,15 +49,11 @@ __all__ = [
 ]
 
 
-def useless_pairs(
-    model: EnvironmentModel, solution: OptimalSolution | None = None
-) -> frozenset[tuple[State, Action]]:
+def useless_pairs(model: EnvironmentModel) -> frozenset[tuple[State, Action]]:
     """All non-nothing pairs with Q*(q, a) <= 0, from one exact solve."""
-    solution = solution or solve_optimal(model)
+    q_star = solve_optimal(model).q_star
     return frozenset(
-        (q, a)
-        for (q, a) in model.pairs()
-        if a != NOTHING and solution.q_star[(q, a)] <= 0
+        (q, a) for (q, a) in model.pairs() if a != NOTHING and q_star[(q, a)] <= 0
     )
 
 

@@ -549,18 +549,8 @@ def bellman_residual(model: EnvironmentModel, values: ValueTable):
     )
 
 
-def is_optimal(
-    model: EnvironmentModel,
-    strategy: Strategy,
-    *,
-    solution: OptimalSolution | None = None,
-) -> bool:
-    """Whether the strategy attains the exact optimal value at every state.
-
-    ``solution``, when given, must be an exact solution of ``model``.
-    """
-    solution = solution or solve_optimal(model)
-    if solution.mode != "exact":
-        raise ValueError("is_optimal needs an exact solution")
+def is_optimal(model: EnvironmentModel, strategy: Strategy) -> bool:
+    """Whether the strategy attains the exact optimal value at every state."""
+    v_star = solve_optimal(model).v_star
     values = evaluate_strategy(model, strategy)
-    return all(values[q] == solution.v_star[q] for q in model.states)
+    return all(values[q] == v_star[q] for q in model.states)

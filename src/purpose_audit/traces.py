@@ -46,16 +46,6 @@ class ExecutionPrefix:
     loop_start: int | None = None
 
 
-@dataclass(frozen=True)
-class StationaryContingency:
-    """Occurrence-independent resolution: (state, action) -> successor."""
-
-    choice: Mapping[tuple[State, Action], State]
-
-    def resolve(self, state: State, action: Action, occurrence: int) -> State:
-        return self.choice[(state, action)]
-
-
 class SampledContingency:
     """Occurrence-indexed contingency drawn lazily from the transition supports.
 
@@ -87,19 +77,20 @@ def simulate(
 ) -> ExecutionPrefix:
     """Run a strategy under a contingency from ``start``.
 
-    With ``horizon=None`` the contingency must be stationary; the future is
-    then a function of the current state, so the run stops exactly when it
-    absorbs into the nothing-action (one nothing step is recorded) or revisits
-    a state (the active part is infinite). With a horizon, occurrence-indexed
-    contingencies are supported and the run may be cut mid-flight.
+    A stationary contingency is a Mapping (state, action) -> successor; an
+    occurrence-indexed one has ``resolve(state, action, occurrence)``, as
+    :class:`SampledContingency` does. With ``horizon=None`` the contingency
+    must be stationary; the future is then a function of the current state, so
+    the run stops exactly when it absorbs into the nothing-action (one nothing
+    step is recorded) or revisits a state (the active part is infinite). With
+    a horizon, occurrence-indexed contingencies are supported and the run may
+    be cut mid-flight.
     """
-    stationary = isinstance(contingency, (StationaryContingency, Mapping))
+    stationary = isinstance(contingency, Mapping)
     if horizon is None and not stationary:
         raise ValueError("occurrence-indexed contingencies need a horizon")
     resolver = (
-        contingency.resolve
-        if not isinstance(contingency, Mapping)
-        else lambda q, a, i: contingency[(q, a)]
+        (lambda q, a, i: contingency[(q, a)]) if stationary else contingency.resolve
     )
 
     choice = strategy.as_dict()

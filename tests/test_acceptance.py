@@ -66,9 +66,8 @@ def test_criterion_1_physician_audit_verdicts():
     with criterion(1, 1.0, "physician fixture: audit(treat, b1)=true, audit(treat, b2)=false"):
         treat = physician_models()["treat"]
         b1, b2 = physician_behaviors()
-        solution = solve_optimal(treat)
-        assert audit(treat, b1, solution=solution).empty_intersection is True
-        assert audit(treat, b2, solution=solution).empty_intersection is False
+        assert audit(treat, b1).empty_intersection is True
+        assert audit(treat, b2).empty_intersection is False
 
 
 def test_criterion_2_profit_deniability():
@@ -130,14 +129,13 @@ def test_criterion_4_audit_equals_oracle():
             model = random_model(rng)
             tables = evaluate_all_strategies(model)
             useless = oracle_useless(model, tables=tables)
-            solution = solve_optimal(model)
             for k in range(3):
                 force = None
                 if useless and rng.random() < 0.25:
                     force = rng.choice(sorted(useless))
                 behavior = random_walk_behavior(rng, model, force_pair=force)
                 pairs += 1
-                engine = audit(model, behavior, solution=solution).empty_intersection
+                engine = audit(model, behavior).empty_intersection
                 reference = oracle_audit(model, behavior, tables=tables)
                 if engine != reference:
                     disagreements += 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from purpose_audit import (
     RuleKind,
     VerdictStatus,
     audit,
-    audit_batch,
     check_prohibitive,
     check_restrictive,
     compute_fix,
@@ -31,6 +31,7 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit import auditing
+from purpose_audit.fixtures import physician_models
 from purpose_audit.model import observed_choices, validate_behavior
 from purpose_audit.oracle import random_consistent_behavior, random_model
 
@@ -174,7 +175,7 @@ class TestAudit:
 
     def test_float_audit_refuses_discount_that_rounds_to_one(self):
         # Float mode divides by 1 - float(gamma), so solving refuses this
-        # discount; an exact solution cannot stand in for the float one.
+        # discount.
         model = validate_model(
             states=["s"],
             actions=["go"],
@@ -185,21 +186,38 @@ class TestAudit:
         behavior = Behavior.from_tokens(["s", "go", "s"])
         with pytest.raises(ConvergenceError, match="rounds to 1.0"):
             audit(model, behavior, mode="float")
-        with pytest.raises(ValueError, match="solution mode 'exact'"):
-            audit(model, behavior, mode="float", solution=solve_optimal(model))
 
-    @pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
-    def test_solution_of_the_other_mode_rejected(self, treat, logs, mode, other):
-        # A verdict labelled with one mode must be decided in that mode.
+
+class TestSolutionPerMode:
+    """A model keeps one optimal solution per solver mode, filled by its
+    first decision in that mode."""
+
+    def test_derived_models_start_unsolved(self, logs):
+        treat = physician_models()["treat"]
         b1, _ = logs
-        solution = solve_optimal(treat, mode=other)
-        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
-            audit(treat, b1, mode=mode, solution=solution)
+        audit(treat, b1)
+        audit(treat, b1, mode="float")
+        assert set(treat._solutions) == {"exact", "float"}
+        assert "_solutions" not in repr(treat)
+        derived = (
+            treat.with_rewards(treat.rewards),
+            compute_fix(treat, b1),
+            replace(treat, rewards=dict(treat.rewards)),
+        )
+        for model in derived:
+            assert model._solutions == {}
+        assert derived[0] == treat
 
-    def test_batch_preserves_order(self, treat, logs):
-        b1, b2 = logs
-        outcomes = audit_batch(treat, [b1, b2, b1])
-        assert [o.empty_intersection for o in outcomes] == [True, False, True]
+    @pytest.mark.parametrize("order", [("exact", "float"), ("float", "exact")])
+    def test_each_mode_decides_on_its_own_solution(self, logs, order):
+        treat = physician_models()["treat"]
+        kinds = {"exact": Fraction, "float": float}
+        for mode in (*order, order[0]):
+            for behavior in logs:
+                outcome = audit(treat, behavior, mode=mode)
+                assert outcome.mode == mode
+                assert outcome.v_star == solve_optimal(treat, mode=mode).v_star
+                assert {type(v) for v in outcome.v_star.values()} == {kinds[mode]}
 
 
 class TestPolicyChecks:
@@ -217,17 +235,6 @@ class TestPolicyChecks:
         # One fitting purpose suffices for inconclusive, never compliant.
         verdict = check_restrictive(physician, rule, b2)
         assert verdict.status is VerdictStatus.INCONCLUSIVE
-
-    @pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
-    def test_solution_of_the_other_mode_rejected(self, physician, logs, mode, other):
-        b1, _ = logs
-        rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
-        solutions = {
-            "treat": solve_optimal(physician["treat"], mode=mode),
-            "profit": solve_optimal(physician["profit"], mode=other),
-        }
-        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
-            check_restrictive(physician, rule, b1, mode=mode, solutions=solutions)
 
     def test_not_for_profit(self, physician, logs):
         b1, b2 = logs
@@ -344,7 +351,7 @@ class TestSafeSet:
         assert all(solution.greedy[q] == ("go",) for q in chain[:-1])
         behavior = Behavior.from_tokens([end, "small", end])
         started = time.perf_counter()
-        outcome = audit(model, behavior, solution=solution)
+        outcome = audit(model, behavior)
         elapsed = time.perf_counter() - started
         assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
         assert outcome.witness_state == "s0"
@@ -427,9 +434,10 @@ class TestTriage:
         assert triage(profit, [treat], b2) is False
         assert calls == [b1, b2]
 
-    def test_empty_prohibited_purpose_decides_no_allowed_one(
-        self, treat, profit, logs, monkeypatch
-    ):
+    def test_empty_prohibited_purpose_decides_no_allowed_one(self, logs, monkeypatch):
+        # Fresh models: the session fixtures may already hold their solutions.
+        fresh = physician_models()
+        treat, profit = fresh["treat"], fresh["profit"]
         solved = []
 
         def counting(model, mode="exact"):
@@ -452,44 +460,6 @@ class TestTriage:
         )
         with pytest.raises(ValueError, match="share"):
             triage(profit, [other], b1)
-
-    @pytest.mark.parametrize("count", [0, 3])
-    def test_solution_count_must_match(self, treat, profit, logs, monkeypatch, count):
-        decided = []
-
-        def counting(model, behavior, mode, solution):
-            decided.append(model)
-            return decide(model, behavior, mode, solution)
-
-        decide = auditing._decide
-        monkeypatch.setattr(auditing, "_decide", counting)
-        _, b2 = logs
-        solution = solve_optimal(treat)
-        with pytest.raises(ValueError, match="allowed solutions"):
-            triage(profit, [treat], b2, allowed_solutions=[solution] * count)
-        assert decided == []
-
-    @pytest.mark.parametrize("mode, other", [("exact", "float"), ("float", "exact")])
-    def test_solution_of_the_other_mode_rejected(self, treat, profit, logs, mode, other):
-        _, b2 = logs
-        own = solve_optimal(treat, mode=mode)
-        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
-            triage(
-                profit,
-                [treat],
-                b2,
-                mode=mode,
-                prohibited_solution=solve_optimal(profit, mode=other),
-                allowed_solutions=[own],
-            )
-        with pytest.raises(ValueError, match=f"solution mode '{other}'"):
-            triage(
-                profit,
-                [treat],
-                b2,
-                mode=mode,
-                allowed_solutions=[solve_optimal(treat, mode=other)],
-            )
 
 
 class TestFixProperties:
@@ -570,5 +540,5 @@ class TestFloatModeDefects:
             steps.append((choice[q], target))
             q = target
         behavior = Behavior(start, tuple(steps))
-        assert not audit(model, behavior, solution=solution).empty_intersection
+        assert not audit(model, behavior).empty_intersection
         assert not audit(model, behavior, mode="float").empty_intersection

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from purpose_audit import ConvergenceError, parse_model, solve_optimal
+from purpose_audit import ConvergenceError, auditing, parse_model, solve_optimal
 from purpose_audit.cli import main
 
 # Command line (fixture name, command, options) -> its full stdout on the
@@ -63,6 +63,43 @@ class TestGoldenOutput:
         )
         assert (code, err) == (0, "")
         assert out == GOLDEN[command_line]
+
+
+class TestOneSolvePerPurpose:
+    """A verdict command solves each purpose its decisions consult once per
+    run, however many logs it decides, on the models it parses itself."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "command, purposes",
+        [
+            (("audit", "--purpose", "treat"), 1),
+            (("check", "--rule", "only-for:treat,profit"), 2),
+            (("triage", "--prohibited", "profit", "--allowed", "treat"), 2),
+        ],
+    )
+    def test_solves(self, example_dir, monkeypatch, command, purposes, mode):
+        solved = []
+
+        def counting(model, mode="exact"):
+            solved.append((id(model), mode))
+            return solve(model, mode=mode)
+
+        solve = auditing.solve_optimal
+        monkeypatch.setattr(auditing, "solve_optimal", counting)
+        name, *options = command
+        code, out, _ = run(
+            name,
+            str(example_dir / "physician.model"),
+            str(example_dir / "physician.log"),
+            *options,
+            "--mode",
+            mode,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 2
+        assert len(solved) == len(set(solved)) == purposes
+        assert {m for _, m in solved} == {mode}
 
 
 class TestSolve:

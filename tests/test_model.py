@@ -214,6 +214,25 @@ class TestObservedChoices:
 
 
 class TestStructureIndex:
+    def test_pair_order_ignores_declaration_order(self):
+        transitions = {
+            ("u", "b"): {"s": 1},
+            ("s", "b"): {"u": 1},
+            ("u", "a"): {"u": 1},
+            ("s", "a"): {"s": 1},
+        }
+        model = tiny(
+            actions=["a", "b"],
+            transitions=transitions,
+            rewards={pair: 1 for pair in transitions},
+        )
+        expected = [
+            ("s", "a"), ("s", "b"), ("s", "N"), ("u", "a"), ("u", "b"), ("u", "N"),
+        ]
+        assert list(model.transitions) == list(model.rewards) == expected
+        assert list(model.pairs()) == expected
+        assert model._index.available == (("a", "b", "N"), ("a", "b", "N"))
+
     def test_shared_by_derived_models(self):
         model = tiny()
         other = model.with_rewards({("s", "a"): 3, ("s", "N"): 0, ("u", "N"): 0})

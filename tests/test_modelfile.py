@@ -179,6 +179,42 @@ class TestParseLog:
         assert parse_log(format_log(behaviors), treat) == behaviors
 
 
+class TestLinearInSize:
+    """Parsing, validation and indexing cost grows with the document, not
+    with the product of two of its sizes."""
+
+    N = 12_000
+
+    def test_many_states_and_actions(self):
+        n = self.N
+        text = (
+            "states: " + " ".join(f"s{i}" for i in range(n)) + "\n"
+            "actions: " + " ".join(f"a{i}" for i in range(n)) + "\n"
+            "gamma: 1/2\ntransition: s0 a0 -> s1 1\npurpose: p\nreward: s0 a0 = 1\n"
+        )
+        start = time.perf_counter()
+        model = parse_model(text)["p"]
+        index = model._index
+        index.rows, index.coefficients, index.predecessors
+        assert time.perf_counter() - start < 2.0
+        assert index.pairs[:3] == (("s0", "a0"), ("s0", NOTHING), ("s1", NOTHING))
+        assert len(index.pairs) == n + 1
+
+    def test_long_log(self):
+        n = self.N
+        text = (
+            "states: " + " ".join(f"s{i}" for i in range(n)) + "\n"
+            "actions: go\ngamma: 1/2\ntransition: s0 go -> s1 1\npurpose: p\n"
+        )
+        model = parse_model(text)["p"]
+        log = "".join(f"s{i}\n" for i in range(n))
+        start = time.perf_counter()
+        behaviors = parse_log(log, model)
+        assert time.perf_counter() - start < 2.0
+        assert [b.start for b in behaviors[:2]] == ["s0", "s1"]
+        assert len(behaviors) == n
+
+
 class TestLiteralBounds:
     DOCUMENT = (
         "gamma: 9/10\nstates: a b\nactions: x\n"

@@ -200,7 +200,7 @@ class TestExactDecisionMatchesPenalisedModel:
         solution = solve_optimal(model)
         for _ in range(4):
             behavior = self._mostly_greedy_walk(rng, model, solution)
-            outcome = audit(model, behavior, solution=solution)
+            outcome = audit(model, behavior)
             if outcome.reason is AuditReason.STEP_ONE_USELESS:
                 continue
             v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
@@ -332,7 +332,7 @@ class TestFloatModeIsBitIdentical:
             behavior = TestExactDecisionMatchesPenalisedModel._mostly_greedy_walk(
                 rng, model, exact
             )
-            outcome = audit(model, behavior, mode="float", solution=solution)
+            outcome = audit(model, behavior, mode="float")
             if outcome.reason in (
                 AuditReason.STEP_ONE_USELESS,
                 AuditReason.INCONSISTENT_BEHAVIOR,
@@ -372,7 +372,6 @@ class TestFloatModeIsBitIdentical:
         top = float(max(abs(r) for r in model.rewards.values()))
         threshold = 1e-6 * max(1.0, top / (1 - float(gamma)))
         _, q_star, _ = reference_value_iteration(model)
-        solution = solve_optimal(model, mode="float")
         exact = solve_optimal(model)
         behaviors = [Behavior(q, ((a, rng.choice(sorted(model.successors(q, a)))),))]
         for _ in range(3):
@@ -387,7 +386,7 @@ class TestFloatModeIsBitIdentical:
                 for pair in behavior.pairs()
                 if pair[1] != "N" and q_star[pair] <= threshold
             ]
-            outcome = audit(model, behavior, mode="float", solution=solution)
+            outcome = audit(model, behavior, mode="float")
             assert (outcome.reason is AuditReason.STEP_ONE_USELESS) == bool(useless)
             if useless:
                 assert (outcome.witness_state, outcome.witness_action) == useless[0]
@@ -437,6 +436,6 @@ class TestFloatModeIsBitIdentical:
         assert solution.v_star["s"] == pytest.approx(2.0**1021, rel=1e-6)
         behavior = Behavior.from_tokens(["s", "a", "s"])
         with pytest.raises(ConvergenceError, match="floating-point range"):
-            audit(model, behavior, mode="float", solution=solution)
+            audit(model, behavior, mode="float")
         with pytest.raises(ConvergenceError, match="floating-point range"):
             solve_optimal(compute_fix(model, behavior), mode="float")

@@ -145,11 +145,6 @@ class TestIsOptimal:
         sigma1, _, _ = sigmas
         assert is_optimal(profit, sigma1)
 
-    def test_float_solution_rejected(self, treat, sigmas):
-        sigma1, _, _ = sigmas
-        with pytest.raises(ValueError, match="exact"):
-            is_optimal(treat, sigma1, solution=solve_optimal(treat, "float"))
-
 
 class TestRandomizedSolverProperties:
     def test_value_bounds(self):
@@ -192,7 +187,7 @@ class TestRandomizedSolverProperties:
             model = random_model(rng)
             solution = solve_optimal(model)
             choice = {q: solution.greedy[q][0] for q in model.states}
-            assert is_optimal(model, Strategy.from_mapping(choice, model), solution=solution)
+            assert is_optimal(model, Strategy.from_mapping(choice, model))
 
 
 # ---------------------------------------------------------------------------

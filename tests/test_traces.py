@@ -8,7 +8,6 @@ from purpose_audit import (
     Behavior,
     IndeterminateComparison,
     SampledContingency,
-    StationaryContingency,
     active_prefix,
     is_proper_subexecution,
     simulate,
@@ -19,7 +18,7 @@ from purpose_audit.traces import ExecutionPrefix, Termination
 
 def validate_contingency(model, contingency):
     """A contingency may only pick successors of nonzero probability."""
-    for (q, a), target in contingency.choice.items():
+    for (q, a), target in contingency.items():
         if (q, a) not in model.transitions:
             raise ModelError(f"contingency resolves undefined pair {(q, a)}")
         if model.successors(q, a).get(target, 0) == 0:
@@ -53,14 +52,14 @@ class TestActivePrefix:
 class TestSimulate:
     def test_sigma1_absorbs(self, treat, sigmas):
         sigma1, _, _ = sigmas
-        kappa = StationaryContingency({("1", "take"): "2", ("4", "send"): "5"})
+        kappa = {("1", "take"): "2", ("4", "send"): "5"}
         run = simulate(treat, sigma1, kappa, "1")
         assert run.termination is Termination.NOTHING_ABSORBED
         assert run.behavior.tokens() == ["1", "take", "2", "diagnose", "6", "N", "6"]
 
     def test_sigma3_loops(self, treat, sigmas):
         _, _, sigma3 = sigmas
-        kappa = StationaryContingency({("1", "take"): "2", ("4", "send"): "5"})
+        kappa = {("1", "take"): "2", ("4", "send"): "5"}
         run = simulate(treat, sigma3, kappa, "2")
         assert run.termination is Termination.LOOP_DETECTED
         assert run.behavior.tokens() == ["2", "diagnose", "6", "send", "6"]
@@ -68,7 +67,7 @@ class TestSimulate:
 
     def test_contingency_via_second_branch(self, treat, sigmas):
         sigma1, _, _ = sigmas
-        kappa = StationaryContingency({("1", "take"): "4", ("4", "send"): "5"})
+        kappa = {("1", "take"): "4", ("4", "send"): "5"}
         run = simulate(treat, sigma1, kappa, "1")
         assert run.behavior.tokens() == [
             "1", "take", "4", "send", "5", "diagnose", "6", "N", "6",
@@ -91,7 +90,7 @@ class TestSimulate:
 
     def test_inconsistent_contingency_rejected(self, treat):
         with pytest.raises(ModelError):
-            validate_contingency(treat, StationaryContingency({("1", "take"): "6"}))
+            validate_contingency(treat, {("1", "take"): "6"})
 
 
 class TestIsProperSubexecution:
@@ -101,7 +100,7 @@ class TestIsProperSubexecution:
 
     def test_absorbed_versus_infinite_loop(self, treat, sigmas):
         sigma1, _, sigma3 = sigmas
-        kappa = StationaryContingency({("1", "take"): "2", ("4", "send"): "5"})
+        kappa = {("1", "take"): "2", ("4", "send"): "5"}
         short = simulate(treat, sigma1, kappa, "2")
         long = simulate(treat, sigma3, kappa, "2")
         assert is_proper_subexecution(short, long)
@@ -139,7 +138,7 @@ class TestIsProperSubexecution:
 
     def test_infinite_active_part_never_proper(self, treat, sigmas):
         _, _, sigma3 = sigmas
-        kappa = StationaryContingency({("1", "take"): "2", ("4", "send"): "5"})
+        kappa = {("1", "take"): "2", ("4", "send"): "5"}
         looping = simulate(treat, sigma3, kappa, "6")
         other = simulate(treat, sigma3, kappa, "2")
         assert not is_proper_subexecution(looping, other)

@@ -5,6 +5,12 @@ purpose is a reward table over the shared transition structure. The audit
 decides, exactly, whether any non-redundant optimal plan for the purpose could
 have produced a logged behavior, and lifts that bit to policy verdicts for
 only-for and not-for rules.
+
+This package re-exports the engine: parsing, validation, the solver and the
+audit. The reference layer that cross-checks it, the brute-force oracle and
+the definition of non-redundancy, is imported by module path
+(``purpose_audit.oracle``, ``.nonredundancy``, ``.traces``) and is loaded
+only by those imports and by ``purpose-audit oracle``.
 """
 
 from .auditing import (
@@ -30,7 +36,6 @@ from .errors import (
     DistributionError,
     DomainMismatch,
     InconsistentBehavior,
-    IndeterminateComparison,
     ModelError,
     NothingActionConflict,
     ParseError,
@@ -51,35 +56,12 @@ from .model import (
     validate_strategy,
 )
 from .modelfile import format_log, format_model_document, parse_log, parse_model
-from .nonredundancy import (
-    Precedence,
-    opt_star_enumerate,
-    precedes,
-    replace_useless_with_nothing,
-    useless_pairs,
-)
-from .oracle import (
-    OracleOptions,
-    enumerate_strategies,
-    oracle_audit,
-    oracle_opt,
-    oracle_useless,
-)
 from .solve import (
     OptimalSolution,
     bellman_residual,
     evaluate_strategy,
-    is_optimal,
     q_value,
     solve_optimal,
-)
-from .traces import (
-    ExecutionPrefix,
-    SampledContingency,
-    Termination,
-    active_prefix,
-    is_proper_subexecution,
-    simulate,
 )
 
 __version__ = "0.1.0"

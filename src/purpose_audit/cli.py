@@ -34,7 +34,6 @@ from .fixtures import (
 )
 from .model import Behavior, EnvironmentModel
 from .modelfile import parse_log, parse_model
-from .oracle import evaluate_all_strategies, oracle_audit
 from .solve import solve_optimal
 
 
@@ -255,6 +254,9 @@ def _cmd_triage(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    # The reference layer loads only here, never on the engine's paths.
+    from .oracle import evaluate_all_strategies, oracle_audit
+
     model = _pick(_load_models(args.model), args.purpose)
     behaviors = _load_behaviors(args.log, model)
     tables = evaluate_all_strategies(model) if behaviors else None

@@ -64,10 +64,6 @@ class SizeCapExceeded(PurposeAuditError):
     """A brute-force enumeration would exceed its configured size cap."""
 
 
-class IndeterminateComparison(PurposeAuditError):
-    """A horizon-cut execution prefix prevented a definite trace comparison."""
-
-
 class ParseError(PurposeAuditError):
     """Malformed model or log text, annotated with a source position."""
 

@@ -455,12 +455,6 @@ class Strategy:
     def as_dict(self) -> dict[State, Action]:
         return dict(self.assignments)
 
-    def replace(self, state: State, action: Action) -> Strategy:
-        """Copy of this strategy with one choice swapped."""
-        return Strategy(
-            tuple((q, action if q == state else a) for q, a in self.assignments)
-        )
-
 
 def validate_strategy(model: EnvironmentModel, strategy: Strategy) -> None:
     """Raise StrategyError unless ``strategy`` is total and defined for ``model``."""

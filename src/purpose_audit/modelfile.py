@@ -48,6 +48,10 @@ from .model import (  # the literal caps are re-exported: they bound this format
     validate_model,
 )
 
+# Every purpose gets a full reward table over the shared pairs, so the
+# tables of one document may hold at most this many entries in all.
+MAX_REWARD_ENTRIES = 1_000_000
+
 
 def _strip_comment(line: str) -> str:
     if "#" in line:
@@ -173,6 +177,13 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
         discount=gamma,
         fill_missing_rewards=True,
     )
+    entries = len(purposes) * len(structure.transitions)
+    if entries > MAX_REWARD_ENTRIES:
+        raise ParseError(
+            f"{len(purposes)} purposes times {len(structure.transitions)} "
+            f"(state, action) pairs make {entries} reward entries, over the cap "
+            f"of {MAX_REWARD_ENTRIES}"
+        )
     return {
         name: replace(
             structure, rewards=_reward_table(structure, rewards, fill_missing=True)

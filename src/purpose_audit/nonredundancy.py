@@ -1,5 +1,5 @@
-"""Non-redundancy machinery: useless pairs, behavior constraints, the
-strategy precedence order and the non-redundant optimal set.
+"""Non-redundancy machinery: useless pairs, the strategy precedence order
+and the non-redundant optimal set.
 
 A (state, action) pair is useless when taking it can never beat stopping:
 its one-step value is <= 0 under every strategy, which reduces to the
@@ -9,10 +9,16 @@ sub-execution, i.e. it provably achieves the same outcome with fewer actions.
 The non-redundant optimal strategies are the optimal ones not preceded by any
 other optimal strategy.
 
-The precedence test enumerates the stationary contingencies lazily: both
-traces run through :func:`~purpose_audit.traces.simulate` on a partial
-contingency, and the first chance node one of them reaches unresolved is
-where the enumeration branches.
+What :func:`precedes` decides is the order over stationary contingencies,
+one successor per (state, action) pair: those are enumerated exactly and
+lazily. Both traces run through :func:`~purpose_audit.traces.simulate` on a
+partial contingency, and the first chance node one of them reaches
+unresolved is where the enumeration branches. Occurrence-indexed
+contingencies, whose choice may change at each visit, are only sampled, and
+a sample refutes only when the larger trace stops within ``HORIZON``. A
+failure on a larger trace that never stops is never caught, so a YES is
+exact for the stationary order and only sampled for the occurrence-indexed
+one. This module is a reference layer: the engine never imports it.
 """
 
 from __future__ import annotations
@@ -21,15 +27,8 @@ import random
 from enum import Enum
 
 from .errors import SizeCapExceeded
-from .model import (
-    NOTHING,
-    Action,
-    EnvironmentModel,
-    State,
-    Strategy,
-    observed_choices,
-)
-from .oracle import DEFAULT_OPTIONS, OracleOptions, oracle_opt
+from .model import NOTHING, Action, EnvironmentModel, State, Strategy
+from .oracle import oracle_opt
 from .solve import solve_optimal
 from .traces import (
     SampledContingency,
@@ -39,14 +38,13 @@ from .traces import (
     simulate,
 )
 
-__all__ = [
-    "Precedence",
-    "useless_pairs",
-    "observed_choices",
-    "replace_useless_with_nothing",
-    "precedes",
-    "opt_star_enumerate",
-]
+# Calls of the stationary enumeration allowed per precedence test.
+MAX_CONTINGENCIES = 200_000
+# Occurrence-indexed contingencies drawn per precedence test, the steps each
+# sampled trace runs, and the seed of the draws.
+OCCURRENCE_SAMPLES = 16
+HORIZON = 32
+SEED = 0
 
 
 def useless_pairs(model: EnvironmentModel) -> frozenset[tuple[State, Action]]:
@@ -54,22 +52,6 @@ def useless_pairs(model: EnvironmentModel) -> frozenset[tuple[State, Action]]:
     q_star = solve_optimal(model).q_star
     return frozenset(
         (q, a) for (q, a) in model.pairs() if a != NOTHING and q_star[(q, a)] <= 0
-    )
-
-
-def replace_useless_with_nothing(
-    strategy: Strategy, useless: frozenset[tuple[State, Action]]
-) -> Strategy:
-    """Swap every useless choice for the nothing-action.
-
-    Never lowers any state's value when ``useless`` is a subset of the
-    model's useless pairs.
-    """
-    return Strategy(
-        tuple(
-            (q, NOTHING if (q, a) in useless else a)
-            for q, a in strategy.assignments
-        )
     )
 
 
@@ -134,23 +116,21 @@ def _sampled_refutation(
     model: EnvironmentModel,
     smaller: Strategy,
     larger: Strategy,
-    options: OracleOptions,
 ) -> bool:
     """Try to refute domination with occurrence-indexed contingencies.
 
     Horizon-cut comparisons that stay undecided are not refutations; only a
-    definite failure counts, so a True here is a genuine counterexample.
+    definite failure counts, so a True here is a genuine counterexample. A
+    definite failure needs the larger trace to reach the nothing-action
+    within ``HORIZON`` steps: against a horizon-cut larger trace,
+    :func:`~purpose_audit.traces.compare_active` never answers NEITHER.
     """
-    rng = random.Random(options.seed)
-    for _ in range(options.occurrence_samples):
+    rng = random.Random(SEED)
+    for _ in range(OCCURRENCE_SAMPLES):
         contingency = SampledContingency(model, rng)
         for start in model.states:
-            small = simulate(
-                model, smaller, contingency, start, horizon=options.horizon
-            )
-            large = simulate(
-                model, larger, contingency, start, horizon=options.horizon
-            )
+            small = simulate(model, smaller, contingency, start, horizon=HORIZON)
+            large = simulate(model, larger, contingency, start, horizon=HORIZON)
             order = compare_active(active_tokens(small), active_tokens(large))
             if order is TraceOrder.NEITHER:
                 return True
@@ -158,23 +138,26 @@ def _sampled_refutation(
 
 
 def precedes(
-    model: EnvironmentModel,
-    earlier: Strategy,
-    later: Strategy,
-    options: OracleOptions = DEFAULT_OPTIONS,
+    model: EnvironmentModel, earlier: Strategy, later: Strategy
 ) -> Precedence:
     """Does ``earlier`` precede ``later`` (same or smaller trace everywhere,
     strictly smaller somewhere)?
 
-    All stationary contingencies are enumerated exactly, with active parts
-    classified finite or infinite by loop detection; occurrence-indexed
-    contingencies are sampled up to the horizon and can only refute. For
-    distinct strategies, domination everywhere already implies a strict pair:
-    starting at a state where the strategies differ, the active traces differ.
+    Decided exactly over stationary contingencies: all of them are
+    enumerated, with active parts classified finite or infinite by loop
+    detection, and a NO from there is a proof. Occurrence-indexed
+    contingencies are then sampled up to ``HORIZON`` steps and can only
+    refute, and only where ``later``'s trace stops within the horizon. So
+    YES means domination under every stationary contingency and under the
+    samples; it is not a proof of domination under every occurrence-indexed
+    contingency (``tests/test_nonredundancy.py`` pins a case where it fails).
+    For distinct strategies, domination everywhere already implies a strict
+    pair: starting at a state where the strategies differ, the active traces
+    differ.
     """
     if earlier == later:
         return Precedence.NO
-    budget = [options.max_contingencies]
+    budget = [MAX_CONTINGENCIES]
     try:
         for start in model.states:
             _check_dominated_from(
@@ -182,25 +165,23 @@ def precedes(
             )
     except _Refuted:
         return Precedence.NO
-    if _sampled_refutation(model, earlier, later, options):
+    if _sampled_refutation(model, earlier, later):
         return Precedence.NO
     return Precedence.YES
 
 
-def opt_star_enumerate(
-    model: EnvironmentModel, options: OracleOptions = DEFAULT_OPTIONS
-) -> list[Strategy]:
+def opt_star_enumerate(model: EnvironmentModel) -> list[Strategy]:
     """The optimal strategies not preceded by another optimal strategy.
 
     Enumerates the optimal set exactly (oracle scale), then prunes every
     strategy some other optimal strategy precedes.
     """
-    optimal = oracle_opt(model, options)
+    optimal = oracle_opt(model)
     return [
         candidate
         for candidate in optimal
         if not any(
-            precedes(model, other, candidate, options) is Precedence.YES
+            precedes(model, other, candidate) is Precedence.YES
             for other in optimal
             if other != candidate
         )

@@ -548,9 +548,3 @@ def bellman_residual(model: EnvironmentModel, values: ValueTable):
         )
     )
 
-
-def is_optimal(model: EnvironmentModel, strategy: Strategy) -> bool:
-    """Whether the strategy attains the exact optimal value at every state."""
-    v_star = solve_optimal(model).v_star
-    values = evaluate_strategy(model, strategy)
-    return all(values[q] == v_star[q] for q in model.states)

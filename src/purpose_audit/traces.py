@@ -10,6 +10,13 @@ The ordering used to call one execution "smaller" compares active parts, the
 tokens before the first nothing-action, under the standard subsequence
 relation. An infinite active part is never a proper sub-execution of anything;
 it can only be equal to another execution.
+
+Under a stationary contingency every run ends absorbed or in a closed cycle,
+so :func:`compare_active` decides the order exactly. An occurrence-indexed
+contingency is simulated to a horizon, and loops are not detected there: a
+comparison is definite only where the horizon did not cut the deciding side.
+A failure against a horizon-cut larger trace stays UNDECIDED, so a failure
+against a larger trace that never stops is never seen.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from enum import Enum
 from math import lcm
 from typing import Mapping, Sequence
 
-from .errors import IndeterminateComparison, ModelError
+from .errors import ModelError
 from .model import NOTHING, Action, Behavior, EnvironmentModel, State, Strategy
 
 
@@ -134,20 +141,6 @@ def simulate(
         steps.append((action, target))
         q = target
         position += 1
-
-
-def active_prefix(execution: ExecutionPrefix | Behavior) -> Behavior:
-    """The stored tokens before the first nothing-action.
-
-    Equals the input behavior when no nothing-action occurs in it.
-    """
-    behavior = (
-        execution.behavior if isinstance(execution, ExecutionPrefix) else execution
-    )
-    for i, (action, _) in enumerate(behavior.steps):
-        if action == NOTHING:
-            return Behavior(behavior.start, behavior.steps[:i])
-    return behavior
 
 
 @dataclass(frozen=True)
@@ -266,18 +259,3 @@ def compare_active(left: ActiveTokens, right: ActiveTokens) -> TraceOrder:
             else TraceOrder.NEITHER
         )
     return TraceOrder.UNDECIDED
-
-
-def is_proper_subexecution(first: ExecutionPrefix, second: ExecutionPrefix) -> bool:
-    """Whether the first execution's active part is a strict subsequence of
-    the second's.
-
-    Raises IndeterminateComparison when a horizon cut on either side prevents
-    a verdict.
-    """
-    order = compare_active(active_tokens(first), active_tokens(second))
-    if order is TraceOrder.UNDECIDED:
-        raise IndeterminateComparison(
-            "horizon-cut execution prefix: comparison undecided"
-        )
-    return order is TraceOrder.PROPER

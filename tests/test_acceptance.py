@@ -20,13 +20,8 @@ from purpose_audit import (
     compute_fix,
     compute_omega,
     evaluate_strategy,
-    opt_star_enumerate,
-    oracle_audit,
-    oracle_opt,
-    oracle_useless,
     solve_optimal,
     triage,
-    useless_pairs,
 )
 from purpose_audit.fixtures import (
     PHYSICIAN_GAMMA,
@@ -35,8 +30,15 @@ from purpose_audit.fixtures import (
     physician_strategies,
 )
 from purpose_audit.model import observed_choices
+from purpose_audit.nonredundancy import opt_star_enumerate, useless_pairs
 from purpose_audit.oracle import (
     evaluate_all_strategies,
+    oracle_audit,
+    oracle_opt,
+    oracle_useless,
+)
+
+from generators import (
     random_consistent_behavior,
     random_model,
     random_walk_behavior,

@@ -24,16 +24,17 @@ from purpose_audit import (
     check_restrictive,
     compute_fix,
     compute_omega,
-    oracle_opt,
     solve_optimal,
     triage,
-    useless_pairs,
     validate_model,
 )
 from purpose_audit import auditing
 from purpose_audit.fixtures import physician_models
 from purpose_audit.model import observed_choices, validate_behavior
-from purpose_audit.oracle import random_consistent_behavior, random_model
+from purpose_audit.nonredundancy import useless_pairs
+from purpose_audit.oracle import oracle_opt
+
+from generators import random_consistent_behavior, random_model
 
 F = Fraction
 
@@ -158,7 +159,7 @@ class TestAudit:
         assert outcome.empty_intersection
         assert outcome.reason is AuditReason.INCONSISTENT_BEHAVIOR
         assert outcome.witness_state == "s"
-        from purpose_audit import oracle_audit
+        from purpose_audit.oracle import oracle_audit
 
         assert oracle_audit(model, clash) is True
 

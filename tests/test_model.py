@@ -160,10 +160,6 @@ class TestStrategy:
         with pytest.raises(StrategyError):
             Strategy.from_mapping({**full, "1": "diagnose"}, treat)
 
-    def test_replace(self, sigmas):
-        sigma1, sigma2, _ = sigmas
-        assert sigma1.replace("2", "send") == sigma2
-
 
 class TestBehavior:
     def test_tokens_round_trip(self, logs):

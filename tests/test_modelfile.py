@@ -26,8 +26,14 @@ from purpose_audit.fixtures import (
     physician_document,
     travel_document,
 )
-from purpose_audit.modelfile import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT, _rational
-from purpose_audit.oracle import random_model
+from purpose_audit.modelfile import (
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
+    MAX_REWARD_ENTRIES,
+    _rational,
+)
+
+from generators import random_model
 
 
 class TestParseModel:
@@ -213,6 +219,22 @@ class TestLinearInSize:
         assert time.perf_counter() - start < 2.0
         assert [b.start for b in behaviors[:2]] == ["s0", "s1"]
         assert len(behaviors) == n
+
+    def test_purposes_times_pairs_capped(self):
+        # 1,001 pairs (one transition and a nothing row per state) under
+        # 1,000 purposes is just over the cap on reward-table entries.
+        states, purposes = 1_000, 1_000
+        assert purposes * (states + 1) > MAX_REWARD_ENTRIES
+        text = (
+            "states: " + " ".join(f"s{i}" for i in range(states)) + "\n"
+            "actions: go\ngamma: 1/2\ntransition: s0 go -> s1 1\n"
+            + "".join(f"purpose: p{i}\n" for i in range(purposes))
+        )
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert time.perf_counter() - start < 0.5
+        assert "1000 purposes times 1001" in err.value.message
 
 
 class TestLiteralBounds:

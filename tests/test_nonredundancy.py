@@ -6,18 +6,31 @@ from itertools import combinations
 import pytest
 
 from purpose_audit import (
-    Precedence,
+    NOTHING,
     SizeCapExceeded,
     Strategy,
     evaluate_strategy,
-    opt_star_enumerate,
-    oracle_opt,
-    precedes,
-    replace_useless_with_nothing,
-    useless_pairs,
     validate_model,
 )
-from purpose_audit.oracle import OracleOptions, oracle_useless, random_model
+from purpose_audit import nonredundancy
+from purpose_audit.nonredundancy import (
+    Precedence,
+    opt_star_enumerate,
+    precedes,
+    useless_pairs,
+)
+from purpose_audit.oracle import oracle_opt, oracle_useless
+from purpose_audit.traces import (
+    ActiveTokens,
+    Termination,
+    TraceOrder,
+    _unrolled,
+    active_tokens,
+    compare_active,
+    simulate,
+)
+
+from generators import random_model
 
 
 class TestUselessPairs:
@@ -53,7 +66,10 @@ class TestUselessReplacement:
             checked += 1
             choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
             sigma = Strategy.from_mapping(choice, model)
-            swapped = replace_useless_with_nothing(sigma, useless)
+            swapped = Strategy.from_mapping(
+                {q: NOTHING if (q, a) in useless else a for q, a in choice.items()},
+                model,
+            )
             before = evaluate_strategy(model, sigma)
             after = evaluate_strategy(model, swapped)
             assert all(after[q] >= before[q] for q in model.states)
@@ -69,7 +85,7 @@ class TestPrecedes:
         assert precedes(treat, sigma1, sigma3) is Precedence.YES
         assert precedes(treat, sigma3, sigma1) is Precedence.NO
 
-    def test_only_the_larger_trace_reaches_a_chance_node(self):
+    def test_only_the_larger_trace_reaches_a_chance_node(self, monkeypatch):
         # From s the smaller strategy stops at once, so only the larger one's
         # trace reaches the unresolved chance node (s, go): the enumeration
         # branches there, on t and on u.
@@ -85,15 +101,17 @@ class TestPrecedes:
         go = Strategy.from_mapping({"s": "go", "t": "N", "u": "N"}, model)
         assert precedes(model, go, stop) is Precedence.NO
         # One call per start state plus one per branch at (s, go).
-        options = OracleOptions(max_contingencies=5)
-        assert precedes(model, stop, go, options) is Precedence.YES
+        monkeypatch.setattr(nonredundancy, "MAX_CONTINGENCIES", 5)
+        assert precedes(model, stop, go) is Precedence.YES
+        monkeypatch.setattr(nonredundancy, "MAX_CONTINGENCIES", 4)
         with pytest.raises(SizeCapExceeded):
-            precedes(model, stop, go, OracleOptions(max_contingencies=4))
+            precedes(model, stop, go)
 
-    def test_size_cap(self, treat, sigmas):
+    def test_size_cap(self, treat, sigmas, monkeypatch):
         sigma1, _, sigma3 = sigmas
+        monkeypatch.setattr(nonredundancy, "MAX_CONTINGENCIES", 1)
         with pytest.raises(SizeCapExceeded):
-            precedes(treat, sigma1, sigma3, OracleOptions(max_contingencies=1))
+            precedes(treat, sigma1, sigma3)
 
     def test_partial_order_on_random_optimal_sets(self):
         rng = random.Random(37)
@@ -160,3 +178,76 @@ class TestOptStar:
             survivors = opt_star_enumerate(model)
             assert survivors
             assert all(s in optimal for s in survivors)
+
+
+class TestStationaryVersusOccurrenceIndexed:
+    """``precedes`` decides domination exactly over stationary contingencies
+    and only samples occurrence-indexed ones. This pins a pair where the two
+    orders part: every stationary contingency keeps sigma's trace inside
+    sigma-prime's, but a contingency that sends (y2, a) to y3 on its first
+    visit and to v on every later one does not, and sigma-prime's trace
+    under it never stops, so no horizon-cut sample can see the failure."""
+
+    @staticmethod
+    def model():
+        return validate_model(
+            states=["x", "y1", "y2", "y3", "v"],
+            actions=["a", "b", "c"],
+            transitions={
+                ("x", "a"): {"y1": 1},
+                ("x", "b"): {"y2": 1},
+                ("y1", "a"): {"y2": 1},
+                ("y2", "a"): {"y3": "1/2", "v": "1/2"},
+                ("y3", "c"): {"y1": 1},
+                ("v", "c"): {"y1": 1},
+            },
+            rewards={},
+            discount="1/2",
+            fill_missing_rewards=True,
+        )
+
+    class FirstVisitOnly:
+        """kappa((y2, a), 0) = y3 and kappa((y2, a), i) = v for i >= 1."""
+
+        def resolve(self, state, action, occurrence):
+            return "y3" if occurrence == 0 else "v"
+
+    def strategies(self, model):
+        sigma = Strategy.from_mapping(
+            {"x": "a", "y1": "a", "y2": "a", "y3": NOTHING, "v": NOTHING}, model
+        )
+        sigma_prime = Strategy.from_mapping(
+            {"x": "b", "y1": "a", "y2": "a", "y3": "c", "v": "c"}, model
+        )
+        return sigma, sigma_prime
+
+    def test_stationary_order_says_yes(self):
+        model = self.model()
+        sigma, sigma_prime = self.strategies(model)
+        assert precedes(model, sigma, sigma_prime) is Precedence.YES
+
+    def test_occurrence_indexed_contingency_refutes(self):
+        model = self.model()
+        sigma, sigma_prime = self.strategies(model)
+        kappa = self.FirstVisitOnly()
+        small = simulate(model, sigma, kappa, "x", horizon=nonredundancy.HORIZON)
+        assert small.termination is Termination.NOTHING_ABSORBED
+        smaller = active_tokens(small)
+        assert smaller == ActiveTokens(
+            ("x", "a", "y1", "a", "y2", "a", "y3"), None, True
+        )
+        # sigma-prime's whole trace: a prefix, then (v c y1 a y2 a) forever.
+        larger = ActiveTokens(
+            ("x", "b", "y2", "a", "y3", "c", "y1", "a", "y2", "a"),
+            ("v", "c", "y1", "a", "y2", "a"),
+            True,
+        )
+        assert compare_active(smaller, larger) is TraceOrder.NEITHER
+        # Simulated to the horizon, the larger trace is cut, and the cut
+        # comparison cannot refute.
+        large = simulate(model, sigma_prime, kappa, "x", horizon=nonredundancy.HORIZON)
+        assert large.termination is Termination.HORIZON_CUT
+        known = 2 * len(large.behavior) + 1
+        assert active_tokens(large).prefix == tuple(_unrolled(larger, known))
+        assert compare_active(smaller, active_tokens(large)) is TraceOrder.UNDECIDED
+

@@ -11,24 +11,25 @@ from purpose_audit import (
     SizeCapExceeded,
     Strategy,
     audit,
-    enumerate_strategies,
     evaluate_strategy,
-    oracle_audit,
-    oracle_opt,
-    oracle_useless,
     solve_optimal,
     validate_model,
 )
 from purpose_audit import oracle, solve
 from purpose_audit.oracle import (
-    DEFAULT_OPTIONS,
-    OracleOptions,
+    enumerate_strategies,
     evaluate_all_strategies,
+    oracle_audit,
+    oracle_opt,
+    oracle_useless,
+    strategy_space_size,
+    strategy_values,
+)
+
+from generators import (
     random_consistent_behavior,
     random_model,
     random_walk_behavior,
-    strategy_space_size,
-    strategy_values,
 )
 
 
@@ -38,9 +39,9 @@ def lookahead(model, values, q, a):
     return model.reward(q, a) + model.discount * expected
 
 
-def max_q_over_strategies(model, state, action, options=DEFAULT_OPTIONS):
+def max_q_over_strategies(model, state, action):
     """max over strategies of the one-step value of (state, action)."""
-    tables = evaluate_all_strategies(model, options)
+    tables = evaluate_all_strategies(model)
     return max(lookahead(model, table, state, action) for table in tables.values())
 
 
@@ -75,9 +76,10 @@ class TestEnumeration:
         strategies = enumerate_strategies(treat)
         assert len(set(strategies)) == len(strategies)
 
-    def test_cap(self, treat):
+    def test_cap(self, treat, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STRATEGIES", 95)
         with pytest.raises(SizeCapExceeded):
-            enumerate_strategies(treat, OracleOptions(max_strategies=95))
+            enumerate_strategies(treat)
 
 
 class TestOracleOpt:

@@ -12,28 +12,31 @@ from purpose_audit import (
     AuditReason,
     Behavior,
     ConvergenceError,
+    InconsistentBehavior,
     Strategy,
     audit,
     bellman_residual,
     compute_fix,
     compute_omega,
     evaluate_strategy,
-    oracle_audit,
     q_value,
     solve_optimal,
     validate_model,
 )
 from purpose_audit.model import observed_choices
 from purpose_audit.solve import FLOAT_EQUALITY, FLOAT_ITERATION_CAP, FLOAT_RESIDUAL
-from purpose_audit.oracle import (
-    random_consistent_behavior,
-    random_model,
-    random_walk_behavior,
-)
+from purpose_audit.nonredundancy import opt_star_enumerate
+from purpose_audit.oracle import oracle_audit, oracle_opt
 from purpose_audit.traces import (
     ActiveTokens,
     TraceOrder,
     compare_active,
+)
+
+from generators import (
+    random_consistent_behavior,
+    random_model,
+    random_walk_behavior,
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -158,6 +161,60 @@ class TestAuditInvariants:
         model = random_model(rng)
         start = rng.choice(model.states)
         assert not audit(model, Behavior(start)).empty_intersection
+
+
+class TestAuditDecidesTheDefinition:
+    """The paper's theorem: a log's audit is empty iff no non-redundant
+    optimal strategy picks every logged action.
+
+    The definition side is ``opt_star_enumerate``: the optimal strategies
+    (by brute force) that no other optimal strategy precedes. Its order is
+    exact over stationary contingencies and only sampled over
+    occurrence-indexed ones (see ``nonredundancy.precedes``), so this checks
+    the engine against Opt* under the stationary order. An inconsistent log
+    forces two actions at one state and is empty by definition. Rewards in
+    [-3, 3] with many zeros make ties, so some logs fit only redundant
+    optimal strategies; step one has to reject those, and the test asserts
+    that such logs occur."""
+
+    ZERO_FRACTIONS = (0.4, 0.7, 0.9)
+    MODELS_PER_FRACTION = 40
+    LOGS_PER_MODEL = 8
+
+    @staticmethod
+    def _fits(strategies, constraints) -> bool:
+        return any(
+            all(sigma[q] == a for q, a in constraints.items()) for sigma in strategies
+        )
+
+    def test_audit_matches_opt_star(self):
+        rng = random.Random(20110)
+        redundant_only = 0
+        for zero_fraction in self.ZERO_FRACTIONS:
+            for _ in range(self.MODELS_PER_FRACTION):
+                model = random_model(
+                    rng,
+                    n_states=(2, 4),
+                    reward_range=(-3, 3),
+                    zero_reward_fraction=zero_fraction,
+                )
+                optimal = oracle_opt(model)
+                opt_star = opt_star_enumerate(model)
+                for i in range(self.LOGS_PER_MODEL):
+                    walk = random_walk_behavior if i % 2 else random_consistent_behavior
+                    behavior = walk(rng, model)
+                    try:
+                        constraints = observed_choices(behavior)
+                    except InconsistentBehavior:
+                        empty = True
+                    else:
+                        empty = not self._fits(opt_star, constraints)
+                        redundant_only += empty and self._fits(optimal, constraints)
+                    assert audit(model, behavior).empty_intersection == empty, (
+                        model,
+                        behavior,
+                    )
+        assert redundant_only > 0
 
 
 class TestExactDecisionMatchesPenalisedModel:

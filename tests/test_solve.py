@@ -13,14 +13,14 @@ from purpose_audit import (
     UndefinedPair,
     bellman_residual,
     evaluate_strategy,
-    is_optimal,
     q_value,
     solve_optimal,
     validate_model,
 )
 from purpose_audit import solve
-from purpose_audit.oracle import random_model
 from purpose_audit.solve import _warm_start, solve_linear_system
+
+from generators import random_model
 
 F = Fraction
 
@@ -132,6 +132,11 @@ class TestQValue:
     def test_undefined_pair(self, treat):
         with pytest.raises(UndefinedPair):
             q_value(treat, solve_optimal(treat).v_star, "1", "diagnose")
+
+
+def is_optimal(model, strategy):
+    """Whether the strategy attains the exact optimal value at every state."""
+    return evaluate_strategy(model, strategy) == solve_optimal(model).v_star
 
 
 class TestIsOptimal:

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from purpose_audit import (
-    Behavior,
-    IndeterminateComparison,
+from purpose_audit import Behavior
+from purpose_audit.errors import ModelError
+from purpose_audit.traces import (
+    ExecutionPrefix,
     SampledContingency,
-    active_prefix,
-    is_proper_subexecution,
+    Termination,
+    TraceOrder,
+    active_tokens,
+    compare_active,
     simulate,
 )
-from purpose_audit.errors import ModelError
-from purpose_audit.traces import ExecutionPrefix, Termination
 
 
 def validate_contingency(model, contingency):
@@ -35,18 +36,26 @@ def cut(tokens):
     return ExecutionPrefix(Behavior.from_tokens(tokens), Termination.HORIZON_CUT)
 
 
+def order(first, second):
+    return compare_active(active_tokens(first), active_tokens(second))
+
+
 class TestActivePrefix:
+    # The active part is the tokens before the first nothing-action.
     def test_nothing_from_the_start(self):
-        b = Behavior.from_tokens(["q", "N", "q", "N", "q"])
-        assert active_prefix(b) == Behavior("q")
+        tokens = active_tokens(absorbed(["q", "N", "q", "N", "q"]))
+        assert tokens.prefix == ("q",)
+        assert tokens.finite()
 
     def test_without_nothing_unchanged(self):
-        b = Behavior.from_tokens(["1", "take", "2", "diagnose", "6"])
-        assert active_prefix(b) == b
+        tokens = active_tokens(cut(["1", "take", "2", "diagnose", "6"]))
+        assert tokens.prefix == ("1", "take", "2", "diagnose", "6")
+        assert not tokens.complete
 
     def test_trailing_nothing_stripped(self):
-        b = Behavior.from_tokens(["1", "take", "2", "diagnose", "6", "N", "6"])
-        assert active_prefix(b) == Behavior.from_tokens(["1", "take", "2", "diagnose", "6"])
+        tokens = active_tokens(absorbed(["1", "take", "2", "diagnose", "6", "N", "6"]))
+        assert tokens.prefix == ("1", "take", "2", "diagnose", "6")
+        assert tokens.finite()
 
 
 class TestSimulate:
@@ -96,51 +105,50 @@ class TestSimulate:
 class TestIsProperSubexecution:
     def test_identical_is_not_proper(self):
         e = absorbed(["1", "take", "2", "diagnose", "6", "N", "6"])
-        assert not is_proper_subexecution(e, e)
+        assert order(e, e) is TraceOrder.EQUAL
 
     def test_absorbed_versus_infinite_loop(self, treat, sigmas):
         sigma1, _, sigma3 = sigmas
         kappa = {("1", "take"): "2", ("4", "send"): "5"}
         short = simulate(treat, sigma1, kappa, "2")
         long = simulate(treat, sigma3, kappa, "2")
-        assert is_proper_subexecution(short, long)
-        assert not is_proper_subexecution(long, short)
+        assert order(short, long) is TraceOrder.PROPER
+        assert order(long, short) is TraceOrder.NEITHER
 
     def test_absorbed_versus_horizon_capped(self):
         short = absorbed(["2", "diagnose", "6", "N", "6"])
         capped = cut(["2", "diagnose", "6", "send", "6", "send", "6"])
-        assert is_proper_subexecution(short, capped)
+        assert order(short, capped) is TraceOrder.PROPER
 
     def test_prefix_pair_both_absorbed(self):
         first = absorbed(["1", "take", "2", "N", "2"])
         second = absorbed(["1", "take", "2", "send", "3", "N", "3"])
-        assert is_proper_subexecution(first, second)
-        assert not is_proper_subexecution(second, first)
+        assert order(first, second) is TraceOrder.PROPER
+        assert order(second, first) is TraceOrder.NEITHER
 
     def test_scattered_subsequence_counts(self):
         # Not contiguous: the embedding may skip tokens.
         first = absorbed(["2", "diagnose", "6", "N", "6"])
         second = absorbed(["2", "send", "3", "diagnose", "6", "N", "6"])
-        assert is_proper_subexecution(first, second)
+        assert order(first, second) is TraceOrder.PROPER
 
-    def test_horizon_cut_raises_when_undecidable(self):
+    def test_horizon_cut_undecided(self):
         # The capped side has not shown the needed tokens yet.
         first = absorbed(["2", "diagnose", "6", "N", "6"])
         capped = cut(["2", "send", "3"])
-        with pytest.raises(IndeterminateComparison):
-            is_proper_subexecution(first, capped)
+        assert order(first, capped) is TraceOrder.UNDECIDED
 
     def test_cut_prefix_refuted_by_complete_side(self):
         # A prefix that already fails to embed can never embed later.
         growing = cut(["2", "send", "3", "send", "3"])
         complete = absorbed(["2", "diagnose", "6", "N", "6"])
-        assert not is_proper_subexecution(growing, complete)
+        assert order(growing, complete) is TraceOrder.NEITHER
 
     def test_infinite_active_part_never_proper(self, treat, sigmas):
         _, _, sigma3 = sigmas
         kappa = {("1", "take"): "2", ("4", "send"): "5"}
         looping = simulate(treat, sigma3, kappa, "6")
         other = simulate(treat, sigma3, kappa, "2")
-        assert not is_proper_subexecution(looping, other)
+        assert order(looping, other) is TraceOrder.NEITHER
         # ... even against itself (equality, not properness).
-        assert not is_proper_subexecution(looping, looping)
+        assert order(looping, looping) is TraceOrder.EQUAL

@@ -99,7 +99,9 @@ def compute_fix(model: EnvironmentModel, behavior: Behavior) -> EnvironmentModel
         (q, a): (-omega if q in constraints and a != constraints[q] else r)
         for (q, a), r in model.rewards.items()
     }
-    return model.with_rewards(rewards)
+    # The only model whose nothing-action rewards are not all 0, so it skips
+    # the checks of with_rewards.
+    return model._with_table(rewards)
 
 
 class AuditReason(Enum):

@@ -26,12 +26,7 @@ from .auditing import (
     triage,
 )
 from .errors import PurposeAuditError
-from .fixtures import (
-    PHYSICIAN_LOG,
-    TRAVEL_LOG,
-    physician_document,
-    travel_document,
-)
+from .fixtures import PHYSICIAN_LOG, PHYSICIAN_MODEL, TRAVEL_LOG, TRAVEL_MODEL
 from .model import Behavior, EnvironmentModel
 from .modelfile import parse_log, parse_model
 from .solve import solve_optimal
@@ -286,9 +281,9 @@ def _cmd_examples(args, out) -> int:
     target = Path(args.emit)
     target.mkdir(parents=True, exist_ok=True)
     files = {
-        "physician.model": physician_document(),
+        "physician.model": PHYSICIAN_MODEL,
         "physician.log": PHYSICIAN_LOG,
-        "travel.model": travel_document(),
+        "travel.model": TRAVEL_MODEL,
         "travel.log": TRAVEL_LOG,
     }
     for name, content in files.items():

@@ -1,4 +1,5 @@
-"""Bundled example models and logs.
+"""Bundled example models and logs, as the document text that
+``purpose-audit examples`` writes.
 
 The physician fixture models a specialist who takes an X-ray, can usually
 diagnose directly (state 2) but sometimes must refer the record to an outside
@@ -15,18 +16,11 @@ to both, with separate reward tables for the business meeting and the
 lecture; driving pays 2, flying 1, attending nothing 0.
 """
 
-from __future__ import annotations
-
-from .model import Behavior, EnvironmentModel, Strategy
-from .modelfile import parse_log, parse_model
-
-PHYSICIAN_GAMMA = "9/10"
-
-_PHYSICIAN_TEMPLATE = """\
+PHYSICIAN_MODEL = """\
 # Physician referral environment.
 # States: 1 seen patient, 2 X-ray clear, 3 record at own practice (redundant
 # referral), 4 X-ray unclear, 5 outside test succeeded, 6 done.
-gamma: {gamma}
+gamma: 9/10
 states: 1 2 3 4 5 6
 actions: take send diagnose
 
@@ -59,11 +53,9 @@ PHYSICIAN_LOG = """\
 1 take 4 send 5 diagnose 6 N 6
 """
 
-TRAVEL_GAMMA = "9/10"
-
-_TRAVEL_TEMPLATE = """\
+TRAVEL_MODEL = """\
 # Traveler choosing between driving to one event or flying to both.
-gamma: {gamma}
+gamma: 9/10
 states: home nyDrove dcDrove nyFlew dcFlew bothFlown
 actions: driveNY driveDC flyNY flyDC
 
@@ -90,49 +82,3 @@ TRAVEL_LOG = """\
 home flyNY nyFlew flyDC bothFlown N bothFlown
 home driveNY nyDrove N nyDrove
 """
-
-
-def physician_document(gamma: str = PHYSICIAN_GAMMA) -> str:
-    return _PHYSICIAN_TEMPLATE.format(gamma=gamma)
-
-
-def physician_models(gamma: str = PHYSICIAN_GAMMA) -> dict[str, EnvironmentModel]:
-    """The physician purpose family: keys "treat" and "profit"."""
-    return parse_model(physician_document(gamma))
-
-
-def physician_behaviors() -> tuple[Behavior, Behavior]:
-    """(redundant-referral log, necessary-referral log)."""
-    first, second = parse_log(PHYSICIAN_LOG)
-    return first, second
-
-
-def physician_strategies(
-    model: EnvironmentModel,
-) -> tuple[Strategy, Strategy, Strategy]:
-    """The three reference strategies over the physician structure.
-
-    sigma1 follows the book: take, diagnose where possible, refer only from
-    the unclear state, stop when done. sigma2 adds a redundant referral at the
-    clear state; sigma3 keeps sending after everything is done.
-    """
-    base = {"1": "take", "2": "diagnose", "3": "diagnose",
-            "4": "send", "5": "diagnose", "6": "N"}
-    sigma1 = Strategy.from_mapping(base, model)
-    sigma2 = Strategy.from_mapping({**base, "2": "send"}, model)
-    sigma3 = Strategy.from_mapping({**base, "6": "send"}, model)
-    return sigma1, sigma2, sigma3
-
-
-def travel_document(gamma: str = TRAVEL_GAMMA) -> str:
-    return _TRAVEL_TEMPLATE.format(gamma=gamma)
-
-
-def travel_models(gamma: str = TRAVEL_GAMMA) -> dict[str, EnvironmentModel]:
-    """The travel purpose family: keys "business" and "lecture"."""
-    return parse_model(travel_document(gamma))
-
-
-def travel_behaviors() -> tuple[Behavior, Behavior]:
-    first, second = parse_log(TRAVEL_LOG)
-    return first, second

@@ -10,7 +10,7 @@ factor are exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -98,9 +98,9 @@ class StructureIndex:
     (position, L * gamma * p). Pairs are numbered in state order, then
     action order, as :meth:`EnvironmentModel.pairs` yields them; a reward
     vector is a sequence indexed by that number. Every model made from the
-    same validated structure (each purpose of a document, each
-    ``with_rewards`` result) holds the same index, so these lists are built
-    once per structure.
+    same validated structure by ``with_rewards`` (each purpose of a
+    document included) holds the same index, so these lists are built once
+    per structure.
     """
 
     def __init__(self, states, actions, transitions, discount):
@@ -108,15 +108,6 @@ class StructureIndex:
         self.actions = actions
         self.transitions = transitions
         self.discount = discount
-
-    def built_from(self, model: EnvironmentModel) -> bool:
-        """Whether this index describes ``model``'s structure objects."""
-        return (
-            model.states is self.states
-            and model.actions is self.actions
-            and model.transitions is self.transitions
-            and model.discount is self.discount
-        )
 
     @cached_property
     def position(self) -> dict[State, int]:
@@ -213,15 +204,15 @@ class EnvironmentModel:
 
     ``transitions`` maps each defined (state, action) pair to a distribution
     over successor states; ``rewards`` is defined on exactly the same pairs.
-    Every state has the pair (q, ``NOTHING``), a zero-reward self-loop.
-    Instances are immutable; construct them through :func:`validate_model`.
-    ``_index`` is the structure's :class:`StructureIndex`, carried over by
-    ``with_rewards`` and ``dataclasses.replace`` and rebuilt when the
-    structure objects differ. ``_solutions`` holds the model's optimal
-    solution per solver mode, filled by the audit's first decision in that
-    mode; every new model, ``with_rewards`` and ``dataclasses.replace``
-    results included, starts with it empty. Neither takes part in ``==`` or
-    ``repr``.
+    Every state has the pair (q, ``NOTHING``), a self-loop with reward 0
+    everywhere but in the penalised model of ``auditing.compute_fix``.
+    Instances are immutable; construct them through :func:`validate_model`
+    and :meth:`with_rewards`. ``_index`` is the structure's
+    :class:`StructureIndex`: ``with_rewards`` hands its own on, and every
+    other construction, ``dataclasses.replace`` included, builds a fresh
+    one. ``_solutions`` holds the model's optimal solution per solver mode,
+    filled by the audit's first decision in that mode; every new model
+    starts with it empty. Neither takes part in ``==`` or ``repr``.
     """
 
     states: tuple[State, ...]
@@ -229,17 +220,16 @@ class EnvironmentModel:
     transitions: Mapping[tuple[State, Action], Mapping[State, Rational]]
     rewards: Mapping[tuple[State, Action], Rational]
     discount: Rational
-    _index: StructureIndex | None = field(default=None, compare=False, repr=False)
+    _index: StructureIndex = field(init=False, compare=False, repr=False)
     _solutions: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
-        if self._index is None or not self._index.built_from(self):
-            index = StructureIndex(
-                self.states, self.actions, self.transitions, self.discount
-            )
-            object.__setattr__(self, "_index", index)
+        index = StructureIndex(
+            self.states, self.actions, self.transitions, self.discount
+        )
+        object.__setattr__(self, "_index", index)
 
     def available_actions(self, state: State) -> tuple[Action, ...]:
         """Actions with a transition entry at ``state``, in action order."""
@@ -256,23 +246,33 @@ class EnvironmentModel:
         """Defined (state, action) pairs in deterministic state/action order."""
         return iter(self._index.pairs)
 
-    def with_rewards(
-        self, rewards: Mapping[tuple[State, Action], Rational]
-    ) -> EnvironmentModel:
-        """Same transition structure with a different reward table."""
-        if set(rewards) != set(self.transitions):
-            raise DomainMismatch(
-                "replacement rewards must cover exactly the transition domain"
-            )
-        table = {pair: as_rational(rewards[pair]) for pair in self.transitions}
-        return EnvironmentModel(
-            states=self.states,
-            actions=self.actions,
-            transitions=self.transitions,
-            rewards=table,
-            discount=self.discount,
-            _index=self._index,
+    def with_rewards(self, rewards: Mapping) -> EnvironmentModel:
+        """This structure with the reward table ``rewards``.
+
+        Each listed reward must sit on a defined pair, and a nothing-action
+        reward must be zero; a pair not listed gets reward 0. The table is
+        ordered like :meth:`pairs`; this model's own rewards are not read.
+        """
+        table = {pair: as_rational(r) for pair, r in rewards.items()}
+        for q in self.states:
+            if table.get((q, NOTHING), ZERO) != 0:
+                raise NothingActionConflict(
+                    f"nothing-action at {q!r} must have reward 0"
+                )
+        transitions = self.transitions
+        for pair in table:
+            if pair not in transitions:
+                raise DomainMismatch(f"reward defined for {pair} but no transition is")
+        return self._with_table({pair: table.get(pair, ZERO) for pair in transitions})
+
+    def _with_table(self, table: Mapping) -> EnvironmentModel:
+        """This structure with ``table`` as its rewards, unchecked, sharing
+        this model's index."""
+        model = EnvironmentModel(
+            self.states, self.actions, self.transitions, table, self.discount
         )
+        object.__setattr__(model, "_index", self._index)
+        return model
 
     def max_reward_magnitude(self) -> Rational:
         """Largest |r(q, a)| over the defined pairs."""
@@ -322,16 +322,15 @@ def validate_model(
     transitions: Mapping | None = None,
     rewards: Mapping | None = None,
     discount=None,
-    fill_missing_rewards: bool = False,
 ) -> EnvironmentModel:
     """Validate a model description and return an immutable model.
 
     Every model has the nothing-action ``NOTHING`` as a zero-reward self-loop
     at every state, so every state has an available action: it is completed
-    where a state omits it, a supplied nothing row must already be that
-    self-loop, and a nothing-action reward must be zero whether its row was
-    supplied or completed. ``fill_missing_rewards`` defaults omitted rewards
-    on defined pairs to zero instead of raising DomainMismatch.
+    where a state omits it, and a supplied nothing row must already be that
+    self-loop. The rewards are then installed by
+    :meth:`EnvironmentModel.with_rewards`, so a pair without a listed reward
+    gets 0.
     """
     if states is None or actions is None or transitions is None or discount is None:
         raise ModelError("states, actions, transitions and discount are all required")
@@ -383,43 +382,7 @@ def validate_model(
         rewards={},
         discount=gamma,
     )
-    return replace(
-        structure,
-        rewards=_reward_table(
-            structure, rewards or {}, fill_missing=fill_missing_rewards
-        ),
-    )
-
-
-def _reward_table(
-    structure: EnvironmentModel, rewards: Mapping, *, fill_missing: bool
-) -> dict[tuple[State, Action], Rational]:
-    """Check a raw reward table against a validated structure.
-
-    Every reward must sit on a defined pair and every nothing-action reward
-    must be zero, whether the caller declared that row or the validator
-    added it. A missing nothing-action reward is zero; other missing rewards
-    are zero when ``fill_missing`` is set, else a DomainMismatch. The result
-    is ordered like ``structure.pairs()``; the structure's own ``rewards``
-    are not read.
-    """
-    table = {pair: as_rational(r) for pair, r in rewards.items()}
-    transitions = structure.transitions
-    for q in structure.states:
-        if table.get((q, NOTHING), ZERO) != 0:
-            raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
-    for pair in table:
-        if pair not in transitions:
-            raise DomainMismatch(f"reward defined for {pair} but no transition is")
-    ordered: dict[tuple[State, Action], Rational] = {}
-    for pair in transitions:
-        reward = table.get(pair)
-        if reward is None:
-            if not fill_missing and pair[1] != NOTHING:
-                raise DomainMismatch(f"transition defined for {pair} but no reward is")
-            reward = ZERO
-        ordered[pair] = reward
-    return ordered
+    return structure.with_rewards(rewards or {})
 
 
 @dataclass(frozen=True)

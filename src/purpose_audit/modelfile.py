@@ -29,7 +29,6 @@ tokens, starting and ending with a state.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -42,7 +41,6 @@ from .model import (  # the literal caps are re-exported: they bound this format
     Behavior,
     EnvironmentModel,
     State,
-    _reward_table,
     as_rational,
     validate_behavior,
     validate_model,
@@ -175,7 +173,6 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
         actions=actions,
         transitions=transitions,
         discount=gamma,
-        fill_missing_rewards=True,
     )
     entries = len(purposes) * len(structure.transitions)
     if entries > MAX_REWARD_ENTRIES:
@@ -184,12 +181,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
             f"(state, action) pairs make {entries} reward entries, over the cap "
             f"of {MAX_REWARD_ENTRIES}"
         )
-    return {
-        name: replace(
-            structure, rewards=_reward_table(structure, rewards, fill_missing=True)
-        )
-        for name, rewards in purposes.items()
-    }
+    return {name: structure.with_rewards(r) for name, r in purposes.items()}
 
 
 def _format_rational(value: Fraction) -> str:
@@ -232,10 +224,8 @@ def format_model_document(models: Mapping[str, EnvironmentModel]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_log(
-    text: str, model: EnvironmentModel | None = None
-) -> list[Behavior]:
-    """Parse a log document; with a model, also validate each behavior.
+def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
+    """Parse a log document and validate each behavior against ``model``.
 
     Unknown tokens, undefined pairs and zero-probability steps are hard
     errors: a log outside the model's vocabulary cannot be audited.
@@ -253,11 +243,10 @@ def parse_log(
                 line_no,
             )
         behavior = Behavior.from_tokens(tokens)
-        if model is not None:
-            try:
-                validate_behavior(model, behavior)
-            except BehaviorError as exc:
-                raise ParseError(str(exc), line_no) from exc
+        try:
+            validate_behavior(model, behavior)
+        except BehaviorError as exc:
+            raise ParseError(str(exc), line_no) from exc
         behaviors.append(behavior)
     return behaviors
 

@@ -3,12 +3,51 @@ from __future__ import annotations
 import pytest
 
 from purpose_audit.fixtures import (
-    physician_behaviors,
-    physician_models,
-    physician_strategies,
-    travel_behaviors,
-    travel_models,
+    PHYSICIAN_LOG,
+    PHYSICIAN_MODEL,
+    TRAVEL_LOG,
+    TRAVEL_MODEL,
 )
+from purpose_audit.model import Behavior, EnvironmentModel, Strategy
+from purpose_audit.modelfile import parse_log, parse_model
+
+
+def physician_models() -> dict[str, EnvironmentModel]:
+    """The physician purpose family: keys "treat" and "profit"."""
+    return parse_model(PHYSICIAN_MODEL)
+
+
+def physician_behaviors() -> tuple[Behavior, Behavior]:
+    """(redundant-referral log, necessary-referral log)."""
+    first, second = parse_log(PHYSICIAN_LOG, physician_models()["treat"])
+    return first, second
+
+
+def physician_strategies(
+    model: EnvironmentModel,
+) -> tuple[Strategy, Strategy, Strategy]:
+    """The three reference strategies over the physician structure.
+
+    sigma1 follows the book: take, diagnose where possible, refer only from
+    the unclear state, stop when done. sigma2 adds a redundant referral at the
+    clear state; sigma3 keeps sending after everything is done.
+    """
+    base = {"1": "take", "2": "diagnose", "3": "diagnose",
+            "4": "send", "5": "diagnose", "6": "N"}
+    sigma1 = Strategy.from_mapping(base, model)
+    sigma2 = Strategy.from_mapping({**base, "2": "send"}, model)
+    sigma3 = Strategy.from_mapping({**base, "6": "send"}, model)
+    return sigma1, sigma2, sigma3
+
+
+def travel_models() -> dict[str, EnvironmentModel]:
+    """The travel purpose family: keys "business" and "lecture"."""
+    return parse_model(TRAVEL_MODEL)
+
+
+def travel_behaviors() -> tuple[Behavior, Behavior]:
+    first, second = parse_log(TRAVEL_LOG, travel_models()["business"])
+    return first, second
 
 
 @pytest.fixture(scope="session")

@@ -23,13 +23,9 @@ from purpose_audit import (
     solve_optimal,
     triage,
 )
-from purpose_audit.fixtures import (
-    PHYSICIAN_GAMMA,
-    physician_behaviors,
-    physician_models,
-    physician_strategies,
-)
+from purpose_audit.fixtures import PHYSICIAN_MODEL
 from purpose_audit.model import observed_choices
+from purpose_audit.modelfile import parse_model
 from purpose_audit.nonredundancy import opt_star_enumerate, useless_pairs
 from purpose_audit.oracle import (
     evaluate_all_strategies,
@@ -38,13 +34,16 @@ from purpose_audit.oracle import (
     oracle_useless,
 )
 
+from conftest import physician_behaviors, physician_models, physician_strategies
 from generators import (
     random_consistent_behavior,
     random_model,
     random_walk_behavior,
 )
 
-GAMMA_SWEEP = ("1/2", "3/4", "9/10", "99/100")
+SHIPPED_GAMMA = "9/10"
+SHIPPED_GAMMA_LINE = f"\ngamma: {SHIPPED_GAMMA}\n"
+GAMMA_SWEEP = ("1/2", "3/4", SHIPPED_GAMMA, "99/100")
 
 
 @contextmanager
@@ -94,7 +93,8 @@ def test_criterion_2_profit_deniability():
 
 
 def _treat_claims_hold(gamma: str) -> bool:
-    treat = physician_models(gamma)["treat"]
+    document = PHYSICIAN_MODEL.replace(SHIPPED_GAMMA_LINE, f"\ngamma: {gamma}\n")
+    treat = parse_model(document)["treat"]
     sigma1, sigma2, sigma3 = physician_strategies(treat)
     optimal = oracle_opt(treat)
     return (
@@ -112,8 +112,8 @@ def test_criterion_3_strategy_claims_at_shipped_gamma():
         5.0,
         "treat fixture strategy claims at the shipped discount (sweep only on failure)",
     ):
-        if _treat_claims_hold(PHYSICIAN_GAMMA):
-            assert PHYSICIAN_GAMMA == "9/10"
+        assert SHIPPED_GAMMA_LINE in PHYSICIAN_MODEL
+        if _treat_claims_hold(SHIPPED_GAMMA):
             return
         passing = [g for g in GAMMA_SWEEP if _treat_claims_hold(g)]
         assert passing, "strategy claims fail at every swept discount: build failure"

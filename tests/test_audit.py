@@ -29,11 +29,11 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit import auditing
-from purpose_audit.fixtures import physician_models
 from purpose_audit.model import observed_choices, validate_behavior
 from purpose_audit.nonredundancy import useless_pairs
 from purpose_audit.oracle import oracle_opt
 
+from conftest import physician_models
 from generators import random_consistent_behavior, random_model
 
 F = Fraction
@@ -75,12 +75,18 @@ class TestComputeFix:
         assert fixed.reward("2", "N") == -omega
         assert fixed.reward("6", "send") == -omega
         assert fixed.reward("6", "N") == 0
+        # The one model whose nothing-action rewards are not all 0: -omega
+        # at every observed state that logged another action.
+        assert [q for q in fixed.states if fixed.reward(q, "N") != 0] == ["1", "2", "3"]
+        assert fixed.reward("1", "N") == fixed.reward("3", "N") == -omega
         # Unobserved states keep their rewards.
         assert fixed.reward("4", "send") == treat.reward("4", "send")
         assert fixed.reward("5", "diagnose") == 12
         # Structure is untouched.
         assert fixed.transitions == treat.transitions
         assert fixed.discount == treat.discount
+        assert fixed._index is treat._index
+        assert list(fixed.rewards) == list(treat.pairs())
 
     def test_inconsistent_behavior_rejected(self, treat):
         clash = Behavior.from_tokens(
@@ -277,7 +283,6 @@ class TestPolicyChecks:
                 transitions={("s", "go"): {target: 1}},
                 rewards={("s", "go"): reward},
                 discount="1/2",
-                fill_missing_rewards=True,
             )
 
         rule = PolicyRule(RuleKind.RESTRICTIVE, ("p", "q"))

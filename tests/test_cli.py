@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -324,6 +325,22 @@ class TestExamples:
         names = {p.name for p in example_dir.iterdir()}
         assert names == {
             "physician.model", "physician.log", "travel.model", "travel.log",
+        }
+
+    def test_emitted_bytes_pinned(self, example_dir):
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in example_dir.iterdir()
+        }
+        assert digests == {
+            "physician.model":
+                "7a1d9808c4730407423cbd28e6818fb9418ccc61ae37e100d9c9a5f9902e91cf",
+            "physician.log":
+                "6e01019921ef86e1d441614088fe238c2851d0219c7fd802ba49ef5498762f93",
+            "travel.model":
+                "98ebcd6329d3b776eee56789825a1a22c2057d09db6ba41af6b6971b0f3bedfd",
+            "travel.log":
+                "5bc06cd2fbd4ca3030d1dfb231b1da0d6b8e3854b8e9cc10175ed1e34973edf8",
         }
 
     def test_usage_error_exit_one(self):

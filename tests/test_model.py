@@ -94,14 +94,19 @@ class TestValidateModel:
     def test_reward_without_transition_rejected(self):
         with pytest.raises(DomainMismatch):
             tiny(rewards={("s", "a"): 1, ("u", "a"): 2})
-
-    def test_transition_without_reward_rejected(self):
-        with pytest.raises(DomainMismatch):
-            tiny(rewards={})
+        model = tiny()
+        with pytest.raises(DomainMismatch, match="'u', 'a'"):
+            model.with_rewards({**model.rewards, ("u", "a"): 2})
 
     def test_fill_missing_rewards(self):
-        model = tiny(rewards={}, fill_missing_rewards=True)
+        # A pair without a listed reward gets 0, in validate_model and in
+        # with_rewards alike.
+        model = tiny(rewards={})
         assert model.reward("s", "a") == 0
+        assert list(model.rewards) == list(model.pairs())
+        other = tiny().with_rewards({("s", "a"): 3})
+        assert other.rewards == {("s", "a"): 3, ("s", "N"): 0, ("u", "N"): 0}
+        assert list(other.rewards) == list(other.pairs())
 
     def test_nothing_conflict_non_self_loop(self):
         with pytest.raises(NothingActionConflict):
@@ -116,6 +121,9 @@ class TestValidateModel:
                 transitions={("s", "a"): {"u": 1}, ("s", "N"): {"s": 1}},
                 rewards={("s", "a"): 1, ("s", "N"): 5},
             )
+        model = tiny()
+        with pytest.raises(NothingActionConflict, match="'u' must have reward 0"):
+            model.with_rewards({**model.rewards, ("u", "N"): 5})
 
     def test_nothing_reward_rejected_on_implicit_row(self):
         # The validator adds the (s, N) row here; a nonzero reward on it is
@@ -132,8 +140,7 @@ class TestValidateModel:
         assert "'s' must have reward 0" in str(undeclared.value)
 
     def test_missing_nothing_reward_is_zero(self):
-        # Without fill_missing_rewards, a declared nothing row still needs
-        # no reward entry.
+        # A declared nothing row needs no reward entry either.
         model = tiny(transitions={("s", "a"): {"u": 1}, ("s", "N"): {"s": 1}})
         assert model.reward("s", "N") == 0
         assert list(model.rewards) == list(model.pairs())
@@ -233,7 +240,11 @@ class TestStructureIndex:
         model = tiny()
         other = model.with_rewards({("s", "a"): 3, ("s", "N"): 0, ("u", "N"): 0})
         assert other._index is model._index
-        assert replace(model, rewards=other.rewards)._index is model._index
+        assert other.with_rewards({})._index is model._index
+        # Any other construction builds its own index, even on the same
+        # structure objects.
+        assert replace(model, rewards=other.rewards)._index is not model._index
+        assert replace(model, discount=Fraction(1, 3))._index is not model._index
 
     def test_rebuilt_for_a_new_structure(self):
         model = tiny()

@@ -95,7 +95,6 @@ class TestPrecedes:
             transitions={("s", "go"): {"t": "1/2", "u": "1/2"}},
             rewards={("s", "go"): 1},
             discount="1/2",
-            fill_missing_rewards=True,
         )
         stop = Strategy.from_mapping({"s": "N", "t": "N", "u": "N"}, model)
         go = Strategy.from_mapping({"s": "go", "t": "N", "u": "N"}, model)
@@ -203,7 +202,6 @@ class TestStationaryVersusOccurrenceIndexed:
             },
             rewards={},
             discount="1/2",
-            fill_missing_rewards=True,
         )
 
     class FirstVisitOnly:

@@ -46,3 +46,14 @@ def test_import_loads_no_reference_layer(module):
         assert f"purpose_audit.{name}" not in probe["loaded"]
     for name in NOT_EXPORTED:
         assert name not in probe["exported"]
+
+
+def test_fixtures_are_document_text():
+    # Helpers that build models or strategies from the examples belong to the
+    # tests (conftest.py), not to the installed package.
+    from purpose_audit import fixtures
+
+    assert not [
+        name for name, value in vars(fixtures).items()
+        if callable(value) and not name.startswith("__")
+    ]

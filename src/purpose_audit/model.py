@@ -252,18 +252,31 @@ class EnvironmentModel:
         Each listed reward must sit on a defined pair, and a nothing-action
         reward must be zero; a pair not listed gets reward 0. The table is
         ordered like :meth:`pairs`; this model's own rewards are not read.
+        One pass over the listed entries converts each and notes the
+        undefined pairs and the states with a nonzero nothing-action reward.
+        Only once every entry has converted is an error raised:
+        NothingActionConflict for the first such state in state order, else
+        DomainMismatch for the first undefined pair listed.
         """
-        table = {pair: as_rational(r) for pair, r in rewards.items()}
-        for q in self.states:
-            if table.get((q, NOTHING), ZERO) != 0:
-                raise NothingActionConflict(
-                    f"nothing-action at {q!r} must have reward 0"
-                )
         transitions = self.transitions
-        for pair in table:
+        table = {}
+        undefined, conflicts = [], []
+        for pair, r in rewards.items():
+            if type(r) is not Fraction:
+                r = as_rational(r)
+            table[pair] = r
             if pair not in transitions:
-                raise DomainMismatch(f"reward defined for {pair} but no transition is")
-        return self._with_table({pair: table.get(pair, ZERO) for pair in transitions})
+                undefined.append(pair)
+            elif pair[1] == NOTHING and r:
+                conflicts.append(pair[0])
+        if conflicts:
+            q = min(conflicts, key=self._index.position.__getitem__)
+            raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
+        if undefined:
+            raise DomainMismatch(f"reward defined for {undefined[0]} but no transition is")
+        full = dict.fromkeys(transitions, ZERO)
+        full.update(table)
+        return self._with_table(full)
 
     def _with_table(self, table: Mapping) -> EnvironmentModel:
         """This structure with ``table`` as its rewards, unchecked, sharing
@@ -299,19 +312,25 @@ class EnvironmentModel:
 
 
 def _check_distribution(pair, distribution) -> dict[State, Rational]:
+    """The row's nonzero entries, in order, after checking it is a
+    distribution: no entry is negative, and with L the lcm of the entries'
+    denominators, the integers n * (L // d) sum to L, so the row sums to 1
+    without adding Fractions."""
     cleaned: dict[State, Rational] = {}
-    total = ZERO
     for target, probability in distribution.items():
-        p = as_rational(probability)
-        if p < 0:
+        p = probability if type(probability) is Fraction else as_rational(probability)
+        if p.numerator < 0:
             raise DistributionError(
                 f"negative probability {p} for {pair} -> {target!r}"
             )
-        if p > 0:
+        if p.numerator != 0:
             cleaned[target] = p
-        total += p
-    if total != 1:
-        raise DistributionError(f"probabilities for {pair} sum to {total}, not 1")
+    denominator = math.lcm(*(p.denominator for p in cleaned.values()))
+    total = sum(p.numerator * (denominator // p.denominator) for p in cleaned.values())
+    if total != denominator:
+        raise DistributionError(
+            f"probabilities for {pair} sum to {Fraction(total, denominator)}, not 1"
+        )
     return cleaned
 
 
@@ -356,7 +375,7 @@ def validate_model(
         if a not in action_position:
             raise ModelError(f"transition references unknown action {a!r}")
         cleaned = _check_distribution((q, a), distribution)
-        for target in cleaned:
+        for target in distribution:
             if target not in state_position:
                 raise ModelError(
                     f"transition {(q, a)} targets unknown state {target!r}"

@@ -21,7 +21,8 @@ validator adds them); a document may still declare them, as long as they are
 self-loops. A reward on a nothing-action pair must be zero, whether its row is
 declared or implicit. One environment model is produced per declared purpose,
 all sharing one validated structure: the states, actions, gamma and the very
-same transitions object.
+same transitions object. The gamma, states and actions lines each appear
+once, and no name is listed twice on one line.
 
 A log document holds one behavior per line: alternating state and action
 tokens, starting and ending with a state.
@@ -52,9 +53,7 @@ MAX_REWARD_ENTRIES = 1_000_000
 
 
 def _strip_comment(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+    return line.partition("#")[0].strip()
 
 
 def _rational(token: str, line_no: int, literals: dict[str, Fraction]) -> Fraction:
@@ -69,6 +68,10 @@ def _rational(token: str, line_no: int, literals: dict[str, Fraction]) -> Fracti
     return value
 
 
+# The header lines, each given exactly once, in the order a missing one is reported.
+_HEADERS = ("states", "actions", "gamma")
+
+
 def parse_model(text: str) -> dict[str, EnvironmentModel]:
     """Parse a model document into one validated model per purpose.
 
@@ -77,33 +80,41 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     share one ``transitions`` object.
     """
     literals: dict[str, Fraction] = {}
-    states: list[str] | None = None
-    actions: list[str] | None = None
-    gamma = None
+    headers: dict[str, object] = {}
     transitions: dict[tuple[State, Action], dict[State, Fraction]] = {}
     purposes: dict[str, dict[tuple[State, Action], Fraction]] = {}
     current: str | None = None
+    table: dict[tuple[State, Action], Fraction] | None = None
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line)
         if not line:
             continue
-        if ":" not in line:
+        directive, colon, rest = line.partition(":")
+        if not colon:
             raise ParseError("expected 'directive: ...'", line_no, raw_line.find(line) + 1)
-        directive, _, rest = line.partition(":")
         directive = directive.strip()
-        rest = rest.strip()
 
-        if directive == "states":
-            states = rest.split()
-            if not states:
-                raise ParseError("states line lists no states", line_no)
-        elif directive == "actions":
-            actions = rest.split()
-            if not actions:
-                raise ParseError("actions line lists no actions", line_no)
-        elif directive == "gamma":
-            gamma = _rational(rest, line_no, literals)
+        # Most lines of a document are rewards, so they are matched first.
+        if directive == "reward":
+            if table is None:
+                raise ParseError("reward line before any purpose", line_no)
+            head, eq, value = rest.partition("=")
+            if not eq:
+                raise ParseError("reward line needs '='", line_no)
+            head_tokens = head.split()
+            if len(head_tokens) != 2:
+                raise ParseError("reward head must be '<state> <action>'", line_no)
+            pair = (head_tokens[0], head_tokens[1])
+            if pair in table:
+                raise ParseError(
+                    f"duplicate reward for {pair} under purpose {current!r}", line_no
+                )
+            value = value.strip()
+            reward = literals.get(value)
+            if reward is None:
+                reward = _rational(value, line_no, literals)
+            table[pair] = reward
         elif directive == "transition":
             head, arrow, targets = rest.partition("->")
             if not arrow:
@@ -132,47 +143,44 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                 distribution[target] = _rational(probability, line_no, literals)
             transitions[(q, a)] = distribution
         elif directive == "purpose":
-            name = rest
+            name = rest.strip()
             if not name or len(name.split()) != 1:
                 raise ParseError("purpose line needs exactly one name", line_no)
             if name in purposes:
                 raise ParseError(f"duplicate purpose {name!r}", line_no)
-            purposes[name] = {}
-            current = name
-        elif directive == "reward":
-            if current is None:
-                raise ParseError("reward line before any purpose", line_no)
-            head, eq, value = rest.partition("=")
-            if not eq:
-                raise ParseError("reward line needs '='", line_no)
-            head_tokens = head.split()
-            if len(head_tokens) != 2:
-                raise ParseError("reward head must be '<state> <action>'", line_no)
-            pair = (head_tokens[0], head_tokens[1])
-            if pair in purposes[current]:
-                raise ParseError(
-                    f"duplicate reward for {pair} under purpose {current!r}", line_no
-                )
-            purposes[current][pair] = _rational(value.strip(), line_no, literals)
+            current, table = name, {}
+            purposes[name] = table
+        elif directive in _HEADERS:
+            if directive in headers:
+                raise ParseError(f"duplicate '{directive}:' line", line_no)
+            if directive == "gamma":
+                headers[directive] = _rational(rest.strip(), line_no, literals)
+                continue
+            names = rest.split()
+            if not names:
+                raise ParseError(f"{directive} line lists no {directive}", line_no)
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise ParseError(f"{directive} line lists {name!r} twice", line_no)
+                seen.add(name)
+            headers[directive] = names
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no)
 
-    if states is None:
-        raise ParseError("missing 'states:' line")
-    if actions is None:
-        raise ParseError("missing 'actions:' line")
-    if gamma is None:
-        raise ParseError("missing 'gamma:' line")
+    for directive in _HEADERS:
+        if directive not in headers:
+            raise ParseError(f"missing '{directive}:' line")
     if not transitions:
         raise ParseError("no transitions declared")
     if not purposes:
         raise ParseError("no purposes declared")
 
     structure = validate_model(
-        states=states,
-        actions=actions,
+        states=headers["states"],
+        actions=headers["actions"],
         transitions=transitions,
-        discount=gamma,
+        discount=headers["gamma"],
     )
     entries = len(purposes) * len(structure.transitions)
     if entries > MAX_REWARD_ENTRIES:

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
     Behavior,
@@ -22,7 +23,7 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit.errors import ModelError
-from purpose_audit.model import MAX_LITERAL_DIGITS
+from purpose_audit.model import MAX_LITERAL_DIGITS, _check_distribution
 
 
 def tiny(**overrides):
@@ -155,6 +156,63 @@ class TestValidateModel:
     def test_unknown_target_state_rejected(self):
         with pytest.raises(ModelError):
             tiny(transitions={("s", "a"): {"x": 1}})
+
+
+def fraction_sum_check(pair, distribution):
+    """The row check as it was before the integer sum: Fractions added and
+    compared entry by entry, the reference for ``_check_distribution``."""
+    cleaned = {}
+    total = Fraction(0)
+    for target, probability in distribution.items():
+        p = as_rational(probability)
+        if p < 0:
+            raise DistributionError(
+                f"negative probability {p} for {pair} -> {target!r}"
+            )
+        if p > 0:
+            cleaned[target] = p
+        total += p
+    if total != 1:
+        raise DistributionError(f"probabilities for {pair} sum to {total}, not 1")
+    return cleaned
+
+
+# The forms an entry may take: a Fraction, its "a/b" text, the decimal text
+# of its float, that float, and an int where it is whole; ``rows`` sometimes
+# adds a literal that does not parse.
+ENTRY_FORMS = (
+    lambda v: v,
+    str,
+    lambda v: str(float(v)),
+    float,
+    lambda v: int(v) if v.denominator == 1 else v,
+)
+
+
+@st.composite
+def rows(draw):
+    values = draw(st.lists(st.fractions(-1, 2, max_denominator=24), max_size=5))
+    if draw(st.booleans()):
+        values.append(1 - sum(values, Fraction(0)))
+    entries = [draw(st.sampled_from(ENTRY_FORMS))(v) for v in values]
+    if draw(st.integers(0, 9)) == 0:
+        bad = draw(st.sampled_from(("x", "1/0")))
+        entries.insert(draw(st.integers(0, len(entries))), bad)
+    return {f"t{i}": entry for i, entry in enumerate(entries)}
+
+
+def _result(check, row):
+    try:
+        return list(check(("s", "a"), row).items())
+    except (ModelError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCheckDistribution:
+    @settings(max_examples=400, deadline=None)
+    @given(rows())
+    def test_matches_fraction_sums(self, row):
+        assert _result(_check_distribution, row) == _result(fraction_sum_check, row)
 
 
 class TestStrategy:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from purpose_audit import (
     NOTHING,
     AlternationError,
+    DiscountError,
+    DistributionError,
     DomainMismatch,
+    ModelError,
     NothingActionConflict,
     ParseError,
     PurposeAuditError,
@@ -121,14 +125,207 @@ class TestParseModel:
             parse_model(text)
 
     def test_bad_distribution_passthrough(self):
-        from purpose_audit import DistributionError
-
         text = (
             "gamma: 1/2\nstates: a b\nactions: x\n"
             "transition: a x -> b 1/2\npurpose: p\n"
         )
         with pytest.raises(DistributionError):
             parse_model(text)
+
+
+def _outcome(call):
+    """(type, message, line, column) of the error ``call()`` raises, or None."""
+    try:
+        call()
+    except ParseError as err:
+        return type(err), err.message, err.line, err.column
+    except (PurposeAuditError, ValueError, TypeError) as err:
+        return type(err), str(err), 0, 0
+    return None
+
+
+HEAD = "gamma: 1/2\nstates: a b\nactions: x\n"
+ROW = "transition: a x -> b 1\n"
+TAIL = ROW + "purpose: p\n"
+BODY = HEAD + TAIL
+NEGATIVE = "negative probability {} for ('a', 'x') -> {!r}"
+UNKNOWN_TARGET = "transition ('a', 'x') targets unknown state {!r}"
+NOTHING_ROW = "nothing-action at 'b' must be a self-loop with probability 1"
+NOTHING_REWARD = "nothing-action at {!r} must have reward 0"
+UNDEFINED = "reward defined for ('b', 'x') but no transition is"
+
+# Every raise of parse_model, _check_distribution, validate_model and
+# with_rewards that a document can reach, with its type, message and position.
+MALFORMED = [
+    (BODY + "  stray words\n", ParseError, "expected 'directive: ...'", 6, 3),
+    ("states:\n", ParseError, "states line lists no states", 1, 0),
+    ("actions:  # none\n", ParseError, "actions line lists no actions", 1, 0),
+    ("gamma: 1/x\n", ParseError, "bad rational literal '1/x'", 1, 0),
+    (HEAD + "transition: a x => b 1\n", ParseError, "transition line needs '->'", 4, 0),
+    (
+        HEAD + "transition: a -> b 1\n",
+        ParseError, "transition head must be '<state> <action>'", 4, 0,
+    ),
+    (HEAD + ROW + ROW, ParseError, "duplicate transition for a x", 5, 0),
+    (
+        HEAD + "transition: a x -> b\n",
+        ParseError, "each transition target must be '<state> <probability>'", 4, 0,
+    ),
+    (
+        HEAD + "transition: a x -> b 1/2, b 1/2\n",
+        ParseError, "duplicate target b in transition", 4, 0,
+    ),
+    (
+        BODY + "purpose: two names\n",
+        ParseError, "purpose line needs exactly one name", 6, 0,
+    ),
+    (BODY + "purpose: p\n", ParseError, "duplicate purpose 'p'", 6, 0),
+    (
+        HEAD + ROW + "reward: a x = 1\n",
+        ParseError, "reward line before any purpose", 5, 0,
+    ),
+    (BODY + "reward: a x 1\n", ParseError, "reward line needs '='", 6, 0),
+    (
+        BODY + "reward: a = 1\n",
+        ParseError, "reward head must be '<state> <action>'", 6, 0,
+    ),
+    (
+        BODY + "reward: a x = 1\nreward: a x = 2\n",
+        ParseError, "duplicate reward for ('a', 'x') under purpose 'p'", 7, 0,
+    ),
+    (BODY + "reward: a x = 1/0\n", ParseError, "bad rational literal '1/0'", 6, 0),
+    (BODY + "rewards: a x = 1\n", ParseError, "unknown directive 'rewards'", 6, 0),
+    ("actions: x\ngamma: 1/2\n", ParseError, "missing 'states:' line", 0, 0),
+    ("states: a\ngamma: 1/2\n", ParseError, "missing 'actions:' line", 0, 0),
+    ("states: a\nactions: x\n", ParseError, "missing 'gamma:' line", 0, 0),
+    (HEAD + "purpose: p\n", ParseError, "no transitions declared", 0, 0),
+    (HEAD + ROW, ParseError, "no purposes declared", 0, 0),
+    (
+        HEAD + "transition: a x -> a 3/2, b -1/2\npurpose: p\n",
+        DistributionError, NEGATIVE.format("-1/2", "b"), 0, 0,
+    ),
+    (
+        HEAD + "transition: a x -> a 1/2, b 1/4\npurpose: p\n",
+        DistributionError, "probabilities for ('a', 'x') sum to 3/4, not 1", 0, 0,
+    ),
+    # A negative entry is reported before the row's bad sum.
+    (
+        HEAD + "transition: a x -> a -1/4, b 1/2\npurpose: p\n",
+        DistributionError, NEGATIVE.format("-1/4", "a"), 0, 0,
+    ),
+    (
+        "gamma: 1\nstates: a b\nactions: x\n" + TAIL,
+        DiscountError, "discount must satisfy 0 < gamma < 1, got 1", 0, 0,
+    ),
+    (
+        HEAD + "transition: c x -> b 1\npurpose: p\n",
+        ModelError, "transition references unknown state 'c'", 0, 0,
+    ),
+    (
+        HEAD + "transition: a y -> b 1\npurpose: p\n",
+        ModelError, "transition references unknown action 'y'", 0, 0,
+    ),
+    (
+        HEAD + "transition: a x -> c 1\npurpose: p\n",
+        ModelError, UNKNOWN_TARGET.format("c"), 0, 0,
+    ),
+    (
+        HEAD + ROW + "transition: b N -> a 1\npurpose: p\n",
+        NothingActionConflict, NOTHING_ROW, 0, 0,
+    ),
+    # Of two nonzero nothing-action rewards, the first in state order.
+    (
+        BODY + "reward: b N = 1\nreward: a N = 2\n",
+        NothingActionConflict, NOTHING_REWARD.format("a"), 0, 0,
+    ),
+    (BODY + "reward: b x = 1\n", DomainMismatch, UNDEFINED, 0, 0),
+    # Of two undefined pairs, the first listed.
+    (BODY + "reward: b x = 1\nreward: a y = 1\n", DomainMismatch, UNDEFINED, 0, 0),
+    # A nonzero nothing-action reward is reported before an undefined pair.
+    (
+        BODY + "reward: b x = 1\nreward: b N = 3\n",
+        NothingActionConflict, NOTHING_REWARD.format("b"), 0, 0,
+    ),
+    # A target is checked even where its probability is zero.
+    (
+        HEAD + "transition: a x -> b 1, zzz 0\npurpose: p\n",
+        ModelError, UNKNOWN_TARGET.format("zzz"), 0, 0,
+    ),
+    (HEAD + "gamma: 9/10\n" + TAIL, ParseError, "duplicate 'gamma:' line", 4, 0),
+    (HEAD + "states: a b c\n" + TAIL, ParseError, "duplicate 'states:' line", 4, 0),
+    (HEAD + "actions: x\n" + TAIL, ParseError, "duplicate 'actions:' line", 4, 0),
+    (
+        "gamma: 1/2\nstates: a b a\nactions: x\n" + TAIL,
+        ParseError, "states line lists 'a' twice", 2, 0,
+    ),
+    (
+        "gamma: 1/2\nstates: a b\nactions: x x\n" + TAIL,
+        ParseError, "actions line lists 'x' twice", 3, 0,
+    ),
+]
+
+
+class TestPinnedErrors:
+    """Malformed documents and tables raise exactly these errors."""
+
+    @pytest.mark.parametrize(
+        "text, kind, message, line, column",
+        MALFORMED,
+        ids=[message for _, _, message, _, _ in MALFORMED],
+    )
+    def test_document(self, text, kind, message, line, column):
+        assert _outcome(lambda: parse_model(text)) == (kind, message, line, column)
+
+    def test_zero_probability_target_checked(self):
+        text = HEAD + "transition: a x -> b 1, zzz 0\npurpose: p\n"
+        row = {("a", "x"): {"b": 1, "zzz": 0}}
+        expected = (ModelError, UNKNOWN_TARGET.format("zzz"), 0, 0)
+        assert _outcome(lambda: parse_model(text)) == expected
+        assert _outcome(
+            lambda: validate_model(
+                states="ab", actions="x", transitions=row, discount=0.5
+            )
+        ) == expected
+
+    def test_nothing_action_may_be_listed(self):
+        text = "gamma: 1/2\nstates: a b\nactions: x N\n" + TAIL
+        assert parse_model(text)["p"].actions == ("x", "N")
+
+    def test_library_tables(self):
+        structure = parse_model(BODY)["p"]
+        rows = {("a", "x"): {"b": 1}}
+        required = "states, actions, transitions and discount are all required"
+        assert _outcome(lambda: validate_model(states=["a"], actions=["x"])) == (
+            ModelError, required, 0, 0,
+        )
+        assert _outcome(
+            lambda: validate_model(states=[], actions=[], transitions={}, discount=0.5)
+        ) == (ModelError, "a model needs at least one state", 0, 0)
+        # The library keeps deduplicating names; only the document rejects them.
+        twice = validate_model(
+            states=["a", "b", "a"], actions=["x", "x"], transitions=rows, discount=0.5
+        )
+        assert twice.states == ("a", "b") and twice.actions == ("x", NOTHING)
+        # Every entry is converted before any nothing-action or domain check.
+        late = {("b", "x"): 1, ("a", NOTHING): 5, ("a", "x"): "1/0"}
+        assert _outcome(lambda: structure.with_rewards(late)) == (
+            ValueError, "bad rational literal '1/0'", 0, 0,
+        )
+        assert _outcome(lambda: structure.with_rewards({("a", "x"): True})) == (
+            TypeError, "cannot interpret True as a rational number", 0, 0,
+        )
+        assert _outcome(
+            lambda: structure.with_rewards({("b", NOTHING): 0.5, ("a", NOTHING): "1"})
+        ) == (NothingActionConflict, NOTHING_REWARD.format("a"), 0, 0)
+        assert _outcome(
+            lambda: structure.with_rewards({("b", "x"): 0, ("b", NOTHING): 0.0})
+        ) == (DomainMismatch, UNDEFINED, 0, 0)
+        mixed = structure.with_rewards({("a", "x"): "0.25", ("b", NOTHING): 0.0})
+        assert list(mixed.rewards.items()) == [
+            (("a", "x"), Fraction(1, 4)),
+            (("a", NOTHING), 0),
+            (("b", NOTHING), 0),
+        ]
 
 
 class TestRoundTrip:
@@ -219,6 +416,29 @@ class TestLinearInSize:
         assert time.perf_counter() - start < 2.0
         assert [b.start for b in behaviors[:2]] == ["s0", "s1"]
         assert len(behaviors) == n
+
+    def test_no_fraction_sums_or_comparisons(self, monkeypatch):
+        # Rows are checked and rewards installed with integer and dict work:
+        # the only Fraction sums or ordering comparisons left are gamma's
+        # range check, whatever the numbers of rows and reward entries.
+        rng = random.Random(13)
+        documents = []
+        for n in (200, 2_000):
+            model = random_model(rng, n_states=(n, n), max_support=3)
+            documents.append(format_model_document({"p": model, "q": model}))
+        counts = Counter()
+        for name in ("__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__"):
+            method = getattr(Fraction, name)
+
+            def counted(a, b, name=name, method=method):
+                counts[name] += 1
+                return method(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        for text in documents:
+            counts.clear()
+            parse_model(text)
+            assert counts == {"__lt__": 2}
 
     def test_purposes_times_pairs_capped(self):
         # 1,001 pairs (one transition and a nothing row per state) under

@@ -42,7 +42,6 @@ from .errors import (
     PurposeAuditError,
     SizeCapExceeded,
     StrategyError,
-    UndefinedPair,
 )
 from .model import (
     NOTHING,
@@ -60,7 +59,6 @@ from .solve import (
     OptimalSolution,
     bellman_residual,
     evaluate_strategy,
-    q_value,
     solve_optimal,
 )
 

@@ -27,8 +27,7 @@ from each of which some allowed action (the logged one at an observed state,
 any greedy one elsewhere) keeps every successor in the set, found by a
 worklist that re-checks only the predecessors of a dropped state. The gap
 witness is the first state outside it, which is the first state where the
-penalised optimum falls short. The penalised values stay available as
-evidence, computed only when ``AuditOutcome.v_star_fixed`` is read.
+penalised optimum falls short.
 
 Float mode still solves the penalised model and compares values with
 tolerances, but never builds it: it copies the purpose's float reward vector,
@@ -46,11 +45,10 @@ validated once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InconsistentBehavior
 from .model import (
@@ -128,9 +126,6 @@ class AuditOutcome:
       optimal strategy matches the log; not empty.
     - INCONSISTENT_BEHAVIOR: the log itself forces two actions at one state,
       so no stationary strategy fits; empty.
-
-    ``penalised`` produces the penalised model's optimal values; it is None
-    when step one or an inconsistency decided the audit.
     """
 
     empty_intersection: bool
@@ -139,15 +134,6 @@ class AuditOutcome:
     witness_action: Action | None = None
     v_star: Mapping[State, Rational] | None = None
     mode: str = "exact"
-    penalised: Callable[[], Mapping[State, Rational]] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @cached_property
-    def v_star_fixed(self) -> Mapping[State, Rational] | None:
-        """Optimal values of the penalised model, solved on first read in
-        exact mode."""
-        return None if self.penalised is None else self.penalised()
 
 
 def _floats_equal(left, right) -> bool:
@@ -203,9 +189,6 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
     if mode != "exact":
         return _penalised_comparison(model, behavior, choices, solution)
 
-    def penalised():
-        return solve_optimal(compute_fix(model, behavior), mode=mode).v_star
-
     greedy = solution.greedy
     if all(a in greedy[q] for q, a in choices.items()):
         return AuditOutcome(
@@ -214,7 +197,6 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
             witness_state=behavior.start,
             v_star=solution.v_star,
             mode=mode,
-            penalised=penalised,
         )
     safe = _safe_states(model, greedy, choices)
     return AuditOutcome(
@@ -223,7 +205,6 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
         witness_state=model.states[safe.index(False)],
         v_star=solution.v_star,
         mode=mode,
-        penalised=penalised,
     )
 
 
@@ -301,16 +282,14 @@ def _penalised_comparison(
         return vector
 
     values, _ = _float_values(model, top, rewards)
-    fixed_v_star = dict(zip(model.states, values))
-    for q in model.states:
-        if not _floats_equal(solution.v_star[q], fixed_v_star[q]):
+    for q, fixed in zip(model.states, values):
+        if not _floats_equal(solution.v_star[q], fixed):
             return AuditOutcome(
                 empty_intersection=True,
                 reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
                 witness_state=q,
                 v_star=solution.v_star,
                 mode="float",
-                penalised=lambda: fixed_v_star,
             )
     return AuditOutcome(
         empty_intersection=False,
@@ -318,7 +297,6 @@ def _penalised_comparison(
         witness_state=behavior.start,
         v_star=solution.v_star,
         mode="float",
-        penalised=lambda: fixed_v_star,
     )
 
 

@@ -314,10 +314,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except PurposeAuditError as exc:
+    except (PurposeAuditError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

@@ -50,10 +50,6 @@ class InconsistentBehavior(BehaviorError):
         self.second = second
 
 
-class UndefinedPair(PurposeAuditError):
-    """A (state, action) pair outside the model's transition domain was queried."""
-
-
 class ConvergenceError(PurposeAuditError):
     """The iterative solver did not reach its residual target within the cap,
     or cannot run in floating point: the discount rounds to 1.0, or the

@@ -17,12 +17,14 @@ on the guess.
 Every exact backup is one integer dot product (:func:`_backup`) of the
 index's coefficients L * gamma * p, where L is the state's scale, with values
 over one common denominator D; rewards are numerators over the model's common
-reward denominator R. So a round puts V over D once, compares the Q-values of
-a state as the integers Q * R * L * D, and Fractions are built only for the
-V* and Q* returned. Float mode runs plain value iteration to the relative
-residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps, and is
-meant for larger models where exact arithmetic gets expensive; audit verdicts
-derived from float values are advisory.
+reward denominator R. Evaluation returns one Fraction per state, so a round
+puts those values over D once (:func:`_over_common_denominator`) and compares
+the Q-values of a state as the integers Q * R * L * D; after the last round, a
+Fraction is built for each Q* that is not its state's V*. Float mode runs
+plain value iteration to the relative residual ``FLOAT_RESIDUAL``, within
+``FLOAT_ITERATION_CAP`` sweeps, and is meant for larger models where exact
+arithmetic gets expensive; audit verdicts derived from float values are
+advisory.
 
 Every float iteration (the warm start, float mode, and the values-only entry
 point that float audits use for penalised reward vectors) runs one sweep
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConvergenceError, UndefinedPair
+from .errors import ConvergenceError
 from .model import (
     Action,
     EnvironmentModel,
@@ -302,25 +304,6 @@ def _q_numerators(
                 rewards[k] * weight + reward_denominator * _backup(index, k, numerators)
             )
     return out
-
-
-def q_value(model: EnvironmentModel, values: ValueTable, state: State, action: Action):
-    """One-step lookahead value r(q,a) + gamma * sum t(q,a)(q') v(q'), for
-    exact values."""
-    index = model._index
-    k = index.number.get((state, action))
-    if k is None:
-        raise UndefinedPair(f"action {action!r} is not defined at state {state!r}")
-    successors = [j for j, _ in index.coefficients[k]]
-    numerators, denominator = _over_common_denominator(
-        [values[model.states[j]] for j in successors]
-    )
-    rewards, reward_denominator = model._reward_numerators
-    scale = index.scales[index.position[state]] * denominator
-    backup = _backup(index, k, dict(zip(successors, numerators)))
-    return Fraction(
-        rewards[k] * scale + reward_denominator * backup, reward_denominator * scale
-    )
 
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:

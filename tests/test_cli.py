@@ -48,6 +48,30 @@ class TestValidate:
         assert err
 
 
+class TestInputFileErrors:
+    """An unreadable model, log or output path ends in an error line and exit
+    1, with nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "case", ["directory model", "non-UTF-8 model", "non-UTF-8 log", "emit onto file"]
+    )
+    def test_error_exit_one(self, example_dir, tmp_path, case):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"states: a\n\xff\n")
+        argv = {
+            "directory model": ["validate", str(tmp_path)],
+            "non-UTF-8 model": ["validate", str(binary)],
+            "non-UTF-8 log": [
+                "audit", str(example_dir / "physician.model"), str(binary),
+                "--purpose", "treat",
+            ],
+            "emit onto file": ["examples", "--emit", str(binary)],
+        }[case]
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+
 class TestGoldenOutput:
     """The whole stdout of audit, check and triage on the physician and
     travel examples, in exact and float mode, as text and as --json, is

@@ -12,21 +12,18 @@ from purpose_audit import (
     AuditReason,
     Behavior,
     ConvergenceError,
-    InconsistentBehavior,
     Strategy,
     audit,
     bellman_residual,
     compute_fix,
     compute_omega,
     evaluate_strategy,
-    q_value,
     solve_optimal,
     validate_model,
 )
 from purpose_audit.model import observed_choices
 from purpose_audit.solve import FLOAT_EQUALITY, FLOAT_ITERATION_CAP, FLOAT_RESIDUAL
-from purpose_audit.nonredundancy import opt_star_enumerate
-from purpose_audit.oracle import oracle_audit, oracle_opt
+from purpose_audit.oracle import oracle_audit
 from purpose_audit.traces import (
     ActiveTokens,
     TraceOrder,
@@ -38,6 +35,7 @@ from generators import (
     random_model,
     random_walk_behavior,
 )
+from test_solve import lookahead
 
 seeds = st.integers(min_value=0, max_value=10**9)
 tokens = st.lists(st.sampled_from("abcxyz"), min_size=0, max_size=8)
@@ -95,7 +93,7 @@ class TestSolverInvariants:
         sigma = Strategy.from_mapping(choice, model)
         values = evaluate_strategy(model, sigma)
         for q in model.states:
-            assert values[q] == q_value(model, values, q, sigma[q])
+            assert values[q] == lookahead(model, values, q, sigma[q])
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
@@ -163,60 +161,6 @@ class TestAuditInvariants:
         assert not audit(model, Behavior(start)).empty_intersection
 
 
-class TestAuditDecidesTheDefinition:
-    """The paper's theorem: a log's audit is empty iff no non-redundant
-    optimal strategy picks every logged action.
-
-    The definition side is ``opt_star_enumerate``: the optimal strategies
-    (by brute force) that no other optimal strategy precedes. Its order is
-    exact over stationary contingencies and only sampled over
-    occurrence-indexed ones (see ``nonredundancy.precedes``), so this checks
-    the engine against Opt* under the stationary order. An inconsistent log
-    forces two actions at one state and is empty by definition. Rewards in
-    [-3, 3] with many zeros make ties, so some logs fit only redundant
-    optimal strategies; step one has to reject those, and the test asserts
-    that such logs occur."""
-
-    ZERO_FRACTIONS = (0.4, 0.7, 0.9)
-    MODELS_PER_FRACTION = 40
-    LOGS_PER_MODEL = 8
-
-    @staticmethod
-    def _fits(strategies, constraints) -> bool:
-        return any(
-            all(sigma[q] == a for q, a in constraints.items()) for sigma in strategies
-        )
-
-    def test_audit_matches_opt_star(self):
-        rng = random.Random(20110)
-        redundant_only = 0
-        for zero_fraction in self.ZERO_FRACTIONS:
-            for _ in range(self.MODELS_PER_FRACTION):
-                model = random_model(
-                    rng,
-                    n_states=(2, 4),
-                    reward_range=(-3, 3),
-                    zero_reward_fraction=zero_fraction,
-                )
-                optimal = oracle_opt(model)
-                opt_star = opt_star_enumerate(model)
-                for i in range(self.LOGS_PER_MODEL):
-                    walk = random_walk_behavior if i % 2 else random_consistent_behavior
-                    behavior = walk(rng, model)
-                    try:
-                        constraints = observed_choices(behavior)
-                    except InconsistentBehavior:
-                        empty = True
-                    else:
-                        empty = not self._fits(opt_star, constraints)
-                        redundant_only += empty and self._fits(optimal, constraints)
-                    assert audit(model, behavior).empty_intersection == empty, (
-                        model,
-                        behavior,
-                    )
-        assert redundant_only > 0
-
-
 class TestExactDecisionMatchesPenalisedModel:
     """Exact audits decide step two from the greedy sets; the paper decides it
     by solving the penalised model. Both must give the same verdict and the
@@ -268,7 +212,6 @@ class TestExactDecisionMatchesPenalisedModel:
                 assert outcome.witness_state == gaps[0]
             else:
                 assert outcome.reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
-            assert outcome.v_star_fixed == v_fixed
 
     def test_tie_at_an_observed_state_binds_the_logged_action(self):
         # At s0, "a" (into s1) and "b" (a self-loop) tie at V* = 2. The log
@@ -290,7 +233,8 @@ class TestExactDecisionMatchesPenalisedModel:
         outcome = audit(model, behavior)
         assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
         assert outcome.witness_state == "s0"
-        assert outcome.v_star_fixed["s0"] == Fraction(3, 2) < outcome.v_star["s0"]
+        v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
+        assert v_fixed["s0"] == Fraction(3, 2) < outcome.v_star["s0"]
 
 
 def reference_value_iteration(model):
@@ -356,8 +300,9 @@ def hexed(table):
 class TestFloatModeIsBitIdentical:
     """Float mode runs on the shared structure index, and float step two
     rewrites a reward vector instead of building the penalised model. Values
-    must be bit for bit those of the reference iteration on the full model
-    and on ``compute_fix(model, b)``, so every float verdict is unchanged."""
+    must be bit for bit those of the reference iteration on the full model,
+    and every float verdict and witness that of comparing them with the
+    reference iteration on ``compute_fix(model, b)``."""
 
     GAMMAS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
 
@@ -369,8 +314,8 @@ class TestFloatModeIsBitIdentical:
         for q in model.states:
             left, right = base[q], fixed[q]
             if abs(left - right) > FLOAT_EQUALITY * max(1.0, abs(left), abs(right)):
-                return AuditReason.VALUE_GAP_AT_ALL_STATES, q, fixed
-        return AuditReason.WITNESS_STATE_EQUAL_VALUE, behavior.start, fixed
+                return AuditReason.VALUE_GAP_AT_ALL_STATES, q
+        return AuditReason.WITNESS_STATE_EQUAL_VALUE, behavior.start
 
     @settings(max_examples=40, deadline=None)
     @given(seeds, st.sampled_from(GAMMAS), st.sampled_from((0.3, 0.6)))
@@ -395,9 +340,8 @@ class TestFloatModeIsBitIdentical:
                 AuditReason.INCONSISTENT_BEHAVIOR,
             ):
                 continue
-            reason, witness, fixed = self._expected(model, behavior, v_star)
+            reason, witness = self._expected(model, behavior, v_star)
             assert (outcome.reason, outcome.witness_state) == (reason, witness)
-            assert hexed(outcome.v_star_fixed) == hexed(fixed)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -452,12 +396,11 @@ class TestFloatModeIsBitIdentical:
         model = random_model(random.Random(5), n_states=(3, 3))
         behavior = Behavior("q1")
         outcome = audit(model, behavior, mode="float")
-        reason, witness, fixed = self._expected(
+        reason, witness = self._expected(
             model, behavior, reference_value_iteration(model)[0]
         )
         assert outcome.reason is reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
         assert outcome.witness_state == witness == "q1"
-        assert hexed(outcome.v_star_fixed) == hexed(fixed)
 
     def test_observed_state_with_only_the_nothing_action(self):
         # "u" has no action but N, so the penalised table has no -omega entry
@@ -472,11 +415,10 @@ class TestFloatModeIsBitIdentical:
         behavior = Behavior.from_tokens(["u", "N", "u"])
         assert compute_fix(model, behavior).rewards == model.rewards
         outcome = audit(model, behavior, mode="float")
-        reason, witness, fixed = self._expected(
+        reason, witness = self._expected(
             model, behavior, reference_value_iteration(model)[0]
         )
         assert (outcome.reason, outcome.witness_state) == (reason, witness)
-        assert hexed(outcome.v_star_fixed) == hexed(fixed)
 
     def test_penalised_bound_beyond_float_range_raises(self):
         # max |r| = 2**1020 keeps the model's own bound 2 * r / (1 - gamma)

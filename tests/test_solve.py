@@ -10,10 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from purpose_audit import (
     NOTHING,
     Strategy,
-    UndefinedPair,
     bellman_residual,
     evaluate_strategy,
-    q_value,
     solve_optimal,
     validate_model,
 )
@@ -66,7 +64,7 @@ class TestEvaluateStrategy:
         sigma1, _, _ = sigmas
         values = evaluate_strategy(treat, sigma1)
         for q in treat.states:
-            assert values[q] == q_value(treat, values, q, sigma1[q])
+            assert values[q] == lookahead(treat, values, q, sigma1[q])
 
 
 class TestSolveOptimal:
@@ -109,29 +107,6 @@ class TestSolveOptimal:
     def test_unknown_mode_rejected(self, treat):
         with pytest.raises(ValueError):
             solve_optimal(treat, mode="psychic")
-
-
-class TestQValue:
-    def test_nothing_action_discounts_in_place(self, treat):
-        solution = solve_optimal(treat)
-        for q in treat.states:
-            assert (
-                q_value(treat, solution.v_star, q, "N")
-                == treat.discount * solution.v_star[q]
-            )
-
-    def test_zero_table_gives_reward(self, treat):
-        zero = {q: F(0) for q in treat.states}
-        assert q_value(treat, zero, "2", "diagnose") == 12
-        assert q_value(treat, zero, "1", "take") == 0
-
-    def test_diagnose_at_three_under_optimal(self, treat):
-        solution = solve_optimal(treat)
-        assert q_value(treat, solution.v_star, "3", "diagnose") == 12
-
-    def test_undefined_pair(self, treat):
-        with pytest.raises(UndefinedPair):
-            q_value(treat, solve_optimal(treat).v_star, "1", "diagnose")
 
 
 def is_optimal(model, strategy):
@@ -345,8 +320,6 @@ class TestRationalInputs:
         assert dict(solution.q_star) == q_star
         assert dict(solution.greedy) == greedy
         assert bellman_residual(model, solution.v_star) == 0
-        for pair in model.pairs():
-            assert q_value(model, solution.v_star, *pair) == q_star[pair]
         assert model.max_reward_magnitude() == max(map(abs, model.rewards.values()))
         # Off the fixed point: the residual of V* + 1 at every state.
         shifted = {q: v + 1 for q, v in solution.v_star.items()}

@@ -29,11 +29,11 @@ worklist that re-checks only the predecessors of a dropped state. The gap
 witness is the first state outside it, which is the first state where the
 penalised optimum falls short.
 
-Float mode still solves the penalised model and compares values with
-tolerances, but never builds it: it copies the purpose's float reward vector,
-writes float(-omega) on the unlogged pairs of the observed states, and runs
-the values-only float iteration on the model's shared structure index. The
-values are bit-identical to solving ``compute_fix(model, b)`` in float mode.
+Float mode follows the paper's construction: it builds ``compute_fix(model,
+b)``, which shares the model's structure index, runs the float value
+iteration of :mod:`~purpose_audit.solve` on it, and reports as the gap
+witness the first state whose value differs from V* beyond the float
+equality tolerance.
 
 One rule check, :func:`check`, lifts the boolean to a policy verdict. It
 decides the log for every purpose the rule names; when the log fits none of
@@ -61,12 +61,7 @@ from .model import (
     observed_choices,
     validate_behavior,
 )
-from .solve import (
-    FLOAT_EQUALITY,
-    OptimalSolution,
-    _float_values,
-    solve_optimal,
-)
+from .solve import FLOAT_EQUALITY, _float_values, solve_optimal
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -92,11 +87,12 @@ def compute_fix(model: EnvironmentModel, behavior: Behavior) -> EnvironmentModel
     constraints = observed_choices(behavior)
     if not constraints:
         return model
-    omega = compute_omega(model)
-    rewards = {
-        (q, a): (-omega if q in constraints and a != constraints[q] else r)
-        for (q, a), r in model.rewards.items()
-    }
+    penalty = -compute_omega(model)
+    rewards = dict(model.rewards)
+    for q, logged in constraints.items():
+        for a in model.available_actions(q):
+            if a != logged:
+                rewards[(q, a)] = penalty
     # The only model whose nothing-action rewards are not all 0, so it skips
     # the checks of with_rewards.
     return model._with_table(rewards)
@@ -186,23 +182,32 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
             mode=mode,
         )
 
-    if mode != "exact":
-        return _penalised_comparison(model, behavior, choices, solution)
-
-    greedy = solution.greedy
-    if all(a in greedy[q] for q, a in choices.items()):
+    if mode == "exact":
+        greedy = solution.greedy
+        if all(a in greedy[q] for q, a in choices.items()):
+            gap = None
+        else:
+            gap = model.states[_safe_states(model, greedy, choices).index(False)]
+    else:
+        fixed, _ = _float_values(compute_fix(model, behavior))
+        gaps = (
+            q
+            for q, value in zip(model.states, fixed)
+            if not _floats_equal(solution.v_star[q], value)
+        )
+        gap = next(gaps, None)
+    if gap is not None:
         return AuditOutcome(
-            empty_intersection=False,
-            reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
-            witness_state=behavior.start,
+            empty_intersection=True,
+            reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
+            witness_state=gap,
             v_star=solution.v_star,
             mode=mode,
         )
-    safe = _safe_states(model, greedy, choices)
     return AuditOutcome(
-        empty_intersection=True,
-        reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
-        witness_state=model.states[safe.index(False)],
+        empty_intersection=False,
+        reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
+        witness_state=behavior.start,
         v_star=solution.v_star,
         mode=mode,
     )
@@ -246,58 +251,6 @@ def _safe_states(
             safe[i] = False
             pending.extend(index.predecessors[i])
     return safe
-
-
-def _penalised_comparison(
-    model: EnvironmentModel,
-    behavior: Behavior,
-    choices: Mapping[State, Action],
-    solution: OptimalSolution,
-) -> AuditOutcome:
-    """Step two by the paper's construction, for float mode: solve the
-    penalised model and compare optimal values state by state.
-
-    The penalised model is not built: its float reward vector is the
-    model's, with float(-omega) written on the unlogged pairs of the observed
-    states, and the values-only float iteration runs on the shared index. The
-    values, the range checks and the stop test are those of solving
-    ``compute_fix(model, behavior)`` in float mode, bit for bit.
-    """
-    index = model._index
-    penalised_pairs = []
-    for q, logged in choices.items():
-        i = index.position[q]
-        for a, (k, _) in zip(index.available[i], index.rows[i]):
-            if a != logged:
-                penalised_pairs.append(k)
-    omega = compute_omega(model)
-    # The penalised table's max |r|: omega exceeds every |r| once it is used.
-    top = omega if penalised_pairs else model.max_reward_magnitude()
-
-    def rewards() -> list[float]:
-        vector = list(model._float_rewards)
-        penalty = float(-omega)
-        for k in penalised_pairs:
-            vector[k] = penalty
-        return vector
-
-    values, _ = _float_values(model, top, rewards)
-    for q, fixed in zip(model.states, values):
-        if not _floats_equal(solution.v_star[q], fixed):
-            return AuditOutcome(
-                empty_intersection=True,
-                reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
-                witness_state=q,
-                v_star=solution.v_star,
-                mode="float",
-            )
-    return AuditOutcome(
-        empty_intersection=False,
-        reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
-        witness_state=behavior.start,
-        v_star=solution.v_star,
-        mode="float",
-    )
 
 
 class RuleKind(Enum):

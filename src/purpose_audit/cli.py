@@ -88,8 +88,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 input file; a byte that does not decode ends in a
+    PurposeAuditError naming the file and the line it is on."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end as read_text ends them: at \n, \r\n or a lone \r.
+        before = exc.object[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise PurposeAuditError(
+            f"{path}, line {line}: not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _load_models(path: str) -> dict[str, EnvironmentModel]:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(_read(path))
 
 
 def _pick(models: dict[str, EnvironmentModel], purpose: str) -> EnvironmentModel:
@@ -101,7 +115,7 @@ def _pick(models: dict[str, EnvironmentModel], purpose: str) -> EnvironmentModel
 
 
 def _load_behaviors(path: str, model: EnvironmentModel) -> list[Behavior]:
-    return parse_log(Path(path).read_text(encoding="utf-8"), model)
+    return parse_log(_read(path), model)
 
 
 def _parse_rule(text: str) -> PolicyRule:
@@ -314,7 +328,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
-    except (PurposeAuditError, OSError, UnicodeDecodeError) as exc:
+    except (PurposeAuditError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

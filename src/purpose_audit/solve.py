@@ -26,9 +26,9 @@ plain value iteration to the relative residual ``FLOAT_RESIDUAL``, within
 arithmetic gets expensive; audit verdicts derived from float values are
 advisory.
 
-Every float iteration (the warm start, float mode, and the values-only entry
-point that float audits use for penalised reward vectors) runs one sweep
-kernel on the model's shared :class:`~purpose_audit.model.StructureIndex`:
+Every float iteration (the warm start, float mode, and the values-only
+:func:`_float_values` that float audits run on the penalised model) runs one
+sweep kernel on the model's shared :class:`~purpose_audit.model.StructureIndex`:
 a reward vector indexed by pair number, successor lists with weights
 float(gamma) * float(p), backups accumulated in successor order and the first
 maximum kept, so its values are the same bit for bit whichever caller runs it.
@@ -41,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConvergenceError
 from .model import (
@@ -425,8 +425,16 @@ def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
     }
 
 
-def _float_discount(model: EnvironmentModel, top: Rational) -> float:
-    """float(gamma); ConvergenceError if floats can't iterate on max |r| ``top``."""
+def _float_values(model: EnvironmentModel) -> tuple[list[float], float]:
+    """Float value iteration on ``model``'s rewards over its structure index.
+
+    Raises ConvergenceError when the discount rounds to 1.0, when values may
+    leave the float range (checked on the exact max |r| before any float
+    reward is made, since a reward beyond the float range has no float), or
+    when ``FLOAT_ITERATION_CAP`` sweeps do not reach ``FLOAT_RESIDUAL``.
+    Returns the values (in state order) and the scale that the residual and
+    equality tolerances are relative to.
+    """
     gamma = float(model.discount)
     if gamma == 1.0:
         raise ConvergenceError(
@@ -434,38 +442,19 @@ def _float_discount(model: EnvironmentModel, top: Rational) -> float:
             "value iteration cannot converge, use exact mode"
         )
     # Values lie in [-bound, bound], so a sweep's change is at most 2 * bound.
-    if 2 * top / (1 - model.discount) > sys.float_info.max:
+    if 2 * model.max_reward_magnitude() / (1 - model.discount) > sys.float_info.max:
         raise ConvergenceError(
             "optimal values may reach max |r| / (1 - gamma), beyond the "
             "floating-point range; use exact mode"
         )
-    return gamma
-
-
-def _float_values(
-    model: EnvironmentModel,
-    top: Rational,
-    rewards: Callable[[], Sequence[float]],
-) -> tuple[list[float], float]:
-    """Float value iteration on a reward vector over ``model``'s structure.
-
-    ``top`` is the exact max |r| of the reward table and ``rewards`` builds
-    its float vector, in the index's pair order; it is called only after
-    the range checks pass, since a reward beyond the float range has no
-    float. Raises ConvergenceError when the discount rounds to 1.0, when
-    values may leave the float range, or when ``FLOAT_ITERATION_CAP`` sweeps
-    do not reach ``FLOAT_RESIDUAL``. Returns the values (in state order) and the
-    scale that the residual and equality tolerances are relative to.
-    """
-    gamma = _float_discount(model, top)
-    vector = rewards()
-    scale = max(1.0, max(map(abs, vector), default=0.0) / (1 - gamma))
+    rewards = model._float_rewards
+    scale = max(1.0, max(map(abs, rewards), default=0.0) / (1 - gamma))
     # Stop when the step gap guarantees sup-distance to the fixed point of at
     # most residual * scale: ||V_k - V*|| <= gamma/(1-gamma) * ||V_k - V_{k-1}||.
     # The returned table's own Bellman residual is at most gamma * gap.
     target = FLOAT_RESIDUAL * scale * (1 - gamma)
     values, converged = _sweeps(
-        model._index, vector, gamma, target, FLOAT_ITERATION_CAP
+        model._index, rewards, gamma, target, FLOAT_ITERATION_CAP
     )
     if not converged:
         raise ConvergenceError(
@@ -477,9 +466,7 @@ def _float_values(
 
 def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
     index = model._index
-    values, scale = _float_values(
-        model, model.max_reward_magnitude(), lambda: model._float_rewards
-    )
+    values, scale = _float_values(model)
     backups = _lookahead(index, model._float_rewards, values)
     v_star = dict(zip(model.states, values))
     q_star = {

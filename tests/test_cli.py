@@ -50,7 +50,8 @@ class TestValidate:
 
 class TestInputFileErrors:
     """An unreadable model, log or output path ends in an error line and exit
-    1, with nothing on stdout."""
+    1, with nothing on stdout. A file that is not UTF-8 is named with the
+    line of its first bad byte."""
 
     @pytest.mark.parametrize(
         "case", ["directory model", "non-UTF-8 model", "non-UTF-8 log", "emit onto file"]
@@ -70,6 +71,8 @@ class TestInputFileErrors:
         code, out, err = run(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+        if case.startswith("non-UTF-8"):
+            assert f"{binary}, line 2: " in err
 
 
 class TestGoldenOutput:

@@ -299,10 +299,10 @@ def hexed(table):
 
 class TestFloatModeIsBitIdentical:
     """Float mode runs on the shared structure index, and float step two
-    rewrites a reward vector instead of building the penalised model. Values
-    must be bit for bit those of the reference iteration on the full model,
-    and every float verdict and witness that of comparing them with the
-    reference iteration on ``compute_fix(model, b)``."""
+    iterates ``compute_fix(model, b)`` on that index too. Values must be bit
+    for bit those of the reference iteration on the full model, and every
+    float verdict and witness that of comparing them with the reference
+    iteration on ``compute_fix(model, b)``."""
 
     GAMMAS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
 

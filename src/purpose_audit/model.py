@@ -469,9 +469,6 @@ class Behavior:
             out.append(state)
         return out
 
-    def actions(self) -> list[Action]:
-        return [action for action, _ in self.steps]
-
     def pairs(self) -> list[tuple[State, Action]]:
         """The observed (q_i, a_{i+1}) pairs, in order."""
         out = []
@@ -480,9 +477,6 @@ class Behavior:
             out.append((q, action))
             q = state
         return out
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def observed_choices(behavior: Behavior) -> dict[State, Action]:

@@ -1,13 +1,10 @@
-"""Non-redundancy machinery: useless pairs, the strategy precedence order
-and the non-redundant optimal set.
+"""Non-redundancy: the strategy precedence order and the non-redundant
+optimal set.
 
-A (state, action) pair is useless when taking it can never beat stopping:
-its one-step value is <= 0 under every strategy, which reduces to the
-optimal-value test Q*(q, a) <= 0. A strategy precedes another when, under
-every resolution of chance, it produces the same execution or a strict
-sub-execution, i.e. it provably achieves the same outcome with fewer actions.
-The non-redundant optimal strategies are the optimal ones not preceded by any
-other optimal strategy.
+A strategy precedes another when, under every resolution of chance, it
+produces the same execution or a strict sub-execution, i.e. it provably
+achieves the same outcome with fewer actions. The non-redundant optimal
+strategies are the optimal ones not preceded by any other optimal strategy.
 
 What :func:`precedes` decides is the order over stationary contingencies,
 one successor per (state, action) pair: those are enumerated exactly and
@@ -16,27 +13,19 @@ partial contingency, and the first chance node one of them reaches
 unresolved is where the enumeration branches. Occurrence-indexed
 contingencies, whose choice may change at each visit, are only sampled, and
 a sample refutes only when the larger trace stops within ``HORIZON``. A
-failure on a larger trace that never stops is never caught, so a YES is
+failure on a larger trace that never stops is never caught, so True is
 exact for the stationary order and only sampled for the occurrence-indexed
-one. This module is a reference layer: the engine never imports it.
+one. This module is a reference layer: it uses no solver, and the engine
+never imports it.
 """
 
 from __future__ import annotations
 
 import random
-from enum import Enum
 
 from .errors import SizeCapExceeded
-from .model import NOTHING, Action, EnvironmentModel, State, Strategy
-from .oracle import oracle_opt
-from .solve import solve_optimal
-from .traces import (
-    SampledContingency,
-    TraceOrder,
-    active_tokens,
-    compare_active,
-    simulate,
-)
+from .model import EnvironmentModel, State, Strategy
+from .traces import SampledContingency, TraceOrder, compare_active, simulate
 
 # Calls of the stationary enumeration allowed per precedence test.
 MAX_CONTINGENCIES = 200_000
@@ -45,19 +34,6 @@ MAX_CONTINGENCIES = 200_000
 OCCURRENCE_SAMPLES = 16
 HORIZON = 32
 SEED = 0
-
-
-def useless_pairs(model: EnvironmentModel) -> frozenset[tuple[State, Action]]:
-    """All non-nothing pairs with Q*(q, a) <= 0, from one exact solve."""
-    q_star = solve_optimal(model).q_star
-    return frozenset(
-        (q, a) for (q, a) in model.pairs() if a != NOTHING and q_star[(q, a)] <= 0
-    )
-
-
-class Precedence(Enum):
-    YES = "yes"
-    NO = "no"
 
 
 class _Refuted(Exception):
@@ -97,13 +73,12 @@ def _check_dominated_from(
         raise SizeCapExceeded("stationary contingency enumeration cap hit")
 
     try:
-        small_trace = simulate(model, smaller, assignment, start)
-        large_trace = simulate(model, larger, assignment, start)
+        small = simulate(model, smaller, assignment, start)
+        large = simulate(model, larger, assignment, start)
     except _Unresolved as unresolved:
         (branch,) = unresolved.args
     else:
-        order = compare_active(active_tokens(small_trace), active_tokens(large_trace))
-        if order not in (TraceOrder.EQUAL, TraceOrder.PROPER):
+        if compare_active(small, large) not in (TraceOrder.EQUAL, TraceOrder.PROPER):
             raise _Refuted
         return
     for target in sorted(model.successors(*branch)):
@@ -131,24 +106,21 @@ def _sampled_refutation(
         for start in model.states:
             small = simulate(model, smaller, contingency, start, horizon=HORIZON)
             large = simulate(model, larger, contingency, start, horizon=HORIZON)
-            order = compare_active(active_tokens(small), active_tokens(large))
-            if order is TraceOrder.NEITHER:
+            if compare_active(small, large) is TraceOrder.NEITHER:
                 return True
     return False
 
 
-def precedes(
-    model: EnvironmentModel, earlier: Strategy, later: Strategy
-) -> Precedence:
+def precedes(model: EnvironmentModel, earlier: Strategy, later: Strategy) -> bool:
     """Does ``earlier`` precede ``later`` (same or smaller trace everywhere,
     strictly smaller somewhere)?
 
     Decided exactly over stationary contingencies: all of them are
     enumerated, with active parts classified finite or infinite by loop
-    detection, and a NO from there is a proof. Occurrence-indexed
+    detection, and a False from there is a proof. Occurrence-indexed
     contingencies are then sampled up to ``HORIZON`` steps and can only
     refute, and only where ``later``'s trace stops within the horizon. So
-    YES means domination under every stationary contingency and under the
+    True means domination under every stationary contingency and under the
     samples; it is not a proof of domination under every occurrence-indexed
     contingency (``tests/test_nonredundancy.py`` pins a case where it fails).
     For distinct strategies, domination everywhere already implies a strict
@@ -156,7 +128,7 @@ def precedes(
     differ.
     """
     if earlier == later:
-        return Precedence.NO
+        return False
     budget = [MAX_CONTINGENCIES]
     try:
         for start in model.states:
@@ -164,24 +136,21 @@ def precedes(
                 model, earlier, later, start, _PartialContingency(), budget
             )
     except _Refuted:
-        return Precedence.NO
-    if _sampled_refutation(model, earlier, later):
-        return Precedence.NO
-    return Precedence.YES
+        return False
+    return not _sampled_refutation(model, earlier, later)
 
 
-def opt_star_enumerate(model: EnvironmentModel) -> list[Strategy]:
-    """The optimal strategies not preceded by another optimal strategy.
-
-    Enumerates the optimal set exactly (oracle scale), then prunes every
-    strategy some other optimal strategy precedes.
-    """
-    optimal = oracle_opt(model)
+def opt_star_enumerate(
+    model: EnvironmentModel, optimal: list[Strategy]
+) -> list[Strategy]:
+    """The strategies of ``optimal``, the model's optimal set (as
+    :func:`~purpose_audit.oracle.oracle_opt` enumerates it), that no other
+    strategy of that set precedes."""
     return [
         candidate
         for candidate in optimal
         if not any(
-            precedes(model, other, candidate) is Precedence.YES
+            precedes(model, other, candidate)
             for other in optimal
             if other != candidate
         )

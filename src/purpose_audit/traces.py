@@ -1,15 +1,16 @@
 """Executions, contingencies and the sub-execution ordering.
 
 A strategy plus a resolution of every probabilistic choice (a contingency)
-yields one deterministic execution. Executions are infinite, so they are kept
-in finite form: a prefix that either reached the nothing-action (everything
-after is nothing forever), closed a cycle (the active part is infinite and
-eventually periodic), or was cut at a simulation horizon.
+yields one deterministic execution. What the ordering reads of it is its
+active part, the tokens before the first nothing-action, and
+:func:`simulate` returns only that, as :class:`ActiveTokens`: finite when
+the run reaches the nothing-action, a prefix and a period repeated forever
+when it revisits a state, or the tokens so far, marked incomplete, when a
+simulation horizon cuts it.
 
-The ordering used to call one execution "smaller" compares active parts, the
-tokens before the first nothing-action, under the standard subsequence
-relation. An infinite active part is never a proper sub-execution of anything;
-it can only be equal to another execution.
+One execution is "smaller" than another when its active part is a
+subsequence of the other's. An infinite active part is never a proper
+sub-execution of anything; it can only be equal to another execution.
 
 Under a stationary contingency every run ends absorbed or in a closed cycle,
 so :func:`compare_active` decides the order exactly. An occurrence-indexed
@@ -28,29 +29,24 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ModelError
-from .model import NOTHING, Action, Behavior, EnvironmentModel, State, Strategy
-
-
-class Termination(Enum):
-    """How a simulated prefix ended."""
-
-    NOTHING_ABSORBED = "nothing-absorbed"
-    LOOP_DETECTED = "loop-detected"
-    HORIZON_CUT = "horizon-cut"
+from .model import NOTHING, Action, EnvironmentModel, State, Strategy
 
 
 @dataclass(frozen=True)
-class ExecutionPrefix:
-    """A finitely represented execution.
+class ActiveTokens:
+    """Comparison form of an active part.
 
-    For LOOP_DETECTED prefixes, ``loop_start`` is the index (into the state
-    sequence) of the first state of the cycle; the final state of the stored
-    behavior is its second occurrence.
+    ``period`` is set when the active part is infinite (tokens = prefix
+    followed by period repeated forever). ``complete`` is False for
+    horizon-cut prefixes whose active part may extend beyond the known tokens.
     """
 
-    behavior: Behavior
-    termination: Termination
-    loop_start: int | None = None
+    prefix: tuple[str, ...]
+    period: tuple[str, ...] | None
+    complete: bool
+
+    def finite(self) -> bool:
+        return self.complete and self.period is None
 
 
 class SampledContingency:
@@ -81,17 +77,18 @@ def simulate(
     start: State,
     *,
     horizon: int | None = None,
-) -> ExecutionPrefix:
-    """Run a strategy under a contingency from ``start``.
+) -> ActiveTokens:
+    """The active part of a strategy's run under a contingency from ``start``.
 
     A stationary contingency is a Mapping (state, action) -> successor; an
     occurrence-indexed one has ``resolve(state, action, occurrence)``, as
     :class:`SampledContingency` does. With ``horizon=None`` the contingency
     must be stationary; the future is then a function of the current state, so
-    the run stops exactly when it absorbs into the nothing-action (one nothing
-    step is recorded) or revisits a state (the active part is infinite). With
-    a horizon, occurrence-indexed contingencies are supported and the run may
-    be cut mid-flight.
+    the run stops exactly when it reaches the nothing-action (a finite active
+    part) or revisits a state (the prefix up to that state's first visit, then
+    the period after it). With a horizon, occurrence-indexed contingencies are
+    supported, and a run still going after ``horizon`` steps is cut there,
+    marked incomplete.
     """
     stationary = isinstance(contingency, Mapping)
     if horizon is None and not stationary:
@@ -101,30 +98,22 @@ def simulate(
     )
 
     choice = strategy.as_dict()
-    steps: list[tuple[Action, State]] = []
+    tokens: list[str] = [start]
+    # Index in ``tokens`` of each state's first visit.
     seen: dict[State, int] = {}
     occurrences: dict[tuple[State, Action], int] = {}
     q = start
-    position = 0
     while True:
         action = choice[q]
         if action == NOTHING:
-            steps.append((NOTHING, q))
-            return ExecutionPrefix(
-                Behavior(start, tuple(steps)), Termination.NOTHING_ABSORBED
-            )
+            return ActiveTokens(tuple(tokens), None, True)
         if horizon is None:
             if q in seen:
-                return ExecutionPrefix(
-                    Behavior(start, tuple(steps)),
-                    Termination.LOOP_DETECTED,
-                    loop_start=seen[q],
-                )
-            seen[q] = position
-        elif len(steps) >= horizon:
-            return ExecutionPrefix(
-                Behavior(start, tuple(steps)), Termination.HORIZON_CUT
-            )
+                cut = seen[q] + 1
+                return ActiveTokens(tuple(tokens[:cut]), tuple(tokens[cut:]), True)
+            seen[q] = len(tokens) - 1
+        elif len(tokens) > 2 * horizon:
+            return ActiveTokens(tuple(tokens), None, False)
         support = model.successors(q, action)
         if len(support) == 1:
             # Only one consistent resolution; the contingency need not list it.
@@ -138,41 +127,8 @@ def simulate(
                     f"contingency picked zero-probability successor {target!r}"
                     f" for {(q, action)}"
                 )
-        steps.append((action, target))
+        tokens += (action, target)
         q = target
-        position += 1
-
-
-@dataclass(frozen=True)
-class ActiveTokens:
-    """Comparison form of an active part.
-
-    ``period`` is set when the active part is infinite (tokens = prefix
-    followed by period repeated forever). ``complete`` is False for
-    horizon-cut prefixes whose active part may extend beyond the known tokens.
-    """
-
-    prefix: tuple[str, ...]
-    period: tuple[str, ...] | None
-    complete: bool
-
-    def finite(self) -> bool:
-        return self.complete and self.period is None
-
-
-def active_tokens(execution: ExecutionPrefix) -> ActiveTokens:
-    tokens = execution.behavior.tokens()
-    for step, action in enumerate(execution.behavior.actions()):
-        if action == NOTHING:
-            # Tokens before the first nothing-action: [q0 .. q_step].
-            return ActiveTokens(tuple(tokens[: 2 * step + 1]), None, True)
-    if execution.termination is Termination.LOOP_DETECTED:
-        cut = 2 * execution.loop_start + 1
-        return ActiveTokens(tuple(tokens[:cut]), tuple(tokens[cut:]), True)
-    if execution.termination is Termination.NOTHING_ABSORBED:
-        # Absorbed prefixes always contain their nothing step.
-        raise ValueError("absorbed prefix without a nothing step")
-    return ActiveTokens(tuple(tokens), None, False)
 
 
 class TraceOrder(Enum):

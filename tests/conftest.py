@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import pytest
 
+from purpose_audit.auditing import AuditReason, audit
 from purpose_audit.fixtures import (
     PHYSICIAN_LOG,
     PHYSICIAN_MODEL,
     TRAVEL_LOG,
     TRAVEL_MODEL,
 )
-from purpose_audit.model import Behavior, EnvironmentModel, Strategy
+from purpose_audit.model import (
+    NOTHING,
+    Action,
+    Behavior,
+    EnvironmentModel,
+    State,
+    Strategy,
+)
 from purpose_audit.modelfile import parse_log, parse_model
 
 
@@ -38,6 +46,20 @@ def physician_strategies(
     sigma2 = Strategy.from_mapping({**base, "2": "send"}, model)
     sigma3 = Strategy.from_mapping({**base, "6": "send"}, model)
     return sigma1, sigma2, sigma3
+
+
+def step_one_useless(model: EnvironmentModel) -> frozenset[tuple[State, Action]]:
+    """The non-nothing pairs (q, a) that ``audit``'s step one rejects, each
+    audited as the one-step log [q, a, t] for a successor t of (q, a)."""
+    useless = set()
+    for q, a in model.pairs():
+        if a == NOTHING:
+            continue
+        successor = next(iter(model.successors(q, a)))
+        outcome = audit(model, Behavior(q, ((a, successor),)))
+        if outcome.reason is AuditReason.STEP_ONE_USELESS:
+            useless.add((q, a))
+    return frozenset(useless)
 
 
 def travel_models() -> dict[str, EnvironmentModel]:

@@ -27,7 +27,7 @@ from purpose_audit import (
 from purpose_audit.fixtures import PHYSICIAN_MODEL
 from purpose_audit.model import observed_choices
 from purpose_audit.modelfile import parse_model
-from purpose_audit.nonredundancy import opt_star_enumerate, useless_pairs
+from purpose_audit.nonredundancy import opt_star_enumerate
 from purpose_audit.oracle import (
     evaluate_all_strategies,
     oracle_audit,
@@ -35,7 +35,12 @@ from purpose_audit.oracle import (
     oracle_useless,
 )
 
-from conftest import physician_behaviors, physician_models, physician_strategies
+from conftest import (
+    physician_behaviors,
+    physician_models,
+    physician_strategies,
+    step_one_useless,
+)
 from generators import (
     random_consistent_behavior,
     random_model,
@@ -84,8 +89,9 @@ def test_criterion_2_profit_deniability():
         sigma1, _, _ = physician_strategies(treat)
         b1, b2 = physician_behaviors()
 
-        assert sigma1 in oracle_opt(profit)
-        assert sigma1 in opt_star_enumerate(profit)
+        optimal = oracle_opt(profit)
+        assert sigma1 in optimal
+        assert sigma1 in opt_star_enumerate(profit, optimal)
 
         rule = PolicyRule(RuleKind.PROHIBITIVE, ("profit",))
         verdict = check_prohibitive(models, rule, b2)
@@ -97,13 +103,14 @@ def _treat_claims_hold(gamma: str) -> bool:
     document = PHYSICIAN_MODEL.replace(SHIPPED_GAMMA_LINE, f"\ngamma: {gamma}\n")
     treat = parse_model(document)["treat"]
     sigma1, sigma2, sigma3 = physician_strategies(treat)
-    optimal = oracle_opt(treat)
+    tables = evaluate_all_strategies(treat)
+    optimal = oracle_opt(treat, tables=tables)
     return (
         sigma1 in optimal
         and sigma2 not in optimal
         and sigma3 in optimal
-        and ("6", "send") in useless_pairs(treat)
-        and sigma3 not in opt_star_enumerate(treat)
+        and ("6", "send") in oracle_useless(treat, tables=tables)
+        and sigma3 not in opt_star_enumerate(treat, optimal)
     )
 
 
@@ -146,14 +153,17 @@ def test_criterion_4_audit_equals_oracle():
         assert disagreements == 0
 
 
-def test_criterion_5_useless_pairs_equal_oracle():
+def test_criterion_5_step_one_equals_oracle_useless():
     with criterion(
-        5, 60.0, "useless_pairs == oracle_useless on 200 random models, set equality"
+        5,
+        60.0,
+        "audit's step one rejects exactly the oracle_useless pairs as one-step "
+        "logs on 200 random models, set equality",
     ):
         rng = random.Random(20261)
         for _ in range(200):
             model = random_model(rng)
-            assert useless_pairs(model) == oracle_useless(model)
+            assert step_one_useless(model) == oracle_useless(model)
 
 
 def test_criterion_6_fix_construction_properties():
@@ -218,9 +228,9 @@ def test_criterion_7_nonredundant_optimum_nonempty():
             model = random_model(
                 rng, n_states=(2, 4), max_support=3, zero_reward_fraction=zero_bias
             )
-            survivors = opt_star_enumerate(model)
-            assert survivors
             optimal = oracle_opt(model)
+            survivors = opt_star_enumerate(model, optimal)
+            assert survivors
             assert all(sigma in optimal for sigma in survivors)
 
 
@@ -283,7 +293,7 @@ def test_criterion_10_audit_decides_the_definition():
                     zero_reward_fraction=zero_fraction,
                 )
                 optimal = oracle_opt(model)
-                opt_star = opt_star_enumerate(model)
+                opt_star = opt_star_enumerate(model, optimal)
                 for i in range(8):
                     walk = random_walk_behavior if i % 2 else random_consistent_behavior
                     behavior = walk(rng, model)

@@ -30,8 +30,7 @@ from purpose_audit import (
 )
 from purpose_audit import auditing
 from purpose_audit.model import observed_choices, validate_behavior
-from purpose_audit.nonredundancy import useless_pairs
-from purpose_audit.oracle import oracle_opt
+from purpose_audit.oracle import oracle_opt, oracle_useless
 
 from conftest import physician_models
 from generators import random_consistent_behavior, random_model
@@ -135,10 +134,10 @@ class TestAudit:
         assert (outcome.witness_state, outcome.witness_action) == ("6", "send")
 
     def test_step_one_witness_is_useless(self, treat):
-        # Whenever step one fires, the witness pair is genuinely useless.
+        # Whenever step one fires, the witness pair is useless by definition.
         b = Behavior.from_tokens(["6", "send", "6"])
         outcome = audit(treat, b)
-        assert (outcome.witness_state, outcome.witness_action) in useless_pairs(treat)
+        assert (outcome.witness_state, outcome.witness_action) in oracle_useless(treat)
 
     def test_step_one_outranks_inconsistency(self, treat):
         # A clash that also crosses a useless pair: step one fires first.

@@ -357,7 +357,7 @@ class TestParseLog:
     def test_travel_log(self, travel):
         both, drive = parse_log(TRAVEL_LOG, travel["business"])
         assert both.start == "home"
-        assert drive.actions() == ["driveNY", "N"]
+        assert [action for action, _ in drive.steps] == ["driveNY", "N"]
 
     def test_alternation_error(self, treat):
         with pytest.raises(AlternationError):
@@ -375,7 +375,7 @@ class TestParseLog:
 
     def test_trailing_nothing_runs_preserved(self, treat):
         (b,) = parse_log("1 take 2 diagnose 6 N 6 N 6\n", treat)
-        assert b.actions() == ["take", "diagnose", "N", "N"]
+        assert [action for action, _ in b.steps] == ["take", "diagnose", "N", "N"]
 
     def test_format_round_trip(self, treat):
         behaviors = parse_log(PHYSICIAN_LOG, treat)

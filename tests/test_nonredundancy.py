@@ -7,50 +7,53 @@ import pytest
 
 from purpose_audit import (
     NOTHING,
+    AuditReason,
+    Behavior,
     SizeCapExceeded,
     Strategy,
+    audit,
     evaluate_strategy,
     validate_model,
 )
 from purpose_audit import nonredundancy
-from purpose_audit.nonredundancy import (
-    Precedence,
-    opt_star_enumerate,
-    precedes,
-    useless_pairs,
-)
+from purpose_audit.nonredundancy import opt_star_enumerate, precedes
 from purpose_audit.oracle import oracle_opt, oracle_useless
 from purpose_audit.traces import (
     ActiveTokens,
-    Termination,
     TraceOrder,
     _unrolled,
-    active_tokens,
     compare_active,
     simulate,
 )
 
+from conftest import step_one_useless
 from generators import random_model
 
 
 class TestUselessPairs:
+    """Useless pairs as ``audit``'s step one finds them, one-step logs each,
+    against the oracle's definition."""
+
     def test_treat_fixture(self, treat):
-        useless = useless_pairs(treat)
+        useless = step_one_useless(treat)
         assert ("6", "send") in useless
         assert ("1", "take") not in useless
         assert useless == {("6", "send")}
 
     def test_nothing_never_included(self):
+        # A nothing step never trips step one, whatever its Q* reads.
         rng = random.Random(23)
         for _ in range(10):
             model = random_model(rng)
-            assert all(a != "N" for _, a in useless_pairs(model))
+            for q in model.states:
+                outcome = audit(model, Behavior(q, ((NOTHING, q),)))
+                assert outcome.reason is not AuditReason.STEP_ONE_USELESS
 
     def test_matches_oracle_on_random_models(self):
         rng = random.Random(29)
         for _ in range(30):
             model = random_model(rng)
-            assert useless_pairs(model) == oracle_useless(model)
+            assert step_one_useless(model) == oracle_useless(model)
 
 
 class TestUselessReplacement:
@@ -60,7 +63,7 @@ class TestUselessReplacement:
         checked = 0
         while checked < 15:
             model = random_model(rng)
-            useless = useless_pairs(model)
+            useless = step_one_useless(model)
             if not useless:
                 continue
             checked += 1
@@ -78,12 +81,12 @@ class TestUselessReplacement:
 class TestPrecedes:
     def test_irreflexive(self, treat, sigmas):
         sigma1, _, _ = sigmas
-        assert precedes(treat, sigma1, sigma1) is Precedence.NO
+        assert precedes(treat, sigma1, sigma1) is False
 
     def test_sigma1_precedes_sigma3(self, treat, sigmas):
         sigma1, _, sigma3 = sigmas
-        assert precedes(treat, sigma1, sigma3) is Precedence.YES
-        assert precedes(treat, sigma3, sigma1) is Precedence.NO
+        assert precedes(treat, sigma1, sigma3) is True
+        assert precedes(treat, sigma3, sigma1) is False
 
     def test_only_the_larger_trace_reaches_a_chance_node(self, monkeypatch):
         # From s the smaller strategy stops at once, so only the larger one's
@@ -98,10 +101,10 @@ class TestPrecedes:
         )
         stop = Strategy.from_mapping({"s": "N", "t": "N", "u": "N"}, model)
         go = Strategy.from_mapping({"s": "go", "t": "N", "u": "N"}, model)
-        assert precedes(model, go, stop) is Precedence.NO
+        assert precedes(model, go, stop) is False
         # One call per start state plus one per branch at (s, go).
         monkeypatch.setattr(nonredundancy, "MAX_CONTINGENCIES", 5)
-        assert precedes(model, stop, go) is Precedence.YES
+        assert precedes(model, stop, go) is True
         monkeypatch.setattr(nonredundancy, "MAX_CONTINGENCIES", 4)
         with pytest.raises(SizeCapExceeded):
             precedes(model, stop, go)
@@ -126,10 +129,7 @@ class TestPrecedes:
                 verdicts[(a, b)] = precedes(model, a, b)
                 verdicts[(b, a)] = precedes(model, b, a)
                 # Asymmetry.
-                assert not (
-                    verdicts[(a, b)] is Precedence.YES
-                    and verdicts[(b, a)] is Precedence.YES
-                )
+                assert not (verdicts[(a, b)] and verdicts[(b, a)])
             # Transitivity on the sampled set.
             front = optimal[:5]
             for a in front:
@@ -137,24 +137,21 @@ class TestPrecedes:
                     for c in front:
                         if a == b or b == c or a == c:
                             continue
-                        if (
-                            verdicts.get((a, b)) is Precedence.YES
-                            and verdicts.get((b, c)) is Precedence.YES
-                        ):
-                            assert precedes(model, a, c) is Precedence.YES
+                        if verdicts.get((a, b)) and verdicts.get((b, c)):
+                            assert precedes(model, a, c) is True
 
 
 class TestOptStar:
     def test_treat_fixture(self, treat, sigmas):
         sigma1, _, sigma3 = sigmas
-        survivors = opt_star_enumerate(treat)
+        survivors = opt_star_enumerate(treat, oracle_opt(treat))
         assert sigma1 in survivors
         assert sigma3 not in survivors
         assert survivors == [sigma1]
 
     def test_profit_fixture(self, profit, sigmas):
         sigma1, _, _ = sigmas
-        assert sigma1 in opt_star_enumerate(profit)
+        assert sigma1 in opt_star_enumerate(profit, oracle_opt(profit))
 
     def test_all_nothing_model(self):
         # Every optimal strategy stops immediately; nothing precedes stopping.
@@ -165,7 +162,7 @@ class TestOptStar:
             rewards={("x", "go"): -1, ("y", "go"): -1},
             discount="1/2",
         )
-        survivors = opt_star_enumerate(model)
+        survivors = opt_star_enumerate(model, oracle_opt(model))
         all_nothing = Strategy.from_mapping({"x": "N", "y": "N"}, model)
         assert survivors == [all_nothing]
 
@@ -174,7 +171,7 @@ class TestOptStar:
         for _ in range(12):
             model = random_model(rng, n_states=(2, 4), max_support=3)
             optimal = oracle_opt(model)
-            survivors = opt_star_enumerate(model)
+            survivors = opt_star_enumerate(model, optimal)
             assert survivors
             assert all(s in optimal for s in survivors)
 
@@ -222,15 +219,13 @@ class TestStationaryVersusOccurrenceIndexed:
     def test_stationary_order_says_yes(self):
         model = self.model()
         sigma, sigma_prime = self.strategies(model)
-        assert precedes(model, sigma, sigma_prime) is Precedence.YES
+        assert precedes(model, sigma, sigma_prime) is True
 
     def test_occurrence_indexed_contingency_refutes(self):
         model = self.model()
         sigma, sigma_prime = self.strategies(model)
         kappa = self.FirstVisitOnly()
-        small = simulate(model, sigma, kappa, "x", horizon=nonredundancy.HORIZON)
-        assert small.termination is Termination.NOTHING_ABSORBED
-        smaller = active_tokens(small)
+        smaller = simulate(model, sigma, kappa, "x", horizon=nonredundancy.HORIZON)
         assert smaller == ActiveTokens(
             ("x", "a", "y1", "a", "y2", "a", "y3"), None, True
         )
@@ -244,8 +239,7 @@ class TestStationaryVersusOccurrenceIndexed:
         # Simulated to the horizon, the larger trace is cut, and the cut
         # comparison cannot refute.
         large = simulate(model, sigma_prime, kappa, "x", horizon=nonredundancy.HORIZON)
-        assert large.termination is Termination.HORIZON_CUT
-        known = 2 * len(large.behavior) + 1
-        assert active_tokens(large).prefix == tuple(_unrolled(larger, known))
-        assert compare_active(smaller, active_tokens(large)) is TraceOrder.UNDECIDED
+        known = 2 * nonredundancy.HORIZON + 1
+        assert large == ActiveTokens(tuple(_unrolled(larger, known)), None, False)
+        assert compare_active(smaller, large) is TraceOrder.UNDECIDED
 

@@ -1,14 +1,17 @@
-"""The engine loads without the reference layer.
+"""The engine and the reference layer stay apart.
 
 ``purpose_audit`` and its CLI import only the engine (parsing, validation,
 solving, auditing). The brute-force oracle, the non-redundancy definition
 and the trace order are imported by module path, by the tests and by
-``purpose-audit oracle``. Each check runs in a fresh interpreter, since this
-test session has imported the reference layer already.
+``purpose-audit oracle``. Each load check runs in a fresh interpreter, since
+this test session has imported the reference layer already. The reference
+layer in turn re-derives from the definitions, so it imports neither the
+solver nor the audit.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -19,6 +22,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE_LAYER = ("oracle", "nonredundancy", "traces")
+ENGINE_SHORTCUTS = {"solve", "auditing"}
 NOT_EXPORTED = ("OracleOptions", "precedes", "simulate")
 
 PROBE = """
@@ -46,6 +50,31 @@ def test_import_loads_no_reference_layer(module):
         assert f"purpose_audit.{name}" not in probe["loaded"]
     for name in NOT_EXPORTED:
         assert name not in probe["exported"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Last dotted component of every package module the source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.module in (None, "purpose_audit"):
+                names.update(a.name for a in node.names)
+            else:
+                names.add(node.module.rsplit(".", 1)[-1])
+    return names
+
+
+def test_detects_a_package_import():
+    source = "from .solve import x\nfrom . import auditing\nimport purpose_audit.model\n"
+    assert imported_modules(source) == {"solve", "auditing", "model"}
+
+
+@pytest.mark.parametrize("module", REFERENCE_LAYER)
+def test_reference_layer_uses_no_engine_shortcut(module):
+    source = (SRC / "purpose_audit" / f"{module}.py").read_text(encoding="utf-8")
+    assert not imported_modules(source) & ENGINE_SHORTCUTS
 
 
 def test_fixtures_are_document_text():

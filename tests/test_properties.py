@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from purpose_audit import (
+    NOTHING,
     AuditReason,
     Behavior,
     ConvergenceError,
@@ -26,8 +27,10 @@ from purpose_audit.solve import FLOAT_EQUALITY, FLOAT_ITERATION_CAP, FLOAT_RESID
 from purpose_audit.oracle import oracle_audit
 from purpose_audit.traces import (
     ActiveTokens,
+    SampledContingency,
     TraceOrder,
     compare_active,
+    simulate,
 )
 
 from generators import (
@@ -83,14 +86,88 @@ class TestSubsequenceEngine:
         assert compare_active(probe, infinite) is TraceOrder.PROPER
 
 
+def _random_strategy(rng, model) -> Strategy:
+    choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
+    return Strategy.from_mapping(choice, model)
+
+
+class TestSimulateReadsTheDefinition:
+    """``simulate`` returns the active part, the tokens before the first
+    nothing-action, of the run it makes."""
+
+    @staticmethod
+    def _by_definition(model, sigma, kappa, start) -> ActiveTokens:
+        # Walk the whole execution, nothing steps included, until a state
+        # comes round again: under a stationary contingency the run repeats
+        # from there. Its active part ends at the first nothing-action; with
+        # none before the revisit, it is the tokens up to that state's first
+        # visit, then the period back to it, forever.
+        states, tokens = [start], [start]
+        while states[-1] not in states[:-1]:
+            q = states[-1]
+            target = q if sigma[q] == NOTHING else kappa[(q, sigma[q])]
+            states.append(target)
+            tokens += (sigma[q], target)
+        if NOTHING in tokens:
+            return ActiveTokens(tuple(tokens[: tokens.index(NOTHING)]), None, True)
+        first = 2 * states.index(states[-1]) + 1
+        return ActiveTokens(tuple(tokens[:first]), tuple(tokens[first:]), True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_stationary_runs_match_the_definition(self, seed):
+        rng = random.Random(seed)
+        model = random_model(rng, n_states=(1, 6), max_support=3)
+        sigma = _random_strategy(rng, model)
+        kappa = {
+            pair: rng.choice(sorted(model.successors(*pair)))
+            for pair in model.transitions
+        }
+        for start in model.states:
+            assert simulate(model, sigma, kappa, start) == self._by_definition(
+                model, sigma, kappa, start
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(min_value=0, max_value=8))
+    def test_sampled_runs_are_cut_at_the_horizon(self, seed, horizon):
+        rng = random.Random(seed)
+        model = random_model(rng, n_states=(1, 6), max_support=3)
+        sigma = _random_strategy(rng, model)
+        contingency = SampledContingency(model, rng)
+        for start in model.states:
+            run = simulate(model, sigma, contingency, start, horizon=horizon)
+            tokens = run.prefix
+            assert run.period is None
+            assert NOTHING not in tokens
+            # Cut at 2 * horizon + 1 tokens unless it reached the nothing-action.
+            if run.complete:
+                assert len(tokens) <= 2 * horizon + 1
+                assert sigma[tokens[-1]] == NOTHING
+            else:
+                assert len(tokens) == 2 * horizon + 1
+                assert sigma[tokens[-1]] != NOTHING
+            # Each step follows sigma, and a chance node's k-th visit takes
+            # the contingency's choice for occurrence k.
+            visits = {}
+            for q, a, target in zip(tokens[::2], tokens[1::2], tokens[2::2]):
+                assert a == sigma[q]
+                support = model.successors(q, a)
+                if len(support) == 1:
+                    assert target in support
+                else:
+                    k = visits.get((q, a), 0)
+                    visits[(q, a)] = k + 1
+                    assert target == contingency.resolve(q, a, k)
+
+
 class TestSolverInvariants:
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_evaluation_satisfies_bellman_identity(self, seed):
         rng = random.Random(seed)
         model = random_model(rng)
-        choice = {q: rng.choice(model.available_actions(q)) for q in model.states}
-        sigma = Strategy.from_mapping(choice, model)
+        sigma = _random_strategy(rng, model)
         values = evaluate_strategy(model, sigma)
         for q in model.states:
             assert values[q] == lookahead(model, values, q, sigma[q])

@@ -252,29 +252,22 @@ class EnvironmentModel:
         Each listed reward must sit on a defined pair, and a nothing-action
         reward must be zero; a pair not listed gets reward 0. The table is
         ordered like :meth:`pairs`; this model's own rewards are not read.
-        One pass over the listed entries converts each and notes the
-        undefined pairs and the states with a nonzero nothing-action reward.
-        Only once every entry has converted is an error raised:
-        NothingActionConflict for the first such state in state order, else
-        DomainMismatch for the first undefined pair listed.
+        Only the entries that are not Fractions are converted, and only once
+        every entry has converted is an error raised: NothingActionConflict
+        for the first state in state order with a nonzero nothing-action
+        reward, else DomainMismatch for the first undefined pair listed.
         """
-        transitions = self.transitions
-        table = {}
-        undefined, conflicts = [], []
-        for pair, r in rewards.items():
+        table = dict(rewards)
+        for pair, r in table.items():
             if type(r) is not Fraction:
-                r = as_rational(r)
-            table[pair] = r
-            if pair not in transitions:
-                undefined.append(pair)
-            elif pair[1] == NOTHING and r:
-                conflicts.append(pair[0])
-        if conflicts:
-            q = min(conflicts, key=self._index.position.__getitem__)
-            raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
-        if undefined:
-            raise DomainMismatch(f"reward defined for {undefined[0]} but no transition is")
-        full = dict.fromkeys(transitions, ZERO)
+                table[pair] = as_rational(r)
+        for q in self.states:
+            if table.get((q, NOTHING)):
+                raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
+        if not table.keys() <= self.transitions.keys():
+            pair = next(pair for pair in table if pair not in self.transitions)
+            raise DomainMismatch(f"reward defined for {pair} but no transition is")
+        full = dict.fromkeys(self.transitions, ZERO)
         full.update(table)
         return self._with_table(full)
 
@@ -317,16 +310,19 @@ def _check_distribution(pair, distribution) -> dict[State, Rational]:
     denominators, the integers n * (L // d) sum to L, so the row sums to 1
     without adding Fractions."""
     cleaned: dict[State, Rational] = {}
+    ratios = []
     for target, probability in distribution.items():
         p = probability if type(probability) is Fraction else as_rational(probability)
-        if p.numerator < 0:
+        n, d = p.as_integer_ratio()
+        if n < 0:
             raise DistributionError(
                 f"negative probability {p} for {pair} -> {target!r}"
             )
-        if p.numerator != 0:
+        if n:
             cleaned[target] = p
-    denominator = math.lcm(*(p.denominator for p in cleaned.values()))
-    total = sum(p.numerator * (denominator // p.denominator) for p in cleaned.values())
+            ratios.append((n, d))
+    denominator = math.lcm(*(d for _, d in ratios))
+    total = sum(n * (denominator // d) for n, d in ratios)
     if total != denominator:
         raise DistributionError(
             f"probabilities for {pair} sum to {Fraction(total, denominator)}, not 1"

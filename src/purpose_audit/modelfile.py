@@ -82,6 +82,8 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     literals: dict[str, Fraction] = {}
     headers: dict[str, object] = {}
     transitions: dict[tuple[State, Action], dict[State, Fraction]] = {}
+    # Each transition's pair tuple, the one key of that pair in every reward table.
+    keys: dict[tuple[State, Action], tuple[State, Action]] = {}
     purposes: dict[str, dict[tuple[State, Action], Fraction]] = {}
     current: str | None = None
     table: dict[tuple[State, Action], Fraction] | None = None
@@ -106,6 +108,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
             if len(head_tokens) != 2:
                 raise ParseError("reward head must be '<state> <action>'", line_no)
             pair = (head_tokens[0], head_tokens[1])
+            pair = keys.get(pair, pair)
             if pair in table:
                 raise ParseError(
                     f"duplicate reward for {pair} under purpose {current!r}", line_no
@@ -124,8 +127,8 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                 raise ParseError(
                     "transition head must be '<state> <action>'", line_no
                 )
-            q, a = head_tokens
-            if (q, a) in transitions:
+            q, a = key = (head_tokens[0], head_tokens[1])
+            if key in transitions:
                 raise ParseError(f"duplicate transition for {q} {a}", line_no)
             distribution: dict[State, Fraction] = {}
             for part in targets.split(","):
@@ -141,7 +144,8 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                         f"duplicate target {target} in transition", line_no
                     )
                 distribution[target] = _rational(probability, line_no, literals)
-            transitions[(q, a)] = distribution
+            transitions[key] = distribution
+            keys[key] = key
         elif directive == "purpose":
             name = rest.strip()
             if not name or len(name.split()) != 1:

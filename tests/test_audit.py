@@ -531,7 +531,7 @@ class TestFloatModeDefects:
         strict=True,
         reason="float audit compares penalised values iterated to a residual "
         "scaled by omega at a 1e-6 relative tolerance, so a fit reads as a "
-        "gap; hardening float mode is ROADMAP item 5",
+        "gap; certified float verdicts are ROADMAP item 2",
     )
     def test_fitting_log_is_not_a_gap(self):
         rng = random.Random(2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -193,6 +194,12 @@ MALFORMED = [
         BODY + "reward: a x = 1\nreward: a x = 2\n",
         ParseError, "duplicate reward for ('a', 'x') under purpose 'p'", 7, 0,
     ),
+    # The first copy keys the pair by its own tuple, read before the
+    # transition line; the second by the transition's.
+    (
+        HEAD + "purpose: q\nreward: a x = 1\n" + ROW + "reward: a x = 2\n",
+        ParseError, "duplicate reward for ('a', 'x') under purpose 'q'", 7, 0,
+    ),
     (BODY + "reward: a x = 1/0\n", ParseError, "bad rational literal '1/0'", 6, 0),
     (BODY + "rewards: a x = 1\n", ParseError, "unknown directive 'rewards'", 6, 0),
     ("actions: x\ngamma: 1/2\n", ParseError, "missing 'states:' line", 0, 0),
@@ -320,6 +327,14 @@ class TestPinnedErrors:
         assert _outcome(
             lambda: structure.with_rewards({("b", "x"): 0, ("b", NOTHING): 0.0})
         ) == (DomainMismatch, UNDEFINED, 0, 0)
+        # Of two undefined pairs, the first listed, not the first in state order.
+        assert _outcome(
+            lambda: structure.with_rewards({("b", "x"): 1, ("a", "y"): 2})
+        ) == (DomainMismatch, UNDEFINED, 0, 0)
+        # A nonzero nothing-action reward listed after an undefined pair wins.
+        assert _outcome(
+            lambda: structure.with_rewards({("b", "x"): 1, ("b", NOTHING): 3})
+        ) == (NothingActionConflict, NOTHING_REWARD.format("b"), 0, 0)
         mixed = structure.with_rewards({("a", "x"): "0.25", ("b", NOTHING): 0.0})
         assert list(mixed.rewards.items()) == [
             (("a", "x"), Fraction(1, 4)),
@@ -339,6 +354,22 @@ class TestRoundTrip:
     def test_travel_round_trip(self):
         models = parse_model(TRAVEL_MODEL)
         assert parse_model(format_model_document(models)) == models
+
+    @pytest.mark.parametrize("purposes_first", [1, 3])
+    def test_rewards_before_their_transitions(self, purposes_first):
+        # Purpose and reward lines may come before the transition lines that
+        # define their pairs: the models equal those of the canonical order.
+        family = reward_family(7, 3)
+        text = format_model_document(family)
+        header, rows, *blocks = text.split("\n\n")
+        reordered = "\n\n".join(
+            [header, *blocks[:purposes_first], rows, *blocks[purposes_first:]]
+        )
+        assert reordered.index("reward:") < reordered.index("transition:")
+        parsed = parse_model(reordered)
+        assert parsed == parse_model(text) == family
+        for name, model in parsed.items():
+            assert list(model.rewards) == list(family[name].rewards)
 
     def test_random_models_round_trip(self):
         rng = random.Random(103)
@@ -439,6 +470,32 @@ class TestLinearInSize:
             counts.clear()
             parse_model(text)
             assert counts == {"__lt__": 2}
+
+    def test_parse_memory_linear_in_document(self):
+        # A parse holds about 10 bytes per document byte at its peak, the line
+        # list and the tables included. A key tuple and names of its own per
+        # reward line, kept until the parse ends, would take it to about 16.
+        rng = random.Random(17)
+        model = random_model(
+            rng, n_states=(300, 300), n_actions=(3, 3), max_support=3
+        )
+        family = {
+            f"p{i}": model.with_rewards(
+                {
+                    (q, a): 0 if a == NOTHING else rng.choice((-3, -2, -1, 1, 2, 3))
+                    for q, a in model.transitions
+                }
+            )
+            for i in range(6)
+        }
+        text = format_model_document(family)
+        tracemalloc.start()
+        try:
+            parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * len(text)
 
     def test_purposes_times_pairs_capped(self):
         # 1,001 pairs (one transition and a nothing row per state) under

@@ -102,20 +102,12 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _load_models(path: str) -> dict[str, EnvironmentModel]:
-    return parse_model(_read(path))
-
-
 def _pick(models: dict[str, EnvironmentModel], purpose: str) -> EnvironmentModel:
     if purpose not in models:
         raise _UsageError(
             f"unknown purpose {purpose!r}; document declares {', '.join(models)}"
         )
     return models[purpose]
-
-
-def _load_behaviors(path: str, model: EnvironmentModel) -> list[Behavior]:
-    return parse_log(_read(path), model)
 
 
 def _parse_rule(text: str) -> PolicyRule:
@@ -159,7 +151,7 @@ def _outcome_line(index: int, outcome: AuditOutcome) -> str:
 
 
 def _cmd_validate(args, out) -> int:
-    models = _load_models(args.model)
+    models = parse_model(_read(args.model))
     first = next(iter(models.values()))
     if args.json:
         record = {
@@ -179,7 +171,7 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_solve(args, out) -> int:
-    model = _pick(_load_models(args.model), args.purpose)
+    model = _pick(parse_model(_read(args.model)), args.purpose)
     solution = solve_optimal(model, mode=args.mode)
     if args.json:
         record = {
@@ -200,8 +192,8 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_audit(args, out) -> int:
-    model = _pick(_load_models(args.model), args.purpose)
-    behaviors = _load_behaviors(args.log, model)
+    model = _pick(parse_model(_read(args.model)), args.purpose)
+    behaviors = parse_log(_read(args.log), model)
     outcomes = [audit(model, b, mode=args.mode) for b in behaviors]
     for i, (behavior, outcome) in enumerate(zip(behaviors, outcomes), start=1):
         if args.json:
@@ -213,10 +205,10 @@ def _cmd_audit(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     rule = _parse_rule(args.rule)
-    models = _load_models(args.model)
+    models = parse_model(_read(args.model))
     for purpose in rule.purposes:
         _pick(models, purpose)
-    behaviors = _load_behaviors(args.log, next(iter(models.values())))
+    behaviors = parse_log(_read(args.log), next(iter(models.values())))
     checker = (
         check_restrictive if rule.kind is RuleKind.RESTRICTIVE else check_prohibitive
     )
@@ -240,11 +232,11 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_triage(args, out) -> int:
-    models = _load_models(args.model)
+    models = parse_model(_read(args.model))
     prohibited = _pick(models, args.prohibited)
     allowed_names = [name for name in args.allowed.split(",") if name]
     allowed = [_pick(models, name) for name in allowed_names]
-    behaviors = _load_behaviors(args.log, prohibited)
+    behaviors = parse_log(_read(args.log), prohibited)
     flags = [triage(prohibited, allowed, b, mode=args.mode) for b in behaviors]
     for i, (behavior, investigate) in enumerate(zip(behaviors, flags), start=1):
         if args.json:
@@ -266,8 +258,8 @@ def _cmd_oracle(args, out) -> int:
     # The reference layer loads only here, never on the engine's paths.
     from .oracle import evaluate_all_strategies, oracle_audit
 
-    model = _pick(_load_models(args.model), args.purpose)
-    behaviors = _load_behaviors(args.log, model)
+    model = _pick(parse_model(_read(args.model)), args.purpose)
+    behaviors = parse_log(_read(args.log), model)
     tables = evaluate_all_strategies(model) if behaviors else None
     disagreements = 0
     for i, behavior in enumerate(behaviors, start=1):

@@ -257,18 +257,19 @@ class EnvironmentModel:
         for the first state in state order with a nonzero nothing-action
         reward, else DomainMismatch for the first undefined pair listed.
         """
-        table = dict(rewards)
-        for pair, r in table.items():
-            if type(r) is not Fraction:
-                table[pair] = as_rational(r)
-        for q in self.states:
-            if table.get((q, NOTHING)):
-                raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
-        if not table.keys() <= self.transitions.keys():
-            pair = next(pair for pair in table if pair not in self.transitions)
-            raise DomainMismatch(f"reward defined for {pair} but no transition is")
+        converted = {
+            pair: as_rational(r) for pair, r in rewards.items() if type(r) is not Fraction
+        }
         full = dict.fromkeys(self.transitions, ZERO)
-        full.update(table)
+        full.update(rewards)
+        full.update(converted)
+        for q in self.states:
+            pair = (q, NOTHING)
+            if pair in rewards and full[pair]:
+                raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
+        if len(full) != len(self.transitions):
+            pair = next(pair for pair in rewards if pair not in self.transitions)
+            raise DomainMismatch(f"reward defined for {pair} but no transition is")
         return self._with_table(full)
 
     def _with_table(self, table: Mapping) -> EnvironmentModel:
@@ -304,13 +305,14 @@ class EnvironmentModel:
         return tuple(n / denominator for n in numerators)
 
 
-def _check_distribution(pair, distribution) -> dict[State, Rational]:
-    """The row's nonzero entries, in order, after checking it is a
-    distribution: no entry is negative, and with L the lcm of the entries'
-    denominators, the integers n * (L // d) sum to L, so the row sums to 1
-    without adding Fractions."""
+def _check_distribution(pair, distribution, states) -> dict[State, Rational]:
+    """The row's nonzero entries, in order, after one walk checks that no
+    entry is negative, that the integers n * (L // d) sum to L, L the lcm of
+    the denominators, so the row sums to 1 without adding Fractions, and then
+    that every target, zero-probability ones included, is in ``states``."""
     cleaned: dict[State, Rational] = {}
-    ratios = []
+    unknown = None
+    total, denominator = 0, 1
     for target, probability in distribution.items():
         p = probability if type(probability) is Fraction else as_rational(probability)
         n, d = p.as_integer_ratio()
@@ -318,15 +320,22 @@ def _check_distribution(pair, distribution) -> dict[State, Rational]:
             raise DistributionError(
                 f"negative probability {p} for {pair} -> {target!r}"
             )
+        if unknown is None and target not in states:
+            unknown = target
         if n:
             cleaned[target] = p
-            ratios.append((n, d))
-    denominator = math.lcm(*(d for _, d in ratios))
-    total = sum(n * (denominator // d) for n, d in ratios)
+            if d != denominator:
+                lcm = math.lcm(denominator, d)
+                total *= lcm // denominator
+                n *= lcm // d
+                denominator = lcm
+            total += n
     if total != denominator:
         raise DistributionError(
             f"probabilities for {pair} sum to {Fraction(total, denominator)}, not 1"
         )
+    if unknown is not None:
+        raise ModelError(f"transition {pair} targets unknown state {unknown!r}")
     return cleaned
 
 
@@ -353,10 +362,7 @@ def validate_model(
     state_list = tuple(dict.fromkeys(states))
     if not state_list:
         raise ModelError("a model needs at least one state")
-    action_list = list(dict.fromkeys(actions))
-    if NOTHING not in action_list:
-        action_list.append(NOTHING)
-    action_tuple = tuple(action_list)
+    action_tuple = tuple(dict.fromkeys([*actions, NOTHING]))
     state_position = {q: i for i, q in enumerate(state_list)}
     action_position = {a: i for i, a in enumerate(action_tuple)}
 
@@ -364,36 +370,36 @@ def validate_model(
     if not ZERO < gamma < ONE:
         raise DiscountError(f"discount must satisfy 0 < gamma < 1, got {gamma}")
 
-    transition_table: dict[tuple[State, Action], dict[State, Rational]] = {}
-    for (q, a), distribution in transitions.items():
-        if q not in state_position:
+    # Rows keep the caller's pair tuples; ``order`` lists a declared nothing row twice.
+    table: dict[tuple[State, Action], dict[State, Rational]] = {}
+    order = []
+    for pair, distribution in transitions.items():
+        q, a = pair
+        i = state_position.get(q)
+        if i is None:
             raise ModelError(f"transition references unknown state {q!r}")
-        if a not in action_position:
+        j = action_position.get(a)
+        if j is None:
             raise ModelError(f"transition references unknown action {a!r}")
-        cleaned = _check_distribution((q, a), distribution)
-        for target in distribution:
-            if target not in state_position:
-                raise ModelError(
-                    f"transition {(q, a)} targets unknown state {target!r}"
-                )
-        transition_table[(q, a)] = cleaned
+        if type(pair) is not tuple:
+            pair = (q, a)
+        table[pair] = _check_distribution(pair, distribution, state_position)
+        order.append((i, j, pair))
 
-    for q in state_list:
-        if transition_table.setdefault((q, NOTHING), {q: ONE}) != {q: ONE}:
+    nothing = action_position[NOTHING]
+    for i, q in enumerate(state_list):
+        pair = (q, NOTHING)
+        if table.setdefault(pair, {q: ONE}) != {q: ONE}:
             raise NothingActionConflict(
                 f"nothing-action at {q!r} must be a self-loop with probability 1"
             )
+        order.append((i, nothing, pair))
+    order.sort()
 
     structure = EnvironmentModel(
         states=state_list,
         actions=action_tuple,
-        transitions={
-            pair: transition_table[pair]
-            for pair in sorted(
-                transition_table,
-                key=lambda pair: (state_position[pair[0]], action_position[pair[1]]),
-            )
-        },
+        transitions={pair: table[pair] for _, _, pair in order},
         rewards={},
         discount=gamma,
     )

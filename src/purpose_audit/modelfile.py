@@ -52,10 +52,6 @@ from .model import (  # the literal caps are re-exported: they bound this format
 MAX_REWARD_ENTRIES = 1_000_000
 
 
-def _strip_comment(line: str) -> str:
-    return line.partition("#")[0].strip()
-
-
 def _rational(token: str, line_no: int, literals: dict[str, Fraction]) -> Fraction:
     """The value of ``token``, converted once per document: a token that
     fails raises and stays out of ``literals``, so it fails again."""
@@ -88,13 +84,15 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     current: str | None = None
     table: dict[tuple[State, Action], Fraction] | None = None
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line)
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
         directive, colon, rest = line.partition(":")
         if not colon:
-            raise ParseError("expected 'directive: ...'", line_no, raw_line.find(line) + 1)
+            words = line.strip()  # only a line with no ':' can be blank
+            if not words:
+                continue
+            raise ParseError("expected 'directive: ...'", line_no, line.find(words) + 1)
         directive = directive.strip()
 
         # Most lines of a document are rewards, so they are matched first.
@@ -143,7 +141,10 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                     raise ParseError(
                         f"duplicate target {target} in transition", line_no
                     )
-                distribution[target] = _rational(probability, line_no, literals)
+                p = literals.get(probability)
+                if p is None:
+                    p = _rational(probability, line_no, literals)
+                distribution[target] = p
             transitions[key] = distribution
             keys[key] = key
         elif directive == "purpose":
@@ -193,7 +194,8 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
             f"(state, action) pairs make {entries} reward entries, over the cap "
             f"of {MAX_REWARD_ENTRIES}"
         )
-    return {name: structure.with_rewards(r) for name, r in purposes.items()}
+    del transitions, keys, table  # each partial table goes once its full one exists
+    return {name: structure.with_rewards(purposes.pop(name)) for name in list(purposes)}
 
 
 def _format_rational(value: Fraction) -> str:
@@ -244,7 +246,7 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
     """
     behaviors = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line)
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
         tokens = line.split()

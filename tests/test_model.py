@@ -153,6 +153,14 @@ class TestValidateModel:
         )
         assert model.successors("s", "N") == {"s": Fraction(1)}
 
+    def test_two_item_keys_become_tuples(self):
+        # Any two-item key names a (state, action) pair; the model keys every
+        # row, a declared nothing row included, by a plain tuple.
+        model = tiny(transitions={"sa": {"u": 1}, "sN": {"s": 1}})
+        assert list(model.transitions) == [("s", "a"), ("s", "N"), ("u", "N")]
+        assert all(type(pair) is tuple for pair in model.transitions)
+        assert model.successors("s", "a") == {"u": 1}
+
     def test_unknown_target_state_rejected(self):
         with pytest.raises(ModelError):
             tiny(transitions={("s", "a"): {"x": 1}})
@@ -212,7 +220,11 @@ class TestCheckDistribution:
     @settings(max_examples=400, deadline=None)
     @given(rows())
     def test_matches_fraction_sums(self, row):
-        assert _result(_check_distribution, row) == _result(fraction_sum_check, row)
+        # Every target is a known state here, so only the sums can differ.
+        def check(pair, row):
+            return _check_distribution(pair, row, row)
+
+        assert _result(check, row) == _result(fraction_sum_check, row)
 
 
 class TestStrategy:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -159,6 +160,8 @@ UNDEFINED = "reward defined for ('b', 'x') but no transition is"
 # with_rewards that a document can reach, with its type, message and position.
 MALFORMED = [
     (BODY + "  stray words\n", ParseError, "expected 'directive: ...'", 6, 3),
+    # A line of only whitespace is blank; the column is that of the first word.
+    (BODY + " \t \n\t stray words\n", ParseError, "expected 'directive: ...'", 7, 3),
     ("states:\n", ParseError, "states line lists no states", 1, 0),
     ("actions:  # none\n", ParseError, "actions line lists no actions", 1, 0),
     ("gamma: 1/x\n", ParseError, "bad rational literal '1/x'", 1, 0),
@@ -190,6 +193,11 @@ MALFORMED = [
         BODY + "reward: a = 1\n",
         ParseError, "reward head must be '<state> <action>'", 6, 0,
     ),
+    # The head ends at the first '=', even one inside a token.
+    (
+        BODY + "reward: s= x = 1\n",
+        ParseError, "reward head must be '<state> <action>'", 6, 0,
+    ),
     (
         BODY + "reward: a x = 1\nreward: a x = 2\n",
         ParseError, "duplicate reward for ('a', 'x') under purpose 'p'", 7, 0,
@@ -214,6 +222,11 @@ MALFORMED = [
     (
         HEAD + "transition: a x -> a 1/2, b 1/4\npurpose: p\n",
         DistributionError, "probabilities for ('a', 'x') sum to 3/4, not 1", 0, 0,
+    ),
+    # A row's bad sum is reported before its unknown target.
+    (
+        HEAD + "transition: a x -> c 1/2\npurpose: p\n",
+        DistributionError, "probabilities for ('a', 'x') sum to 1/2, not 1", 0, 0,
     ),
     # A negative entry is reported before the row's bad sum.
     (
@@ -472,7 +485,7 @@ class TestLinearInSize:
             assert counts == {"__lt__": 2}
 
     def test_parse_memory_linear_in_document(self):
-        # A parse holds about 10 bytes per document byte at its peak, the line
+        # A parse holds about 9 bytes per document byte at its peak, the line
         # list and the tables included. A key tuple and names of its own per
         # reward line, kept until the parse ends, would take it to about 16.
         rng = random.Random(17)
@@ -556,6 +569,51 @@ def reward_family(seed: int, count: int) -> dict:
         )
         for i in range(count)
     }
+
+
+def respell(text: str, rng: random.Random) -> str:
+    """``text`` with the same meaning spelled differently: each ':', '=',
+    '->' and ',' gets 0-3 spaces or tabs on either side, lines get leading
+    and trailing blanks and '# ...' comments, blank and comment-only lines
+    are added, and lines end in CRLF."""
+
+    def blanks() -> str:
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(0, 3)))
+
+    def separator(match: re.Match) -> str:
+        return blanks() + match.group(1) + blanks()
+
+    lines = []
+    for line in text.splitlines():
+        if line:
+            line = blanks() + re.sub(r"[ \t]*(->|[:=,])[ \t]*", separator, line)
+            line += blanks()
+        if rng.random() < 0.3:
+            line += "#" + rng.choice(("", " note", "# : = -> , 1/0"))
+        lines.append(line)
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", blanks(), blanks() + "# states: x")))
+    return "\r\n".join(lines) + "\r\n"
+
+
+class TestSpelling:
+    """Comments, blank lines, blanks around separators and line ends do not
+    change what a document means."""
+
+    def test_examples(self):
+        text = BODY + "reward: a x = 3\n"
+        assert parse_model(text) == parse_model(
+            "  gamma :1/2\nstates:\ta b # two\n\n# none\nactions: x\r\n"
+            "transition:a x->b 1\npurpose :\tp\nreward:a x=3 # r\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 3), st.integers(0, 10**9))
+    def test_respelled_document_parses_equal(self, seed, count, spelling):
+        text = format_model_document(reward_family(seed, count))
+        respelled = respell(text, random.Random(spelling))
+        assert respelled != text
+        assert parse_model(respelled) == parse_model(text)
 
 
 class TestNothingAtEveryState:

@@ -24,10 +24,10 @@ iff every logged action lies in the greedy set of its state: O(|b|) lookups.
 Otherwise the penalised optimum equals V* at exactly the states of the *safe
 set*: the greatest set of states, none observed with a non-greedy action,
 from each of which some allowed action (the logged one at an observed state,
-any greedy one elsewhere) keeps every successor in the set, found by a
-worklist that re-checks only the predecessors of a dropped state. The gap
-witness is the first state outside it, which is the first state where the
-penalised optimum falls short.
+any greedy one elsewhere) keeps every successor in the set, found by counting
+each state's allowed actions not yet cut by a dropped successor, so each edge
+is walked once. The gap witness is the first state outside it, which is the
+first state where the penalised optimum falls short.
 
 Float mode follows the paper's construction: it builds ``compute_fix(model,
 b)``, which shares the model's structure index, runs the float value
@@ -220,36 +220,33 @@ def _safe_states(
 ) -> list[bool]:
     """Per state position, whether the penalised optimum equals V* there.
 
-    The greatest fixed point: start from every state not observed with a
-    non-greedy action, then drop a state while none of its allowed actions
-    keeps every successor in the set. The logged action is the only allowed
-    one at an observed state; any greedy action is allowed elsewhere. The
-    worklist starts from the predecessors of the states unsafe at the start,
-    the only states that can fail the first check, and re-checks only the
-    predecessors of a dropped state, so the work is linear in the model's
-    size.
+    The greatest fixed point, by counting: a state observed with a
+    non-greedy action starts unsafe, and any other starts with a count of
+    its allowed actions, the logged one if observed and every greedy one if
+    not. When a state drops, each allowed pair leading into it is cut once
+    and the count of that pair's state goes down; a state drops when its
+    count reaches 0. Each incoming edge is walked at most once, so the work
+    is linear in the number of transition entries.
     """
     index = model._index
-    states = model.states
-    safe = [q not in choices or choices[q] in greedy[q] for q in states]
-
-    def keeps_safe(i: int) -> bool:
-        q = states[i]
-        allowed = (choices[q],) if q in choices else greedy[q]
-        return any(
-            all(safe[j] for j, _ in successors)
-            for a, (_, successors) in zip(index.available[i], index.rows[i])
-            if a in allowed
-        )
-
-    pending = list(
-        {j for i, ok in enumerate(safe) if not ok for j in index.predecessors[i]}
-    )
-    while pending:
-        i = pending.pop()
-        if safe[i] and not keeps_safe(i):
-            safe[i] = False
-            pending.extend(index.predecessors[i])
+    safe = [q not in choices or choices[q] in greedy[q] for q in model.states]
+    dropped = [i for i, ok in enumerate(safe) if not ok]
+    remaining = [0] * len(safe)
+    allowed = bytearray(len(index.pairs))
+    for i, q in enumerate(model.states):
+        if safe[i]:
+            actions = (choices[q],) if q in choices else greedy[q]
+            remaining[i] = len(actions)
+            for a in actions:
+                allowed[index.number[(q, a)]] = 1
+    while dropped:
+        for i, k in index.incoming[dropped.pop()]:
+            if allowed[k]:
+                allowed[k] = 0
+                remaining[i] -= 1
+                if not remaining[i]:
+                    safe[i] = False
+                    dropped.append(i)
     return safe
 
 

@@ -11,6 +11,7 @@ a purpose is solved on its first decision and at most once per run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="purpose-audit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

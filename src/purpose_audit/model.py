@@ -92,7 +92,7 @@ class StructureIndex:
 
     Holds a state -> position map, the available actions of each state, per
     defined pair its successors as (position, float(gamma) * float(p)), and
-    the predecessors of each state. Exact backups use integers: each state
+    the incoming edges of each state. Exact backups use integers: each state
     has a scale L, the least common multiple of the denominators of
     gamma * p over its pairs, and each pair its successors as
     (position, L * gamma * p). Pairs are numbered in state order, then
@@ -188,14 +188,15 @@ class StructureIndex:
         )
 
     @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Per state position, the positions with some action leading there."""
-        sources: list[set[int]] = [set() for _ in self.available]
+    def incoming(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per state position, (state position, pair number) of each pair
+        with that state among its successors, in pair order."""
+        edges: list[list[tuple[int, int]]] = [[] for _ in self.available]
         for i, row in enumerate(self.rows):
-            for _, successors in row:
+            for k, successors in row:
                 for j, _ in successors:
-                    sources[j].add(i)
-        return tuple(tuple(sorted(s)) for s in sources)
+                    edges[j].append((i, k))
+        return tuple(map(tuple, edges))
 
 
 @dataclass(frozen=True)

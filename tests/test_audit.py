@@ -335,8 +335,8 @@ class TestSafeSet:
         # non-greedy "small". Each state drops out of the safe set only after
         # its successor. Along state order (forward), a whole-model pass in
         # state order drops one state per pass, about n passes. Against it
-        # (s0, then s1999 down to s1), s0 is only reached by re-checking the
-        # predecessors of each dropped state.
+        # (s0, then s1999 down to s1), s0 is only reached by following the
+        # incoming edges of each dropped state.
         n = 2000
         states = [f"s{i}" for i in range(n)]
         chain = states if forward else [states[0], *states[:0:-1]]
@@ -367,8 +367,13 @@ class TestSafeSet:
 
 
 def reference_safe_states(model, greedy, choices):
-    """The same greatest fixed point, from a worklist of every state."""
-    index = model._index
+    """The same greatest fixed point, from a worklist of every state that
+    re-checks the predecessors of each dropped state, read off
+    ``model.successors`` rather than the engine's structure index."""
+    predecessors = [set() for _ in model.states]
+    for q, a in model.transitions:
+        for t in model.successors(q, a):
+            predecessors[model.states.index(t)].add(model.states.index(q))
     safe = [q not in choices or choices[q] in greedy[q] for q in model.states]
 
     def keeps_safe(i):
@@ -385,7 +390,7 @@ def reference_safe_states(model, greedy, choices):
         i = pending.pop()
         if safe[i] and not keeps_safe(i):
             safe[i] = False
-            pending.extend(index.predecessors[i])
+            pending.extend(predecessors[i])
     return safe
 
 

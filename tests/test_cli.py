@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from purpose_audit import ConvergenceError, auditing, parse_model, solve_optimal
+from purpose_audit import ConvergenceError, auditing, cli, parse_model, solve_optimal
 from purpose_audit.cli import main
 
 # Command line (fixture name, command, options) -> its full stdout on the
@@ -82,15 +82,41 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("command_line", sorted(GOLDEN))
     def test_stdout(self, example_dir, command_line):
-        fixture, command, *options = command_line.split()
-        code, out, err = run(
-            command,
-            str(example_dir / f"{fixture}.model"),
-            str(example_dir / f"{fixture}.log"),
-            *options,
-        )
+        code, out, err = run(*golden_argv(example_dir, command_line))
         assert (code, err) == (0, "")
         assert out == GOLDEN[command_line]
+
+
+def golden_argv(example_dir, command_line):
+    fixture, command, *options = command_line.split()
+    model, log = (str(example_dir / f"{fixture}.{kind}") for kind in ("model", "log"))
+    return [command, model, log, *options]
+
+
+class TestRepeatedCalls:
+    """main() can be called many times in one process; it builds its parser
+    once, and a usage error in one call leaves nothing behind for the next."""
+
+    def test_golden_cases_twice_around_usage_errors(self, example_dir):
+        def every_case():
+            return {
+                line: run(*golden_argv(example_dir, line)) for line in sorted(GOLDEN)
+            }
+
+        first = every_case()
+        assert first == {line: (0, out, "") for line, out in GOLDEN.items()}
+        model, log = (str(example_dir / f"physician.{kind}") for kind in ("model", "log"))
+        for argv in (
+            ["check", model, log, "--rule", "maybe-for:treat"],
+            ["frobnicate", model],
+            ["audit", model, log, "--mode", "approximate", "--purpose", "treat"],
+            ["audit", model, log],
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error: ")
+        assert every_case() == first
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestOneSolvePerPurpose:

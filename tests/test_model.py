@@ -341,7 +341,7 @@ class TestStructureIndex:
             ((0, ((1, 0.5 * 0.25), (0, 0.5 * 0.75))), (1, ((0, 0.5),))),
             ((2, ((1, 0.5),)),),
         )
-        assert index.predecessors == ((0,), (0, 1))
+        assert index.incoming == (((0, 0), (0, 1)), ((0, 0), (1, 2)))
         assert model._float_rewards == (1.0, 0.0, 0.0)
         # gamma * p is 1/8, 3/8 and 1/2 at s, and 1/2 at u.
         assert index.scales == (8, 2)

@@ -442,7 +442,7 @@ class TestLinearInSize:
         start = time.perf_counter()
         model = parse_model(text)["p"]
         index = model._index
-        index.rows, index.coefficients, index.predecessors
+        index.rows, index.coefficients, index.incoming
         assert time.perf_counter() - start < 2.0
         assert index.pairs[:3] == (("s0", "a0"), ("s0", NOTHING), ("s1", NOTHING))
         assert len(index.pairs) == n + 1

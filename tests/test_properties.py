@@ -15,6 +15,7 @@ from purpose_audit import (
     ConvergenceError,
     Strategy,
     audit,
+    auditing,
     bellman_residual,
     compute_fix,
     compute_omega,
@@ -246,7 +247,7 @@ class TestExactDecisionMatchesPenalisedModel:
     GAMMAS = (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(99, 100))
 
     @staticmethod
-    def _mostly_greedy_walk(rng, model, solution) -> Behavior:
+    def _mostly_greedy_walk(rng, model, solution, max_length=6) -> Behavior:
         # A fixed strategy that is greedy at most states, so fits, gaps and
         # zero-reward ties all occur; following it never forces two actions.
         choice = {
@@ -259,7 +260,7 @@ class TestExactDecisionMatchesPenalisedModel:
         }
         q = start = rng.choice(model.states)
         steps = []
-        for _ in range(rng.randint(0, 6)):
+        for _ in range(rng.randint(0, max_length)):
             target = rng.choice(sorted(model.successors(q, choice[q])))
             steps.append((choice[q], target))
             q = target
@@ -289,6 +290,36 @@ class TestExactDecisionMatchesPenalisedModel:
                 assert outcome.witness_state == gaps[0]
             else:
                 assert outcome.reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from((Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))),
+        st.sampled_from((1, 3)),
+    )
+    def test_safe_set_is_where_the_penalised_optimum_holds(
+        self, seed, gamma, max_support
+    ):
+        # The whole safe set, not only its first missing state: a state is
+        # in it iff the penalised optimum equals V* there. Mostly zero
+        # rewards over three or four actions make greedy ties common, and
+        # long logs observe most states.
+        rng = random.Random(seed)
+        model = random_model(
+            rng,
+            n_states=(2, 7),
+            n_actions=(3, 4),
+            max_support=max_support,
+            gammas=(gamma,),
+            zero_reward_fraction=rng.choice((0.6, 0.8)),
+        )
+        solution = solve_optimal(model)
+        for _ in range(6):
+            behavior = self._mostly_greedy_walk(rng, model, solution, max_length=12)
+            choices = observed_choices(behavior)
+            safe = auditing._safe_states(model, solution.greedy, choices)
+            v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
+            assert safe == [v_fixed[q] == solution.v_star[q] for q in model.states]
 
     def test_tie_at_an_observed_state_binds_the_logged_action(self):
         # At s0, "a" (into s1) and "b" (a self-loop) tie at V* = 2. The log

@@ -32,6 +32,8 @@ sweep kernel on the model's shared :class:`~purpose_audit.model.StructureIndex`:
 a reward vector indexed by pair number, successor lists with weights
 float(gamma) * float(p), backups accumulated in successor order and the first
 maximum kept, so its values are the same bit for bit whichever caller runs it.
+Within a call it stops backing up each action that a rounding-aware bound
+proves can never again be its state's maximum, which changes no value.
 """
 
 from __future__ import annotations
@@ -354,15 +356,29 @@ def _sweeps(
     """Value iteration in floats from V = 0, one Jacobi sweep at a time,
     until gamma * (largest change in a sweep) <= target or ``sweeps`` run out.
 
-    ``rewards`` is indexed by the index's pair numbers. Each backup is
-    r + w1*V[j1] + w2*V[j2] + ... in successor order, and a state takes the
-    first maximum over its actions, so the values are a function of these
-    inputs, bit for bit. Returns the last values (in state order) and whether
-    the target was met.
+    ``rewards`` is indexed by the index's pair numbers, and ``gamma`` is the
+    float discount of its weights. Each backup is r + w1*V[j1] + w2*V[j2] +
+    ... in successor order, and a state takes the first maximum over its
+    actions, so the values are a function of these inputs, bit for bit.
+    Returns the last values (in state order) and whether the target was met.
+
+    After sweeps 8, 16, 32, ..., a :func:`_lookahead` pass drops from this
+    call's copy of the rows each action more than M below its state's best
+    backup (MacQueen 1967; Puterman 1994, 6.7.2). With u = 2**-52, n states
+    and r = max |reward| + 1, a row's rounded weights sum to at most
+    g = gamma (1 + 4u). Unless g + 4(n + 3)u >= 1, when the test is skipped,
+    iterates stay within 2r / (1 - g), a backup rounds by at most
+    e = 2(n + 3) u r (1 + 2g / (1 - g)), and with d the last sweep's largest
+    change every later iterate lies within R = (2gd + 3e) / (1 - g) of this
+    one. So backups move by at most gR + 2e, and with M = 2(gR + 2e)(1 + 1e-9)
+    a dropped action stays below a kept one on every later sweep: each
+    maximum, change and stop sweep is that of the full rows, bit for bit.
     """
     rows = index.rows
     values = [0.0] * len(rows)
-    for _ in range(sweeps):
+    g, c = gamma * (1 + 2**-50), (len(rows) + 3) * 2**-51
+    test = 8 if g + 2 * c < 1 else 0
+    for sweep in range(1, sweeps + 1):
         updated = []
         gap = 0.0
         for old, row in zip(values, rows):
@@ -380,16 +396,25 @@ def _sweeps(
         values = updated
         if gamma * gap <= target:
             return values, True
+        if sweep == test:
+            test *= 2
+            e = c * (max(map(abs, rewards), default=0.0) + 1) * (1 + 2 * g / (1 - g))
+            margin = 2 * (g * (2 * g * gap + 3 * e) / (1 - g) + 2 * e) * (1 + 1e-9)
+            table = _lookahead(rows, rewards, values)
+            rows = [
+                [p for p, b in zip(row, backups) if not best - b > margin]
+                for row, backups, best in zip(rows, table, map(max, table))
+            ]
     return values, False
 
 
 def _lookahead(
-    index: StructureIndex, rewards: Sequence[float], values: list[float]
+    rows: Sequence[Sequence], rewards: Sequence[float], values: list[float]
 ) -> list[list[float]]:
-    """The backup of every available action on ``values`` (per state, in
-    action order), with the arithmetic of :func:`_sweeps`."""
+    """The backup of every action in ``rows`` (per state, in row order) on
+    ``values``, with the arithmetic of :func:`_sweeps`."""
     table = []
-    for row in index.rows:
+    for row in rows:
         backups = []
         for k, successors in row:
             acc = rewards[k]
@@ -420,7 +445,7 @@ def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
     return {
         q: actions[row.index(max(row))]
         for q, actions, row in zip(
-            model.states, index.available, _lookahead(index, rewards, values)
+            model.states, index.available, _lookahead(index.rows, rewards, values)
         )
     }
 
@@ -467,7 +492,7 @@ def _float_values(model: EnvironmentModel) -> tuple[list[float], float]:
 def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
     index = model._index
     values, scale = _float_values(model)
-    backups = _lookahead(index, model._float_rewards, values)
+    backups = _lookahead(index.rows, model._float_rewards, values)
     v_star = dict(zip(model.states, values))
     q_star = {
         (q, a): value

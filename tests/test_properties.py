@@ -23,7 +23,8 @@ from purpose_audit import (
     solve_optimal,
     validate_model,
 )
-from purpose_audit.model import observed_choices
+from purpose_audit import solve
+from purpose_audit.model import StructureIndex, observed_choices
 from purpose_audit.solve import FLOAT_EQUALITY, FLOAT_ITERATION_CAP, FLOAT_RESIDUAL
 from purpose_audit.oracle import oracle_audit
 from purpose_audit.traces import (
@@ -345,24 +346,21 @@ class TestExactDecisionMatchesPenalisedModel:
         assert v_fixed["s0"] == Fraction(3, 2) < outcome.v_star["s0"]
 
 
-def reference_value_iteration(model):
+def reference_sweeps(model, rewards, target, sweeps):
     """Float value iteration as the solver first ran it: Jacobi sweeps from
     V = 0 over a full lookahead table, ``max`` per row, stopping once
-    gamma * (largest change) <= FLOAT_RESIDUAL * scale * (1 - gamma).
-    Returns (V*, Q*, greedy) in state, then action, order."""
+    gamma * (largest change) <= target or after ``sweeps`` sweeps.
+    ``rewards`` maps each pair to a float. Returns (values in state order,
+    whether the target was met, the lookahead table function)."""
     gamma = float(model.discount)
-    rewards = {pair: float(r) for pair, r in model.rewards.items()}
-    scale = max(1.0, max(abs(r) for r in rewards.values()) / (1 - gamma))
-    target = FLOAT_RESIDUAL * scale * (1 - gamma)
     position = {q: i for i, q in enumerate(model.states)}
-    available = {q: model.available_actions(q) for q in model.states}
     rows = [
         [
             (
                 rewards[(q, a)],
                 [(position[t], gamma * float(p)) for t, p in model.successors(q, a).items()],
             )
-            for a in available[q]
+            for a in model.available_actions(q)
         ]
         for q in model.states
     ]
@@ -379,14 +377,29 @@ def reference_value_iteration(model):
         return table
 
     values = [0.0] * len(rows)
-    for _ in range(FLOAT_ITERATION_CAP):
+    for _ in range(sweeps):
         updated = [max(backups) for backups in lookahead(values)]
         gap = max(abs(new - old) for new, old in zip(updated, values))
         values = updated
         if gamma * gap <= target:
-            break
-    else:
+            return values, True, lookahead
+    return values, False, lookahead
+
+
+def reference_value_iteration(model):
+    """Float mode by :func:`reference_sweeps`, to the relative residual
+    FLOAT_RESIDUAL * scale. Returns (V*, Q*, greedy) in state, then action,
+    order."""
+    gamma = float(model.discount)
+    rewards = {pair: float(r) for pair, r in model.rewards.items()}
+    scale = max(1.0, max(abs(r) for r in rewards.values()) / (1 - gamma))
+    target = FLOAT_RESIDUAL * scale * (1 - gamma)
+    values, converged, lookahead = reference_sweeps(
+        model, rewards, target, FLOAT_ITERATION_CAP
+    )
+    if not converged:
         raise AssertionError("reference value iteration did not converge")
+    available = {q: model.available_actions(q) for q in model.states}
     v_star = dict(zip(model.states, values))
     q_star = {
         (q, a): value
@@ -546,3 +559,108 @@ class TestFloatModeIsBitIdentical:
             audit(model, behavior, mode="float")
         with pytest.raises(ConvergenceError, match="floating-point range"):
             solve_optimal(compute_fix(model, behavior), mode="float")
+
+
+class TestDroppedActionsKeepFloatValues:
+    """``solve._sweeps`` stops backing up each action that its bound proves
+    can never again be its state's maximum. On models where that test fires
+    (more states, wider support, exact ties from zero rewards), each kind of
+    kernel call must return the reference iteration's values bit for bit,
+    and its flag: the warm start on r / max |r|, float mode, float step two
+    on ``compute_fix(model, b)``, and calls cut short by their sweep cap,
+    which float mode reports as ConvergenceError. Float mode and step two
+    are capped at 2,048 sweeps, which a discount of 999/1000 can reach."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The number of actions in the rows of each ``_lookahead`` pass:
+        fewer than the index has once a pass of the same call dropped one."""
+        seen = []
+        lookahead = solve._lookahead
+
+        def spy(rows, rewards, values):
+            seen.append(sum(map(len, rows)))
+            return lookahead(rows, rewards, values)
+
+        monkeypatch.setattr(solve, "_lookahead", spy)
+        return seen
+
+    @pytest.mark.parametrize("zero_fraction", (0.6, 0.9))
+    @pytest.mark.parametrize(
+        "gamma", (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))
+    )
+    def test_kernel_calls_match_reference(self, gamma, zero_fraction, seen):
+        rng = random.Random(int(1000 * zero_fraction) + gamma.denominator)
+        g, fired, capped = float(gamma), 0, 0
+        for _ in range(3):
+            model = random_model(
+                rng,
+                n_states=(8, 30),
+                max_support=8,
+                gammas=(gamma,),
+                zero_reward_fraction=zero_fraction,
+            )
+            if not model.max_reward_magnitude():
+                continue  # every value is 0 after one sweep
+            behavior = random_consistent_behavior(rng, model, max_length=12)
+            fixed = compute_fix(model, behavior)
+            numerators, _ = model._reward_numerators
+            top, exact_top = max(map(abs, numerators)), model.max_reward_magnitude()
+            warm = {pair: float(r / exact_top) for pair, r in model.rewards.items()}
+            calls = [(model, [n / top for n in numerators], warm, 1e-3, 200)]
+            for m, sweeps in ((model, 2048), (fixed, 2048), (model, 40)):
+                rewards = {pair: float(r) for pair, r in m.rewards.items()}
+                scale = max(1.0, max(map(abs, rewards.values())) / (1 - g))
+                target = FLOAT_RESIDUAL * scale * (1 - g)
+                calls.append((m, m._float_rewards, rewards, target, sweeps))
+            for m, vector, rewards, target, sweeps in calls:
+                seen.clear()
+                values, converged = solve._sweeps(m._index, vector, g, target, sweeps)
+                expected, flag, _ = reference_sweeps(m, rewards, target, sweeps)
+                assert [v.hex() for v in values] == [v.hex() for v in expected]
+                assert converged is flag
+                fired += any(n < len(m._index.pairs) for n in seen)
+                capped += not converged
+        assert fired and capped
+
+    @pytest.mark.parametrize(
+        "gamma", (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))
+    )
+    def test_late_winner_is_kept(self, gamma):
+        # At "s", "b" pays gamma / (1 - gamma) - 1 at once, and "a" earns
+        # gamma / (1 - gamma) by climbing through "p" from V = 0: "a" trails
+        # for many sweeps and wins in the end. At sweep 8 it trails by less
+        # than the margin, but by more than a tenth of it.
+        model = validate_model(
+            states=["s", "p", "z"],
+            actions=["a", "b", "go"],
+            transitions={
+                ("s", "a"): {"p": 1},
+                ("s", "b"): {"z": 1},
+                ("p", "go"): {"p": 1},
+            },
+            rewards={
+                ("s", "a"): 0,
+                ("s", "b"): gamma / (1 - gamma) - 1,
+                ("p", "go"): 1,
+            },
+            discount=gamma,
+        )
+        v_star, _, _ = reference_value_iteration(model)
+        assert v_star["s"] > gamma / (1 - gamma) - Fraction(1, 2)
+        assert hexed(solve_optimal(model, mode="float").v_star) == hexed(v_star)
+
+    def test_dropping_stays_inside_one_call(self, seen):
+        rng = random.Random(7)
+        model = random_model(rng, n_states=(20, 20), max_support=8)
+        behavior = random_consistent_behavior(rng, model, max_length=12)
+        index, rows = model._index, model._index.rows
+        solution = solve_optimal(model, mode="float")
+        audit(model, behavior, mode="float")
+        assert min(seen) < len(model._index.pairs)
+        fresh = StructureIndex(
+            model.states, model.actions, model.transitions, model.discount
+        )
+        assert model._index is index and index.rows is rows and rows == fresh.rows
+        assert list(solution.q_star) == list(model.pairs())
+

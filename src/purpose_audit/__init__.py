@@ -54,7 +54,7 @@ from .model import (
     validate_model,
     validate_strategy,
 )
-from .modelfile import format_log, format_model_document, parse_log, parse_model
+from .modelfile import parse_log, parse_model
 from .solve import (
     OptimalSolution,
     bellman_residual,

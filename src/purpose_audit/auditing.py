@@ -88,7 +88,8 @@ def compute_fix(model: EnvironmentModel, behavior: Behavior) -> EnvironmentModel
     if not constraints:
         return model
     penalty = -compute_omega(model)
-    rewards = dict(model.rewards)
+    rewards = model.rewards  # only the listed entries are copied
+    rewards = dict(getattr(rewards, "_listed", rewards))
     for q, logged in constraints.items():
         for a in model.available_actions(q):
             if a != logged:

@@ -199,14 +199,44 @@ class StructureIndex:
         return tuple(map(tuple, edges))
 
 
+class _Handed(dict):
+    """A table the document parser hands over: validate_model keeps its rows
+    and with_rewards keeps it, where they copy any other mapping."""
+
+
+class RewardTable(Mapping):
+    """A read-only reward table: the listed entries, and 0 on every other key
+    of ``pairs``, a structure's transitions. It iterates in their order,
+    compares and prints as that full dict, and raises KeyError on other keys."""
+
+    def __init__(self, listed: dict, pairs: Mapping):
+        self._listed, self._pairs = listed, pairs
+
+    def __getitem__(self, pair):
+        reward = self._listed.get(pair, ZERO)
+        if reward is ZERO and pair not in self._pairs:
+            raise KeyError(pair)
+        return reward
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class EnvironmentModel:
     """A validated model: states, actions, transitions, rewards, discount.
 
     ``transitions`` maps each defined (state, action) pair to a distribution
-    over successor states; ``rewards`` is defined on exactly the same pairs.
-    Every state has the pair (q, ``NOTHING``), a self-loop with reward 0
-    everywhere but in the penalised model of ``auditing.compute_fix``.
+    over successor states; ``rewards``, a :class:`RewardTable` of the listed
+    entries when made by :meth:`with_rewards`, is defined on exactly the same
+    pairs. Every state has the pair (q, ``NOTHING``), a self-loop with reward
+    0 everywhere but in the penalised model of ``auditing.compute_fix``.
     Instances are immutable; construct them through :func:`validate_model`
     and :meth:`with_rewards`. ``_index`` is the structure's
     :class:`StructureIndex`: ``with_rewards`` hands its own on, and every
@@ -251,33 +281,31 @@ class EnvironmentModel:
         """This structure with the reward table ``rewards``.
 
         Each listed reward must sit on a defined pair, and a nothing-action
-        reward must be zero; a pair not listed gets reward 0. The table is
-        ordered like :meth:`pairs`; this model's own rewards are not read.
-        Only the entries that are not Fractions are converted, and only once
-        every entry has converted is an error raised: NothingActionConflict
-        for the first state in state order with a nonzero nothing-action
-        reward, else DomainMismatch for the first undefined pair listed.
+        reward must be zero; a pair not listed reads 0. A copy of the listed
+        entries is stored, in a :class:`RewardTable` ordered like :meth:`pairs`.
+        Only entries that are not Fractions are converted, and only once every
+        entry has converted is an error raised: NothingActionConflict for the
+        first state in state order with a nonzero nothing-action reward, else
+        DomainMismatch for the first undefined pair listed.
         """
-        converted = {
-            pair: as_rational(r) for pair, r in rewards.items() if type(r) is not Fraction
-        }
-        full = dict.fromkeys(self.transitions, ZERO)
-        full.update(rewards)
-        full.update(converted)
+        table = rewards if type(rewards) is _Handed else dict(rewards)
+        for pair, r in table.items():
+            if type(r) is not Fraction:
+                table[pair] = as_rational(r)
         for q in self.states:
-            pair = (q, NOTHING)
-            if pair in rewards and full[pair]:
+            if table.get((q, NOTHING)):
                 raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
-        if len(full) != len(self.transitions):
-            pair = next(pair for pair in rewards if pair not in self.transitions)
+        if not table.keys() <= self.transitions.keys():
+            pair = next(pair for pair in table if pair not in self.transitions)
             raise DomainMismatch(f"reward defined for {pair} but no transition is")
-        return self._with_table(full)
+        return self._with_table(table)
 
-    def _with_table(self, table: Mapping) -> EnvironmentModel:
-        """This structure with ``table`` as its rewards, unchecked, sharing
-        this model's index."""
+    def _with_table(self, table: dict) -> EnvironmentModel:
+        """This structure with the listed entries ``table`` as its rewards,
+        unchecked and not copied, sharing this model's index."""
+        rewards = RewardTable(table, self.transitions)
         model = EnvironmentModel(
-            self.states, self.actions, self.transitions, table, self.discount
+            self.states, self.actions, self.transitions, rewards, self.discount
         )
         object.__setattr__(model, "_index", self._index)
         return model
@@ -291,12 +319,9 @@ class EnvironmentModel:
     def _reward_numerators(self) -> tuple[tuple[int, ...], int]:
         """(n per defined pair in pair order, R): each reward is n / R over
         one common denominator R, the reward vector of exact backups."""
-        rewards = tuple(map(self.rewards.__getitem__, self._index.pairs))
-        denominator = math.lcm(*(r.denominator for r in rewards))
-        return (
-            tuple(r.numerator * (denominator // r.denominator) for r in rewards),
-            denominator,
-        )
+        ratios = [self.rewards[pair].as_integer_ratio() for pair in self._index.pairs]
+        denominator = math.lcm(*{d for _, d in ratios})
+        return tuple(n * (denominator // d) for n, d in ratios), denominator
 
     @cached_property
     def _float_rewards(self) -> tuple[float, ...]:
@@ -306,17 +331,20 @@ class EnvironmentModel:
         return tuple(n / denominator for n in numerators)
 
 
-def _check_distribution(pair, distribution, states) -> dict[State, Rational]:
+def _check_distribution(pair, distribution, states, keep=False) -> dict[State, Rational]:
     """The row's nonzero entries, in order, after one walk checks that no
     entry is negative, that the integers n * (L // d) sum to L, L the lcm of
     the denominators, so the row sums to 1 without adding Fractions, and then
-    that every target, zero-probability ones included, is in ``states``."""
-    cleaned: dict[State, Rational] = {}
+    that every target, zero-probability ones included, is in ``states``.
+    With ``keep``, a row of nonzero Fractions is its own cleaned copy."""
+    cleaned: dict[State, Rational] = distribution if keep else {}
     unknown = None
     total, denominator = 0, 1
     for target, probability in distribution.items():
         p = probability if type(probability) is Fraction else as_rational(probability)
         n, d = p.as_integer_ratio()
+        if cleaned is distribution and (not n or p is not probability):
+            return _check_distribution(pair, distribution, states)
         if n < 0:
             raise DistributionError(
                 f"negative probability {p} for {pair} -> {target!r}"
@@ -355,7 +383,7 @@ def validate_model(
     where a state omits it, and a supplied nothing row must already be that
     self-loop. The rewards are then installed by
     :meth:`EnvironmentModel.with_rewards`, so a pair without a listed reward
-    gets 0.
+    gets 0. The model copies the caller's rows and rewards, never aliasing them.
     """
     if states is None or actions is None or transitions is None or discount is None:
         raise ModelError("states, actions, transitions and discount are all required")
@@ -374,6 +402,7 @@ def validate_model(
     # Rows keep the caller's pair tuples; ``order`` lists a declared nothing row twice.
     table: dict[tuple[State, Action], dict[State, Rational]] = {}
     order = []
+    keep = type(transitions) is _Handed
     for pair, distribution in transitions.items():
         q, a = pair
         i = state_position.get(q)
@@ -384,7 +413,7 @@ def validate_model(
             raise ModelError(f"transition references unknown action {a!r}")
         if type(pair) is not tuple:
             pair = (q, a)
-        table[pair] = _check_distribution(pair, distribution, state_position)
+        table[pair] = _check_distribution(pair, distribution, state_position, keep)
         order.append((i, j, pair))
 
     nothing = action_position[NOTHING]
@@ -397,13 +426,8 @@ def validate_model(
         order.append((i, nothing, pair))
     order.sort()
 
-    structure = EnvironmentModel(
-        states=state_list,
-        actions=action_tuple,
-        transitions={pair: table[pair] for _, _, pair in order},
-        rewards={},
-        discount=gamma,
-    )
+    rows = {pair: table[pair] for _, _, pair in order}
+    structure = EnvironmentModel(state_list, action_tuple, rows, {}, gamma)
     return structure.with_rewards(rewards or {})
 
 

@@ -24,6 +24,10 @@ all sharing one validated structure: the states, actions, gamma and the very
 same transitions object. The gamma, states and actions lines each appear
 once, and no name is listed twice on one line.
 
+The parser holds each fact once: it splits the text into lines a slice at a
+time, and its transition rows and tables of listed rewards become the models'
+own, with no zero stored for an unlisted pair.
+
 A log document holds one behavior per line: alternating state and action
 tokens, starting and ending with a state.
 """
@@ -31,25 +35,35 @@ tokens, starting and ending with a state.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator
 
 from .errors import AlternationError, BehaviorError, ParseError
 from .model import (  # the literal caps are re-exported: they bound this format
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
-    NOTHING,
     Action,
     Behavior,
     EnvironmentModel,
     State,
+    _Handed,
     as_rational,
     validate_behavior,
     validate_model,
 )
 
-# Every purpose gets a full reward table over the shared pairs, so the
-# tables of one document may hold at most this many entries in all.
+# A reward table stores its listed entries only, but the solvers read one reward
+# per shared pair: purposes times pairs may come to at most this many.
 MAX_REWARD_ENTRIES = 1_000_000
+
+
+def _slices(text: str, size: int = 1 << 16) -> Iterator[str]:
+    """``text`` in pieces of at least ``size`` characters, each ending just after
+    a "\\n" or at the end: their ``splitlines()`` make ``text.splitlines()``."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + size) + 1 or end
+        yield text[start:stop]
+        start = stop
 
 
 def _rational(token: str, line_no: int, literals: dict[str, Fraction]) -> Fraction:
@@ -77,101 +91,104 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     """
     literals: dict[str, Fraction] = {}
     headers: dict[str, object] = {}
-    transitions: dict[tuple[State, Action], dict[State, Fraction]] = {}
+    # Rows and reward tables are handed to the models, not copied.
+    transitions: dict[tuple[State, Action], dict[State, Fraction]] = _Handed()
     # Each transition's pair tuple, the one key of that pair in every reward table.
     keys: dict[tuple[State, Action], tuple[State, Action]] = {}
     purposes: dict[str, dict[tuple[State, Action], Fraction]] = {}
     current: str | None = None
     table: dict[tuple[State, Action], Fraction] | None = None
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.partition("#")[0]
-        directive, colon, rest = line.partition(":")
-        if not colon:
-            words = line.strip()  # only a line with no ':' can be blank
-            if not words:
-                continue
-            raise ParseError("expected 'directive: ...'", line_no, line.find(words) + 1)
-        directive = directive.strip()
+    line_no = 0
+    for piece in _slices(text):
+        for line_no, line in enumerate(piece.splitlines(), line_no + 1):
+            if "#" in line:
+                line = line.partition("#")[0]
+            directive, colon, rest = line.partition(":")
+            if not colon:
+                words = line.strip()  # only a line with no ':' can be blank
+                if not words:
+                    continue
+                raise ParseError("expected 'directive: ...'", line_no, line.find(words) + 1)
+            directive = directive.strip()
 
-        # Most lines of a document are rewards, so they are matched first.
-        if directive == "reward":
-            if table is None:
-                raise ParseError("reward line before any purpose", line_no)
-            head, eq, value = rest.partition("=")
-            if not eq:
-                raise ParseError("reward line needs '='", line_no)
-            head_tokens = head.split()
-            if len(head_tokens) != 2:
-                raise ParseError("reward head must be '<state> <action>'", line_no)
-            pair = (head_tokens[0], head_tokens[1])
-            pair = keys.get(pair, pair)
-            if pair in table:
-                raise ParseError(
-                    f"duplicate reward for {pair} under purpose {current!r}", line_no
-                )
-            value = value.strip()
-            reward = literals.get(value)
-            if reward is None:
-                reward = _rational(value, line_no, literals)
-            table[pair] = reward
-        elif directive == "transition":
-            head, arrow, targets = rest.partition("->")
-            if not arrow:
-                raise ParseError("transition line needs '->'", line_no)
-            head_tokens = head.split()
-            if len(head_tokens) != 2:
-                raise ParseError(
-                    "transition head must be '<state> <action>'", line_no
-                )
-            q, a = key = (head_tokens[0], head_tokens[1])
-            if key in transitions:
-                raise ParseError(f"duplicate transition for {q} {a}", line_no)
-            distribution: dict[State, Fraction] = {}
-            for part in targets.split(","):
-                pair = part.split()
-                if len(pair) != 2:
+            # Most lines of a document are rewards, so they are matched first.
+            if directive == "reward":
+                if table is None:
+                    raise ParseError("reward line before any purpose", line_no)
+                head, eq, value = rest.partition("=")
+                if not eq:
+                    raise ParseError("reward line needs '='", line_no)
+                head_tokens = head.split()
+                if len(head_tokens) != 2:
+                    raise ParseError("reward head must be '<state> <action>'", line_no)
+                pair = (head_tokens[0], head_tokens[1])
+                pair = keys.get(pair, pair)
+                if pair in table:
                     raise ParseError(
-                        "each transition target must be '<state> <probability>'",
-                        line_no,
+                        f"duplicate reward for {pair} under purpose {current!r}", line_no
                     )
-                target, probability = pair
-                if target in distribution:
+                value = value.strip()
+                reward = literals.get(value)
+                if reward is None:
+                    reward = _rational(value, line_no, literals)
+                table[pair] = reward
+            elif directive == "transition":
+                head, arrow, targets = rest.partition("->")
+                if not arrow:
+                    raise ParseError("transition line needs '->'", line_no)
+                head_tokens = head.split()
+                if len(head_tokens) != 2:
                     raise ParseError(
-                        f"duplicate target {target} in transition", line_no
+                        "transition head must be '<state> <action>'", line_no
                     )
-                p = literals.get(probability)
-                if p is None:
-                    p = _rational(probability, line_no, literals)
-                distribution[target] = p
-            transitions[key] = distribution
-            keys[key] = key
-        elif directive == "purpose":
-            name = rest.strip()
-            if not name or len(name.split()) != 1:
-                raise ParseError("purpose line needs exactly one name", line_no)
-            if name in purposes:
-                raise ParseError(f"duplicate purpose {name!r}", line_no)
-            current, table = name, {}
-            purposes[name] = table
-        elif directive in _HEADERS:
-            if directive in headers:
-                raise ParseError(f"duplicate '{directive}:' line", line_no)
-            if directive == "gamma":
-                headers[directive] = _rational(rest.strip(), line_no, literals)
-                continue
-            names = rest.split()
-            if not names:
-                raise ParseError(f"{directive} line lists no {directive}", line_no)
-            seen = set()
-            for name in names:
-                if name in seen:
-                    raise ParseError(f"{directive} line lists {name!r} twice", line_no)
-                seen.add(name)
-            headers[directive] = names
-        else:
-            raise ParseError(f"unknown directive {directive!r}", line_no)
+                q, a = key = (head_tokens[0], head_tokens[1])
+                if key in transitions:
+                    raise ParseError(f"duplicate transition for {q} {a}", line_no)
+                distribution: dict[State, Fraction] = {}
+                for part in targets.split(","):
+                    pair = part.split()
+                    if len(pair) != 2:
+                        raise ParseError(
+                            "each transition target must be '<state> <probability>'",
+                            line_no,
+                        )
+                    target, probability = pair
+                    if target in distribution:
+                        raise ParseError(
+                            f"duplicate target {target} in transition", line_no
+                        )
+                    p = literals.get(probability)
+                    if p is None:
+                        p = _rational(probability, line_no, literals)
+                    distribution[target] = p
+                transitions[key] = distribution
+                keys[key] = key
+            elif directive == "purpose":
+                name = rest.strip()
+                if not name or len(name.split()) != 1:
+                    raise ParseError("purpose line needs exactly one name", line_no)
+                if name in purposes:
+                    raise ParseError(f"duplicate purpose {name!r}", line_no)
+                current, table = name, _Handed()
+                purposes[name] = table
+            elif directive in _HEADERS:
+                if directive in headers:
+                    raise ParseError(f"duplicate '{directive}:' line", line_no)
+                if directive == "gamma":
+                    headers[directive] = _rational(rest.strip(), line_no, literals)
+                    continue
+                names = rest.split()
+                if not names:
+                    raise ParseError(f"{directive} line lists no {directive}", line_no)
+                seen = set()
+                for name in names:
+                    if name in seen:
+                        raise ParseError(f"{directive} line lists {name!r} twice", line_no)
+                    seen.add(name)
+                headers[directive] = names
+            else:
+                raise ParseError(f"unknown directive {directive!r}", line_no)
 
     for directive in _HEADERS:
         if directive not in headers:
@@ -181,6 +198,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     if not purposes:
         raise ParseError("no purposes declared")
 
+    del keys  # only the reward lines read it
     structure = validate_model(
         states=headers["states"],
         actions=headers["actions"],
@@ -194,48 +212,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
             f"(state, action) pairs make {entries} reward entries, over the cap "
             f"of {MAX_REWARD_ENTRIES}"
         )
-    del transitions, keys, table  # each partial table goes once its full one exists
-    return {name: structure.with_rewards(purposes.pop(name)) for name in list(purposes)}
-
-
-def _format_rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
-
-
-def format_model_document(models: Mapping[str, EnvironmentModel]) -> str:
-    """Canonical text for a purpose family; parse(format(parse(x))) == parse(x).
-
-    Nothing-action rows and zero rewards are left implicit.
-    """
-    items = list(models.items())
-    first = items[0][1]
-    lines = [
-        f"gamma: {_format_rational(first.discount)}",
-        "states: " + " ".join(first.states),
-        "actions: " + " ".join(a for a in first.actions if a != NOTHING),
-        "",
-    ]
-    position = {q: i for i, q in enumerate(first.states)}
-    for q, a in first.pairs():
-        if a == NOTHING:
-            continue
-        targets = ", ".join(
-            f"{target} {_format_rational(p)}"
-            for target, p in sorted(
-                first.successors(q, a).items(), key=lambda kv: position[kv[0]]
-            )
-        )
-        lines.append(f"transition: {q} {a} -> {targets}")
-    for name, model in items:
-        lines.append("")
-        lines.append(f"purpose: {name}")
-        for q, a in model.pairs():
-            if a == NOTHING:
-                continue
-            reward = model.reward(q, a)
-            if reward != 0:
-                lines.append(f"reward: {q} {a} = {_format_rational(reward)}")
-    return "\n".join(lines) + "\n"
+    return {name: structure.with_rewards(table) for name, table in purposes.items()}
 
 
 def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
@@ -264,6 +241,3 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
         behaviors.append(behavior)
     return behaviors
 
-
-def format_log(behaviors: list[Behavior]) -> str:
-    return "\n".join(" ".join(b.tokens()) for b in behaviors) + "\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -8,22 +9,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from purpose_audit import (
+    NOTHING,
     Behavior,
     DiscountError,
     DistributionError,
     DomainMismatch,
+    EnvironmentModel,
     InconsistentBehavior,
     BehaviorError,
     NothingActionConflict,
     Strategy,
     StrategyError,
     as_rational,
+    compute_fix,
     observed_choices,
     validate_behavior,
     validate_model,
 )
 from purpose_audit.errors import ModelError
-from purpose_audit.model import MAX_LITERAL_DIGITS, _check_distribution
+from purpose_audit.model import MAX_LITERAL_DIGITS, RewardTable, _check_distribution
+
+from generators import random_model, random_walk_behavior
 
 
 def tiny(**overrides):
@@ -225,6 +231,80 @@ class TestCheckDistribution:
             return _check_distribution(pair, row, row)
 
         assert _result(check, row) == _result(fraction_sum_check, row)
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows())
+    def test_kept_row_is_returned_only_when_clean(self, row):
+        # A row of nonzero Fractions comes back as it is; any other row comes
+        # back cleaned, exactly as without ``keep``.
+        def keep(pair, row):
+            return _check_distribution(pair, row, row, keep=True)
+
+        result = _result(keep, row)
+        assert result == _result(fraction_sum_check, row)
+        if isinstance(result, list):
+            clean = all(type(p) is Fraction and p for p in row.values())
+            assert (keep(("s", "a"), row) is row) == clean
+
+
+class TestRewardTable:
+    """A model stores the listed rewards only, and its ``rewards`` reads as
+    the full table over its pairs: in pair order, with 0 where nothing is
+    listed, and a KeyError on an undefined pair."""
+
+    def test_caller_dicts_not_aliased(self):
+        row = {"u": Fraction(1)}
+        transitions = {("s", "a"): row}
+        rewards = {("s", "a"): Fraction(2)}
+        model = tiny(transitions=transitions, rewards=rewards)
+        other = model.with_rewards(rewards)
+        row["u"], row["s"] = Fraction(1, 2), Fraction(1, 2)
+        transitions[("u", "a")] = {"s": Fraction(1)}
+        rewards[("s", "a")], rewards[("s", NOTHING)] = Fraction(5), Fraction(7)
+        for built in (model, other):
+            assert built.successors("s", "a") == {"u": 1}
+            assert list(built.transitions) == [("s", "a"), ("s", "N"), ("u", "N")]
+            assert dict(built.rewards) == {("s", "a"): 2, ("s", "N"): 0, ("u", "N"): 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_reads_as_the_full_table(self, seed):
+        rng = random.Random(seed)
+        structure = random_model(rng, n_states=(2, 6))
+        listed = {
+            pair: rng.randint(-9, 9)
+            for pair in structure.transitions
+            if pair[1] != NOTHING and rng.random() < 0.6
+        }
+        model = structure.with_rewards(listed)
+        twin = structure.with_rewards(dict(listed))
+        full = {pair: Fraction(listed.get(pair, 0)) for pair in structure.pairs()}
+        reference = EnvironmentModel(
+            model.states, model.actions, model.transitions, full, model.discount
+        )
+        assert type(model.rewards) is RewardTable
+        assert list(model.rewards) == list(full) == list(model.pairs())
+        assert dict(model.rewards) == full and len(model.rewards) == len(full)
+        assert model.rewards == full and full == model.rewards
+        assert model == twin == reference and reference == model
+        assert repr(model) == repr(reference)
+        for q, a in model.pairs():
+            assert model.reward(q, a) == full[(q, a)]
+        q = model.states[0]
+        for undefined in ((q, "zz"), ("zz", NOTHING)):
+            assert undefined not in model.rewards
+            assert model.rewards.get(undefined) is None
+            with pytest.raises(KeyError):
+                model.reward(*undefined)
+        for pair in model.pairs():
+            if pair[1] != NOTHING:
+                assert model.with_rewards({**listed, pair: full[pair] + 1}) != model
+        behavior = random_walk_behavior(rng, model)
+        try:
+            observed_choices(behavior)
+        except InconsistentBehavior:
+            return
+        assert compute_fix(model, behavior) == compute_fix(reference, behavior)
 
 
 class TestStrategy:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import re
 import time
@@ -20,12 +21,11 @@ from purpose_audit import (
     NothingActionConflict,
     ParseError,
     PurposeAuditError,
-    format_log,
-    format_model_document,
     parse_log,
     parse_model,
     validate_model,
 )
+from purpose_audit.cli import main
 from purpose_audit.fixtures import (
     PHYSICIAN_LOG,
     PHYSICIAN_MODEL,
@@ -37,9 +37,54 @@ from purpose_audit.modelfile import (
     MAX_LITERAL_EXPONENT,
     MAX_REWARD_ENTRIES,
     _rational,
+    _slices,
 )
 
 from generators import random_model
+
+
+def _format_rational(value: Fraction) -> str:
+    return str(value.numerator) if value.denominator == 1 else str(value)
+
+
+def format_model_document(models: dict) -> str:
+    """Canonical text for a purpose family; parse(format(parse(x))) == parse(x).
+
+    Nothing-action rows and zero rewards are left implicit.
+    """
+    items = list(models.items())
+    first = items[0][1]
+    lines = [
+        f"gamma: {_format_rational(first.discount)}",
+        "states: " + " ".join(first.states),
+        "actions: " + " ".join(a for a in first.actions if a != NOTHING),
+        "",
+    ]
+    position = {q: i for i, q in enumerate(first.states)}
+    for q, a in first.pairs():
+        if a == NOTHING:
+            continue
+        targets = ", ".join(
+            f"{target} {_format_rational(p)}"
+            for target, p in sorted(
+                first.successors(q, a).items(), key=lambda kv: position[kv[0]]
+            )
+        )
+        lines.append(f"transition: {q} {a} -> {targets}")
+    for name, model in items:
+        lines.append("")
+        lines.append(f"purpose: {name}")
+        for q, a in model.pairs():
+            if a == NOTHING:
+                continue
+            reward = model.reward(q, a)
+            if reward != 0:
+                lines.append(f"reward: {q} {a} = {_format_rational(reward)}")
+    return "\n".join(lines) + "\n"
+
+
+def format_log(behaviors: list) -> str:
+    return "\n".join(" ".join(b.tokens()) for b in behaviors) + "\n"
 
 
 class TestParseModel:
@@ -485,9 +530,11 @@ class TestLinearInSize:
             assert counts == {"__lt__": 2}
 
     def test_parse_memory_linear_in_document(self):
-        # A parse holds about 9 bytes per document byte at its peak, the line
-        # list and the tables included. A key tuple and names of its own per
-        # reward line, kept until the parse ends, would take it to about 16.
+        # A parse holds about 7.7 bytes per document byte at its peak, the
+        # lines of one slice and the tables included; splitting the whole
+        # text into lines at once would take it to about 9. A key tuple and
+        # names of its own per reward line, kept until the parse ends, would
+        # take it to about 16.
         rng = random.Random(17)
         model = random_model(
             rng, n_states=(300, 300), n_actions=(3, 3), max_support=3
@@ -508,7 +555,41 @@ class TestLinearInSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 13 * len(text)
+        assert peak <= 10 * len(text)
+
+    def test_validate_memory_per_document_byte(self, tmp_path):
+        # `validate` holds each fact of the document once: the text, one
+        # slice of its lines, the shared rows, and per purpose only the
+        # rewards it lists. Its peak, the text included, is about 6.9 bytes
+        # per document byte here. Splitting the whole text into lines at
+        # once, copying every row and filling a full reward table per
+        # purpose would take it to about 9.
+        rng = random.Random(5)
+        model = random_model(
+            rng, n_states=(600, 600), n_actions=(3, 3), max_support=3
+        )
+        family = {
+            f"p{i}": model.with_rewards(
+                {
+                    (q, a): rng.randint(-25, 12)
+                    for q, a in model.transitions
+                    if a != NOTHING and rng.random() < 0.7
+                }
+            )
+            for i in range(8)
+        }
+        text = format_model_document(family)
+        path = tmp_path / "family.model"
+        path.write_text(text, encoding="utf-8")
+        argv = ["validate", str(path)]
+        main(argv, out=io.StringIO())  # the command line parser is built once
+        tracemalloc.start()
+        try:
+            assert main(argv, out=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(text)
 
     def test_purposes_times_pairs_capped(self):
         # 1,001 pairs (one transition and a nothing row per state) under
@@ -614,6 +695,45 @@ class TestSpelling:
         respelled = respell(text, random.Random(spelling))
         assert respelled != text
         assert parse_model(respelled) == parse_model(text)
+
+
+# Every character str.splitlines() breaks at, "\r\n" counted as one break.
+LINE_BREAKS = (
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+line_texts = st.lists(
+    st.sampled_from((*LINE_BREAKS, " ", "\t", "#", "reward", "q1 a0"))
+).map("".join)
+
+
+class TestSlices:
+    """The model parser splits a document into lines one slice at a time, and
+    gets exactly the lines of ``text.splitlines()``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        line_texts,
+        st.sampled_from(LINE_BREAKS),
+        st.sampled_from(LINE_BREAKS),
+        line_texts,
+        st.integers(1, 6),
+    )
+    def test_lines_are_splitlines(self, head, before, after, tail, size):
+        text = head + before + after + tail
+        # The first cut is looked for from between the two breaks.
+        for size in (len(head + before), size):
+            pieces = list(_slices(text, size))
+            assert "".join(pieces) == text
+            assert all(piece.endswith("\n") for piece in pieces[:-1])
+            lines = [line for piece in pieces for line in piece.splitlines()]
+            assert lines == text.splitlines()
+
+    def test_line_numbers_across_slices(self):
+        # Past the first slice, errors still name the line of the whole text.
+        text = "gamma: 1/2\n" + "# filler\n" * 20_000 + "states a\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert (err.value.line, err.value.column) == (20_002, 1)
 
 
 class TestNothingAtEveryState:

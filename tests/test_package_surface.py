@@ -23,7 +23,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE_LAYER = ("oracle", "nonredundancy", "traces")
 ENGINE_SHORTCUTS = {"solve", "auditing"}
-NOT_EXPORTED = ("OracleOptions", "precedes", "simulate")
+NOT_EXPORTED = (
+    "OracleOptions", "precedes", "simulate", "format_model_document", "format_log"
+)
 
 PROBE = """
 import importlib, json, sys

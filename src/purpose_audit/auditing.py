@@ -4,7 +4,8 @@ Given a purpose's model and a logged behavior, the audit decides whether any
 agent planning for that purpose could have produced the log. It runs in two
 steps. Step one scans the log for inherently redundant moves: a non-nothing
 step through a pair whose one-step optimal value is not positive can never be
-part of a non-redundant plan.
+part of a non-redundant plan. The solution lists those pairs, so each logged
+step costs one set lookup.
 
 Step two asks whether some optimal strategy agrees with the logged choices.
 The paper answers it with a penalised model (:func:`compute_fix`): deviating
@@ -25,9 +26,11 @@ Otherwise the penalised optimum equals V* at exactly the states of the *safe
 set*: the greatest set of states, none observed with a non-greedy action,
 from each of which some allowed action (the logged one at an observed state,
 any greedy one elsewhere) keeps every successor in the set, found by counting
-each state's allowed actions not yet cut by a dropped successor, so each edge
-is walked once. The gap witness is the first state outside it, which is the
-first state where the penalised optimum falls short.
+each state's allowed actions not yet cut by a dropped successor. The counts
+and allowed pairs start from a copy of the solution's greedy template, changed
+at the observed states only, so past the copy a gap check costs O(|b|) plus
+the edges into dropped states. The gap witness is the first state outside
+it, which is the first state where the penalised optimum falls short.
 
 Float mode follows the paper's construction: it builds ``compute_fix(model,
 b)``, which shares the model's structure index, runs the float value
@@ -40,7 +43,8 @@ decides the log for every purpose the rule names; when the log fits none of
 them, a restrictive (only-for) rule is violated and a prohibitive (not-for)
 rule is obeyed, and otherwise the verdict is inconclusive. The purposes of
 one check, or of one :func:`triage` call, share a structure, so the log is
-validated once per call.
+validated once per call, and not at all when ``parse_log`` validated it
+against the same structure index.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InconsistentBehavior
 from .model import (
-    NOTHING,
     Action,
     Behavior,
     EnvironmentModel,
@@ -61,7 +65,7 @@ from .model import (
     observed_choices,
     validate_behavior,
 )
-from .solve import FLOAT_EQUALITY, _float_values, solve_optimal
+from .solve import FLOAT_EQUALITY, OptimalSolution, _float_values, solve_optimal
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -148,8 +152,14 @@ def audit(
     it once. Float mode is advisory: its comparisons use tolerances where
     exact mode uses equality of rationals.
     """
-    validate_behavior(model, behavior)
+    _validate(model, behavior)
     return _decide(model, behavior, mode)
+
+
+def _validate(model: EnvironmentModel, behavior: Behavior) -> None:
+    """validate_behavior, unless parse_log checked it on the model's index."""
+    if behavior.__dict__.get("_checked") is not model._index:
+        validate_behavior(model, behavior)
 
 
 def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutcome:
@@ -160,35 +170,21 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
     if solution is None:
         solution = model._solutions[mode] = solve_optimal(model, mode=mode)
 
-    for q, a in behavior.pairs():
-        if a != NOTHING and solution.q_star[(q, a)] <= solution.tolerance:
-            return AuditOutcome(
-                empty_intersection=True,
-                reason=AuditReason.STEP_ONE_USELESS,
-                witness_state=q,
-                witness_action=a,
-                v_star=solution.v_star,
-                mode=mode,
-            )
-
+    outcome = partial(AuditOutcome, v_star=solution.v_star, mode=mode)
+    useless = next(filter(solution._useless.__contains__, behavior.pairs()), None)
+    if useless is not None:
+        return outcome(True, AuditReason.STEP_ONE_USELESS, *useless)
     try:
         choices = observed_choices(behavior)
     except InconsistentBehavior as exc:
-        return AuditOutcome(
-            empty_intersection=True,
-            reason=AuditReason.INCONSISTENT_BEHAVIOR,
-            witness_state=exc.state,
-            witness_action=exc.second,
-            v_star=solution.v_star,
-            mode=mode,
-        )
+        return outcome(True, AuditReason.INCONSISTENT_BEHAVIOR, exc.state, exc.second)
 
     if mode == "exact":
         greedy = solution.greedy
         if all(a in greedy[q] for q, a in choices.items()):
             gap = None
         else:
-            gap = model.states[_safe_states(model, greedy, choices).index(False)]
+            gap = model.states[_safe_states(model, solution, choices).index(False)]
     else:
         fixed, _ = _float_values(compute_fix(model, behavior))
         gaps = (
@@ -198,50 +194,40 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
         )
         gap = next(gaps, None)
     if gap is not None:
-        return AuditOutcome(
-            empty_intersection=True,
-            reason=AuditReason.VALUE_GAP_AT_ALL_STATES,
-            witness_state=gap,
-            v_star=solution.v_star,
-            mode=mode,
-        )
-    return AuditOutcome(
-        empty_intersection=False,
-        reason=AuditReason.WITNESS_STATE_EQUAL_VALUE,
-        witness_state=behavior.start,
-        v_star=solution.v_star,
-        mode=mode,
-    )
+        return outcome(True, AuditReason.VALUE_GAP_AT_ALL_STATES, gap)
+    return outcome(False, AuditReason.WITNESS_STATE_EQUAL_VALUE, behavior.start)
 
 
 def _safe_states(
-    model: EnvironmentModel,
-    greedy: Mapping[State, tuple[Action, ...]],
-    choices: Mapping[State, Action],
+    model: EnvironmentModel, solution: OptimalSolution, choices: Mapping[State, Action]
 ) -> list[bool]:
     """Per state position, whether the penalised optimum equals V* there.
 
     The greatest fixed point, by counting: a state observed with a
     non-greedy action starts unsafe, and any other starts with a count of
     its allowed actions, the logged one if observed and every greedy one if
-    not. When a state drops, each allowed pair leading into it is cut once
+    not. The solution's greedy flags and counts are that start for a log
+    with no observed state; a copy of them is changed at the observed states
+    only. When a state drops, each allowed pair leading into it is cut once
     and the count of that pair's state goes down; a state drops when its
-    count reaches 0. Each incoming edge is walked at most once, so the work
-    is linear in the number of transition entries.
+    count reaches 0. Each incoming edge is walked at most once, so past the
+    copies the work is linear in the log and the edges into dropped states.
     """
-    index = model._index
-    safe = [q not in choices or choices[q] in greedy[q] for q in model.states]
-    dropped = [i for i, ok in enumerate(safe) if not ok]
-    remaining = [0] * len(safe)
-    allowed = bytearray(len(index.pairs))
-    for i, q in enumerate(model.states):
-        if safe[i]:
-            actions = (choices[q],) if q in choices else greedy[q]
-            remaining[i] = len(actions)
-            for a in actions:
-                allowed[index.number[(q, a)]] = 1
+    index, incoming = model._index, model._index.incoming
+    flags, counts = solution._greedy_template
+    safe = [True] * len(model.states)
+    remaining, allowed, dropped = list(counts), bytearray(flags), []
+    for q, a in choices.items():
+        i, k = index.position[q], index.number[(q, a)]
+        for j, _ in index.rows[i]:
+            allowed[j] = 0
+        if flags[k]:
+            allowed[k], remaining[i] = 1, 1
+        else:
+            safe[i] = False
+            dropped.append(i)
     while dropped:
-        for i, k in index.incoming[dropped.pop()]:
+        for i, k in incoming[dropped.pop()]:
             if allowed[k]:
                 allowed[k] = 0
                 remaining[i] -= 1
@@ -327,7 +313,7 @@ def check(
     if missing:
         raise KeyError(f"rule references unknown purposes {missing}")
     _require_shared_structure([models[p] for p in rule.purposes])
-    validate_behavior(models[rule.purposes[0]], behavior)
+    _validate(models[rule.purposes[0]], behavior)
     outcomes = {p: _decide(models[p], behavior, mode) for p in rule.purposes}
     if all(outcome.empty_intersection for outcome in outcomes.values()):
         return Verdict(_EMPTY_FOR_ALL[rule.kind], outcomes)
@@ -365,7 +351,7 @@ def triage(
     """
     allowed = list(allowed)
     _require_shared_structure([prohibited, *allowed])
-    validate_behavior(prohibited, behavior)
+    _validate(prohibited, behavior)
     if _decide(prohibited, behavior, mode).empty_intersection:
         return False
     return all(_decide(m, behavior, mode).empty_intersection for m in allowed)

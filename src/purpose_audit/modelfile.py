@@ -219,7 +219,9 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
     """Parse a log document and validate each behavior against ``model``.
 
     Unknown tokens, undefined pairs and zero-probability steps are hard
-    errors: a log outside the model's vocabulary cannot be audited.
+    errors: a log outside the model's vocabulary cannot be audited. Each
+    behavior notes the structure index it was checked against, so the audits
+    of a model with that index do not check it again.
     """
     behaviors = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -238,6 +240,7 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
             validate_behavior(model, behavior)
         except BehaviorError as exc:
             raise ParseError(str(exc), line_no) from exc
+        object.__setattr__(behavior, "_checked", model._index)
         behaviors.append(behavior)
     return behaviors
 

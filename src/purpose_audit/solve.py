@@ -19,8 +19,10 @@ index's coefficients L * gamma * p, where L is the state's scale, with values
 over one common denominator D; rewards are numerators over the model's common
 reward denominator R. Evaluation returns one Fraction per state, so a round
 puts those values over D once (:func:`_over_common_denominator`) and compares
-the Q-values of a state as the integers Q * R * L * D; after the last round, a
-Fraction is built for each Q* that is not its state's V*. Float mode runs
+the Q-values of a state as the integers Q * R * L * D. The solution keeps the
+last round's integers: Q* is a read-only mapping over them that builds a
+Fraction only for a pair someone reads, and step one's useless pairs are the
+non-nothing pairs whose integer is not positive. Float mode runs
 plain value iteration to the relative residual ``FLOAT_RESIDUAL``, within
 ``FLOAT_ITERATION_CAP`` sweeps, and is meant for larger models where exact
 arithmetic gets expensive; audit verdicts derived from float values are
@@ -41,12 +43,14 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceError
 from .model import (
+    NOTHING,
     Action,
     EnvironmentModel,
     Rational,
@@ -82,7 +86,10 @@ class OptimalSolution:
     ``tolerance`` is how far apart two of its values may be and still count
     as equal: 0 in exact mode, and in float mode ``FLOAT_EQUALITY`` times the
     scale max(1, max |r| / (1 - gamma)). The greedy sets hold the actions
-    whose Q-value is within it of V*.
+    whose Q-value is within it of V*. In exact mode ``q_star`` is a
+    read-only mapping that builds each Fraction when it is read.
+    ``_useless`` holds the non-nothing pairs whose Q-value is at most
+    ``tolerance``: the pairs that step one of the audit rejects.
     """
 
     v_star: Mapping[State, Rational]
@@ -90,6 +97,36 @@ class OptimalSolution:
     greedy: Mapping[State, tuple[Action, ...]]
     mode: str
     tolerance: Rational | float
+    _useless: frozenset = field(compare=False, repr=False)
+
+    @cached_property
+    def _greedy_template(self) -> tuple[bytes, tuple[int, ...]]:
+        """A byte per pair number, 1 on each greedy pair, and the size of each
+        state's greedy set: where the audit's safe-set count starts for a log
+        that observes no state."""
+        greedy = self.greedy
+        flags = bytes(a in greedy[q] for q, a in self.q_star)
+        return flags, tuple(map(len, greedy.values()))
+
+
+class _QTable(Mapping):
+    """Exact Q* in pair order, from the integers Q * R * L * D per pair
+    number: a read divides one by R * D and its state's L. It holds the
+    index, not the model, so a model's cached solution makes no cycle."""
+
+    def __init__(self, index: StructureIndex, q: list[int], denominator: int):
+        self._index, self._q, self._denominator = index, q, denominator
+
+    def __getitem__(self, pair):
+        index = self._index
+        k, i = index.number[pair], index.position[pair[0]]
+        return Fraction(self._q[k], self._denominator * index.scales[i])
+
+    def __iter__(self):
+        return iter(self._index.pairs)
+
+    def __len__(self):
+        return len(self._index.pairs)
 
 
 def solve_linear_system(
@@ -324,25 +361,22 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
         if not changed:
             break
     _, reward_denominator = model._reward_numerators
-    greedy, q_star = {}, {}
-    for state, row, scale, value, numerator in zip(
-        model.states, index.rows, index.scales, values, numerators
+    greedy = {}
+    for state, row, scale, numerator in zip(
+        model.states, index.rows, index.scales, numerators
     ):
         # Q(q, a) = V(q) exactly when the integers agree.
-        factor = reward_denominator * scale
-        attained = numerator * factor
-        actions = []
-        for k, _ in row:
-            pair = index.pairs[k]
-            if q[k] == attained:
-                actions.append(pair[1])
-                q_star[pair] = value
-            else:
-                q_star[pair] = Fraction(q[k], factor * denominator)
-        greedy[state] = tuple(actions)
-    v_star = dict(zip(model.states, values))
+        attained = numerator * reward_denominator * scale
+        greedy[state] = tuple(index.pairs[k][1] for k, _ in row if q[k] == attained)
+    # Q * R * L * D has the sign of Q, since R, L and D are positive.
+    useless = (p for p, n in zip(index.pairs, q) if n <= 0 and p[1] != NOTHING)
     return OptimalSolution(
-        v_star=v_star, q_star=q_star, greedy=greedy, mode="exact", tolerance=0
+        v_star=dict(zip(model.states, values)),
+        q_star=_QTable(index, q, reward_denominator * denominator),
+        greedy=greedy,
+        mode="exact",
+        tolerance=0,
+        _useless=frozenset(useless),
     )
 
 
@@ -504,8 +538,14 @@ def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
         q: tuple(a for a in actions if abs(q_star[(q, a)] - v_star[q]) <= tolerance)
         for q, actions in zip(model.states, index.available)
     }
+    useless = (p for p, v in q_star.items() if v <= tolerance and p[1] != NOTHING)
     return OptimalSolution(
-        v_star=v_star, q_star=q_star, greedy=greedy, mode="float", tolerance=tolerance
+        v_star=v_star,
+        q_star=q_star,
+        greedy=greedy,
+        mode="float",
+        tolerance=tolerance,
+        _useless=frozenset(useless),
     )
 
 

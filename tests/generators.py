@@ -133,6 +133,29 @@ def random_consistent_behavior(
     return Behavior(start, tuple(steps))
 
 
+def mostly_greedy_walk(
+    rng: random.Random, model: EnvironmentModel, solution, max_length: int = 6
+) -> Behavior:
+    """A walk of a fixed strategy that is greedy at most states of
+    ``solution``, so fits, gaps and zero-reward ties all occur; following it
+    never forces two actions."""
+    choice = {
+        q: rng.choice(
+            solution.greedy[q]
+            if rng.random() < 0.8
+            else model.available_actions(q)
+        )
+        for q in model.states
+    }
+    q = start = rng.choice(model.states)
+    steps = []
+    for _ in range(rng.randint(0, max_length)):
+        target = rng.choice(sorted(model.successors(q, choice[q])))
+        steps.append((choice[q], target))
+        q = target
+    return Behavior(start, tuple(steps))
+
+
 def _random_successor(
     rng: random.Random, model: EnvironmentModel, state: State, action: Action
 ) -> State:

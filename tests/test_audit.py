@@ -33,7 +33,7 @@ from purpose_audit.model import observed_choices, validate_behavior
 from purpose_audit.oracle import oracle_opt, oracle_useless
 
 from conftest import physician_models
-from generators import random_consistent_behavior, random_model
+from generators import mostly_greedy_walk, random_consistent_behavior, random_model
 
 F = Fraction
 
@@ -318,6 +318,25 @@ class TestPolicyChecks:
                 assert prohibitive.per_purpose[p] == outcome
         assert len(calls) == 4 + 4  # one per verdict, one per audit call
 
+    def test_parsed_log_is_checked_again_on_another_structure(self, logs):
+        # parse_log notes the structure a log was checked against; a model
+        # with another structure checks the log again and rejects it.
+        b1, _ = logs
+        states = ("1", "2", "3", "4", "5", "6")
+        other = validate_model(
+            states=states,
+            actions=["take"],
+            transitions={(q, "take"): {q: 1} for q in states},
+            discount=F(9, 10),
+        )
+        rule = PolicyRule(RuleKind.RESTRICTIVE, ("other",))
+        with pytest.raises(BehaviorError, match="probability 0"):
+            audit(other, b1)
+        with pytest.raises(BehaviorError, match="probability 0"):
+            check_restrictive({"other": other}, rule, b1)
+        with pytest.raises(BehaviorError, match="probability 0"):
+            triage(other, [], b1)
+
     def test_invalid_log_raises_as_audit_does(self, physician):
         rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
         for tokens in (["1", "take", "9"], ["1", "fly", "2"], ["7"]):
@@ -409,8 +428,70 @@ class TestSafeSetWorklist:
             for q in model.states
             if rng.random() < 0.4
         }
-        safe = auditing._safe_states(model, solution.greedy, choices)
+        safe = auditing._safe_states(model, solution, choices)
         assert safe == reference_safe_states(model, solution.greedy, choices)
+
+
+class TestDecisionTables:
+    """The tables a solution carries for its decisions match their
+    definitions on tie-heavy models: mostly zero rewards over three or four
+    actions make greedy sets with ties common."""
+
+    @staticmethod
+    def tied_model(rng, gamma, max_support):
+        return random_model(
+            rng,
+            n_states=(2, 8),
+            n_actions=(3, 4),
+            max_support=max_support,
+            gammas=(gamma,),
+            zero_reward_fraction=rng.choice((0.6, 0.8)),
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from((F(1, 2), F(9, 10))),
+        st.sampled_from((1, 3)),
+    )
+    def test_safe_set_from_template(self, seed, gamma, max_support):
+        rng = random.Random(seed)
+        model = self.tied_model(rng, gamma, max_support)
+        solution = solve_optimal(model)
+        for _ in range(20):
+            # Any set of observed states, mostly with a greedy action: the
+            # template is changed at each, often inside a tied greedy set.
+            choices = {
+                q: rng.choice(
+                    solution.greedy[q]
+                    if rng.random() < 0.7
+                    else model.available_actions(q)
+                )
+                for q in model.states
+                if rng.random() < 0.5
+            }
+            safe = auditing._safe_states(model, solution, choices)
+            assert safe == reference_safe_states(model, solution.greedy, choices)
+        for _ in range(3):
+            behavior = mostly_greedy_walk(rng, model, solution, max_length=12)
+            safe = auditing._safe_states(model, solution, observed_choices(behavior))
+            v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
+            assert safe == [v_fixed[q] == solution.v_star[q] for q in model.states]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from((F(1, 2), F(9, 10))),
+        st.sampled_from(("exact", "float")),
+    )
+    def test_step_one_flags(self, seed, gamma, mode):
+        model = self.tied_model(random.Random(seed), gamma, 3)
+        solution = solve_optimal(model, mode)
+        assert solution._useless == {
+            pair
+            for pair in model.pairs()
+            if pair[1] != NOTHING and solution.q_star[pair] <= solution.tolerance
+        }
 
 
 class TestTriage:

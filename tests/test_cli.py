@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from purpose_audit import ConvergenceError, auditing, cli, parse_model, solve_optimal
+from purpose_audit import modelfile
 from purpose_audit.cli import main
 
 # Command line (fixture name, command, options) -> its full stdout on the
@@ -154,6 +155,41 @@ class TestOneSolvePerPurpose:
         assert len(out.splitlines()) == 2
         assert len(solved) == len(set(solved)) == purposes
         assert {m for _, m in solved} == {mode}
+
+
+class TestOneValidationPerLog:
+    """A verdict command validates each log once, as it parses the log: the
+    audits of purposes that share the parsed structure do not check it
+    again."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("audit", "--purpose", "treat"),
+            ("check", "--rule", "only-for:treat,profit"),
+            ("check", "--rule", "not-for:profit"),
+            ("triage", "--prohibited", "profit", "--allowed", "treat"),
+        ],
+    )
+    def test_validations(self, example_dir, monkeypatch, command):
+        calls = []
+
+        def counting(model, behavior):
+            calls.append(behavior)
+            return validate(model, behavior)
+
+        validate = modelfile.validate_behavior
+        monkeypatch.setattr(modelfile, "validate_behavior", counting)
+        monkeypatch.setattr(auditing, "validate_behavior", counting)
+        name, *options = command
+        code, out, _ = run(
+            name,
+            str(example_dir / "physician.model"),
+            str(example_dir / "physician.log"),
+            *options,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == len(calls) == 2
 
 
 class TestSolve:

@@ -88,3 +88,29 @@ def test_fixtures_are_document_text():
         name for name, value in vars(fixtures).items()
         if callable(value) and not name.startswith("__")
     ]
+
+
+# The functions the benchmark's tracing wraps by name to time decisions and
+# policy lifts; a CLI that decided through a private function would leave
+# those spans and their counts at 0.
+DECISION_ENTRY_POINTS = {"audit", "check_restrictive", "check_prohibitive", "triage"}
+
+
+def test_cli_decides_through_the_public_entry_points():
+    tree = ast.parse((SRC / "purpose_audit" / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    from_auditing = {name for module, name in imported if module == "auditing"}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    # Importing the module itself would give it every private name.
+    assert (None, "auditing") not in imported
+    assert not [name for name in from_auditing if name.startswith("_")]
+    assert DECISION_ENTRY_POINTS <= from_auditing & read

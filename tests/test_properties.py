@@ -36,6 +36,7 @@ from purpose_audit.traces import (
 )
 
 from generators import (
+    mostly_greedy_walk,
     random_consistent_behavior,
     random_model,
     random_walk_behavior,
@@ -247,26 +248,6 @@ class TestExactDecisionMatchesPenalisedModel:
 
     GAMMAS = (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(99, 100))
 
-    @staticmethod
-    def _mostly_greedy_walk(rng, model, solution, max_length=6) -> Behavior:
-        # A fixed strategy that is greedy at most states, so fits, gaps and
-        # zero-reward ties all occur; following it never forces two actions.
-        choice = {
-            q: rng.choice(
-                solution.greedy[q]
-                if rng.random() < 0.8
-                else model.available_actions(q)
-            )
-            for q in model.states
-        }
-        q = start = rng.choice(model.states)
-        steps = []
-        for _ in range(rng.randint(0, max_length)):
-            target = rng.choice(sorted(model.successors(q, choice[q])))
-            steps.append((choice[q], target))
-            q = target
-        return Behavior(start, tuple(steps))
-
     @settings(max_examples=80, deadline=None)
     @given(seeds, st.sampled_from(GAMMAS), st.sampled_from((0.3, 0.6)))
     def test_verdict_and_witness_match(self, seed, gamma, zero_fraction):
@@ -279,7 +260,7 @@ class TestExactDecisionMatchesPenalisedModel:
         )
         solution = solve_optimal(model)
         for _ in range(4):
-            behavior = self._mostly_greedy_walk(rng, model, solution)
+            behavior = mostly_greedy_walk(rng, model, solution)
             outcome = audit(model, behavior)
             if outcome.reason is AuditReason.STEP_ONE_USELESS:
                 continue
@@ -316,9 +297,9 @@ class TestExactDecisionMatchesPenalisedModel:
         )
         solution = solve_optimal(model)
         for _ in range(6):
-            behavior = self._mostly_greedy_walk(rng, model, solution, max_length=12)
+            behavior = mostly_greedy_walk(rng, model, solution, max_length=12)
             choices = observed_choices(behavior)
-            safe = auditing._safe_states(model, solution.greedy, choices)
+            safe = auditing._safe_states(model, solution, choices)
             v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
             assert safe == [v_fixed[q] == solution.v_star[q] for q in model.states]
 
@@ -452,9 +433,7 @@ class TestFloatModeIsBitIdentical:
         assert list(solution.greedy.items()) == list(greedy.items())
         exact = solve_optimal(model)
         for _ in range(3):
-            behavior = TestExactDecisionMatchesPenalisedModel._mostly_greedy_walk(
-                rng, model, exact
-            )
+            behavior = mostly_greedy_walk(rng, model, exact)
             outcome = audit(model, behavior, mode="float")
             if outcome.reason in (
                 AuditReason.STEP_ONE_USELESS,
@@ -497,11 +476,7 @@ class TestFloatModeIsBitIdentical:
         exact = solve_optimal(model)
         behaviors = [Behavior(q, ((a, rng.choice(sorted(model.successors(q, a)))),))]
         for _ in range(3):
-            behaviors.append(
-                TestExactDecisionMatchesPenalisedModel._mostly_greedy_walk(
-                    rng, model, exact
-                )
-            )
+            behaviors.append(mostly_greedy_walk(rng, model, exact))
         for behavior in behaviors:
             useless = [
                 pair

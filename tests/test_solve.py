@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from purpose_audit import (
     NOTHING,
     Strategy,
+    audit,
     bellman_residual,
     evaluate_strategy,
     solve_optimal,
@@ -18,6 +21,7 @@ from purpose_audit import (
 from purpose_audit import solve
 from purpose_audit.solve import _warm_start, solve_linear_system
 
+from conftest import physician_behaviors, physician_models
 from generators import random_model
 
 F = Fraction
@@ -328,6 +332,47 @@ class TestRationalInputs:
             abs(shifted[q] - max(backups[(q, a)] for a in model.available_actions(q)))
             for q in model.states
         )
+
+
+class TestLazyQStar:
+    """Exact Q* is a read-only mapping that builds each Fraction on read."""
+
+    @settings(max_examples=40, deadline=None)
+    @sweep
+    def test_mapping_contract(self, seed, gamma, zero_fraction):
+        model = sweep_model(seed, gamma, zero_fraction)
+        solution = solve_optimal(model)
+        v_star = solution.v_star
+        eager = {pair: lookahead(model, v_star, *pair) for pair in model.pairs()}
+        q_star = solution.q_star
+        assert dict(q_star) == eager
+        assert list(q_star) == list(model.pairs())
+        assert len(q_star) == len(eager)
+        undefined = [
+            (q, a) for q in model.states for a in model.actions if (q, a) not in eager
+        ]
+        for pair in [*undefined, ("no such state", NOTHING), "not a pair"]:
+            assert pair not in q_star
+            with pytest.raises(KeyError):
+                q_star[pair]
+
+    def test_solved_model_is_freed_without_the_cycle_collector(self):
+        # Each solution is cached on its model, so a solution that refers
+        # back to the model makes a cycle, and a dropped model would stay in
+        # memory until the cycle collector ran.
+        gc.disable()
+        try:
+            models = physician_models()
+            for model in models.values():
+                for behavior in physician_behaviors():
+                    audit(model, behavior)
+                    audit(model, behavior, mode="float")
+                assert model._solutions["exact"].q_star[("1", "take")] is not None
+            dropped = [weakref.ref(model) for model in models.values()]
+            del models, model
+            assert [ref() for ref in dropped] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestWarmStartedSolver:

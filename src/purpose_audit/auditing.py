@@ -258,7 +258,6 @@ class VerdictStatus(Enum):
     VIOLATION = "VIOLATION"
     COMPLIANT = "COMPLIANT"
     INCONCLUSIVE = "INCONCLUSIVE"
-    INVESTIGATE = "INVESTIGATE"
 
 
 @dataclass(frozen=True)

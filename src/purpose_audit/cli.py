@@ -20,7 +20,6 @@ from .auditing import (
     AuditOutcome,
     PolicyRule,
     RuleKind,
-    VerdictStatus,
     audit,
     check_prohibitive,
     check_restrictive,
@@ -113,15 +112,12 @@ def _pick(models: dict[str, EnvironmentModel], purpose: str) -> EnvironmentModel
 
 
 def _parse_rule(text: str) -> PolicyRule:
-    kind, sep, names = text.partition(":")
-    kind = kind.strip()
+    kind, _, names = text.partition(":")
     purposes = tuple(name.strip() for name in names.split(",") if name.strip())
-    if not sep or not purposes or kind not in ("only-for", "not-for"):
-        raise _UsageError("rule must be 'only-for:P1,P2' or 'not-for:P'")
-    return PolicyRule(
-        kind=RuleKind.RESTRICTIVE if kind == "only-for" else RuleKind.PROHIBITIVE,
-        purposes=purposes,
-    )
+    try:
+        return PolicyRule(RuleKind(kind.strip()), purposes)
+    except ValueError:
+        raise _UsageError("rule must be 'only-for:P1,P2' or 'not-for:P'") from None
 
 
 def _value_str(value) -> str:
@@ -251,8 +247,7 @@ def _cmd_triage(args, out) -> int:
             }
             print(json.dumps(record), file=out)
         else:
-            status = VerdictStatus.INVESTIGATE.value if investigate else "SKIP"
-            print(f"b{i} {status}", file=out)
+            print(f"b{i} {'INVESTIGATE' if investigate else 'SKIP'}", file=out)
     return 0
 
 

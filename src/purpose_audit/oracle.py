@@ -92,12 +92,6 @@ def evaluate_all_strategies(
     }
 
 
-def _pointwise_best(
-    model: EnvironmentModel, tables: dict[Strategy, dict[State, Rational]]
-) -> dict[State, Rational]:
-    return {q: max(table[q] for table in tables.values()) for q in model.states}
-
-
 def oracle_opt(
     model: EnvironmentModel,
     *,
@@ -109,7 +103,7 @@ def oracle_opt(
     state. Nonempty for every valid model.
     """
     tables = tables if tables is not None else evaluate_all_strategies(model)
-    best = _pointwise_best(model, tables)
+    best = {q: max(table[q] for table in tables.values()) for q in model.states}
     return [
         sigma
         for sigma, table in tables.items()

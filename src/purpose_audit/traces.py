@@ -15,9 +15,8 @@ sub-execution of anything; it can only be equal to another execution.
 Under a stationary contingency every run ends absorbed or in a closed cycle,
 so :func:`compare_active` decides the order exactly. An occurrence-indexed
 contingency is simulated to a horizon, and loops are not detected there: a
-comparison is definite only where the horizon did not cut the deciding side.
-A failure against a horizon-cut larger trace stays UNDECIDED, so a failure
-against a larger trace that never stops is never seen.
+comparison with a cut side reads only its known tokens and may stay
+UNDECIDED, so a failure against a larger trace that never stops is never seen.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ class ActiveTokens:
     prefix: tuple[str, ...]
     period: tuple[str, ...] | None
     complete: bool
-
-    def finite(self) -> bool:
-        return self.complete and self.period is None
 
 
 class SampledContingency:
@@ -138,11 +134,6 @@ class TraceOrder(Enum):
     UNDECIDED = "undecided"
 
 
-def _is_subsequence(needle: Sequence[str], hay: Sequence[str]) -> bool:
-    it = iter(hay)
-    return all(token in it for token in needle)
-
-
 def _unrolled(tokens: ActiveTokens, length: int) -> list[str]:
     out = list(tokens.prefix)
     while len(out) < length:
@@ -150,11 +141,15 @@ def _unrolled(tokens: ActiveTokens, length: int) -> list[str]:
     return out[:length]
 
 
-def _embeds_in_periodic(needle: Sequence[str], hay: ActiveTokens) -> bool:
-    # Greedy matching consumes at most one full period per needle token, so
-    # this bounded unroll decides the infinite embedding exactly.
-    bound = len(hay.prefix) + (len(needle) + 1) * len(hay.period)
-    return _is_subsequence(needle, _unrolled(hay, bound))
+def _embeds(needle: Sequence[str], hay: ActiveTokens) -> bool:
+    """Whether ``needle`` is a subsequence of all of ``hay``'s tokens."""
+    tokens = hay.prefix
+    if hay.period is not None:
+        # Greedy matching consumes at most one full period per needle token,
+        # so this bounded unroll decides the infinite embedding exactly.
+        tokens = _unrolled(hay, len(tokens) + (len(needle) + 1) * len(hay.period))
+    it = iter(tokens)
+    return all(token in it for token in needle)
 
 
 def _periodic_equal(left: ActiveTokens, right: ActiveTokens) -> bool:
@@ -169,49 +164,32 @@ def _periodic_equal(left: ActiveTokens, right: ActiveTokens) -> bool:
 def compare_active(left: ActiveTokens, right: ActiveTokens) -> TraceOrder:
     """Order two active parts under the proper-subsequence relation.
 
-    PROPER means left is a proper sub-execution of right. An infinite left
-    active part is never proper. UNDECIDED arises only when a horizon-cut
-    side prevents a definite answer; refutations stay definite because a
-    prefix that fails to embed in a fully known sequence can never embed.
+    PROPER means left is a proper sub-execution of right. Three rules:
+
+    1. An infinite left is UNDECIDED against a cut right, EQUAL to an
+       infinite right that agrees with it everywhere, and NEITHER otherwise.
+    2. Against a cut right, a finite left that differs from right's known
+       tokens and embeds in them is PROPER; anything else is UNDECIDED.
+    3. Against a complete right, a left whose known tokens do not embed is
+       NEITHER. Otherwise a cut left is UNDECIDED, the same finite run is
+       EQUAL, and any other finite left is PROPER.
+
+    UNDECIDED thus means a cut side is involved and no rule settles it, not
+    that no answer is definite: an infinite left against a cut right whose
+    known tokens already disagree with it is surely NEITHER.
     """
-    if left.finite():
-        if right.finite():
-            if left.prefix == right.prefix:
-                return TraceOrder.EQUAL
-            if _is_subsequence(left.prefix, right.prefix):
-                return TraceOrder.PROPER
-            return TraceOrder.NEITHER
-        if right.complete:
-            if _embeds_in_periodic(left.prefix, right):
-                return TraceOrder.PROPER
-            return TraceOrder.NEITHER
-        if _is_subsequence(left.prefix, right.prefix):
-            if left.prefix != right.prefix:
-                return TraceOrder.PROPER
+    if left.period is not None:
+        if not right.complete:
             return TraceOrder.UNDECIDED
+        if right.period is not None and _periodic_equal(left, right):
+            return TraceOrder.EQUAL
+        return TraceOrder.NEITHER
+    if not right.complete:
+        if left.complete and left.prefix != right.prefix and _embeds(left.prefix, right):
+            return TraceOrder.PROPER
         return TraceOrder.UNDECIDED
-    if left.complete:
-        if right.finite():
-            return TraceOrder.NEITHER
-        if right.complete:
-            return (
-                TraceOrder.EQUAL
-                if _periodic_equal(left, right)
-                else TraceOrder.NEITHER
-            )
+    if not _embeds(left.prefix, right):
+        return TraceOrder.NEITHER
+    if not left.complete:
         return TraceOrder.UNDECIDED
-    # Left was horizon-cut: its known tokens are a prefix of its true active
-    # part, so a failed embedding into a complete right side is final.
-    if right.finite():
-        return (
-            TraceOrder.UNDECIDED
-            if _is_subsequence(left.prefix, right.prefix)
-            else TraceOrder.NEITHER
-        )
-    if right.complete:
-        return (
-            TraceOrder.UNDECIDED
-            if _embeds_in_periodic(left.prefix, right)
-            else TraceOrder.NEITHER
-        )
-    return TraceOrder.UNDECIDED
+    return TraceOrder.EQUAL if left == right else TraceOrder.PROPER

@@ -77,9 +77,9 @@ class TestInputFileErrors:
 
 
 class TestGoldenOutput:
-    """The whole stdout of audit, check and triage on the physician and
-    travel examples, in exact and float mode, as text and as --json, is
-    pinned byte for byte."""
+    """The whole stdout of validate, solve, audit, check, triage and oracle
+    on the physician and travel examples, in exact and float mode, as text
+    and as --json, is pinned byte for byte."""
 
     @pytest.mark.parametrize("command_line", sorted(GOLDEN))
     def test_stdout(self, example_dir, command_line):
@@ -90,8 +90,8 @@ class TestGoldenOutput:
 
 def golden_argv(example_dir, command_line):
     fixture, command, *options = command_line.split()
-    model, log = (str(example_dir / f"{fixture}.{kind}") for kind in ("model", "log"))
-    return [command, model, log, *options]
+    kinds = ("model",) if command in ("validate", "solve") else ("model", "log")
+    return [command, *(str(example_dir / f"{fixture}.{kind}") for kind in kinds), *options]
 
 
 class TestRepeatedCalls:

@@ -18,11 +18,14 @@ from purpose_audit import (
     InconsistentBehavior,
     BehaviorError,
     NothingActionConflict,
+    ParseError,
     Strategy,
     StrategyError,
     as_rational,
+    audit,
     compute_fix,
     observed_choices,
+    parse_log,
     validate_behavior,
     validate_model,
 )
@@ -70,6 +73,8 @@ class TestAsRational:
             as_rational("1/0")
         with pytest.raises(TypeError):
             as_rational(True)
+        with pytest.raises(TypeError, match="cannot interpret None"):
+            as_rational(None)
 
 
 class TestValidateModel:
@@ -317,6 +322,17 @@ class TestStrategy:
         with pytest.raises(StrategyError):
             Strategy.from_mapping({**full, "1": "diagnose"}, treat)
 
+    def test_unknown_state_rejected(self, treat):
+        full = {q: "N" for q in treat.states}
+        with pytest.raises(StrategyError, match="unknown states \\['9'\\]"):
+            Strategy.from_mapping({**full, "9": "N"}, treat)
+
+    def test_lookup_of_unknown_state(self, sigmas):
+        sigma1, _, _ = sigmas
+        assert sigma1["1"] == "take"
+        with pytest.raises(KeyError):
+            sigma1["9"]
+
 
 class TestBehavior:
     def test_tokens_round_trip(self, logs):
@@ -345,6 +361,18 @@ class TestBehavior:
             validate_behavior(treat, Behavior.from_tokens(["9"]))
         with pytest.raises(BehaviorError):
             validate_behavior(treat, Behavior.from_tokens(["1", "zap", "2"]))
+
+    def test_unavailable_action_rejected(self, treat):
+        # diagnose is a known action, but not one available at state 1.
+        bad = Behavior.from_tokens(["1", "diagnose", "6"])
+        message = "action 'diagnose' is not available at state '1'"
+        with pytest.raises(BehaviorError, match=message):
+            validate_behavior(treat, bad)
+        with pytest.raises(BehaviorError, match=message):
+            audit(treat, bad)
+        with pytest.raises(ParseError, match=f"line 1: {message}") as caught:
+            parse_log("1 diagnose 6\n", treat)
+        assert caught.value.line == 1
 
 
 class TestObservedChoices:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from purpose_audit import (
     NOTHING,
+    ConvergenceError,
     Strategy,
     audit,
     bellman_residual,
@@ -111,6 +112,13 @@ class TestSolveOptimal:
     def test_unknown_mode_rejected(self, treat):
         with pytest.raises(ValueError):
             solve_optimal(treat, mode="psychic")
+
+    def test_float_sweep_cap(self, monkeypatch):
+        # At gamma = 9/10 a few sweeps are far from the residual target.
+        monkeypatch.setattr(solve, "FLOAT_ITERATION_CAP", 3)
+        model = one_state_model({"one": 1, "two": 2}, gamma="9/10")
+        with pytest.raises(ConvergenceError, match="within 3 iterations"):
+            solve_optimal(model, mode="float")
 
 
 def is_optimal(model, strategy):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -51,7 +52,7 @@ class TestActivePrefix:
         sigma1, _, _ = sigmas
         run = simulate(treat, sigma1, KAPPA, "1")
         assert run == absorbed(["1", "take", "2", "diagnose", "6"])
-        assert run.finite()
+        assert run.complete and run.period is None
 
 
 class TestSimulate:
@@ -78,7 +79,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(treat, sigma1, SampledContingency(treat, rng), "1")
         run = simulate(treat, sigma1, SampledContingency(treat, rng), "1", horizon=32)
-        assert run.finite()
+        assert run.complete and run.period is None
 
     def test_horizon_cut(self, treat, sigmas):
         _, _, sigma3 = sigmas
@@ -144,3 +145,83 @@ class TestIsProperSubexecution:
         assert compare_active(looping, other) is TraceOrder.NEITHER
         # ... even against itself (equality, not properness).
         assert compare_active(looping, looping) is TraceOrder.EQUAL
+
+
+def _words(longest, shortest=0):
+    return [
+        "".join(word)
+        for n in range(shortest, longest + 1)
+        for word in itertools.product("ab", repeat=n)
+    ]
+
+
+# Runs are unrolled this far; every finite run, prefix and period below is
+# short enough that embedding and equality are decided well inside it.
+UNROLL = 48
+
+
+def _run(prefix, period=None):
+    """A complete run: its tokens, unrolled to UNROLL if it is infinite."""
+    if period is None:
+        return prefix, False
+    while len(prefix) < UNROLL:
+        prefix += period
+    return prefix[:UNROLL], True
+
+
+def _true_order(left, right):
+    """The order of two complete runs, from the definition: equal runs are
+    EQUAL, and a finite run inside another is PROPER; an infinite run never
+    is."""
+    if left == right:
+        return TraceOrder.EQUAL
+    (needle, infinite), (hay, _) = left, right
+    it = iter(hay)
+    if not infinite and all(token in it for token in needle):
+        return TraceOrder.PROPER
+    return TraceOrder.NEITHER
+
+
+def _shapes(prefixes, periods, extensions, extension_periods):
+    """Every shape over {a, b} with the complete runs it stands for: a
+    complete shape stands for itself, a cut one for each run that extends its
+    known tokens by up to ``extensions`` tokens, finite or followed by a
+    period of up to ``extension_periods`` tokens."""
+    shapes = []
+    for prefix in _words(prefixes):
+        known = tuple(prefix)
+        shapes.append((ActiveTokens(known, None, True), [_run(prefix)]))
+        completions = [
+            _run(prefix + extra, period)
+            for extra in _words(extensions)
+            for period in [None, *_words(extension_periods, 1)]
+        ]
+        shapes.append((ActiveTokens(known, None, False), completions))
+        for period in _words(periods, 1):
+            shapes.append((ActiveTokens(known, tuple(period), True), [_run(prefix, period)]))
+    return shapes
+
+
+class TestOrderSemantics:
+    """compare_active on every ordered pair of shapes over {a, b}: with no cut
+    side the answer is the true order; with a cut side a definite answer is
+    the true order for every completion of the cut side(s); and UNDECIDED
+    appears only when a side is cut."""
+
+    def test_every_pair_of_shapes(self):
+        shapes = _shapes(prefixes=4, periods=3, extensions=2, extension_periods=3)
+        wrong = []
+        for left, left_runs in shapes:
+            for right, right_runs in shapes:
+                answer = compare_active(left, right)
+                if answer is TraceOrder.UNDECIDED:
+                    ok = not (left.complete and right.complete)
+                else:
+                    ok = all(
+                        _true_order(small, large) is answer
+                        for small in left_runs
+                        for large in right_runs
+                    )
+                if not ok:
+                    wrong.append((left, right, answer))
+        assert not wrong, f"{len(wrong)} wrong answers, first {wrong[:3]}"

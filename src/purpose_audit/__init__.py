@@ -52,7 +52,6 @@ from .model import (
     observed_choices,
     validate_behavior,
     validate_model,
-    validate_strategy,
 )
 from .modelfile import parse_log, parse_model
 from .solve import (

@@ -11,6 +11,7 @@ a purpose is solved on its first decision and at most once per run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -27,7 +28,7 @@ from .auditing import (
 )
 from .errors import PurposeAuditError
 from .fixtures import PHYSICIAN_LOG, PHYSICIAN_MODEL, TRAVEL_LOG, TRAVEL_MODEL
-from .model import Behavior, EnvironmentModel
+from .model import EnvironmentModel
 from .modelfile import parse_log, parse_model
 from .solve import solve_optimal
 
@@ -39,54 +40,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="purpose-audit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, log=True, mode=True):
-        p.add_argument("model", help="model document")
-        if log:
-            p.add_argument("log", help="log document, one behavior per line")
-        if mode:
-            p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--json", action="store_true", help="machine-readable records")
-
-    p = sub.add_parser("validate", help="parse and validate a model document")
-    p.add_argument("model")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("solve", help="print optimal values for one purpose")
-    add_common(p, log=False)
-    p.add_argument("--purpose", required=True)
-
-    p = sub.add_parser("audit", help="emptiness decision per behavior")
-    add_common(p)
-    p.add_argument("--purpose", required=True)
-
-    p = sub.add_parser("check", help="policy verdict per behavior")
-    add_common(p)
-    p.add_argument(
-        "--rule",
-        required=True,
-        help="only-for:P1,P2 or not-for:P",
-    )
-
-    p = sub.add_parser("triage", help="flag logs worth investigating")
-    add_common(p)
-    p.add_argument("--prohibited", required=True)
-    p.add_argument("--allowed", default="", help="comma-separated purposes")
-
-    p = sub.add_parser("oracle", help="cross-check exact mode by brute force")
-    add_common(p, mode=False)
-    p.add_argument("--purpose", required=True)
-
-    p = sub.add_parser("examples", help="write the bundled example files")
-    p.add_argument("--emit", required=True, metavar="DIR")
-
-    return parser
 
 
 def _read(path: str) -> str:
@@ -124,10 +77,19 @@ def _value_str(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _outcome_record(index: int, behavior: Behavior, purpose: str, outcome: AuditOutcome):
+def _print_logs(args, out, behaviors, results, line, fields) -> None:
+    """Print each decided log as ``b{i} <line(result)>`` or, with --json, as the
+    record ``{**prefix, **fields(result, prefix)}``, prefix {behavior, tokens}."""
+    for i, (behavior, result) in enumerate(zip(behaviors, results), start=1):
+        if args.json:
+            prefix = {"behavior": i, "tokens": behavior.tokens()}
+            print(json.dumps({**prefix, **fields(result, prefix)}), file=out)
+        else:
+            print(f"b{i} {line(result)}", file=out)
+
+
+def _outcome_fields(purpose: str, outcome: AuditOutcome) -> dict:
     return {
-        "behavior": index,
-        "tokens": behavior.tokens(),
         "purpose": purpose,
         "empty_intersection": outcome.empty_intersection,
         "reason": outcome.reason.value,
@@ -137,13 +99,13 @@ def _outcome_record(index: int, behavior: Behavior, purpose: str, outcome: Audit
     }
 
 
-def _outcome_line(index: int, outcome: AuditOutcome) -> str:
+def _outcome_line(outcome: AuditOutcome) -> str:
     witness = outcome.witness_state or ""
     if outcome.witness_action:
         witness += f":{outcome.witness_action}"
     advisory = " (advisory)" if outcome.mode == "float" else ""
     return (
-        f"b{index} empty={'true' if outcome.empty_intersection else 'false'} "
+        f"empty={'true' if outcome.empty_intersection else 'false'} "
         f"reason={outcome.reason.value} witness={witness}{advisory}"
     )
 
@@ -152,13 +114,12 @@ def _cmd_validate(args, out) -> int:
     models = parse_model(_read(args.model))
     first = next(iter(models.values()))
     if args.json:
-        record = {
+        print(json.dumps({
             "purposes": list(models),
             "states": list(first.states),
             "actions": list(first.actions),
             "gamma": str(first.discount),
-        }
-        print(json.dumps(record), file=out)
+        }), file=out)
     else:
         print(
             f"ok: purposes={','.join(models)} states={len(first.states)} "
@@ -172,20 +133,17 @@ def _cmd_solve(args, out) -> int:
     model = _pick(parse_model(_read(args.model)), args.purpose)
     solution = solve_optimal(model, mode=args.mode)
     if args.json:
-        record = {
+        print(json.dumps({
             "purpose": args.purpose,
             "mode": solution.mode,
             "v_star": {q: _value_str(v) for q, v in solution.v_star.items()},
             "greedy": {q: list(actions) for q, actions in solution.greedy.items()},
-        }
-        print(json.dumps(record), file=out)
+        }), file=out)
     else:
         for q in model.states:
+            value = _value_str(solution.v_star[q])
             greedy = ",".join(solution.greedy[q])
-            print(
-                f"V*({q}) = {_value_str(solution.v_star[q])}  greedy={greedy}",
-                file=out,
-            )
+            print(f"V*({q}) = {value}  greedy={greedy}", file=out)
     return 0
 
 
@@ -193,11 +151,10 @@ def _cmd_audit(args, out) -> int:
     model = _pick(parse_model(_read(args.model)), args.purpose)
     behaviors = parse_log(_read(args.log), model)
     outcomes = [audit(model, b, mode=args.mode) for b in behaviors]
-    for i, (behavior, outcome) in enumerate(zip(behaviors, outcomes), start=1):
-        if args.json:
-            print(json.dumps(_outcome_record(i, behavior, args.purpose, outcome)), file=out)
-        else:
-            print(_outcome_line(i, outcome), file=out)
+    _print_logs(
+        args, out, behaviors, outcomes, _outcome_line,
+        lambda outcome, _: _outcome_fields(args.purpose, outcome),
+    )
     return 0
 
 
@@ -211,43 +168,37 @@ def _cmd_check(args, out) -> int:
         check_restrictive if rule.kind is RuleKind.RESTRICTIVE else check_prohibitive
     )
     verdicts = [checker(models, rule, b, mode=args.mode) for b in behaviors]
-    for i, (behavior, verdict) in enumerate(zip(behaviors, verdicts), start=1):
-        if args.json:
-            record = {
-                "behavior": i,
-                "tokens": behavior.tokens(),
-                "rule": args.rule,
-                "status": verdict.status.value,
-                "per_purpose": {
-                    p: _outcome_record(i, behavior, p, outcome)
-                    for p, outcome in verdict.per_purpose.items()
-                },
-            }
-            print(json.dumps(record), file=out)
-        else:
-            print(f"b{i} {verdict.status.value} rule={args.rule}", file=out)
+    _print_logs(
+        args, out, behaviors, verdicts,
+        lambda verdict: f"{verdict.status.value} rule={args.rule}",
+        lambda verdict, prefix: {
+            "rule": args.rule,
+            "status": verdict.status.value,
+            "per_purpose": {
+                p: {**prefix, **_outcome_fields(p, outcome)}
+                for p, outcome in verdict.per_purpose.items()
+            },
+        },
+    )
     return 0
 
 
 def _cmd_triage(args, out) -> int:
     models = parse_model(_read(args.model))
     prohibited = _pick(models, args.prohibited)
-    allowed_names = [name for name in args.allowed.split(",") if name]
+    allowed_names = [name.strip() for name in args.allowed.split(",") if name.strip()]
     allowed = [_pick(models, name) for name in allowed_names]
     behaviors = parse_log(_read(args.log), prohibited)
     flags = [triage(prohibited, allowed, b, mode=args.mode) for b in behaviors]
-    for i, (behavior, investigate) in enumerate(zip(behaviors, flags), start=1):
-        if args.json:
-            record = {
-                "behavior": i,
-                "tokens": behavior.tokens(),
-                "prohibited": args.prohibited,
-                "allowed": allowed_names,
-                "investigate": investigate,
-            }
-            print(json.dumps(record), file=out)
-        else:
-            print(f"b{i} {'INVESTIGATE' if investigate else 'SKIP'}", file=out)
+    _print_logs(
+        args, out, behaviors, flags,
+        lambda investigate: "INVESTIGATE" if investigate else "SKIP",
+        lambda investigate, _: {
+            "prohibited": args.prohibited,
+            "allowed": allowed_names,
+            "investigate": investigate,
+        },
+    )
     return 0
 
 
@@ -258,26 +209,19 @@ def _cmd_oracle(args, out) -> int:
     model = _pick(parse_model(_read(args.model)), args.purpose)
     behaviors = parse_log(_read(args.log), model)
     tables = evaluate_all_strategies(model) if behaviors else None
-    disagreements = 0
-    for i, behavior in enumerate(behaviors, start=1):
-        engine = audit(model, behavior).empty_intersection
-        reference = oracle_audit(model, behavior, tables=tables)
-        agree = engine == reference
-        disagreements += 0 if agree else 1
-        if args.json:
-            record = {
-                "behavior": i,
-                "tokens": behavior.tokens(),
-                "purpose": args.purpose,
-                "engine": engine,
-                "oracle": reference,
-                "agree": agree,
-            }
-            print(json.dumps(record), file=out)
-        else:
-            detail = "" if agree else f" engine={engine} oracle={reference}"
-            print(f"b{i} {'AGREE' if agree else 'DISAGREE'}{detail}", file=out)
-    return 2 if disagreements else 0
+    checks = []
+    for b in behaviors:
+        engine = audit(model, b).empty_intersection
+        oracle = oracle_audit(model, b, tables=tables)
+        checks.append({"engine": engine, "oracle": oracle, "agree": engine == oracle})
+    _print_logs(
+        args, out, behaviors, checks,
+        lambda c: "AGREE" if c["agree"] else (
+            f"DISAGREE engine={c['engine']} oracle={c['oracle']}"
+        ),
+        lambda c, _: {"purpose": args.purpose, **c},
+    )
+    return 0 if all(c["agree"] for c in checks) else 2
 
 
 def _cmd_examples(args, out) -> int:
@@ -296,24 +240,54 @@ def _cmd_examples(args, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "audit": _cmd_audit,
-    "check": _cmd_check,
-    "triage": _cmd_triage,
-    "oracle": _cmd_oracle,
-    "examples": _cmd_examples,
-}
+@functools.cache
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="purpose-audit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, help, log=True, mode=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("model", help="model document")
+        if log:
+            p.add_argument("log", help="log document, one behavior per line")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "float"), default="exact")
+        p.add_argument("--json", action="store_true", help="machine-readable records")
+        return p
+
+    command(
+        "validate", _cmd_validate, "parse and validate a model document",
+        log=False, mode=False,
+    )
+    p = command("solve", _cmd_solve, "print optimal values for one purpose", log=False)
+    p.add_argument("--purpose", required=True)
+    p = command("audit", _cmd_audit, "emptiness decision per behavior")
+    p.add_argument("--purpose", required=True)
+    p = command("check", _cmd_check, "policy verdict per behavior")
+    p.add_argument("--rule", required=True, help="only-for:P1,P2 or not-for:P")
+    p = command("triage", _cmd_triage, "flag logs worth investigating")
+    p.add_argument("--prohibited", required=True)
+    p.add_argument("--allowed", default="", help="comma-separated purposes")
+    p = command(
+        "oracle", _cmd_oracle, "cross-check exact mode by brute force", mode=False
+    )
+    p.add_argument("--purpose", required=True)
+    p = sub.add_parser("examples", help="write the bundled example files")
+    p.set_defaults(run=_cmd_examples)
+    p.add_argument("--emit", required=True, metavar="DIR")
+    return parser
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
+        return args.run(args, out)
+    except SystemExit:  # only --help exits the parser; its text went to out
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1

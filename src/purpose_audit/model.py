@@ -119,14 +119,12 @@ class StructureIndex:
 
     @cached_property
     def available(self) -> tuple[tuple[Action, ...], ...]:
-        """Available actions per state position, in action order."""
+        """Available actions per state position, in action order: the
+        transitions, which ``validate_model`` puts in pair order, grouped."""
         available: list[list[Action]] = [[] for _ in self.states]
         for q, a in self.transitions:
             available[self.position[q]].append(a)
-        return tuple(
-            tuple(sorted(actions, key=self.action_position.__getitem__))
-            for actions in available
-        )
+        return tuple(map(tuple, available))
 
     @cached_property
     def pairs(self) -> tuple[tuple[State, Action], ...]:
@@ -463,11 +461,6 @@ class Strategy:
 
     def as_dict(self) -> dict[State, Action]:
         return dict(self.assignments)
-
-
-def validate_strategy(model: EnvironmentModel, strategy: Strategy) -> None:
-    """Raise StrategyError unless ``strategy`` is total and defined for ``model``."""
-    Strategy.from_mapping(strategy.as_dict(), model)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ from .model import (
     State,
     Strategy,
     StructureIndex,
-    validate_strategy,
 )
 
 ZERO = Fraction(0)
@@ -270,11 +269,11 @@ def evaluate_strategy(
     block's rewards and of the values already known downstream, so it is an
     integer too, and the block's solution is divided by M.
     """
-    validate_strategy(model, strategy)
+    choice = strategy.as_dict()
+    Strategy.from_mapping(choice, model)  # StrategyError unless total and defined
     index = model._index
     scales, coefficients = index.scales, index.coefficients
     rewards, reward_denominator = model._reward_numerators
-    choice = strategy.as_dict()
     chosen = [index.number[(q, choice[q])] for q in model.states]
     values: list[Fraction] = [ZERO] * len(chosen)
     # Downstream values over the current block's M. A state's entry is set

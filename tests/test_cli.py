@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from purpose_audit import ConvergenceError, auditing, cli, parse_model, solve_optimal
+from purpose_audit import (
+    Behavior,
+    ConvergenceError,
+    auditing,
+    cli,
+    parse_model,
+    solve_optimal,
+)
 from purpose_audit import modelfile
 from purpose_audit.cli import main
 
@@ -92,6 +99,43 @@ def golden_argv(example_dir, command_line):
     fixture, command, *options = command_line.split()
     kinds = ("model",) if command in ("validate", "solve") else ("model", "log")
     return [command, *(str(example_dir / f"{fixture}.{kind}") for kind in kinds), *options]
+
+
+class TestTextModeBuildsNoRecord:
+    """A text line is printed without building the log's --json record, so
+    it never reads the behavior's tokens."""
+
+    @pytest.mark.parametrize(
+        "command_line",
+        sorted(
+            line for line in GOLDEN
+            if "--json" not in line
+            and line.split()[1] in ("audit", "check", "triage", "oracle")
+        ),
+    )
+    def test_stdout(self, example_dir, monkeypatch, command_line):
+        def refuse(self):
+            raise AssertionError("a text line read Behavior.tokens")
+
+        monkeypatch.setattr(Behavior, "tokens", refuse)
+        code, out, err = run(*golden_argv(example_dir, command_line))
+        assert (code, out, err) == (0, GOLDEN[command_line], "")
+
+
+class TestHelp:
+    """--help through main() prints to ``out`` and returns 0, like a command;
+    nothing reaches the process's own stdout or stderr."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["", "validate", "solve", "audit", "check", "triage", "oracle", "examples"],
+    )
+    def test_help_on_out(self, capsys, command):
+        code, out, err = run(*command.split(), "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: purpose-audit {command}".rstrip() + " ")
+        assert "show this help message and exit" in out
+        assert capsys.readouterr() == ("", "")
 
 
 class TestRepeatedCalls:
@@ -368,6 +412,29 @@ class TestTriage:
         assert code == 0
         assert out.strip().splitlines() == ["b1 INVESTIGATE", "b2 SKIP"]
 
+    def test_allowed_names_are_stripped(self, example_dir):
+        # As in a --rule, spaces around a name and empty names are dropped.
+        def run_triage(allowed, *options):
+            return run(
+                "triage",
+                str(example_dir / "physician.model"),
+                str(example_dir / "physician.log"),
+                "--prohibited",
+                "profit",
+                "--allowed",
+                allowed,
+                *options,
+            )
+
+        assert run_triage(" treat , ") == run_triage("treat") == (
+            0, "b1 INVESTIGATE\nb2 SKIP\n", ""
+        )
+        code, out, err = run_triage("treat, profit", "--json")
+        assert (code, err) == (0, "")
+        assert [json.loads(line)["allowed"] for line in out.splitlines()] == [
+            ["treat", "profit"], ["treat", "profit"],
+        ]
+
 
 class TestOracle:
     def test_agreement_exit_zero(self, example_dir):
@@ -392,6 +459,34 @@ class TestOracle:
             )
             assert code == 0
             assert "DISAGREE" not in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_disagreement_exit_two(self, example_dir, monkeypatch, json_flag):
+        from purpose_audit import oracle
+
+        agreeing = oracle.oracle_audit
+        monkeypatch.setattr(
+            oracle, "oracle_audit", lambda *args, **kwargs: not agreeing(*args, **kwargs)
+        )
+        code, out, err = run(
+            *golden_argv(example_dir, "physician oracle --purpose treat"), *json_flag
+        )
+        assert (code, err) == (2, "")
+        records = [
+            json.loads(line)
+            for line in GOLDEN["physician oracle --purpose treat --json"].splitlines()
+        ]
+        for record in records:
+            record.update(oracle=not record["oracle"], agree=False)
+        expected = (
+            [json.dumps(record) for record in records]
+            if json_flag
+            else [
+                f"b{r['behavior']} DISAGREE engine={r['engine']} oracle={r['oracle']}"
+                for r in records
+            ]
+        )
+        assert out.splitlines() == expected
 
     def test_mode_is_a_usage_error(self, example_dir):
         # The oracle is exact only, so it takes no --mode.

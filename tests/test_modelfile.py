@@ -107,6 +107,28 @@ class TestParseModel:
         assert lecture.reward("home", "flyDC") == 1
         assert business.transitions == lecture.transitions
 
+    def test_pairs_follow_declared_action_order(self):
+        # The transition lines come in neither state nor action order, and the
+        # actions line places N between the other two actions.
+        models = parse_model(
+            "gamma: 1/2\n"
+            "states: u s\n"
+            "actions: b N a\n"
+            "transition: s a -> u 1\n"
+            "transition: u N -> u 1\n"
+            "transition: s b -> s 1\n"
+            "transition: u a -> s 1\n"
+            "purpose: p\n"
+            "reward: s a = 1\n"
+        )
+        model = models["p"]
+        assert model.actions == ("b", "N", "a")
+        assert model._index.available == (("N", "a"), ("b", "N", "a"))
+        assert [model.available_actions(q) for q in "us"] == [("N", "a"), ("b", "N", "a")]
+        assert list(model.pairs()) == [
+            ("u", "N"), ("u", "a"), ("s", "b"), ("s", "N"), ("s", "a"),
+        ]
+
     def test_purposes_share_one_structure(self):
         treat, profit = parse_model(PHYSICIAN_MODEL).values()
         assert treat.transitions is profit.transitions

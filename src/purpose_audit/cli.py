@@ -135,7 +135,7 @@ def _cmd_solve(args, out) -> int:
     if args.json:
         print(json.dumps({
             "purpose": args.purpose,
-            "mode": solution.mode,
+            "mode": args.mode,
             "v_star": {q: _value_str(v) for q, v in solution.v_star.items()},
             "greedy": {q: list(actions) for q, actions in solution.greedy.items()},
         }), file=out)
@@ -184,9 +184,11 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_triage(args, out) -> int:
+    allowed_names = [name.strip() for name in args.allowed.split(",") if name.strip()]
+    if args.prohibited in allowed_names:
+        raise _UsageError(f"--allowed names the prohibited purpose {args.prohibited!r}")
     models = parse_model(_read(args.model))
     prohibited = _pick(models, args.prohibited)
-    allowed_names = [name.strip() for name in args.allowed.split(",") if name.strip()]
     allowed = [_pick(models, name) for name in allowed_names]
     behaviors = parse_log(_read(args.log), prohibited)
     flags = [triage(prohibited, allowed, b, mode=args.mode) for b in behaviors]

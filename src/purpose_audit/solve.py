@@ -5,28 +5,29 @@ Strategy evaluation solves the Bellman system (I - gamma P_sigma) V = r_sigma
 one strongly connected component of sigma's successor graph at a time, sinks
 first. In that order the system is block-triangular, so each component is its
 own sparse fraction-free elimination (one division for a single state,
-Markowitz pivoting on the diagonal for more), with the values already known
-downstream folded into its right-hand side. Optimal values come from policy
-iteration with exact evaluation, which terminates because there are finitely
-many strategies and every round strictly improves some state. It starts from
-the greedy policy of a short float value iteration on the rewards divided by
-max |r|; that guess only picks where the exact loop begins. The loop stops
-when no action improves any state, so V*, Q* and the greedy sets do not depend
-on the guess.
+Markowitz pivoting on the diagonal for more) of integer rows and right-hand
+side into integer numerators over one positive denominator, with the values
+already known downstream folded into its right-hand side. Optimal values come
+from policy iteration with exact evaluation, which terminates because there
+are finitely many strategies and every round strictly improves some state.
+It starts from the greedy policy of a short float value iteration on the
+rewards divided by max |r|; that guess only picks where the exact loop
+begins. The loop stops when no action improves any state, so V*, Q* and the
+greedy sets do not depend on the guess.
 
 Every exact backup is one integer dot product (:func:`_backup`) of the
 index's coefficients L * gamma * p, where L is the state's scale, with values
 over one common denominator D; rewards are numerators over the model's common
 reward denominator R. Evaluation returns one Fraction per state, so a round
 puts those values over D once (:func:`_over_common_denominator`) and compares
-the Q-values of a state as the integers Q * R * L * D. The solution keeps the
-last round's integers: Q* is a read-only mapping over them that builds a
-Fraction only for a pair someone reads, and step one's useless pairs are the
-non-nothing pairs whose integer is not positive. Float mode runs
-plain value iteration to the relative residual ``FLOAT_RESIDUAL``, within
-``FLOAT_ITERATION_CAP`` sweeps, and is meant for larger models where exact
-arithmetic gets expensive; audit verdicts derived from float values are
-advisory.
+the Q-values of a state as the integers Q * R * L * D. Q* is a read-only
+mapping over the last round's integers that builds a Fraction only for a pair
+someone reads. Both solvers build their solution in :func:`_solution`, which
+reads the greedy sets and step one's useless pairs off Q within the solver's
+tolerance, 0 on those integers. Float mode runs plain value iteration to the
+relative residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps,
+and is meant for larger models where exact arithmetic gets expensive; audit
+verdicts derived from float values are advisory.
 
 Every float iteration (the warm start, float mode, and the values-only
 :func:`_float_values` that float audits run on the penalised model) runs one
@@ -45,7 +46,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import ConvergenceError
@@ -74,14 +74,10 @@ FLOAT_ITERATION_CAP = 1_000_000
 _WARM_RESIDUAL = 1e-3
 _WARM_SWEEPS = 200
 
-ValueTable = Mapping[State, Rational]
-
-
 @dataclass(frozen=True)
 class OptimalSolution:
     """Optimal values, Q-values and the per-state set of maximizing actions.
 
-    ``mode`` is the solver that produced them, "exact" or "float".
     ``tolerance`` is how far apart two of its values may be and still count
     as equal: 0 in exact mode, and in float mode ``FLOAT_EQUALITY`` times the
     scale max(1, max |r| / (1 - gamma)). The greedy sets hold the actions
@@ -89,23 +85,17 @@ class OptimalSolution:
     read-only mapping that builds each Fraction when it is read.
     ``_useless`` holds the non-nothing pairs whose Q-value is at most
     ``tolerance``: the pairs that step one of the audit rejects.
+    ``_greedy_template`` is a byte per pair number, 1 on each greedy pair,
+    and the size of each state's greedy set: where the audit's safe-set
+    count starts for a log that observes no state.
     """
 
     v_star: Mapping[State, Rational]
     q_star: Mapping[tuple[State, Action], Rational]
     greedy: Mapping[State, tuple[Action, ...]]
-    mode: str
     tolerance: Rational | float
     _useless: frozenset = field(compare=False, repr=False)
-
-    @cached_property
-    def _greedy_template(self) -> tuple[bytes, tuple[int, ...]]:
-        """A byte per pair number, 1 on each greedy pair, and the size of each
-        state's greedy set: where the audit's safe-set count starts for a log
-        that observes no state."""
-        greedy = self.greedy
-        flags = bytes(a in greedy[q] for q, a in self.q_star)
-        return flags, tuple(map(len, greedy.values()))
+    _greedy_template: tuple[bytes, tuple[int, ...]] = field(compare=False, repr=False)
 
 
 class _QTable(Mapping):
@@ -129,26 +119,23 @@ class _QTable(Mapping):
 
 
 def solve_linear_system(
-    rows: list[dict[int, Rational]], rhs: list[Rational]
-) -> list[Fraction]:
-    """Solve A x = b exactly; ``rows`` holds A as sparse rows {column: entry}
-    of ints or Fractions.
+    rows: list[dict[int, int]], rhs: list[int]
+) -> tuple[list[int], int]:
+    """Solve A x = b exactly for integer A and b; ``rows`` holds A as sparse
+    rows {column: entry}. Returns integer numerators and one denominator
+    d > 0 with x = numerators / d, so A numerators = b d.
 
     Eliminates on the diagonal, each time at the remaining entry of least
     Markowitz count (r - 1)(c - 1), which keeps fill-in small (Markowitz
     1957), with no row exchange: I - gamma * P on a set of states and each of
     its Schur complements are strictly diagonally dominant, so every diagonal
-    pivot is nonzero. The elimination is fraction-free: each equation is
-    scaled to integers, and eliminating column p from row i replaces it by
+    pivot is nonzero. The elimination is fraction-free: eliminating column p
+    from row i replaces it by
     A_pp * row_i - A_ip * row_p divided by the gcd of its entries. Every row
     stays a multiple of its row of the Schur complement, so it is that row's
     primitive integer form, no larger than the minors of Bareiss's
     elimination. ``rows`` and ``rhs`` are overwritten.
     """
-    for i, row in enumerate(rows):
-        scale = math.lcm(rhs[i].denominator, *(e.denominator for e in row.values()))
-        rows[i] = {j: e.numerator * (scale // e.denominator) for j, e in row.items()}
-        rhs[i] = rhs[i].numerator * (scale // rhs[i].denominator)
     columns: list[set[int]] = [set() for _ in rows]
     for i, row in enumerate(rows):
         for j in row:
@@ -206,7 +193,7 @@ def solve_linear_system(
             denominator *= pivot
             x = [v * pivot for v in x]
         x[p] = numerator
-    return [Fraction(v, denominator) for v in x]
+    return x, denominator
 
 
 def _components_sinks_first(successors: list[list[int]]) -> list[list[int]]:
@@ -304,16 +291,15 @@ def evaluate_strategy(
                 scales[i] * rewards[k] * reward_scale + _backup(index, k, numerators)
             )
         if len(block) == 1:
-            values[block[0]] = Fraction(rhs[0], rows[0][0] * common)
+            solved, denominator = rhs, rows[0][0]
         else:
-            for i, value in zip(block, solve_linear_system(rows, rhs)):
-                values[i] = value / common
+            solved, denominator = solve_linear_system(rows, rhs)
+        for i, numerator in zip(block, solved):
+            values[i] = Fraction(numerator, denominator * common)
     return dict(zip(model.states, values))
 
 
-def _backup(
-    index: StructureIndex, k: int, numerators: Sequence[int] | Mapping[int, int]
-) -> int:
+def _backup(index: StructureIndex, k: int, numerators: Sequence[int]) -> int:
     """sum of L * gamma * p * numerators[j] over the successors j of pair
     number k: the one integer dot product of every exact backup."""
     return sum(c * numerators[j] for j, c in index.coefficients[k])
@@ -327,31 +313,59 @@ def _over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int
 
 def _q_numerators(
     model: EnvironmentModel, numerators: Sequence[int], denominator: int
-) -> list[int]:
+) -> tuple[list[int], list[int]]:
     """Per pair number k, at state q: Q(q, a) * R * L * D, an integer, for
-    values V = numerators / D, rewards over R and q's scale L. The factor
-    R * L * D is the same for every action of a state, so these integers
-    compare as the state's Q-values do."""
+    values V = numerators / D, rewards over R and q's scale L; and per state,
+    V(q) * R * L * D. The factor R * L * D is the same for every action of a
+    state, so these integers compare as the state's Q-values and value do."""
     index = model._index
     rewards, reward_denominator = model._reward_numerators
-    out = []
-    for row, scale in zip(index.rows, index.scales):
+    q, attained = [], []
+    for row, scale, numerator in zip(index.rows, index.scales, numerators):
         weight = scale * denominator
         for k, _ in row:
-            out.append(
+            q.append(
                 rewards[k] * weight + reward_denominator * _backup(index, k, numerators)
             )
-    return out
+        attained.append(numerator * reward_denominator * scale)
+    return q, attained
+
+
+def _solution(
+    model: EnvironmentModel, values: Sequence, q: Sequence, attained: Sequence,
+    tolerance: Rational | float, q_star: Mapping,
+) -> OptimalSolution:
+    """The solution with V* ``values`` (in state order) and Q* ``q_star``, read
+    off ``q`` per pair number and ``attained`` per state, Q and V on one scale
+    per state: a pair is greedy when its q is within ``tolerance`` of its
+    state's attained value, and useless when its q is at most ``tolerance``.
+    Exact mode passes Q * R * L * D and V * R * L * D with tolerance 0; R, L
+    and D are positive, so signs and ties are those of Q* and V*."""
+    pairs, rows = model._index.pairs, model._index.rows
+    flags, greedy = bytearray(len(q)), {}
+    for state, row, best in zip(model.states, rows, attained):
+        for k, _ in row:
+            flags[k] = abs(q[k] - best) <= tolerance
+        greedy[state] = tuple(pairs[k][1] for k, _ in row if flags[k])
+    useless = (p for p, v in zip(pairs, q) if v <= tolerance and p[1] != NOTHING)
+    return OptimalSolution(
+        v_star=dict(zip(model.states, values)),
+        q_star=q_star,
+        greedy=greedy,
+        tolerance=tolerance,
+        _useless=frozenset(useless),
+        _greedy_template=(bytes(flags), tuple(map(len, greedy.values()))),
+    )
 
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
     index = model._index
-    choice = [index.number[pair] for pair in _warm_start(model).items()]
+    choice = _warm_start(model)
     while True:
         strategy = Strategy(tuple(index.pairs[k] for k in choice))
         values = list(evaluate_strategy(model, strategy).values())
         numerators, denominator = _over_common_denominator(values)
-        q = _q_numerators(model, numerators, denominator)
+        q, attained = _q_numerators(model, numerators, denominator)
         changed = False
         for i, row in enumerate(index.rows):
             best = max((k for k, _ in row), key=q.__getitem__)
@@ -359,24 +373,8 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
                 choice[i], changed = best, True
         if not changed:
             break
-    _, reward_denominator = model._reward_numerators
-    greedy = {}
-    for state, row, scale, numerator in zip(
-        model.states, index.rows, index.scales, numerators
-    ):
-        # Q(q, a) = V(q) exactly when the integers agree.
-        attained = numerator * reward_denominator * scale
-        greedy[state] = tuple(index.pairs[k][1] for k, _ in row if q[k] == attained)
-    # Q * R * L * D has the sign of Q, since R, L and D are positive.
-    useless = (p for p, n in zip(index.pairs, q) if n <= 0 and p[1] != NOTHING)
-    return OptimalSolution(
-        v_star=dict(zip(model.states, values)),
-        q_star=_QTable(index, q, reward_denominator * denominator),
-        greedy=greedy,
-        mode="exact",
-        tolerance=0,
-        _useless=frozenset(useless),
-    )
+    q_star = _QTable(index, q, model._reward_numerators[1] * denominator)
+    return _solution(model, values, q, attained, 0, q_star)
 
 
 def _sweeps(
@@ -458,9 +456,9 @@ def _lookahead(
     return table
 
 
-def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
+def _warm_start(model: EnvironmentModel) -> list[int]:
     """Greedy policy of a short float value iteration, the first policy of
-    exact policy iteration.
+    exact policy iteration, as one pair number per state.
 
     Rewards are divided by max |r| as Fractions before they become floats, so
     every value stays in float range whatever the model's magnitudes; with
@@ -475,12 +473,10 @@ def _warm_start(model: EnvironmentModel) -> dict[State, Action]:
     values, _ = _sweeps(
         index, rewards, float(model.discount), _WARM_RESIDUAL, _WARM_SWEEPS
     )
-    return {
-        q: actions[row.index(max(row))]
-        for q, actions, row in zip(
-            model.states, index.available, _lookahead(index.rows, rewards, values)
-        )
-    }
+    return [
+        row[backups.index(max(backups))][0]
+        for row, backups in zip(index.rows, _lookahead(index.rows, rewards, values))
+    ]
 
 
 def _float_values(model: EnvironmentModel) -> tuple[list[float], float]:
@@ -526,26 +522,9 @@ def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
     index = model._index
     values, scale = _float_values(model)
     backups = _lookahead(index.rows, model._float_rewards, values)
-    v_star = dict(zip(model.states, values))
-    q_star = {
-        (q, a): value
-        for q, actions, row in zip(model.states, index.available, backups)
-        for a, value in zip(actions, row)
-    }
-    tolerance = FLOAT_EQUALITY * scale
-    greedy = {
-        q: tuple(a for a in actions if abs(q_star[(q, a)] - v_star[q]) <= tolerance)
-        for q, actions in zip(model.states, index.available)
-    }
-    useless = (p for p, v in q_star.items() if v <= tolerance and p[1] != NOTHING)
-    return OptimalSolution(
-        v_star=v_star,
-        q_star=q_star,
-        greedy=greedy,
-        mode="float",
-        tolerance=tolerance,
-        _useless=frozenset(useless),
-    )
+    q = [value for row in backups for value in row]  # pairs are numbered by row
+    q_star = dict(zip(index.pairs, q))
+    return _solution(model, values, q, values, FLOAT_EQUALITY * scale, q_star)
 
 
 def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSolution:
@@ -562,7 +541,7 @@ def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSoluti
     raise ValueError(f"unknown solver mode {mode!r}")
 
 
-def bellman_residual(model: EnvironmentModel, values: ValueTable):
+def bellman_residual(model: EnvironmentModel, values: Mapping[State, Rational]):
     """max over states of |v(q) - max_a [r(q,a) + gamma * sum t v]|, for
     exact values.
 
@@ -570,15 +549,11 @@ def bellman_residual(model: EnvironmentModel, values: ValueTable):
     """
     table = [values[q] for q in model.states]
     numerators, denominator = _over_common_denominator(table)
-    q = _q_numerators(model, numerators, denominator)
-    _, reward_denominator = model._reward_numerators
+    q, attained = _q_numerators(model, numerators, denominator)
+    common = model._reward_numerators[1] * denominator
     index = model._index
     return max(
-        Fraction(abs(v * factor - max(q[k] for k, _ in row)), factor * denominator)
-        for v, row, factor in zip(
-            numerators,
-            index.rows,
-            (reward_denominator * scale for scale in index.scales),
-        )
+        Fraction(abs(v - max(q[k] for k, _ in row)), common * scale)
+        for v, row, scale in zip(attained, index.rows, index.scales)
     )
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -477,6 +477,32 @@ class TestDecisionTables:
             safe = auditing._safe_states(model, solution, observed_choices(behavior))
             v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
             assert safe == [v_fixed[q] == solution.v_star[q] for q in model.states]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from((F(1, 2), F(9, 10))),
+        st.sampled_from(("exact", "float")),
+    )
+    def test_greedy_tables(self, seed, gamma, mode):
+        # The greedy sets are Q* within the tolerance of V*, in action order,
+        # and the template is built with the solution, not on first read.
+        model = self.tied_model(random.Random(seed), gamma, 3)
+        solution = solve_optimal(model, mode)
+        greedy, q_star, v_star = solution.greedy, solution.q_star, solution.v_star
+        assert "_greedy_template" in {f.name for f in fields(solution)}
+        assert solution._greedy_template == (
+            bytes(a in greedy[q] for q, a in model.pairs()),
+            tuple(map(len, greedy.values())),
+        )
+        flags, _ = solution._greedy_template
+        number = model._index.number
+        for q in model.states:
+            actions = model.available_actions(q)
+            assert greedy[q] == tuple(a for a in actions if flags[number[(q, a)]])
+            gaps = (abs(q_star[(q, a)] - v_star[q]) for a in actions)
+            tied = tuple(a for a, gap in zip(actions, gaps) if gap <= solution.tolerance)
+            assert greedy[q] == tied
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -429,11 +429,27 @@ class TestTriage:
         assert run_triage(" treat , ") == run_triage("treat") == (
             0, "b1 INVESTIGATE\nb2 SKIP\n", ""
         )
-        code, out, err = run_triage("treat, profit", "--json")
+        code, out, err = run_triage(" treat , ", "--json")
         assert (code, err) == (0, "")
         assert [json.loads(line)["allowed"] for line in out.splitlines()] == [
-            ["treat", "profit"], ["treat", "profit"],
+            ["treat"], ["treat"],
         ]
+
+    @pytest.mark.parametrize("allowed", ["profit", "treat, profit", " profit ,"])
+    def test_prohibited_among_allowed_is_a_usage_error(self, example_dir, allowed):
+        # An allowed purpose that is the prohibited one explains every log
+        # that fits it, so such a triage could never flag a log.
+        code, out, err = run(
+            "triage",
+            str(example_dir / "physician.model"),
+            str(example_dir / "physician.log"),
+            "--prohibited",
+            "profit",
+            "--allowed",
+            allowed,
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: --allowed names the prohibited purpose 'profit'\n"
 
 
 class TestOracle:

@@ -1,10 +1,10 @@
 """No module of the package imports a name it never uses, and no private
-module-level name goes unread.
+module-level name or class member goes unread.
 
 A deletion can leave an import behind that nothing reads, or a private
-helper that nothing calls, and no linter runs in the test suite to catch
-either. The one allowance is ``modelfile``'s documented re-export of the
-literal caps that bound its format.
+helper, method or field that nothing calls or reads, and no linter runs in
+the test suite to catch either. The one allowance is ``modelfile``'s
+documented re-export of the literal caps that bound its format.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ def private_definitions(source: str) -> set[str]:
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {
-        name
-        for name in names
-        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
-    }
+    return set(filter(is_private, names))
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 def reads(source: str) -> set[str]:
@@ -88,3 +88,47 @@ def test_no_unread_private_name(path):
     read = set().union(*(reads(p.read_text(encoding="utf-8")) for p in SOURCES))
     unread = private_definitions(path.read_text(encoding="utf-8")) - read
     assert not unread, f"{path.name} defines {sorted(unread)} and nothing in src/ reads them"
+
+
+def private_members(source: str) -> set[str]:
+    """Private names that a class body defines: methods, properties and
+    annotated fields."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.AnnAssign):
+                    names.add(ast.unparse(item.target))
+    return set(filter(is_private, names))
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names the source loads; a keyword argument is not a read."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_detects_an_unread_private_member():
+    source = (
+        "class C:\n"
+        "    _a: int = 0\n    _b: int\n    _c = 1\n    x: int\n"
+        "    def _f(self): return self._a\n    def __len__(self): return 0\n"
+        "    @property\n    def _p(self): return 1\n"
+        "    def _g(self): pass\n"
+        "_b = 2\nC(_b=_b)\nC()._g()\n"
+    )
+    assert private_members(source) == {"_a", "_b", "_f", "_p", "_g"}
+    assert private_members(source) - attribute_reads(source) == {"_b", "_f", "_p"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unread_private_member(path):
+    sources = (p.read_text(encoding="utf-8") for p in SOURCES)
+    read = set().union(*map(attribute_reads, sources))
+    unread = private_members(path.read_text(encoding="utf-8")) - read
+    assert not unread, f"{path.name}: nothing in src/ reads members {sorted(unread)}"

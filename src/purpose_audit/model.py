@@ -120,11 +120,12 @@ class StructureIndex:
     @cached_property
     def available(self) -> tuple[tuple[Action, ...], ...]:
         """Available actions per state position, in action order: the
-        transitions, which ``validate_model`` puts in pair order, grouped."""
+        transitions, in whatever order declared, grouped by state and sorted."""
         available: list[list[Action]] = [[] for _ in self.states]
         for q, a in self.transitions:
             available[self.position[q]].append(a)
-        return tuple(map(tuple, available))
+        order = self.action_position.__getitem__
+        return tuple(tuple(sorted(actions, key=order)) for actions in available)
 
     @cached_property
     def pairs(self) -> tuple[tuple[State, Action], ...]:
@@ -203,24 +204,24 @@ class _Handed(dict):
 
 
 class RewardTable(Mapping):
-    """A read-only reward table: the listed entries, and 0 on every other key
-    of ``pairs``, a structure's transitions. It iterates in their order,
-    compares and prints as that full dict, and raises KeyError on other keys."""
+    """A read-only reward table: the listed entries, and 0 on every other pair
+    of ``index``, a :class:`StructureIndex`. It iterates in pair order, compares
+    and prints as that full dict, and raises KeyError on other keys."""
 
-    def __init__(self, listed: dict, pairs: Mapping):
-        self._listed, self._pairs = listed, pairs
+    def __init__(self, listed: dict, index: StructureIndex):
+        self._listed, self._index = listed, index
 
     def __getitem__(self, pair):
         reward = self._listed.get(pair, ZERO)
-        if reward is ZERO and pair not in self._pairs:
+        if reward is ZERO and pair not in self._index.transitions:
             raise KeyError(pair)
         return reward
 
     def __iter__(self):
-        return iter(self._pairs)
+        return iter(self._index.pairs)
 
     def __len__(self):
-        return len(self._pairs)
+        return len(self._index.pairs)
 
     def __repr__(self):
         return repr(dict(self.items()))
@@ -231,10 +232,11 @@ class EnvironmentModel:
     """A validated model: states, actions, transitions, rewards, discount.
 
     ``transitions`` maps each defined (state, action) pair to a distribution
-    over successor states; ``rewards``, a :class:`RewardTable` of the listed
-    entries when made by :meth:`with_rewards`, is defined on exactly the same
-    pairs. Every state has the pair (q, ``NOTHING``), a self-loop with reward
-    0 everywhere but in the penalised model of ``auditing.compute_fix``.
+    over successor states, in the order the pairs were declared; ``rewards``,
+    a :class:`RewardTable` of the listed entries when made by
+    :meth:`with_rewards`, is defined on exactly the same pairs, in pair order.
+    Every state has the pair (q, ``NOTHING``), a self-loop with reward 0
+    everywhere but in the penalised model of ``auditing.compute_fix``.
     Instances are immutable; construct them through :func:`validate_model`
     and :meth:`with_rewards`. ``_index`` is the structure's
     :class:`StructureIndex`: ``with_rewards`` hands its own on, and every
@@ -301,7 +303,7 @@ class EnvironmentModel:
     def _with_table(self, table: dict) -> EnvironmentModel:
         """This structure with the listed entries ``table`` as its rewards,
         unchecked and not copied, sharing this model's index."""
-        rewards = RewardTable(table, self.transitions)
+        rewards = RewardTable(table, self._index)
         model = EnvironmentModel(
             self.states, self.actions, self.transitions, rewards, self.discount
         )
@@ -381,51 +383,43 @@ def validate_model(
     where a state omits it, and a supplied nothing row must already be that
     self-loop. The rewards are then installed by
     :meth:`EnvironmentModel.with_rewards`, so a pair without a listed reward
-    gets 0. The model copies the caller's rows and rewards, never aliasing them.
+    gets 0. The model copies the caller's rows and rewards, never aliasing
+    them, and does not reorder the rows: the completed nothing rows come last.
     """
     if states is None or actions is None or transitions is None or discount is None:
         raise ModelError("states, actions, transitions and discount are all required")
 
-    state_list = tuple(dict.fromkeys(states))
-    if not state_list:
+    known_states = dict.fromkeys(states)
+    if not known_states:
         raise ModelError("a model needs at least one state")
-    action_tuple = tuple(dict.fromkeys([*actions, NOTHING]))
-    state_position = {q: i for i, q in enumerate(state_list)}
-    action_position = {a: i for i, a in enumerate(action_tuple)}
+    known_actions = dict.fromkeys([*actions, NOTHING])
 
     gamma = as_rational(discount)
     if not ZERO < gamma < ONE:
         raise DiscountError(f"discount must satisfy 0 < gamma < 1, got {gamma}")
 
-    # Rows keep the caller's pair tuples; ``order`` lists a declared nothing row twice.
+    # Rows keep the caller's pair tuples and order; StructureIndex orders pairs.
     table: dict[tuple[State, Action], dict[State, Rational]] = {}
-    order = []
     keep = type(transitions) is _Handed
     for pair, distribution in transitions.items():
         q, a = pair
-        i = state_position.get(q)
-        if i is None:
+        if q not in known_states:
             raise ModelError(f"transition references unknown state {q!r}")
-        j = action_position.get(a)
-        if j is None:
+        if a not in known_actions:
             raise ModelError(f"transition references unknown action {a!r}")
         if type(pair) is not tuple:
             pair = (q, a)
-        table[pair] = _check_distribution(pair, distribution, state_position, keep)
-        order.append((i, j, pair))
+        table[pair] = _check_distribution(pair, distribution, known_states, keep)
 
-    nothing = action_position[NOTHING]
-    for i, q in enumerate(state_list):
-        pair = (q, NOTHING)
-        if table.setdefault(pair, {q: ONE}) != {q: ONE}:
+    for q in known_states:
+        if table.setdefault((q, NOTHING), {q: ONE}) != {q: ONE}:
             raise NothingActionConflict(
                 f"nothing-action at {q!r} must be a self-loop with probability 1"
             )
-        order.append((i, nothing, pair))
-    order.sort()
 
-    rows = {pair: table[pair] for _, _, pair in order}
-    structure = EnvironmentModel(state_list, action_tuple, rows, {}, gamma)
+    structure = EnvironmentModel(
+        tuple(known_states), tuple(known_actions), table, {}, gamma
+    )
     return structure.with_rewards(rewards or {})
 
 

@@ -360,10 +360,13 @@ def _solution(
 
 def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
     index = model._index
-    choice = _warm_start(model)
+    choice, last = _warm_start(model), []
     while True:
         strategy = Strategy(tuple(index.pairs[k] for k in choice))
         values = list(evaluate_strategy(model, strategy).values())
+        # A round must improve on the last; a wrong evaluation could cycle for ever.
+        if last and (values == last or any(v < w for v, w in zip(values, last))):
+            raise RuntimeError("policy iteration made a round that did not improve")
         numerators, denominator = _over_common_denominator(values)
         q, attained = _q_numerators(model, numerators, denominator)
         changed = False
@@ -373,6 +376,7 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
                 choice[i], changed = best, True
         if not changed:
             break
+        last = values
     q_star = _QTable(index, q, model._reward_numerators[1] * denominator)
     return _solution(model, values, q, attained, 0, q_star)
 

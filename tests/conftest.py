@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from purpose_audit.auditing import AuditReason, audit
@@ -18,6 +22,22 @@ from purpose_audit.model import (
     Strategy,
 )
 from purpose_audit.modelfile import parse_log, parse_model
+
+
+def pytest_configure(config):
+    # pytest captures fd 2 while a test runs, so the watchdog writes to a
+    # duplicate of the real stderr, taken while capture is suspended.
+    global _real_stderr
+    _real_stderr = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    # A test still running after 300 s, more than twice the longest time
+    # budget a test asserts, ends the run with every thread's traceback.
+    faulthandler.dump_traceback_later(300, exit=True, file=_real_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def physician_models() -> dict[str, EnvironmentModel]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,6 +100,44 @@ def golden_argv(example_dir, command_line):
     fixture, command, *options = command_line.split()
     kinds = ("model",) if command in ("validate", "solve") else ("model", "log")
     return [command, *(str(example_dir / f"{fixture}.{kind}") for kind in kinds), *options]
+
+
+class TestDeclarationOrder:
+    """The physician document with its transition lines, and each purpose's
+    reward lines, declared in another order prints the same bytes on solve
+    and audit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_lines(self, example_dir, tmp_path, seed):
+        rng = random.Random(seed)
+        text = (example_dir / "physician.model").read_text()
+        lines = text.splitlines(keepends=True)
+        slots, purpose = {}, None
+        for i, line in enumerate(lines):
+            if line.startswith("purpose:"):
+                purpose = line
+            kind = line.partition(":")[0]
+            if kind in ("transition", "reward"):
+                slots.setdefault((kind, purpose), []).append(i)
+        for positions in slots.values():
+            moved = [lines[i] for i in positions]
+            rng.shuffle(moved)
+            for i, line in zip(positions, moved):
+                lines[i] = line
+        permuted = "".join(lines)
+        assert permuted != text
+        (tmp_path / "physician.model").write_text(permuted)
+        (tmp_path / "physician.log").write_text(
+            (example_dir / "physician.log").read_text()
+        )
+        checked = [
+            line for line in GOLDEN
+            if line.split()[:2] in (["physician", "solve"], ["physician", "audit"])
+        ]
+        assert len(checked) == 16
+        for command_line in checked:
+            code, out, err = run(*golden_argv(tmp_path, command_line))
+            assert (code, out, err) == (0, GOLDEN[command_line], "")
 
 
 class TestTextModeBuildsNoRecord:

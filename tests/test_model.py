@@ -26,6 +26,7 @@ from purpose_audit import (
     compute_fix,
     observed_choices,
     parse_log,
+    solve_optimal,
     validate_behavior,
     validate_model,
 )
@@ -410,9 +411,67 @@ class TestStructureIndex:
         expected = [
             ("s", "a"), ("s", "b"), ("s", "N"), ("u", "a"), ("u", "b"), ("u", "N"),
         ]
-        assert list(model.transitions) == list(model.rewards) == expected
-        assert list(model.pairs()) == expected
+        assert list(model.pairs()) == list(model.rewards) == expected
+        # The rows keep their declared order, the missing nothing rows last.
+        assert list(model.transitions) == [*transitions, ("s", "N"), ("u", "N")]
         assert model._index.available == (("a", "b", "N"), ("a", "b", "N"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_declaration_order_is_invisible(self, seed):
+        # The same rows and rewards, declared in any order, give the same
+        # model, pair numbers, solver tables and solutions; only
+        # ``transitions`` keeps the declared order. Each row keeps the order of
+        # its targets, which the float sums follow.
+        rng = random.Random(seed)
+        canonical = random_model(rng, n_states=(1, 6), zero_reward_fraction=0.3)
+        declared = [
+            pair for pair in canonical.transitions
+            if pair[1] != NOTHING or rng.random() < 0.5
+        ]
+        rng.shuffle(declared)
+        listed = rng.sample(list(canonical.rewards), len(canonical.rewards))
+        model = validate_model(
+            states=canonical.states,
+            actions=canonical.actions,
+            transitions={pair: canonical.successors(*pair) for pair in declared},
+            rewards={pair: canonical.rewards[pair] for pair in listed},
+            discount=canonical.discount,
+        )
+        missing = [
+            (q, NOTHING) for q in canonical.states if (q, NOTHING) not in declared
+        ]
+        assert list(model.transitions) == declared + missing
+        assert model == canonical
+        assert list(model.pairs()) == list(model.rewards) == list(canonical.pairs())
+        for table in ("rows", "coefficients", "scales", "incoming"):
+            assert getattr(model._index, table) == getattr(canonical._index, table)
+        for mode in ("exact", "float"):
+            ours = solve_optimal(model, mode=mode)
+            theirs = solve_optimal(canonical, mode=mode)
+            assert list(ours.greedy.items()) == list(theirs.greedy.items())
+            assert list(ours.v_star.items()) == list(theirs.v_star.items())
+
+    def test_replaced_rows_keep_pair_order(self):
+        # A model made by ``replace`` from reordered rows numbers its pairs
+        # as validate_model's does, so its greedy tuples match.
+        model = tiny(
+            actions=["a", "b"],
+            transitions={
+                ("s", "a"): {"s": 1},
+                ("s", "b"): {"u": 1},
+                ("u", "a"): {"u": 1},
+            },
+            rewards={("s", "b"): 1},
+        )
+        rows = dict(reversed(model.transitions.items()))
+        reordered = replace(model, transitions=rows)
+        assert reordered == model
+        assert list(reordered.pairs()) == list(model.pairs())
+        for mode in ("exact", "float"):
+            greedy = solve_optimal(reordered, mode=mode).greedy
+            assert greedy == solve_optimal(model, mode=mode).greedy
+            assert greedy["u"] == ("a", "N")
 
     def test_shared_by_derived_models(self):
         model = tiny()

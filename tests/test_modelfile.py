@@ -552,7 +552,7 @@ class TestLinearInSize:
             assert counts == {"__lt__": 2}
 
     def test_parse_memory_linear_in_document(self):
-        # A parse holds about 7.7 bytes per document byte at its peak, the
+        # A parse holds about 7.8 bytes per document byte at its peak, the
         # lines of one slice and the tables included; splitting the whole
         # text into lines at once would take it to about 9. A key tuple and
         # names of its own per reward line, kept until the parse ends, would
@@ -582,7 +582,7 @@ class TestLinearInSize:
     def test_validate_memory_per_document_byte(self, tmp_path):
         # `validate` holds each fact of the document once: the text, one
         # slice of its lines, the shared rows, and per purpose only the
-        # rewards it lists. Its peak, the text included, is about 6.9 bytes
+        # rewards it lists. Its peak, the text included, is about 6.6 bytes
         # per document byte here. Splitting the whole text into lines at
         # once, copying every row and filling a full reward table per
         # purpose would take it to about 9.

@@ -561,6 +561,30 @@ class TestSparseElimination:
         assert all(solution.greedy[q][0] == a for q, a in evaluated[-1].items())
         assert solution.greedy["s"] == ("b",)
 
+    def test_round_that_does_not_improve_raises(self, monkeypatch):
+        # A wrong evaluation that values whichever of t and u s does not
+        # reach would switch s between "a" and "b" for ever; the second
+        # round is worth less at one of them, and raises.
+        model = validate_model(
+            states=["s", "t", "u"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"t": 1}, ("s", "b"): {"u": 1}},
+            rewards={("s", "a"): 1, ("s", "b"): 1},
+            discount=F(1, 2),
+        )
+        rounds = []
+
+        def swapped(model, strategy):
+            rounds.append(strategy["s"])
+            if len(rounds) > 200:
+                pytest.fail("policy iteration ran past 200 rounds")
+            unreached = "u" if strategy["s"] == "a" else "t"
+            return {q: F(q == unreached) for q in model.states}
+
+        monkeypatch.setattr(solve, "evaluate_strategy", swapped)
+        with pytest.raises(RuntimeError, match="did not improve"):
+            solve_optimal(model)
+        assert len(rounds) == 2 and rounds[0] != rounds[1]
 
 class TestSolverAtScale:
     def test_n640_exact_solve(self):

@@ -133,7 +133,6 @@ class AuditOutcome:
     reason: AuditReason
     witness_state: State | None = None
     witness_action: Action | None = None
-    v_star: Mapping[State, Rational] | None = None
     mode: str = "exact"
 
 
@@ -170,7 +169,7 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
     if solution is None:
         solution = model._solutions[mode] = solve_optimal(model, mode=mode)
 
-    outcome = partial(AuditOutcome, v_star=solution.v_star, mode=mode)
+    outcome = partial(AuditOutcome, mode=mode)
     useless = next(filter(solution._useless.__contains__, behavior.pairs()), None)
     if useless is not None:
         return outcome(True, AuditReason.STEP_ONE_USELESS, *useless)

@@ -206,15 +206,15 @@ def _cmd_triage(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     # The reference layer loads only here, never on the engine's paths.
-    from .oracle import evaluate_all_strategies, oracle_audit
+    from .oracle import reference
 
     model = _pick(parse_model(_read(args.model)), args.purpose)
     behaviors = parse_log(_read(args.log), model)
-    tables = evaluate_all_strategies(model) if behaviors else None
+    ref = reference(model) if behaviors else None
     checks = []
     for b in behaviors:
         engine = audit(model, b).empty_intersection
-        oracle = oracle_audit(model, b, tables=tables)
+        oracle = ref.empty(b)
         checks.append({"engine": engine, "oracle": oracle, "agree": engine == oracle})
     _print_logs(
         args, out, behaviors, checks,

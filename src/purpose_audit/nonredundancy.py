@@ -141,11 +141,11 @@ def precedes(model: EnvironmentModel, earlier: Strategy, later: Strategy) -> boo
 
 
 def opt_star_enumerate(
-    model: EnvironmentModel, optimal: list[Strategy]
+    model: EnvironmentModel, optimal: tuple[Strategy, ...]
 ) -> list[Strategy]:
     """The strategies of ``optimal``, the model's optimal set (as
-    :func:`~purpose_audit.oracle.oracle_opt` enumerates it), that no other
-    strategy of that set precedes."""
+    ``purpose_audit.oracle.reference(model).optimal`` enumerates it), that no
+    other strategy of that set precedes."""
     return [
         candidate
         for candidate in optimal

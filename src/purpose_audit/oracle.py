@@ -5,16 +5,20 @@ space, evaluated exactly, and is deliberately independent of the optimized
 paths it cross-checks: no policy iteration, no Q*-shortcut for useless pairs,
 no penalty construction, and nothing from the solver module. A strategy's
 values come from dense Gaussian elimination in Fractions, and one-step
-values straight from the transition and reward tables. Enumeration sizes are
-capped by ``MAX_STRATEGIES``. Nothing on the engine's paths imports this
-module; ``purpose-audit oracle`` loads it on demand.
+values straight from the transition and reward tables. ``reference(model)``
+evaluates every strategy of a model once and derives its optimal and useless
+sets; ``Reference.empty`` then decides each log off those sets. Enumeration
+sizes are capped by ``MAX_STRATEGIES``. Nothing on the engine's paths imports
+this module; ``purpose-audit oracle`` loads it on demand.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Mapping
 
 from .errors import InconsistentBehavior, SizeCapExceeded
 from .model import (
@@ -83,42 +87,45 @@ def strategy_values(
     return dict(zip(states, values))
 
 
-def evaluate_all_strategies(
-    model: EnvironmentModel,
-) -> dict[Strategy, dict[State, Rational]]:
-    """Exact value table of every strategy."""
-    return {
+@dataclass(frozen=True)
+class Reference:
+    """One model's strategies, each evaluated once, and the two sets the
+    definitions read off those values."""
+
+    tables: Mapping[Strategy, Mapping[State, Rational]]
+    optimal: tuple[Strategy, ...]
+    useless: frozenset[tuple[State, Action]]
+
+    def empty(self, behavior: Behavior) -> bool:
+        """Reference emptiness decision for "could this log come from an agent
+        planning for this purpose": True iff the log observes two actions at
+        one state, takes a useless pair, or is consistent with no optimal
+        strategy. No contingency enumeration is involved."""
+        try:
+            constraints = observed_choices(behavior)
+        except InconsistentBehavior:
+            return True
+        if any(pair in self.useless for pair in behavior.pairs()):
+            return True
+        return not any(
+            all(sigma[q] == a for q, a in constraints.items()) for sigma in self.optimal
+        )
+
+
+def reference(model: EnvironmentModel) -> Reference:
+    """Every strategy of ``model`` evaluated exactly, once. A strategy is
+    optimal iff it attains the pointwise maximum value at every state (so some
+    strategy is); a pair (q, a), a not the nothing-action, is useless iff its
+    one-step value is <= 0 under every strategy."""
+    tables = {
         sigma: strategy_values(model, sigma) for sigma in enumerate_strategies(model)
     }
-
-
-def oracle_opt(
-    model: EnvironmentModel,
-    *,
-    tables: dict[Strategy, dict[State, Rational]] | None = None,
-) -> list[Strategy]:
-    """The optimal strategies, by evaluating every strategy exactly.
-
-    A strategy is kept iff it attains the pointwise maximum value at every
-    state. Nonempty for every valid model.
-    """
-    tables = tables if tables is not None else evaluate_all_strategies(model)
     best = {q: max(table[q] for table in tables.values()) for q in model.states}
-    return [
+    optimal = tuple(
         sigma
         for sigma, table in tables.items()
         if all(table[q] == best[q] for q in model.states)
-    ]
-
-
-def oracle_useless(
-    model: EnvironmentModel,
-    *,
-    tables: dict[Strategy, dict[State, Rational]] | None = None,
-) -> frozenset[tuple[State, Action]]:
-    """Pairs (q, a), a not the nothing-action, whose one-step value is <= 0
-    under every strategy, straight from the definition."""
-    tables = tables if tables is not None else evaluate_all_strategies(model)
+    )
     useless = set()
     for q, a in model.pairs():
         if a == NOTHING:
@@ -127,44 +134,9 @@ def oracle_useless(
         successors = model.transitions[(q, a)].items()
         weights = [(t, model.discount * p) for t, p in successors]
         reward = model.rewards[(q, a)]
-        best = max(
-            sum((w * table[t] for t, w in weights), reward) for table in tables.values()
-        )
-        if best <= 0:
+        if all(
+            sum((w * table[t] for t, w in weights), reward) <= 0
+            for table in tables.values()
+        ):
             useless.add((q, a))
-    return frozenset(useless)
-
-
-def oracle_audit(
-    model: EnvironmentModel,
-    behavior: Behavior,
-    *,
-    tables: dict[Strategy, dict[State, Rational]] | None = None,
-) -> bool:
-    """Reference emptiness decision for "could this log come from an agent
-    planning for this purpose".
-
-    True iff (1) some observed non-nothing step uses a pair that is useless
-    under every strategy, or (2) no optimal strategy is consistent with the
-    behavior. No contingency enumeration is involved. ``tables``, the value
-    table of every strategy from :func:`evaluate_all_strategies`, may be
-    passed in to share one enumeration across the behaviors of a model.
-    """
-    try:
-        constraints = observed_choices(behavior)
-    except InconsistentBehavior:
-        return True
-
-    tables = tables if tables is not None else evaluate_all_strategies(model)
-
-    useless = oracle_useless(model, tables=tables)
-    if any(pair in useless for pair in behavior.pairs()):
-        return True
-
-    optimal = oracle_opt(model, tables=tables)
-    consistent = [
-        sigma
-        for sigma in optimal
-        if all(sigma[q] == a for q, a in constraints.items())
-    ]
-    return not consistent
+    return Reference(tables, optimal, frozenset(useless))

@@ -20,7 +20,6 @@ from purpose_audit import (
     check_prohibitive,
     compute_fix,
     compute_omega,
-    evaluate_strategy,
     solve_optimal,
     triage,
 )
@@ -28,12 +27,7 @@ from purpose_audit.fixtures import PHYSICIAN_MODEL
 from purpose_audit.model import observed_choices
 from purpose_audit.modelfile import parse_model
 from purpose_audit.nonredundancy import opt_star_enumerate
-from purpose_audit.oracle import (
-    evaluate_all_strategies,
-    oracle_audit,
-    oracle_opt,
-    oracle_useless,
-)
+from purpose_audit.oracle import reference
 
 from conftest import (
     physician_behaviors,
@@ -89,7 +83,7 @@ def test_criterion_2_profit_deniability():
         sigma1, _, _ = physician_strategies(treat)
         b1, b2 = physician_behaviors()
 
-        optimal = oracle_opt(profit)
+        optimal = reference(profit).optimal
         assert sigma1 in optimal
         assert sigma1 in opt_star_enumerate(profit, optimal)
 
@@ -103,13 +97,13 @@ def _treat_claims_hold(gamma: str) -> bool:
     document = PHYSICIAN_MODEL.replace(SHIPPED_GAMMA_LINE, f"\ngamma: {gamma}\n")
     treat = parse_model(document)["treat"]
     sigma1, sigma2, sigma3 = physician_strategies(treat)
-    tables = evaluate_all_strategies(treat)
-    optimal = oracle_opt(treat, tables=tables)
+    ref = reference(treat)
+    optimal = ref.optimal
     return (
         sigma1 in optimal
         and sigma2 not in optimal
         and sigma3 in optimal
-        and ("6", "send") in oracle_useless(treat, tables=tables)
+        and ("6", "send") in ref.useless
         and sigma3 not in opt_star_enumerate(treat, optimal)
     )
 
@@ -137,17 +131,15 @@ def test_criterion_4_audit_equals_oracle():
         pairs = 0
         for _ in range(170):
             model = random_model(rng)
-            tables = evaluate_all_strategies(model)
-            useless = oracle_useless(model, tables=tables)
+            ref = reference(model)
             for k in range(3):
                 force = None
-                if useless and rng.random() < 0.25:
-                    force = rng.choice(sorted(useless))
+                if ref.useless and rng.random() < 0.25:
+                    force = rng.choice(sorted(ref.useless))
                 behavior = random_walk_behavior(rng, model, force_pair=force)
                 pairs += 1
                 engine = audit(model, behavior).empty_intersection
-                reference = oracle_audit(model, behavior, tables=tables)
-                if engine != reference:
+                if engine != ref.empty(behavior):
                     disagreements += 1
         assert pairs >= 500
         assert disagreements == 0
@@ -163,7 +155,7 @@ def test_criterion_5_step_one_equals_oracle_useless():
         rng = random.Random(20261)
         for _ in range(200):
             model = random_model(rng)
-            assert step_one_useless(model) == oracle_useless(model)
+            assert step_one_useless(model) == reference(model).useless
 
 
 def test_criterion_6_fix_construction_properties():
@@ -183,11 +175,8 @@ def test_criterion_6_fix_construction_properties():
             constraints = observed_choices(behavior)
             fixed = compute_fix(model, behavior)
 
-            original_tables = evaluate_all_strategies(model)
-            fixed_tables = {
-                sigma: evaluate_strategy(fixed, sigma)
-                for sigma in original_tables
-            }
+            model_ref, fixed_ref = reference(model), reference(fixed)
+            original_tables, fixed_tables = model_ref.tables, fixed_ref.tables
 
             # Penalizing can only lower values.
             for sigma, table in original_tables.items():
@@ -204,14 +193,12 @@ def test_criterion_6_fix_construction_properties():
                 assert fixed_tables[sigma] == original_tables[sigma]
 
             # Every optimum of the penalized model matches the log.
-            fixed_optimal = oracle_opt(fixed, tables=fixed_tables)
-            for sigma in fixed_optimal:
+            for sigma in fixed_ref.optimal:
                 assert all(sigma[q] == a for q, a in constraints.items())
 
             # Value test: the log fits some optimal strategy iff the optima
             # agree at every state.
-            optimal = oracle_opt(model, tables=original_tables)
-            fits = any(sigma in optimal for sigma in consistent)
+            fits = any(sigma in model_ref.optimal for sigma in consistent)
             v_model = solve_optimal(model).v_star
             v_fixed = solve_optimal(fixed).v_star
             agree_everywhere = all(v_model[q] == v_fixed[q] for q in model.states)
@@ -228,7 +215,7 @@ def test_criterion_7_nonredundant_optimum_nonempty():
             model = random_model(
                 rng, n_states=(2, 4), max_support=3, zero_reward_fraction=zero_bias
             )
-            optimal = oracle_opt(model)
+            optimal = reference(model).optimal
             survivors = opt_star_enumerate(model, optimal)
             assert survivors
             assert all(sigma in optimal for sigma in survivors)
@@ -292,7 +279,7 @@ def test_criterion_10_audit_decides_the_definition():
                     reward_range=(-3, 3),
                     zero_reward_fraction=zero_fraction,
                 )
-                optimal = oracle_opt(model)
+                optimal = reference(model).optimal
                 opt_star = opt_star_enumerate(model, optimal)
                 for i in range(8):
                     walk = random_walk_behavior if i % 2 else random_consistent_behavior

@@ -30,7 +30,7 @@ from purpose_audit import (
 )
 from purpose_audit import auditing
 from purpose_audit.model import observed_choices, validate_behavior
-from purpose_audit.oracle import oracle_opt, oracle_useless
+from purpose_audit.oracle import reference
 
 from conftest import physician_models
 from generators import mostly_greedy_walk, random_consistent_behavior, random_model
@@ -112,7 +112,7 @@ class TestAudit:
         # The constrained optimum falls short where the log forced send.
         v_fixed = solve_optimal(compute_fix(treat, b1)).v_star
         assert v_fixed["2"] == F(54, 5)
-        assert outcome.v_star["2"] == 12
+        assert solve_optimal(treat).v_star["2"] == 12
         assert v_fixed["1"] == F(11907, 1250)
 
     def test_necessary_referral_is_not(self, treat, logs):
@@ -120,7 +120,8 @@ class TestAudit:
         outcome = audit(treat, b2)
         assert not outcome.empty_intersection
         assert outcome.reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
-        assert solve_optimal(compute_fix(treat, b2)).v_star == outcome.v_star
+        v_fixed = solve_optimal(compute_fix(treat, b2)).v_star
+        assert v_fixed == solve_optimal(treat).v_star
 
     def test_bare_state_log_fits_any_model(self, treat, profit):
         for model in (treat, profit):
@@ -137,7 +138,8 @@ class TestAudit:
         # Whenever step one fires, the witness pair is useless by definition.
         b = Behavior.from_tokens(["6", "send", "6"])
         outcome = audit(treat, b)
-        assert (outcome.witness_state, outcome.witness_action) in oracle_useless(treat)
+        witness = (outcome.witness_state, outcome.witness_action)
+        assert witness in reference(treat).useless
 
     def test_step_one_outranks_inconsistency(self, treat):
         # A clash that also crosses a useless pair: step one fires first.
@@ -165,9 +167,7 @@ class TestAudit:
         assert outcome.empty_intersection
         assert outcome.reason is AuditReason.INCONSISTENT_BEHAVIOR
         assert outcome.witness_state == "s"
-        from purpose_audit.oracle import oracle_audit
-
-        assert oracle_audit(model, clash) is True
+        assert reference(model).empty(clash) is True
 
     def test_profit_model_fits_both_logs(self, profit, logs):
         b1, b2 = logs
@@ -223,8 +223,9 @@ class TestSolutionPerMode:
             for behavior in logs:
                 outcome = audit(treat, behavior, mode=mode)
                 assert outcome.mode == mode
-                assert outcome.v_star == solve_optimal(treat, mode=mode).v_star
-                assert {type(v) for v in outcome.v_star.values()} == {kinds[mode]}
+                v_star = treat._solutions[mode].v_star
+                assert v_star == solve_optimal(treat, mode=mode).v_star
+                assert {type(v) for v in v_star.values()} == {kinds[mode]}
 
 
 class TestPolicyChecks:
@@ -382,7 +383,7 @@ class TestSafeSet:
         assert outcome.witness_state == "s0"
         assert elapsed < 0.5
         v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
-        assert v_fixed[chain[0]] < outcome.v_star[chain[0]]
+        assert v_fixed[chain[0]] < solution.v_star[chain[0]]
 
 
 def reference_safe_states(model, greedy, choices):
@@ -620,7 +621,7 @@ class TestFixProperties:
         for model, behavior in self._cases(10, 59):
             constraints = observed_choices(behavior)
             fixed = compute_fix(model, behavior)
-            for sigma in oracle_opt(fixed):
+            for sigma in reference(fixed).optimal:
                 assert all(sigma[q] == a for q, a in constraints.items())
 
     def test_value_gap_characterizes_emptiness(self):
@@ -629,7 +630,7 @@ class TestFixProperties:
             constraints = observed_choices(behavior)
             consistent_optimal = [
                 sigma
-                for sigma in oracle_opt(model)
+                for sigma in reference(model).optimal
                 if all(sigma[q] == a for q, a in constraints.items())
             ]
             v_model = solve_optimal(model).v_star

@@ -19,6 +19,7 @@ from purpose_audit import (
 )
 from purpose_audit import modelfile
 from purpose_audit.cli import main
+from purpose_audit.fixtures import PHYSICIAN_LOG
 
 # Command line (fixture name, command, options) -> its full stdout on the
 # bundled example files.
@@ -519,9 +520,9 @@ class TestOracle:
     def test_disagreement_exit_two(self, example_dir, monkeypatch, json_flag):
         from purpose_audit import oracle
 
-        agreeing = oracle.oracle_audit
+        agreeing = oracle.Reference.empty
         monkeypatch.setattr(
-            oracle, "oracle_audit", lambda *args, **kwargs: not agreeing(*args, **kwargs)
+            oracle.Reference, "empty", lambda self, b: not agreeing(self, b)
         )
         code, out, err = run(
             *golden_argv(example_dir, "physician oracle --purpose treat"), *json_flag
@@ -542,6 +543,45 @@ class TestOracle:
             ]
         )
         assert out.splitlines() == expected
+
+    def test_over_the_strategy_cap(self, example_dir, monkeypatch):
+        from purpose_audit import oracle
+
+        # Each physician purpose has 96 strategies.
+        monkeypatch.setattr(oracle, "MAX_STRATEGIES", 5)
+        argv = golden_argv(example_dir, "physician oracle --purpose treat")
+        code, out, err = run(*argv)
+        assert (code, out, err) == (1, "", "error: 96 strategies exceed the cap of 5\n")
+
+    def test_empty_log_evaluates_no_strategy(self, example_dir, tmp_path, monkeypatch):
+        from purpose_audit import oracle
+
+        monkeypatch.setattr(oracle, "MAX_STRATEGIES", 5)
+        calls = []
+        values = oracle.strategy_values
+        monkeypatch.setattr(
+            oracle, "strategy_values", lambda *args: calls.append(args) or values(*args)
+        )
+        log = tmp_path / "comments.log"
+        log.write_text("# no behavior here\n")
+        model = str(example_dir / "physician.model")
+        code, out, err = run("oracle", model, str(log), "--purpose", "treat")
+        assert (code, out, err, calls) == (0, "", "", [])
+
+    def test_one_reference_per_run(self, example_dir, tmp_path, monkeypatch):
+        from purpose_audit import oracle
+
+        calls = []
+        build = oracle.reference
+        monkeypatch.setattr(
+            oracle, "reference", lambda model: calls.append(model) or build(model)
+        )
+        log = tmp_path / "three.log"
+        log.write_text(PHYSICIAN_LOG + "4 send 5 diagnose 6\n")
+        model = str(example_dir / "physician.model")
+        code, out, _ = run("oracle", model, str(log), "--purpose", "treat")
+        assert (code, out) == (0, "b1 AGREE\nb2 AGREE\nb3 AGREE\n")
+        assert len(calls) == 1
 
     def test_mode_is_a_usage_error(self, example_dir):
         # The oracle is exact only, so it takes no --mode.

@@ -17,7 +17,7 @@ from purpose_audit import (
 )
 from purpose_audit import nonredundancy
 from purpose_audit.nonredundancy import opt_star_enumerate, precedes
-from purpose_audit.oracle import oracle_opt, oracle_useless
+from purpose_audit.oracle import reference
 from purpose_audit.traces import (
     ActiveTokens,
     TraceOrder,
@@ -53,7 +53,7 @@ class TestUselessPairs:
         rng = random.Random(29)
         for _ in range(30):
             model = random_model(rng)
-            assert step_one_useless(model) == oracle_useless(model)
+            assert step_one_useless(model) == reference(model).useless
 
 
 class TestUselessReplacement:
@@ -120,7 +120,7 @@ class TestPrecedes:
         models = 0
         while models < 12:
             model = random_model(rng, n_states=(2, 4), max_support=3)
-            optimal = oracle_opt(model)
+            optimal = reference(model).optimal
             if len(optimal) < 2:
                 continue
             models += 1
@@ -144,14 +144,14 @@ class TestPrecedes:
 class TestOptStar:
     def test_treat_fixture(self, treat, sigmas):
         sigma1, _, sigma3 = sigmas
-        survivors = opt_star_enumerate(treat, oracle_opt(treat))
+        survivors = opt_star_enumerate(treat, reference(treat).optimal)
         assert sigma1 in survivors
         assert sigma3 not in survivors
         assert survivors == [sigma1]
 
     def test_profit_fixture(self, profit, sigmas):
         sigma1, _, _ = sigmas
-        assert sigma1 in opt_star_enumerate(profit, oracle_opt(profit))
+        assert sigma1 in opt_star_enumerate(profit, reference(profit).optimal)
 
     def test_all_nothing_model(self):
         # Every optimal strategy stops immediately; nothing precedes stopping.
@@ -162,7 +162,7 @@ class TestOptStar:
             rewards={("x", "go"): -1, ("y", "go"): -1},
             discount="1/2",
         )
-        survivors = opt_star_enumerate(model, oracle_opt(model))
+        survivors = opt_star_enumerate(model, reference(model).optimal)
         all_nothing = Strategy.from_mapping({"x": "N", "y": "N"}, model)
         assert survivors == [all_nothing]
 
@@ -170,7 +170,7 @@ class TestOptStar:
         rng = random.Random(41)
         for _ in range(12):
             model = random_model(rng, n_states=(2, 4), max_support=3)
-            optimal = oracle_opt(model)
+            optimal = reference(model).optimal
             survivors = opt_star_enumerate(model, optimal)
             assert survivors
             assert all(s in optimal for s in survivors)

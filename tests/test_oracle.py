@@ -18,10 +18,7 @@ from purpose_audit import (
 from purpose_audit import oracle, solve
 from purpose_audit.oracle import (
     enumerate_strategies,
-    evaluate_all_strategies,
-    oracle_audit,
-    oracle_opt,
-    oracle_useless,
+    reference,
     strategy_space_size,
     strategy_values,
 )
@@ -41,8 +38,8 @@ def lookahead(model, values, q, a):
 
 def max_q_over_strategies(model, state, action):
     """max over strategies of the one-step value of (state, action)."""
-    tables = evaluate_all_strategies(model)
-    return max(lookahead(model, table, state, action) for table in tables.values())
+    tables = reference(model).tables.values()
+    return max(lookahead(model, table, state, action) for table in tables)
 
 
 def flat(states, actions, rewards, gamma="1/2"):
@@ -85,7 +82,7 @@ class TestEnumeration:
 class TestOracleOpt:
     def test_treat_membership(self, treat, sigmas):
         sigma1, sigma2, sigma3 = sigmas
-        optimal = oracle_opt(treat)
+        optimal = reference(treat).optimal
         assert sigma1 in optimal
         assert sigma3 in optimal
         assert sigma2 not in optimal
@@ -93,19 +90,19 @@ class TestOracleOpt:
 
     def test_unique_dominant_action(self):
         model = flat(["s"], ["good", "bad"], {("s", "good"): 5, ("s", "bad"): 1})
-        optimal = oracle_opt(model)
+        optimal = reference(model).optimal
         assert len(optimal) == 1
         assert optimal[0]["s"] == "good"
 
     def test_all_zero_rewards_make_everything_optimal(self):
         model = flat(["s", "u"], ["a"], {})
-        assert len(oracle_opt(model)) == len(enumerate_strategies(model))
+        assert len(reference(model).optimal) == len(enumerate_strategies(model))
 
     def test_nonempty_on_random_models(self):
         rng = random.Random(67)
         for _ in range(20):
             model = random_model(rng)
-            optimal = oracle_opt(model)
+            optimal = reference(model).optimal
             assert optimal
             for sigma in optimal:
                 values = evaluate_strategy(model, sigma)
@@ -114,11 +111,11 @@ class TestOracleOpt:
 
 class TestOracleUseless:
     def test_agrees_with_engine_on_treat(self, treat):
-        assert oracle_useless(treat) == {("6", "send")}
+        assert reference(treat).useless == {("6", "send")}
 
     def test_all_negative_rewards(self):
         model = flat(["s", "u"], ["a"], {("s", "a"): -1, ("u", "a"): -2})
-        assert oracle_useless(model) == {("s", "a"), ("u", "a")}
+        assert reference(model).useless == {("s", "a"), ("u", "a")}
 
     def test_max_q_matches_q_star(self):
         rng = random.Random(71)
@@ -132,15 +129,16 @@ class TestOracleUseless:
 class TestOracleAudit:
     def test_fixture_logs(self, treat, logs):
         b1, b2 = logs
-        assert oracle_audit(treat, b1) is True
-        assert oracle_audit(treat, b2) is False
+        ref = reference(treat)
+        assert ref.empty(b1) is True
+        assert ref.empty(b2) is False
 
     def test_bare_state(self, treat):
-        assert oracle_audit(treat, Behavior("4")) is False
+        assert reference(treat).empty(Behavior("4")) is False
 
     def test_inconsistent_behavior_is_empty(self, treat):
         clash = Behavior.from_tokens(["2", "diagnose", "6", "send", "6", "N", "6"])
-        assert oracle_audit(treat, clash) is True
+        assert reference(treat).empty(clash) is True
 
     def test_agrees_with_engine_on_random_pairs(self):
         rng = random.Random(73)
@@ -149,7 +147,7 @@ class TestOracleAudit:
             behavior = random_walk_behavior(rng, model)
             assert (
                 audit(model, behavior).empty_intersection
-                == oracle_audit(model, behavior)
+                == reference(model).empty(behavior)
             )
 
 
@@ -187,7 +185,7 @@ class TestGenerators:
         found = 0
         while found < 5:
             model = random_model(rng)
-            useless = oracle_useless(model)
+            useless = reference(model).useless
             if not useless:
                 continue
             found += 1
@@ -231,9 +229,9 @@ class TestOracleIndependence:
         for name, value in vars(solve).items():
             if callable(value) and not isinstance(value, type):
                 monkeypatch.setattr(solve, name, disabled)
-        tables = evaluate_all_strategies(treat)
-        assert oracle_useless(treat, tables=tables) == {("6", "send")}
-        assert [oracle_audit(treat, b, tables=tables) for b in logs] == [True, False]
+        ref = reference(treat)
+        assert ref.useless == {("6", "send")}
+        assert [ref.empty(b) for b in logs] == [True, False]
 
     def test_values_match_engine(self):
         rng = random.Random(83)

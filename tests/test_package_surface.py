@@ -5,8 +5,9 @@ solving, auditing). The brute-force oracle, the non-redundancy definition
 and the trace order are imported by module path, by the tests and by
 ``purpose-audit oracle``. Each load check runs in a fresh interpreter, since
 this test session has imported the reference layer already. The reference
-layer in turn re-derives from the definitions, so it imports neither the
-solver nor the audit.
+layer in turn re-derives from the definitions, so of the package it imports
+only the model, the errors and its own modules: never the solver or the
+audit, and never the package root, which re-exports both.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = "purpose_audit"
 REFERENCE_LAYER = ("oracle", "nonredundancy", "traces")
-ENGINE_SHORTCUTS = {"solve", "auditing"}
+# All that the reference layer may import, besides the standard library.
+REFERENCE_MAY_IMPORT = {
+    f"{PACKAGE}.{name}" for name in ("model", "errors", *REFERENCE_LAYER)
+}
 NOT_EXPORTED = (
     "OracleOptions", "precedes", "simulate", "format_model_document", "format_log"
 )
@@ -55,28 +60,71 @@ def test_import_loads_no_reference_layer(module):
 
 
 def imported_modules(source: str) -> set[str]:
-    """Last dotted component of every package module the source imports."""
+    """Every module the source imports: a package module by its full name, the
+    package root for a name taken from it that is not a module, and any other
+    module by its top-level name."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            if node.module in (None, "purpose_audit"):
-                names.update(a.name for a in node.names)
-            else:
-                names.add(node.module.rsplit(".", 1)[-1])
-    return names
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"{PACKAGE}.{module}".rstrip(".")
+            if module != PACKAGE:
+                names.add(module)
+                continue
+            for a in node.names:
+                is_module = (SRC / PACKAGE / f"{a.name}.py").exists()
+                names.add(f"{PACKAGE}.{a.name}" if is_module else PACKAGE)
+    return {
+        name if name.split(".")[0] == PACKAGE else name.split(".")[0]
+        for name in names
+    }
+
+
+def forbidden_imports(source: str) -> set[str]:
+    """The modules the source imports that the reference layer may not."""
+    return {
+        name
+        for name in imported_modules(source)
+        if name not in REFERENCE_MAY_IMPORT and name not in sys.stdlib_module_names
+    }
 
 
 def test_detects_a_package_import():
     source = "from .solve import x\nfrom . import auditing\nimport purpose_audit.model\n"
-    assert imported_modules(source) == {"solve", "auditing", "model"}
+    assert imported_modules(source) == {
+        "purpose_audit.solve", "purpose_audit.auditing", "purpose_audit.model"
+    }
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["from purpose_audit import evaluate_strategy\n", "import purpose_audit\n"],
+)
+def test_detects_the_package_root(source):
+    # The root re-exports the solver and the audit under their own names.
+    assert imported_modules(source) == {"purpose_audit"}
+    assert forbidden_imports(source) == {"purpose_audit"}
+
+
+def test_allows_model_errors_its_own_modules_and_the_standard_library():
+    source = (
+        "from __future__ import annotations\nimport os.path\n"
+        "from collections.abc import Mapping\nfrom .model import NOTHING\n"
+        "from . import errors\nfrom purpose_audit.traces import simulate\n"
+    )
+    assert not forbidden_imports(source)
+    assert forbidden_imports(source + "from . import solve\nimport numpy\n") == {
+        "purpose_audit.solve", "numpy"
+    }
 
 
 @pytest.mark.parametrize("module", REFERENCE_LAYER)
 def test_reference_layer_uses_no_engine_shortcut(module):
-    source = (SRC / "purpose_audit" / f"{module}.py").read_text(encoding="utf-8")
-    assert not imported_modules(source) & ENGINE_SHORTCUTS
+    source = (SRC / PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert not forbidden_imports(source)
 
 
 def test_fixtures_are_document_text():

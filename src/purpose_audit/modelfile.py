@@ -25,8 +25,9 @@ same transitions object. The gamma, states and actions lines each appear
 once, and no name is listed twice on one line.
 
 The parser holds each fact once: it splits the text into lines a slice at a
-time, and its transition rows and tables of listed rewards become the models'
-own, with no zero stored for an unlisted pair.
+time, keeps one string per name and lets go of the text before validation;
+its transition rows and tables of listed rewards become the models' own, with
+no zero stored for an unlisted pair.
 
 A log document holds one behavior per line: alternating state and action
 tokens, starting and ending with a state.
@@ -87,14 +88,16 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
 
     The structure (states, actions, gamma, transitions) is validated once;
     every purpose is that model with its own reward table, so all purposes
-    share one ``transitions`` object.
+    share one ``transitions`` object, and every key, row and name list shares
+    one string per name. ``text`` is dropped before the structure is validated.
     """
     literals: dict[str, Fraction] = {}
     headers: dict[str, object] = {}
     # Rows and reward tables are handed to the models, not copied.
     transitions: dict[tuple[State, Action], dict[State, Fraction]] = _Handed()
-    # Each transition's pair tuple, the one key of that pair in every reward table.
-    keys: dict[tuple[State, Action], tuple[State, Action]] = {}
+    # One object per spelling: each name, and each transition's pair tuple,
+    # the one key of that pair in every reward table.
+    keys: dict = {}
     purposes: dict[str, dict[tuple[State, Action], Fraction]] = {}
     current: str | None = None
     table: dict[tuple[State, Action], Fraction] | None = None
@@ -142,7 +145,8 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                     raise ParseError(
                         "transition head must be '<state> <action>'", line_no
                     )
-                q, a = key = (head_tokens[0], head_tokens[1])
+                q, a = head_tokens
+                q, a = key = (keys.setdefault(q, q), keys.setdefault(a, a))
                 if key in transitions:
                     raise ParseError(f"duplicate transition for {q} {a}", line_no)
                 distribution: dict[State, Fraction] = {}
@@ -154,6 +158,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                             line_no,
                         )
                     target, probability = pair
+                    target = keys.setdefault(target, target)
                     if target in distribution:
                         raise ParseError(
                             f"duplicate target {target} in transition", line_no
@@ -178,7 +183,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                 if directive == "gamma":
                     headers[directive] = _rational(rest.strip(), line_no, literals)
                     continue
-                names = rest.split()
+                names = [keys.setdefault(name, name) for name in rest.split()]
                 if not names:
                     raise ParseError(f"{directive} line lists no {directive}", line_no)
                 seen = set()
@@ -198,7 +203,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     if not purposes:
         raise ParseError("no purposes declared")
 
-    del keys  # only the reward lines read it
+    del keys, text, piece  # only reward lines read keys; a caller's text can go
     structure = validate_model(
         states=headers["states"],
         actions=headers["actions"],

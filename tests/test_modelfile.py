@@ -552,11 +552,12 @@ class TestLinearInSize:
             assert counts == {"__lt__": 2}
 
     def test_parse_memory_linear_in_document(self):
-        # A parse holds about 7.8 bytes per document byte at its peak, the
-        # lines of one slice and the tables included; splitting the whole
-        # text into lines at once would take it to about 9. A key tuple and
-        # names of its own per reward line, kept until the parse ends, would
-        # take it to about 16.
+        # A parse holds about 6.5 bytes per document byte at its peak, the
+        # lines of one slice and the tables included. A string of its own for
+        # each name in every transition line would take it to about 7.8, and
+        # splitting the whole text into lines at once to about 7.6. A key
+        # tuple and names of its own per reward line, kept until the parse
+        # ends, would take it to about 12.
         rng = random.Random(17)
         model = random_model(
             rng, n_states=(300, 300), n_actions=(3, 3), max_support=3
@@ -577,15 +578,15 @@ class TestLinearInSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * len(text)
+        assert peak <= 7 * len(text)
 
     def test_validate_memory_per_document_byte(self, tmp_path):
         # `validate` holds each fact of the document once: the text, one
-        # slice of its lines, the shared rows, and per purpose only the
-        # rewards it lists. Its peak, the text included, is about 6.6 bytes
-        # per document byte here. Splitting the whole text into lines at
-        # once, copying every row and filling a full reward table per
-        # purpose would take it to about 9.
+        # slice of its lines, the shared rows, one string per name, and per
+        # purpose only the rewards it lists. Its peak, the text included, is
+        # about 5.3 bytes per document byte here. A string of its own for
+        # each name in every transition line would take it to about 6.6, and
+        # splitting the whole text into lines at once to about 7.6.
         rng = random.Random(5)
         model = random_model(
             rng, n_states=(600, 600), n_actions=(3, 3), max_support=3
@@ -611,7 +612,7 @@ class TestLinearInSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * len(text)
+        assert peak <= 6 * len(text)
 
     def test_purposes_times_pairs_capped(self):
         # 1,001 pairs (one transition and a nothing row per state) under
@@ -832,6 +833,24 @@ class TestSharedStructure:
             )
             assert model == alone
             assert list(model.rewards) == list(alone.rewards)
+
+    def test_one_string_per_name(self):
+        # Keys, row targets, reward keys, states and actions share one object
+        # per name, whether the names are declared before or after their use.
+        family = reward_family(8, 3)
+        text = format_model_document(family)
+        header, _, body = text.partition("\n\n")
+        for document in (text, body + header + "\n"):
+            parsed = parse_model(document)
+            assert parsed == family
+            first = next(iter(parsed.values()))
+            names = [*first.states, *first.actions]
+            for pair, row in first.transitions.items():
+                names += (*pair, *row)
+            for model in parsed.values():
+                for pair in model.rewards:
+                    names += pair
+            assert len({id(name) for name in names}) == len(set(names))
 
     def test_long_literal_under_last_purpose(self):
         family = reward_family(5, 3)

@@ -117,6 +117,13 @@ class TestOracleUseless:
         model = flat(["s", "u"], ["a"], {("s", "a"): -1, ("u", "a"): -2})
         assert reference(model).useless == {("s", "a"), ("u", "a")}
 
+    def test_zero_one_step_value_is_useless(self):
+        # Every reward is 0, so every pair's best one-step value is exactly
+        # 0: the boundary of the definition, Q* <= 0.
+        model = flat(["s", "u"], ["a"], {})
+        assert reference(model).useless == {("s", "a"), ("u", "a")}
+        assert solve_optimal(model)._useless == {("s", "a"), ("u", "a")}
+
     def test_max_q_matches_q_star(self):
         rng = random.Random(71)
         for _ in range(10):

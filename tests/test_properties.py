@@ -541,11 +541,14 @@ class TestDroppedActionsKeepFloatValues:
     """``solve._sweeps`` stops backing up each action that its bound proves
     can never again be its state's maximum. On models where that test fires
     (more states, wider support, exact ties from zero rewards), each kind of
-    kernel call must return the reference iteration's values bit for bit,
-    and its flag: the warm start on r / max |r|, float mode, float step two
-    on ``compute_fix(model, b)``, and calls cut short by their sweep cap,
-    which float mode reports as ConvergenceError. Float mode and step two
-    are capped at 2,048 sweeps, which a discount of 999/1000 can reach."""
+    kernel input must return the reference iteration's values bit for bit,
+    and its flag: rewards r / max |r| (in [-1, 1]) to a coarse residual of
+    1e-3, float mode, float step two on ``compute_fix(model, b)``, and calls
+    cut short by their sweep cap, which float mode reports as
+    ConvergenceError. Float mode and step two are capped at 2,048 sweeps,
+    which a discount of 999/1000 can reach. The warm start runs its own
+    Gauss-Seidel loop, not this kernel; ``test_solve.py`` checks its
+    guesses."""
 
     @pytest.fixture
     def seen(self, monkeypatch):

@@ -80,6 +80,14 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         if len(value) > _SHORT_LITERAL or "e" in value or "E" in value:
             _check_literal_size(value)
+        elif value.isascii():
+            # A short "n" or "n/d" in ASCII digits is read as ints, without
+            # Fraction's regex; any other spelling takes the path below.
+            numerator, slash, denominator = value.partition("/")
+            if numerator[numerator[:1] == "-":].isdigit() and (
+                not slash or denominator.isdigit() and int(denominator)
+            ):
+                return Fraction(int(numerator), int(denominator or 1))
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -92,15 +100,16 @@ class StructureIndex:
 
     Holds a state -> position map, the available actions of each state, per
     defined pair its successors as (position, float(gamma) * float(p)), and
-    the incoming edges of each state. Exact backups use integers: each state
-    has a scale L, the least common multiple of the denominators of
-    gamma * p over its pairs, and each pair its successors as
-    (position, L * gamma * p). Pairs are numbered in state order, then
-    action order, as :meth:`EnvironmentModel.pairs` yields them; a reward
-    vector is a sequence indexed by that number. Every model made from the
-    same validated structure by ``with_rewards`` (each purpose of a
-    document included) holds the same index, so these lists are built once
-    per structure.
+    the incoming edges of each state; each of those floats is one correctly
+    rounded division n / d of its rational's integer ratio, read once, with
+    no float(Fraction) call. Exact backups use integers: each state has a
+    scale L, the least common multiple of the denominators of gamma * p over
+    its pairs, and each pair its successors as (position, L * gamma * p).
+    Pairs are numbered in state order, then action order, as
+    :meth:`EnvironmentModel.pairs` yields them; a reward vector is a sequence
+    indexed by that number. Every model made from the same validated
+    structure by ``with_rewards`` (each purpose of a document included) holds
+    the same index, so these lists are built once per structure.
     """
 
     def __init__(self, states, actions, transitions, discount):
@@ -174,17 +183,19 @@ class StructureIndex:
         """Per state position, one (pair number, successor list) per
         available action, in action order; successors keep the order of the
         transition table."""
-        gamma, position = float(self.discount), self.position
-        return tuple(
-            tuple(
-                (self.number[(q, a)], tuple(
-                    (position[t], gamma * float(p))
-                    for t, p in self.transitions[(q, a)].items()
-                ))
-                for a in actions
-            )
-            for q, actions in zip(self.states, self.available)
-        )
+        gn, gd = self.discount.as_integer_ratio()
+        gamma, position, number = gn / gd, self.position, self.number
+        rows = []
+        for q, actions in zip(self.states, self.available):
+            row = []
+            for a in actions:
+                successors = []
+                for t, p in self.transitions[(q, a)].items():
+                    n, d = p.as_integer_ratio()  # n / d is float(p), rounded once
+                    successors.append((position[t], gamma * (n / d)))
+                row.append((number[(q, a)], tuple(successors)))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def incoming(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -3,11 +3,12 @@
 Exact mode works entirely in rational arithmetic, carried as integers.
 Strategy evaluation solves the Bellman system (I - gamma P_sigma) V = r_sigma
 one strongly connected component of sigma's successor graph at a time, sinks
-first. In that order the system is block-triangular, so each component is its
-own sparse fraction-free elimination (one division for a single state,
-Markowitz pivoting on the diagonal for more) of integer rows and right-hand
-side into integer numerators over one positive denominator, with the values
-already known downstream folded into its right-hand side. Optimal values come
+first. In that order the system is block-triangular, and the values already
+known downstream fold into each component's right-hand side. A single state,
+most components in practice, is solved in closed form with one division of
+integers; a larger component is a sparse fraction-free elimination, with
+Markowitz pivoting on the diagonal, of integer rows and right-hand side into
+integer numerators over one positive denominator. Optimal values come
 from policy iteration with exact evaluation, which terminates because there
 are finitely many strategies and every round strictly improves some state.
 It starts from the greedy policy of a short float Gauss-Seidel iteration on
@@ -15,10 +16,10 @@ the rewards divided by max |r|; that guess only picks where the exact loop
 begins. The loop stops when no action improves any state, so V*, Q* and the
 greedy sets do not depend on the guess.
 
-Every exact backup is one integer dot product (:func:`_backup`) of the
-index's coefficients L * gamma * p, where L is the state's scale, with values
-over one common denominator D; rewards are numerators over the model's common
-reward denominator R. Evaluation returns one Fraction per state, so a round
+Every exact backup is one integer dot product of the index's coefficients
+L * gamma * p, where L is the state's scale, with values over one common
+denominator D; rewards are numerators over the model's common reward
+denominator R. Evaluation returns one Fraction per state, so a round
 puts those values over D once (:func:`_over_common_denominator`) and compares
 the Q-values of a state as the integers Q * R * L * D. Q* is a read-only
 mapping over the last round's integers that builds a Fraction only for a pair
@@ -254,7 +255,10 @@ def evaluate_strategy(
     sinks first. Row q is scaled by its state's L, so its entries are
     integers; the right-hand side is scaled by a common denominator M of the
     block's rewards and of the values already known downstream, so it is an
-    integer too, and the block's solution is divided by M.
+    integer too, and the block's solution is divided by M. A block of one
+    state q is solved in closed form, before any of that set-up:
+    V(q) = (L r + sum over q' != q of c(q') V(q')) / (L - c(q)), with c the
+    coefficients L * gamma * p of q's chosen pair.
     """
     choice = strategy.as_dict()
     Strategy.from_mapping(choice, model)  # StrategyError unless total and defined
@@ -269,6 +273,19 @@ def evaluate_strategy(
     numerators = [0] * len(chosen)
     graph = [[j for j, _ in coefficients[k]] for k in chosen]
     for block in _components_sinks_first(graph):
+        if len(block) == 1:
+            i = block[0]
+            k, diagonal = chosen[i], scales[i]
+            known = [
+                (c, values[j].as_integer_ratio()) for j, c in coefficients[k] if j != i
+            ]
+            common = math.lcm(reward_denominator, *(d for _, (_, d) in known))
+            numerator = diagonal * rewards[k] * (common // reward_denominator)
+            for c, (n, d) in known:
+                numerator += c * n * (common // d)
+            diagonal -= sum(c for j, c in coefficients[k] if j == i)
+            values[i] = Fraction(numerator, diagonal * common)
+            continue
         local = {i: b for b, i in enumerate(block)}
         downstream = {
             j for i in block for j, _ in coefficients[chosen[i]] if j not in local
@@ -287,22 +304,12 @@ def evaluate_strategy(
                 if j in local:
                     row[local[j]] = row.get(local[j], 0) - coefficient
             rows.append(row)
-            rhs.append(
-                scales[i] * rewards[k] * reward_scale + _backup(index, k, numerators)
-            )
-        if len(block) == 1:
-            solved, denominator = rhs, rows[0][0]
-        else:
-            solved, denominator = solve_linear_system(rows, rhs)
+            backup = sum(c * numerators[j] for j, c in coefficients[k])
+            rhs.append(scales[i] * rewards[k] * reward_scale + backup)
+        solved, denominator = solve_linear_system(rows, rhs)
         for i, numerator in zip(block, solved):
             values[i] = Fraction(numerator, denominator * common)
     return dict(zip(model.states, values))
-
-
-def _backup(index: StructureIndex, k: int, numerators: Sequence[int]) -> int:
-    """sum of L * gamma * p * numerators[j] over the successors j of pair
-    number k: the one integer dot product of every exact backup."""
-    return sum(c * numerators[j] for j, c in index.coefficients[k])
 
 
 def _over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
@@ -319,14 +326,16 @@ def _q_numerators(
     V(q) * R * L * D. The factor R * L * D is the same for every action of a
     state, so these integers compare as the state's Q-values and value do."""
     index = model._index
+    coefficients = index.coefficients
     rewards, reward_denominator = model._reward_numerators
     q, attained = [], []
     for row, scale, numerator in zip(index.rows, index.scales, numerators):
         weight = scale * denominator
         for k, _ in row:
-            q.append(
-                rewards[k] * weight + reward_denominator * _backup(index, k, numerators)
-            )
+            backup = 0
+            for j, c in coefficients[k]:
+                backup += c * numerators[j]
+            q.append(rewards[k] * weight + reward_denominator * backup)
         attained.append(numerator * reward_denominator * scale)
     return q, attained
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,58 @@ class TestAsRational:
         with pytest.raises(ValueError):
             model = tiny()
             model.with_rewards({**model.rewards, ("s", "a"): "1e10000000"})
+
+    # Each spelling and what Fraction's own parser makes of it: a value, or
+    # the exception type and message. Short ASCII "n" and "n/d" literals are
+    # read as ints, so this table pins the edges of that reading.
+    BAD = "bad rational literal "
+    LITERALS = [
+        ("3", Fraction(3)),
+        ("-0", Fraction(0)),
+        ("00/01", Fraction(0)),
+        ("-0/5", Fraction(0)),
+        ("-7/16", Fraction(-7, 16)),
+        ("+1", Fraction(1)),
+        (" 1", Fraction(1)),
+        ("1 ", Fraction(1)),
+        ("1_000", Fraction(1000)),
+        ("1__0", (ValueError, BAD + "'1__0'")),
+        ("١", Fraction(1)),  # ARABIC-INDIC DIGIT ONE
+        ("٣/٤", Fraction(3, 4)),
+        ("−1", (ValueError, BAD + "'−1'")),  # MINUS SIGN
+        ("--1", (ValueError, BAD + "'--1'")),
+        ("-", (ValueError, BAD + "'-'")),
+        ("/", (ValueError, BAD + "'/'")),
+        ("1/", (ValueError, BAD + "'1/'")),
+        ("/2", (ValueError, BAD + "'/2'")),
+        ("1/0", (ValueError, BAD + "'1/0'")),
+        ("-1/0", (ValueError, BAD + "'-1/0'")),
+        ("1/-2", (ValueError, BAD + "'1/-2'")),
+        ("1/2/3", (ValueError, BAD + "'1/2/3'")),
+        ("0x10", (ValueError, BAD + "'0x10'")),
+        ("1.5", Fraction(3, 2)),
+        ("1e3", Fraction(1000)),
+        ("9" * 32, Fraction(10**32 - 1)),
+        ("-" + "9" * 31, Fraction(1 - 10**31)),
+        ("1/" + "9" * 30, Fraction(1, 10**30 - 1)),
+        ("9" * 33, Fraction(10**33 - 1)),
+        (
+            "9" * (MAX_LITERAL_DIGITS + 1),
+            (ValueError, f"numeric literal has more than {MAX_LITERAL_DIGITS} digits"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, expected", LITERALS)
+    def test_literal_table(self, text, expected):
+        if isinstance(expected, Fraction):
+            value = as_rational(text)
+            assert type(value) is Fraction
+            assert value.as_integer_ratio() == expected.as_integer_ratio()
+        else:
+            kind, message = expected
+            with pytest.raises(kind) as raised:
+                as_rational(text)
+            assert type(raised.value) is kind and str(raised.value) == message
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -451,6 +505,94 @@ class TestStructureIndex:
             theirs = solve_optimal(canonical, mode=mode)
             assert list(ours.greedy.items()) == list(theirs.greedy.items())
             assert list(ours.v_star.items()) == list(theirs.v_star.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_tables_are_their_rational_definitions(self, seed):
+        # However the rows, rewards and gamma are spelled, each scale L is the
+        # lcm of the denominators of gamma * p over its state's pairs, each
+        # coefficient is L * gamma * p, each float weight is float(gamma) *
+        # float(p) to the bit, and the rewards are n / R over their least
+        # common denominator R, with float(r) as their floats.
+        rng = random.Random(seed)
+        family = random_model(
+            rng,
+            n_states=(1, 6),
+            gammas=(Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(99, 100)),
+        )
+        listed = {
+            pair: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 8, 10)))
+            for pair in family.transitions
+            if pair[1] != NOTHING and rng.random() < 0.7
+        }
+
+        def decimal(x):
+            if 10**4 % x.denominator:
+                return str(x)
+            return str(Decimal(x.numerator) / x.denominator)
+
+        spellings = (
+            lambda x: x.numerator if x.denominator == 1 else x,
+            decimal,
+            lambda x: Fraction(x.numerator, x.denominator),
+        )
+        hexed = [
+            [(k, [(j, w.hex()) for j, w in successors]) for k, successors in row]
+            for row in family._index.rows
+        ]
+        for spell in spellings:
+            model = validate_model(
+                states=family.states,
+                actions=family.actions,
+                transitions={
+                    pair: {t: spell(p) for t, p in row.items()}
+                    for pair, row in family.transitions.items()
+                },
+                rewards={pair: spell(r) for pair, r in listed.items()},
+                discount=spell(family.discount),
+            )
+            index, gamma = model._index, model.discount
+            rows = []
+            for i, (q, actions) in enumerate(zip(model.states, index.available)):
+                scale = math.lcm(*(
+                    (gamma * p).denominator
+                    for a in actions
+                    for p in model.successors(q, a).values()
+                ))
+                assert index.scales[i] == scale
+                row = []
+                for a in actions:
+                    k, successors = index.number[(q, a)], model.successors(q, a)
+                    coefficients = index.coefficients[k]
+                    assert all(type(c) is int for _, c in coefficients)
+                    assert coefficients == tuple(
+                        (index.position[t], scale * gamma * p)
+                        for t, p in successors.items()
+                    )
+                    row.append((k, [
+                        (index.position[t], (float(gamma) * float(p)).hex())
+                        for t, p in successors.items()
+                    ]))
+                rows.append(row)
+            assert hexed == rows == [
+                [(k, [(j, w.hex()) for j, w in successors]) for k, successors in row]
+                for row in index.rows
+            ]
+            q = rng.choice(model.states)
+            a = rng.choice(model.available_actions(q))
+            behavior = Behavior(q, ((a, rng.choice(list(model.successors(q, a)))),))
+            plain = replace(model, rewards=dict(model.rewards))
+            for built in (model, plain, compute_fix(model, behavior)):
+                table = [built.rewards[pair] for pair in built.pairs()]
+                common = math.lcm(*(r.denominator for r in table))
+                numerators, denominator = built._reward_numerators
+                assert all(type(n) is int for n in numerators)
+                assert (numerators, denominator) == (
+                    tuple(r * common for r in table), common
+                )
+                assert [r.hex() for r in built._float_rewards] == [
+                    float(r).hex() for r in table
+                ]
 
     def test_replaced_rows_keep_pair_order(self):
         # A model made by ``replace`` from reordered rows numbers its pairs

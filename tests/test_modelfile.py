@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -528,15 +529,20 @@ class TestLinearInSize:
         assert [b.start for b in behaviors[:2]] == ["s0", "s1"]
         assert len(behaviors) == n
 
-    def test_no_fraction_sums_or_comparisons(self, monkeypatch):
-        # Rows are checked and rewards installed with integer and dict work:
-        # the only Fraction sums or ordering comparisons left are gamma's
-        # range check, whatever the numbers of rows and reward entries.
+    @staticmethod
+    def two_documents() -> list[str]:
         rng = random.Random(13)
         documents = []
         for n in (200, 2_000):
             model = random_model(rng, n_states=(n, n), max_support=3)
             documents.append(format_model_document({"p": model, "q": model}))
+        return documents
+
+    def test_no_fraction_sums_or_comparisons(self, monkeypatch):
+        # Rows are checked and rewards installed with integer and dict work:
+        # the only Fraction sums or ordering comparisons left are gamma's
+        # range check, whatever the numbers of rows and reward entries.
+        documents = self.two_documents()
         counts = Counter()
         for name in ("__add__", "__radd__", "__lt__", "__le__", "__gt__", "__ge__"):
             method = getattr(Fraction, name)
@@ -550,6 +556,27 @@ class TestLinearInSize:
             counts.clear()
             parse_model(text)
             assert counts == {"__lt__": 2}
+
+    def test_solver_tables_read_integer_ratios(self, monkeypatch):
+        # The float weights, the exact scales and coefficients and the reward
+        # numerators are built from each rational's integer ratio, with no
+        # float(Fraction) call at all.
+        calls = []
+        to_float = Rational.__float__
+
+        def counted(value):
+            calls.append(value)
+            return to_float(value)
+
+        monkeypatch.setattr(Rational, "__float__", counted)
+        assert float(Fraction(1, 4)) == 0.25 and len(calls) == 1
+        for text in self.two_documents():
+            models = parse_model(text).values()
+            calls.clear()
+            for model in models:
+                index = model._index
+                index.rows, index.scales, index.coefficients, model._reward_numerators
+            assert calls == []
 
     def test_parse_memory_linear_in_document(self):
         # A parse holds about 6.5 bytes per document byte at its peak, the

@@ -112,7 +112,7 @@ class AuditReason(Enum):
     INCONSISTENT_BEHAVIOR = "InconsistentBehavior"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditOutcome:
     """Result of one audit: the emptiness bit plus its evidence.
 
@@ -157,7 +157,7 @@ def audit(
 
 def _validate(model: EnvironmentModel, behavior: Behavior) -> None:
     """validate_behavior, unless parse_log checked it on the model's index."""
-    if behavior.__dict__.get("_checked") is not model._index:
+    if behavior._checked is not model._index:
         validate_behavior(model, behavior)
 
 
@@ -259,7 +259,7 @@ class VerdictStatus(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: VerdictStatus
     per_purpose: Mapping[str, AuditOutcome]

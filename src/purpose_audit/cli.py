@@ -82,7 +82,7 @@ def _print_logs(args, out, behaviors, results, line, fields) -> None:
     record ``{**prefix, **fields(result, prefix)}``, prefix {behavior, tokens}."""
     for i, (behavior, result) in enumerate(zip(behaviors, results), start=1):
         if args.json:
-            prefix = {"behavior": i, "tokens": behavior.tokens()}
+            prefix = {"behavior": i, "tokens": behavior.tokens}
             print(json.dumps({**prefix, **fields(result, prefix)}), file=out)
         else:
             print(f"b{i} {line(result)}", file=out)

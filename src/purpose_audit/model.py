@@ -468,40 +468,33 @@ class Strategy:
         return dict(self.assignments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Behavior:
-    """A finite logged prefix [q0, a1, q1, ..., an, qn] of an execution."""
+    """A finite logged prefix b = [q0, a1, q1, ..., an, qn] of an execution,
+    as that token tuple. ``_checked`` is the structure index ``parse_log``
+    validated it against, or None; equality and hashing ignore it."""
 
-    start: State
-    steps: tuple[tuple[Action, State], ...] = ()
+    tokens: tuple[str, ...]
+    _checked: object = field(default=None, init=False, compare=False, repr=False)
 
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str]) -> Behavior:
-        items = list(tokens)
-        if not items or len(items) % 2 == 0:
+    def __post_init__(self) -> None:
+        if not isinstance(self.tokens, tuple) or len(self.tokens) % 2 == 0:
             raise BehaviorError(
                 "a behavior is an odd-length alternation starting and ending with a state"
             )
-        steps = tuple(
-            (items[i], items[i + 1]) for i in range(1, len(items) - 1, 2)
-        )
-        return cls(start=items[0], steps=steps)
 
-    def tokens(self) -> list[str]:
-        out = [self.start]
-        for action, state in self.steps:
-            out.append(action)
-            out.append(state)
-        return out
+    @classmethod
+    def from_tokens(cls, tokens: Iterable[str]) -> Behavior:
+        return cls(tuple(tokens))
+
+    @property
+    def start(self) -> State:
+        return self.tokens[0]
 
     def pairs(self) -> list[tuple[State, Action]]:
-        """The observed (q_i, a_{i+1}) pairs, in order."""
-        out = []
-        q = self.start
-        for action, state in self.steps:
-            out.append((q, action))
-            q = state
-        return out
+        """The observed (q_i, a_{i+1}) pairs, in order: the tokens two at a time."""
+        tokens = iter(self.tokens)
+        return list(zip(tokens, tokens))
 
 
 def observed_choices(behavior: Behavior) -> dict[State, Action]:
@@ -523,15 +516,16 @@ def observed_choices(behavior: Behavior) -> dict[State, Action]:
 def validate_behavior(model: EnvironmentModel, behavior: Behavior) -> None:
     """Check a behavior against a model.
 
-    Every token must be in the model's vocabulary, every step must use a
-    defined (state, action) pair, and every transition taken must have nonzero
-    probability; a logged behavior has to be consistent with some contingency.
+    Every token of the tuple must be in the model's vocabulary, every step
+    q --a--> t must use a defined pair (q, a), and every transition taken
+    must have nonzero probability: a logged behavior comes from a contingency.
     """
     index = model._index
-    if behavior.start not in index.position:
-        raise BehaviorError(f"unknown state {behavior.start!r} in behavior")
-    q = behavior.start
-    for action, target in behavior.steps:
+    tokens = behavior.tokens
+    q = tokens[0]
+    if q not in index.position:
+        raise BehaviorError(f"unknown state {q!r} in behavior")
+    for action, target in zip(tokens[1::2], tokens[2::2]):
         if action not in index.action_position:
             raise BehaviorError(f"unknown action {action!r} in behavior")
         if target not in index.position:

@@ -223,10 +223,11 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
 def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
     """Parse a log document and validate each behavior against ``model``.
 
-    Unknown tokens, undefined pairs and zero-probability steps are hard
-    errors: a log outside the model's vocabulary cannot be audited. Each
-    behavior notes the structure index it was checked against, so the audits
-    of a model with that index do not check it again.
+    Each record becomes a ``Behavior`` of its token tuple. Unknown tokens,
+    undefined pairs and zero-probability steps are hard errors: a log outside
+    the model's vocabulary cannot be audited. Each behavior's ``_checked``
+    field notes the structure index it was checked against, so the audits of
+    a model with that index do not check it again.
     """
     behaviors = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -240,7 +241,7 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
                 "with a state",
                 line_no,
             )
-        behavior = Behavior.from_tokens(tokens)
+        behavior = Behavior(tuple(tokens))
         try:
             validate_behavior(model, behavior)
         except BehaviorError as exc:

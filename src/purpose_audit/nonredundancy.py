@@ -25,7 +25,7 @@ import random
 
 from .errors import SizeCapExceeded
 from .model import EnvironmentModel, State, Strategy
-from .traces import SampledContingency, TraceOrder, compare_active, simulate
+from .traces import SampledContingency, TraceOrder, compare_active, embeds, simulate
 
 # Calls of the stationary enumeration allowed per precedence test.
 MAX_CONTINGENCIES = 200_000
@@ -94,11 +94,10 @@ def _sampled_refutation(
 ) -> bool:
     """Try to refute domination with occurrence-indexed contingencies.
 
-    Horizon-cut comparisons that stay undecided are not refutations; only a
-    definite failure counts, so a True here is a genuine counterexample. A
-    definite failure needs the larger trace to reach the nothing-action
-    within ``HORIZON`` steps: against a horizon-cut larger trace,
-    :func:`~purpose_audit.traces.compare_active` never answers NEITHER.
+    A horizon-cut larger trace is skipped. Against one that stops within
+    ``HORIZON`` steps, a sample refutes iff the smaller trace's known tokens
+    do not embed in it, so a True here is a genuine counterexample. Both are
+    simulated every time: the samples draw lazily from one shared generator.
     """
     rng = random.Random(SEED)
     for _ in range(OCCURRENCE_SAMPLES):
@@ -106,7 +105,7 @@ def _sampled_refutation(
         for start in model.states:
             small = simulate(model, smaller, contingency, start, horizon=HORIZON)
             large = simulate(model, larger, contingency, start, horizon=HORIZON)
-            if compare_active(small, large) is TraceOrder.NEITHER:
+            if large.complete and not embeds(small.prefix, large):
                 return True
     return False
 

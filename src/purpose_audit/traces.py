@@ -13,10 +13,11 @@ subsequence of the other's. An infinite active part is never a proper
 sub-execution of anything; it can only be equal to another execution.
 
 Under a stationary contingency every run ends absorbed or in a closed cycle,
-so :func:`compare_active` decides the order exactly. An occurrence-indexed
-contingency is simulated to a horizon, and loops are not detected there: a
-comparison with a cut side reads only its known tokens and may stay
-UNDECIDED, so a failure against a larger trace that never stops is never seen.
+so :func:`compare_active` decides the order exactly; it orders complete runs
+only. An occurrence-indexed contingency is simulated to a horizon, and loops
+are not detected there: a run whose known tokens fail :func:`embeds` against
+a complete run is never smaller than it, but a failure against a larger
+trace that never stops is never seen.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class TraceOrder(Enum):
     EQUAL = "equal"
     PROPER = "proper"
     NEITHER = "neither"
-    UNDECIDED = "undecided"
 
 
 def _unrolled(tokens: ActiveTokens, length: int) -> list[str]:
@@ -141,7 +141,7 @@ def _unrolled(tokens: ActiveTokens, length: int) -> list[str]:
     return out[:length]
 
 
-def _embeds(needle: Sequence[str], hay: ActiveTokens) -> bool:
+def embeds(needle: Sequence[str], hay: ActiveTokens) -> bool:
     """Whether ``needle`` is a subsequence of all of ``hay``'s tokens."""
     tokens = hay.prefix
     if hay.period is not None:
@@ -162,34 +162,20 @@ def _periodic_equal(left: ActiveTokens, right: ActiveTokens) -> bool:
 
 
 def compare_active(left: ActiveTokens, right: ActiveTokens) -> TraceOrder:
-    """Order two active parts under the proper-subsequence relation.
+    """Order two complete active parts under the proper-subsequence relation.
 
-    PROPER means left is a proper sub-execution of right. Three rules:
-
-    1. An infinite left is UNDECIDED against a cut right, EQUAL to an
-       infinite right that agrees with it everywhere, and NEITHER otherwise.
-    2. Against a cut right, a finite left that differs from right's known
-       tokens and embeds in them is PROPER; anything else is UNDECIDED.
-    3. Against a complete right, a left whose known tokens do not embed is
-       NEITHER. Otherwise a cut left is UNDECIDED, the same finite run is
-       EQUAL, and any other finite left is PROPER.
-
-    UNDECIDED thus means a cut side is involved and no rule settles it, not
-    that no answer is definite: an infinite left against a cut right whose
-    known tokens already disagree with it is surely NEITHER.
+    PROPER means left is a proper sub-execution of right. An infinite left is
+    EQUAL to an infinite right that agrees with it everywhere and NEITHER
+    otherwise. A finite left is NEITHER when it does not embed in right,
+    EQUAL when it is the same run and PROPER otherwise. Raises ValueError on
+    a horizon-cut run, whose order is not known.
     """
+    if not (left.complete and right.complete):
+        raise ValueError("compare_active orders complete runs only")
     if left.period is not None:
-        if not right.complete:
-            return TraceOrder.UNDECIDED
         if right.period is not None and _periodic_equal(left, right):
             return TraceOrder.EQUAL
         return TraceOrder.NEITHER
-    if not right.complete:
-        if left.complete and left.prefix != right.prefix and _embeds(left.prefix, right):
-            return TraceOrder.PROPER
-        return TraceOrder.UNDECIDED
-    if not _embeds(left.prefix, right):
+    if not embeds(left.prefix, right):
         return TraceOrder.NEITHER
-    if not left.complete:
-        return TraceOrder.UNDECIDED
     return TraceOrder.EQUAL if left == right else TraceOrder.PROPER

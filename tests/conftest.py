@@ -76,7 +76,7 @@ def step_one_useless(model: EnvironmentModel) -> frozenset[tuple[State, Action]]
         if a == NOTHING:
             continue
         successor = next(iter(model.successors(q, a)))
-        outcome = audit(model, Behavior(q, ((a, successor),)))
+        outcome = audit(model, Behavior((q, a, successor)))
         if outcome.reason is AuditReason.STEP_ONE_USELESS:
             useless.add((q, a))
     return frozenset(useless)

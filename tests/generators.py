@@ -91,21 +91,18 @@ def random_walk_behavior(
     """
     if force_pair is not None:
         q, a = force_pair
-        steps = [(a, _random_successor(rng, model, q, a))]
-        start = q
-        q = steps[0][1]
+        q = _random_successor(rng, model, q, a)
+        tokens = [*force_pair, q]
         budget = rng.randint(0, max_length - 1)
     else:
-        start = rng.choice(model.states)
-        steps = []
-        q = start
+        q = rng.choice(model.states)
+        tokens = [q]
         budget = rng.randint(0, max_length)
     for _ in range(budget):
         a = rng.choice(model.available_actions(q))
-        target = _random_successor(rng, model, q, a)
-        steps.append((a, target))
-        q = target
-    return Behavior(start, tuple(steps))
+        q = _random_successor(rng, model, q, a)
+        tokens += (a, q)
+    return Behavior(tuple(tokens))
 
 
 def random_consistent_behavior(
@@ -119,18 +116,16 @@ def random_consistent_behavior(
     choice = {
         q: rng.choice(model.available_actions(q)) for q in model.states
     }
-    start = rng.choice(model.states)
-    steps: list[tuple[Action, State]] = []
-    q = start
+    q = rng.choice(model.states)
+    tokens = [q]
     for _ in range(rng.randint(0, max_length)):
         a = choice[q]
         if a == NOTHING:
-            steps.append((a, q))
+            tokens += (a, q)
             break
-        target = _random_successor(rng, model, q, a)
-        steps.append((a, target))
-        q = target
-    return Behavior(start, tuple(steps))
+        q = _random_successor(rng, model, q, a)
+        tokens += (a, q)
+    return Behavior(tuple(tokens))
 
 
 def mostly_greedy_walk(
@@ -147,13 +142,13 @@ def mostly_greedy_walk(
         )
         for q in model.states
     }
-    q = start = rng.choice(model.states)
-    steps = []
+    q = rng.choice(model.states)
+    tokens = [q]
     for _ in range(rng.randint(0, max_length)):
-        target = rng.choice(sorted(model.successors(q, choice[q])))
-        steps.append((choice[q], target))
-        q = target
-    return Behavior(start, tuple(steps))
+        a = choice[q]
+        q = rng.choice(sorted(model.successors(q, a)))
+        tokens += (a, q)
+    return Behavior(tuple(tokens))
 
 
 def _random_successor(

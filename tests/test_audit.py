@@ -63,7 +63,7 @@ class TestComputeOmega:
 
 class TestComputeFix:
     def test_empty_behavior_is_identity(self, treat):
-        assert compute_fix(treat, Behavior("1")) == treat
+        assert compute_fix(treat, Behavior(("1",))) == treat
 
     def test_b1_rewrites(self, treat, logs):
         b1, _ = logs
@@ -125,7 +125,7 @@ class TestAudit:
 
     def test_bare_state_log_fits_any_model(self, treat, profit):
         for model in (treat, profit):
-            assert not audit(model, Behavior("3")).empty_intersection
+            assert not audit(model, Behavior(("3",))).empty_intersection
 
     def test_step_one_fires_on_useless_pair(self, treat):
         b = Behavior.from_tokens(["6", "send", "6"])
@@ -653,12 +653,12 @@ class TestFloatModeDefects:
         model = model.with_rewards({**model.rewards, trap: -120})
         solution = solve_optimal(model)
         choice = {q: solution.greedy[q][0] for q in model.states}
-        q = start = rng.choice(model.states)
-        steps = []
+        q = rng.choice(model.states)
+        tokens = [q]
         for _ in range(6):
-            target = rng.choice(sorted(model.successors(q, choice[q])))
-            steps.append((choice[q], target))
-            q = target
-        behavior = Behavior(start, tuple(steps))
+            a = choice[q]
+            q = rng.choice(sorted(model.successors(q, a)))
+            tokens += (a, q)
+        behavior = Behavior(tuple(tokens))
         assert not audit(model, behavior).empty_intersection
         assert not audit(model, behavior, mode="float").empty_intersection

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from purpose_audit import (
-    Behavior,
     ConvergenceError,
     auditing,
     cli,
@@ -143,7 +142,7 @@ class TestDeclarationOrder:
 
 class TestTextModeBuildsNoRecord:
     """A text line is printed without building the log's --json record, so
-    it never reads the behavior's tokens."""
+    it never serialises one."""
 
     @pytest.mark.parametrize(
         "command_line",
@@ -154,10 +153,10 @@ class TestTextModeBuildsNoRecord:
         ),
     )
     def test_stdout(self, example_dir, monkeypatch, command_line):
-        def refuse(self):
-            raise AssertionError("a text line read Behavior.tokens")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a text line built a --json record")
 
-        monkeypatch.setattr(Behavior, "tokens", refuse)
+        monkeypatch.setattr(cli.json, "dumps", refuse)
         code, out, err = run(*golden_argv(example_dir, command_line))
         assert (code, out, err) == (0, GOLDEN[command_line], "")
 

@@ -392,7 +392,7 @@ class TestStrategy:
 class TestBehavior:
     def test_tokens_round_trip(self, logs):
         b1, _ = logs
-        assert Behavior.from_tokens(b1.tokens()) == b1
+        assert Behavior.from_tokens(b1.tokens) == b1
         assert b1.pairs() == [
             ("1", "take"), ("2", "send"), ("3", "diagnose"), ("6", "N"),
         ]
@@ -400,6 +400,21 @@ class TestBehavior:
     def test_even_token_count_rejected(self):
         with pytest.raises(BehaviorError):
             Behavior.from_tokens(["take", "1"])
+
+    def test_constructor_takes_an_odd_length_tuple(self, treat):
+        bare = Behavior(("1",))
+        assert bare.start == "1"
+        assert bare.pairs() == []
+        # A string is not read as its characters, nor a list as a tuple.
+        for tokens in ("q1", ["1"], ("1", "take"), ()):
+            with pytest.raises(BehaviorError):
+                Behavior(tokens)
+        walk = Behavior.from_tokens(["1", "take", "2"])
+        assert walk.tokens == ("1", "take", "2")
+        assert walk.pairs() == [("1", "take")]
+        (checked,) = parse_log("1 take 2\n", treat)
+        assert checked._checked is treat._index and walk._checked is None
+        assert checked == walk and hash(checked) == hash(walk)
 
     def test_validate_against_model(self, treat, logs):
         b1, b2 = logs
@@ -432,7 +447,7 @@ class TestBehavior:
 
 class TestObservedChoices:
     def test_empty_for_bare_state(self):
-        assert observed_choices(Behavior("1")) == {}
+        assert observed_choices(Behavior(("1",))) == {}
 
     def test_b1_constraints(self, logs):
         b1, _ = logs
@@ -580,7 +595,7 @@ class TestStructureIndex:
             ]
             q = rng.choice(model.states)
             a = rng.choice(model.available_actions(q))
-            behavior = Behavior(q, ((a, rng.choice(list(model.successors(q, a)))),))
+            behavior = Behavior((q, a, rng.choice(list(model.successors(q, a)))))
             plain = replace(model, rewards=dict(model.rewards))
             for built in (model, plain, compute_fix(model, behavior)):
                 table = [built.rewards[pair] for pair in built.pairs()]

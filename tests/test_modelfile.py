@@ -22,6 +22,7 @@ from purpose_audit import (
     NothingActionConflict,
     ParseError,
     PurposeAuditError,
+    audit,
     parse_log,
     parse_model,
     validate_model,
@@ -85,7 +86,7 @@ def format_model_document(models: dict) -> str:
 
 
 def format_log(behaviors: list) -> str:
-    return "\n".join(" ".join(b.tokens()) for b in behaviors) + "\n"
+    return "\n".join(" ".join(b.tokens) for b in behaviors) + "\n"
 
 
 class TestParseModel:
@@ -463,13 +464,13 @@ class TestRoundTrip:
 class TestParseLog:
     def test_bundled_log(self, treat):
         b1, b2 = parse_log(PHYSICIAN_LOG, treat)
-        assert b1.tokens() == ["1", "take", "2", "send", "3", "diagnose", "6", "N", "6"]
-        assert b2.tokens() == ["1", "take", "4", "send", "5", "diagnose", "6", "N", "6"]
+        assert b1.tokens == ("1", "take", "2", "send", "3", "diagnose", "6", "N", "6")
+        assert b2.tokens == ("1", "take", "4", "send", "5", "diagnose", "6", "N", "6")
 
     def test_travel_log(self, travel):
         both, drive = parse_log(TRAVEL_LOG, travel["business"])
         assert both.start == "home"
-        assert [action for action, _ in drive.steps] == ["driveNY", "N"]
+        assert list(drive.tokens[1::2]) == ["driveNY", "N"]
 
     def test_alternation_error(self, treat):
         with pytest.raises(AlternationError):
@@ -487,7 +488,7 @@ class TestParseLog:
 
     def test_trailing_nothing_runs_preserved(self, treat):
         (b,) = parse_log("1 take 2 diagnose 6 N 6 N 6\n", treat)
-        assert [action for action, _ in b.steps] == ["take", "diagnose", "N", "N"]
+        assert list(b.tokens[1::2]) == ["take", "diagnose", "N", "N"]
 
     def test_format_round_trip(self, treat):
         behaviors = parse_log(PHYSICIAN_LOG, treat)
@@ -528,6 +529,40 @@ class TestLinearInSize:
         assert time.perf_counter() - start < 2.0
         assert [b.start for b in behaviors[:2]] == ["s0", "s1"]
         assert len(behaviors) == n
+
+    @staticmethod
+    def _held(call):
+        """``call()`` and the bytes that tracemalloc still traces after it,
+        which is what its result holds."""
+        tracemalloc.start()
+        try:
+            result = call()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return result, held
+
+    def test_parsed_log_memory_per_record(self):
+        # A behavior is its token tuple, with one slotted object around it:
+        # about 330 bytes per record here, the nine token strings of each
+        # line included. One (action, state) tuple per step besides, and an
+        # instance dict, took it to about 560.
+        treat = parse_model(PHYSICIAN_MODEL)["treat"]
+        text = PHYSICIAN_LOG * 10_000
+        parse_log(text, treat)
+        behaviors, held = self._held(lambda: parse_log(text, treat))
+        assert len(behaviors) == 20_000
+        assert held <= 400 * len(behaviors)
+
+    def test_audit_outcomes_memory_per_record(self):
+        # A slotted outcome and its list entry take about 80 bytes per
+        # record; with an instance dict each took about 185.
+        treat = parse_model(PHYSICIAN_MODEL)["treat"]
+        behaviors = parse_log(PHYSICIAN_LOG * 10_000, treat)
+        audit(treat, behaviors[0])  # solves the model, once
+        outcomes, held = self._held(lambda: [audit(treat, b) for b in behaviors])
+        assert len(outcomes) == 20_000
+        assert held <= 120 * len(outcomes)
 
     @staticmethod
     def two_documents() -> list[str]:

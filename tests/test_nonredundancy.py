@@ -46,7 +46,7 @@ class TestUselessPairs:
         for _ in range(10):
             model = random_model(rng)
             for q in model.states:
-                outcome = audit(model, Behavior(q, ((NOTHING, q),)))
+                outcome = audit(model, Behavior((q, NOTHING, q)))
                 assert outcome.reason is not AuditReason.STEP_ONE_USELESS
 
     def test_matches_oracle_on_random_models(self):
@@ -236,10 +236,10 @@ class TestStationaryVersusOccurrenceIndexed:
             True,
         )
         assert compare_active(smaller, larger) is TraceOrder.NEITHER
-        # Simulated to the horizon, the larger trace is cut, and the cut
-        # comparison cannot refute.
+        # Simulated to the horizon, the larger trace is cut, so the sampled
+        # refutation skips it.
         large = simulate(model, sigma_prime, kappa, "x", horizon=nonredundancy.HORIZON)
         known = 2 * nonredundancy.HORIZON + 1
         assert large == ActiveTokens(tuple(_unrolled(larger, known)), None, False)
-        assert compare_active(smaller, large) is TraceOrder.UNDECIDED
+        assert not large.complete
 

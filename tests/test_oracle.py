@@ -141,7 +141,7 @@ class TestOracleAudit:
         assert ref.empty(b2) is False
 
     def test_bare_state(self, treat):
-        assert reference(treat).empty(Behavior("4")) is False
+        assert reference(treat).empty(Behavior(("4",))) is False
 
     def test_inconsistent_behavior_is_empty(self, treat):
         clash = Behavior.from_tokens(["2", "diagnose", "6", "send", "6", "N", "6"])

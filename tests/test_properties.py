@@ -239,7 +239,7 @@ class TestAuditInvariants:
         rng = random.Random(seed)
         model = random_model(rng)
         start = rng.choice(model.states)
-        assert not audit(model, Behavior(start)).empty_intersection
+        assert not audit(model, Behavior((start,))).empty_intersection
 
 
 class TestExactDecisionMatchesPenalisedModel:
@@ -475,7 +475,7 @@ class TestFloatModeIsBitIdentical:
         threshold = 1e-6 * max(1.0, top / (1 - float(gamma)))
         _, q_star, _ = reference_value_iteration(model)
         exact = solve_optimal(model)
-        behaviors = [Behavior(q, ((a, rng.choice(sorted(model.successors(q, a)))),))]
+        behaviors = [Behavior((q, a, rng.choice(sorted(model.successors(q, a)))))]
         for _ in range(3):
             behaviors.append(mostly_greedy_walk(rng, model, exact))
         for behavior in behaviors:
@@ -491,7 +491,7 @@ class TestFloatModeIsBitIdentical:
 
     def test_log_without_observed_choice(self):
         model = random_model(random.Random(5), n_states=(3, 3))
-        behavior = Behavior("q1")
+        behavior = Behavior(("q1",))
         outcome = audit(model, behavior, mode="float")
         reason, witness = self._expected(
             model, behavior, reference_value_iteration(model)[0]

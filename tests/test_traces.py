@@ -11,6 +11,7 @@ from purpose_audit.traces import (
     SampledContingency,
     TraceOrder,
     compare_active,
+    embeds,
     simulate,
 )
 
@@ -110,9 +111,12 @@ class TestIsProperSubexecution:
         assert compare_active(long, short) is TraceOrder.NEITHER
 
     def test_absorbed_versus_horizon_capped(self):
+        # A cut run has no order; its known tokens only show an embedding.
         short = absorbed(["2", "diagnose", "6"])
         capped = cut(["2", "diagnose", "6", "send", "6", "send", "6"])
-        assert compare_active(short, capped) is TraceOrder.PROPER
+        with pytest.raises(ValueError):
+            compare_active(short, capped)
+        assert embeds(short.prefix, capped)
 
     def test_prefix_pair_both_absorbed(self):
         first = absorbed(["1", "take", "2"])
@@ -126,17 +130,21 @@ class TestIsProperSubexecution:
         second = absorbed(["2", "send", "3", "diagnose", "6"])
         assert compare_active(first, second) is TraceOrder.PROPER
 
-    def test_horizon_cut_undecided(self):
-        # The capped side has not shown the needed tokens yet.
+    def test_horizon_cut_raises(self):
+        # The capped side has not shown the needed tokens yet, and may later.
         first = absorbed(["2", "diagnose", "6"])
         capped = cut(["2", "send", "3"])
-        assert compare_active(first, capped) is TraceOrder.UNDECIDED
+        with pytest.raises(ValueError, match="complete runs only"):
+            compare_active(first, capped)
+        assert not embeds(first.prefix, capped)
 
     def test_cut_prefix_refuted_by_complete_side(self):
         # A prefix that already fails to embed can never embed later.
         growing = cut(["2", "send", "3", "send", "3"])
         complete = absorbed(["2", "diagnose", "6"])
-        assert compare_active(growing, complete) is TraceOrder.NEITHER
+        with pytest.raises(ValueError):
+            compare_active(growing, complete)
+        assert not embeds(growing.prefix, complete)
 
     def test_infinite_active_part_never_proper(self, treat, sigmas):
         _, _, sigma3 = sigmas
@@ -203,25 +211,27 @@ def _shapes(prefixes, periods, extensions, extension_periods):
 
 
 class TestOrderSemantics:
-    """compare_active on every ordered pair of shapes over {a, b}: with no cut
-    side the answer is the true order; with a cut side a definite answer is
-    the true order for every completion of the cut side(s); and UNDECIDED
-    appears only when a side is cut."""
+    """The order on every ordered pair of shapes over {a, b}: on two complete
+    shapes compare_active answers the true order, and the sampled refutation
+    rule is sound: when a left shape's known tokens do not embed in a
+    complete right, every completion of the left side is NEITHER."""
 
     def test_every_pair_of_shapes(self):
         shapes = _shapes(prefixes=4, periods=3, extensions=2, extension_periods=3)
-        wrong = []
+        complete = [(right, runs) for right, runs in shapes if right.complete]
+        wrong, refuted = [], 0
         for left, left_runs in shapes:
-            for right, right_runs in shapes:
-                answer = compare_active(left, right)
-                if answer is TraceOrder.UNDECIDED:
-                    ok = not (left.complete and right.complete)
-                else:
-                    ok = all(
-                        _true_order(small, large) is answer
+            for right, (large,) in complete:
+                if left.complete:
+                    answer = compare_active(left, right)
+                    if _true_order(left_runs[0], large) is not answer:
+                        wrong.append((left, right, answer))
+                if not embeds(left.prefix, right):
+                    refuted += 1
+                    if any(
+                        _true_order(small, large) is not TraceOrder.NEITHER
                         for small in left_runs
-                        for large in right_runs
-                    )
-                if not ok:
-                    wrong.append((left, right, answer))
+                    ):
+                        wrong.append((left, right, "refuted"))
+        assert refuted
         assert not wrong, f"{len(wrong)} wrong answers, first {wrong[:3]}"

@@ -32,9 +32,9 @@ at the observed states only, so past the copy a gap check costs O(|b|) plus
 the edges into dropped states. The gap witness is the first state outside
 it, which is the first state where the penalised optimum falls short.
 
-Float mode follows the paper's construction: it builds ``compute_fix(model,
-b)``, which shares the model's structure index, runs the float value
-iteration of :mod:`~purpose_audit.solve` on it, and reports as the gap
+Float mode runs the float value iteration of :mod:`~purpose_audit.solve` on
+``compute_fix(model, b)``'s reward vector and exact bound, with no penalised
+model, so its values are that model's bit for bit, and reports as the gap
 witness the first state whose value differs from V* beyond the float
 equality tolerance.
 
@@ -86,7 +86,8 @@ def compute_fix(model: EnvironmentModel, behavior: Behavior) -> EnvironmentModel
     At every observed state, each action other than the logged one (the
     nothing-action included) gets reward -omega, with omega from
     :func:`compute_omega` on ``model``; observed pairs and unobserved states
-    keep their rewards. An empty behavior leaves the model unchanged.
+    keep their rewards, and an empty behavior leaves the model unchanged.
+    The public definition that the tests compare float step two with.
     """
     constraints = observed_choices(behavior)
     if not constraints:
@@ -185,7 +186,18 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
         else:
             gap = model.states[_safe_states(model, solution, choices).index(False)]
     else:
-        fixed, _ = _float_values(compute_fix(model, behavior))
+        index, omega = model._index, compute_omega(model)
+        observed = {k for q in choices for k, _ in index.rows[index.position[q]]}
+        penalised = observed - {index.number[pair] for pair in choices.items()}
+
+        def penalised_rewards() -> list[float]:
+            vector, penalty = list(model._float_rewards), -float(omega)
+            for k in penalised:
+                vector[k] = penalty
+            return vector
+
+        magnitude = omega if penalised else model.max_reward_magnitude()
+        fixed, _ = _float_values(model, magnitude, penalised_rewards)
         gaps = (
             q
             for q, value in zip(model.states, fixed)

@@ -506,7 +506,8 @@ def observed_choices(behavior: Behavior) -> dict[State, Action]:
     is empty.
     """
     constraints: dict[State, Action] = {}
-    for state, action in behavior.pairs():
+    tokens = iter(behavior.tokens)
+    for state, action in zip(tokens, tokens):
         if state in constraints and constraints[state] != action:
             raise InconsistentBehavior(state, constraints[state], action)
         constraints[state] = action

@@ -30,9 +30,9 @@ relative residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps,
 and is meant for larger models where exact arithmetic gets expensive; audit
 verdicts derived from float values are advisory.
 
-Float mode and the values-only :func:`_float_values` that float audits run
-on the penalised model run one Jacobi sweep kernel, :func:`_sweeps`, on the
-model's shared :class:`~purpose_audit.model.StructureIndex`: a reward vector
+Float mode and float step two, which runs on a penalised reward vector,
+share :func:`_float_values` and its Jacobi sweep kernel, :func:`_sweeps`, on
+the model's :class:`~purpose_audit.model.StructureIndex`: a reward vector
 indexed by pair number, successor lists with weights float(gamma) * float(p),
 backups accumulated in successor order and the first maximum kept, so its
 values are the same bit for bit whichever caller runs it. Within a call it
@@ -47,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConvergenceError
 from .model import (
@@ -507,15 +507,17 @@ def _warm_start(model: EnvironmentModel) -> list[int]:
     ]
 
 
-def _float_values(model: EnvironmentModel) -> tuple[list[float], float]:
-    """Float value iteration on ``model``'s rewards over its structure index.
+def _float_values(
+    model: EnvironmentModel, magnitude: Rational, rewards: Callable[[], Sequence[float]]
+) -> tuple[list[float], float]:
+    """Float value iteration over ``model``'s index on the vector ``rewards()``.
 
     Raises ConvergenceError when the discount rounds to 1.0, when values may
-    leave the float range (checked on the exact max |r| before any float
-    reward is made, since a reward beyond the float range has no float), or
-    when ``FLOAT_ITERATION_CAP`` sweeps do not reach ``FLOAT_RESIDUAL``.
-    Returns the values (in state order) and the scale that the residual and
-    equality tolerances are relative to.
+    leave the float range (checked on ``magnitude``, the vector's exact max
+    |r|, before ``rewards()`` is called, since a reward beyond the float
+    range has no float), or when ``FLOAT_ITERATION_CAP`` sweeps do not reach
+    ``FLOAT_RESIDUAL``. Returns the values (in state order) and the scale
+    that the residual and equality tolerances are relative to.
     """
     gamma = float(model.discount)
     if gamma == 1.0:
@@ -524,12 +526,12 @@ def _float_values(model: EnvironmentModel) -> tuple[list[float], float]:
             "value iteration cannot converge, use exact mode"
         )
     # Values lie in [-bound, bound], so a sweep's change is at most 2 * bound.
-    if 2 * model.max_reward_magnitude() / (1 - model.discount) > sys.float_info.max:
+    if 2 * magnitude / (1 - model.discount) > sys.float_info.max:
         raise ConvergenceError(
             "optimal values may reach max |r| / (1 - gamma), beyond the "
             "floating-point range; use exact mode"
         )
-    rewards = model._float_rewards
+    rewards = rewards()
     scale = max(1.0, max(map(abs, rewards), default=0.0) / (1 - gamma))
     # Stop when the step gap guarantees sup-distance to the fixed point of at
     # most residual * scale: ||V_k - V*|| <= gamma/(1-gamma) * ||V_k - V_{k-1}||.
@@ -547,8 +549,8 @@ def _float_values(model: EnvironmentModel) -> tuple[list[float], float]:
 
 
 def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
-    index = model._index
-    values, scale = _float_values(model)
+    index, top = model._index, model.max_reward_magnitude()
+    values, scale = _float_values(model, top, lambda: model._float_rewards)
     backups = _lookahead(index.rows, model._float_rewards, values)
     q = [value for row in backups for value in row]  # pairs are numbered by row
     q_star = dict(zip(index.pairs, q))

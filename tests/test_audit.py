@@ -15,6 +15,7 @@ from purpose_audit import (
     Behavior,
     BehaviorError,
     ConvergenceError,
+    EnvironmentModel,
     InconsistentBehavior,
     PolicyRule,
     RuleKind,
@@ -637,6 +638,57 @@ class TestFixProperties:
             v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
             gap_somewhere = any(v_model[q] != v_fixed[q] for q in model.states)
             assert (not consistent_optimal) == gap_somewhere
+
+
+class TestFloatStepTwoBuildsNoModel:
+    """Float step two iterates a penalised reward vector on the purpose's own
+    index: once each purpose is solved, a float audit, check or triage of
+    logs that reach step two calls neither ``compute_fix`` nor the model
+    constructor."""
+
+    def test_no_penalised_model_after_the_first_solve(self, monkeypatch):
+        rng = random.Random(17)
+        base = random_model(rng, n_states=(6, 6), zero_reward_fraction=0.3)
+        shifted = {
+            pair: r / 3 - 1 for pair, r in base.rewards.items() if pair[1] != NOTHING
+        }
+        purposes = {"p": base, "r": base.with_rewards(shifted)}
+        for model in purposes.values():
+            audit(model, Behavior((model.states[0],)), mode="float")
+        exact = solve_optimal(base)
+        walks = [mostly_greedy_walk(rng, base, exact, max_length=8) for _ in range(20)]
+        reasons = {b: audit(base, b, mode="float").reason for b in walks}
+        logs = [
+            b
+            for b, reason in reasons.items()
+            if reason is not AuditReason.STEP_ONE_USELESS
+        ]
+        assert {reasons[b] for b in logs} == {
+            AuditReason.VALUE_GAP_AT_ALL_STATES,
+            AuditReason.WITNESS_STATE_EQUAL_VALUE,
+        }
+
+        built, fixes = [], []
+        post_init = EnvironmentModel.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_fix(model, behavior):
+            fixes.append(behavior)
+            return compute_fix(model, behavior)
+
+        monkeypatch.setattr(EnvironmentModel, "__post_init__", counting_post_init)
+        monkeypatch.setattr(auditing, "compute_fix", counting_fix)
+        rule = PolicyRule(RuleKind.RESTRICTIVE, tuple(purposes))
+        for b in logs:
+            audit(base, b, mode="float")
+            check_restrictive(purposes, rule, b, mode="float")
+            triage(purposes["r"], [base], b, mode="float")
+        assert built == [] and fixes == []
+        base.with_rewards(base.rewards)  # the counter sees a construction
+        assert len(built) == 1
 
 
 class TestFloatModeDefects:

@@ -402,10 +402,10 @@ def hexed(table):
 
 class TestFloatModeIsBitIdentical:
     """Float mode runs on the shared structure index, and float step two
-    iterates ``compute_fix(model, b)`` on that index too. Values must be bit
-    for bit those of the reference iteration on the full model, and every
-    float verdict and witness that of comparing them with the reference
-    iteration on ``compute_fix(model, b)``."""
+    iterates the reward vector of ``compute_fix(model, b)`` on that index
+    too. Values must be bit for bit those of the reference iteration on the
+    full model, and every float verdict and witness that of comparing them
+    with the reference iteration on ``compute_fix(model, b)``."""
 
     GAMMAS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
 
@@ -535,6 +535,89 @@ class TestFloatModeIsBitIdentical:
             audit(model, behavior, mode="float")
         with pytest.raises(ConvergenceError, match="floating-point range"):
             solve_optimal(compute_fix(model, behavior), mode="float")
+
+
+class TestStepTwoVectorMatchesComputeFix:
+    """Float step two iterates the model's float rewards with -float(omega)
+    on each pair that ``compute_fix(model, b)`` penalises, with that model's
+    exact bound. Its values and scale must be those of ``_float_values`` on
+    ``compute_fix(model, b)``, hex for hex: on tie-heavy families, with
+    rewards over several denominators, for one-token logs, for logs at a
+    state with no action but N (no pair penalised, so the bound is r*), and
+    for walks that fit or leave a gap."""
+
+    GAMMAS = TestFloatModeIsBitIdentical.GAMMAS
+
+    @staticmethod
+    def _by_definition(model, behavior):
+        fixed = compute_fix(model, behavior)
+        magnitude = fixed.max_reward_magnitude()
+        return solve._float_values(fixed, magnitude, lambda: fixed._float_rewards)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from(GAMMAS),
+        st.sampled_from((0.6, 0.9)),
+        st.sampled_from((1, 3, 7)),
+    )
+    def test_values_match_the_penalised_model(self, seed, gamma, zero_fraction, d):
+        rng = random.Random(seed)
+        base = random_model(
+            rng, n_states=(2, 6), gammas=(gamma,), zero_reward_fraction=zero_fraction
+        )
+        # "z" has no action but N and no state leads into it.
+        model = validate_model(
+            states=[*base.states, "z"],
+            actions=base.actions,
+            transitions=base.transitions,
+            rewards={pair: r / d for pair, r in base.rewards.items()},
+            discount=gamma,
+        )
+        exact = solve_optimal(model)
+        behaviors = [
+            Behavior((rng.choice(model.states),)),
+            Behavior(("z", NOTHING, "z", NOTHING, "z")),
+            random_consistent_behavior(rng, model, max_length=8),
+            mostly_greedy_walk(rng, model, exact, max_length=8),
+        ]
+        step_two = []
+        float_values = auditing._float_values
+
+        def spy(*args):
+            step_two.append(float_values(*args))
+            return step_two[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(auditing, "_float_values", spy)
+            for behavior in behaviors:
+                step_two.clear()
+                outcome = audit(model, behavior, mode="float")
+                if outcome.reason is AuditReason.STEP_ONE_USELESS:
+                    assert not step_two
+                    continue
+                [(values, scale)] = step_two
+                expected, expected_scale = self._by_definition(model, behavior)
+                assert [v.hex() for v in values] == [v.hex() for v in expected]
+                assert scale.hex() == expected_scale.hex()
+
+    def test_unpenalised_log_keeps_the_model_bound(self):
+        # The model's bound 2 * 2**1020 / (1 - gamma) = 2**1023 is in float
+        # range and omega's is not: only a log that penalises a pair raises.
+        model = validate_model(
+            states=["s", "u"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"u": 1}, ("s", "b"): {"s": 1}},
+            rewards={("s", "a"): Fraction(2**1020)},
+            discount=Fraction(1, 2),
+        )
+        behavior = Behavior(("u", NOTHING, "u"))
+        outcome = audit(model, behavior, mode="float")
+        assert outcome.reason is AuditReason.WITNESS_STATE_EQUAL_VALUE
+        values, _ = self._by_definition(model, behavior)
+        assert values == list(model._solutions["float"].v_star.values())
+        with pytest.raises(ConvergenceError, match="floating-point range"):
+            audit(model, Behavior(("s", "a", "u")), mode="float")
 
 
 class TestDroppedActionsKeepFloatValues:

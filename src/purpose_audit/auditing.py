@@ -17,7 +17,8 @@ Every decision reads its purpose's optimal solution from the model, which
 keeps one per solver mode: the first decision that consults a purpose in a
 mode solves it there, so a run solves each consulted purpose once per mode
 however many logs it decides, and a purpose that no decision consults is
-never solved.
+never solved. An exact solution is certified on a float iterate when that
+settles every comparison (:mod:`~purpose_audit.solve`), and then has no V*.
 
 Exact mode reads the same answer off that one solution. A stationary strategy
 is optimal iff it picks an argmax-Q* action at every state, so the log fits
@@ -65,7 +66,7 @@ from .model import (
     observed_choices,
     validate_behavior,
 )
-from .solve import FLOAT_EQUALITY, OptimalSolution, _float_values, solve_optimal
+from .solve import FLOAT_EQUALITY, OptimalSolution, _decision_solution, _float_values
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -168,7 +169,7 @@ def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutc
     it."""
     solution = model._solutions.get(mode)
     if solution is None:
-        solution = model._solutions[mode] = solve_optimal(model, mode=mode)
+        solution = model._solutions[mode] = _decision_solution(model, mode)
 
     outcome = partial(AuditOutcome, mode=mode)
     useless = next(filter(solution._useless.__contains__, behavior.pairs()), None)

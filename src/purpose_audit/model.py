@@ -521,7 +521,7 @@ def validate_behavior(model: EnvironmentModel, behavior: Behavior) -> None:
     q --a--> t must use a defined pair (q, a), and every transition taken
     must have nonzero probability: a logged behavior comes from a contingency.
     """
-    index = model._index
+    index, transitions = model._index, model.transitions
     tokens = behavior.tokens
     q = tokens[0]
     if q not in index.position:
@@ -531,9 +531,9 @@ def validate_behavior(model: EnvironmentModel, behavior: Behavior) -> None:
             raise BehaviorError(f"unknown action {action!r} in behavior")
         if target not in index.position:
             raise BehaviorError(f"unknown state {target!r} in behavior")
-        if (q, action) not in model.transitions:
+        if (row := transitions.get((q, action))) is None:
             raise BehaviorError(f"action {action!r} is not available at state {q!r}")
-        if model.successors(q, action).get(target, ZERO) == 0:
+        if target not in row:  # a validated row holds only nonzero entries
             raise BehaviorError(
                 f"transition {q!r} --{action}--> {target!r} has probability 0"
             )

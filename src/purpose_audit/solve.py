@@ -16,6 +16,16 @@ the rewards divided by max |r|; that guess only picks where the exact loop
 begins. The loop stops when no action improves any state, so V*, Q* and the
 greedy sets do not depend on the guess.
 
+An audit reads only the signs and argmax sets of Q*, so an exact decision
+first tries to certify them on the guess's iterate V, read exactly
+(:func:`_certified`). With rho_q = |max_a Q(q, a) - V(q)|, each Q* is within
+delta = gamma max rho / (1 - gamma) of Q on V (Puterman 1994, 6.3; Williams
+and Baird 1993): a best action that leads by more than 2 delta is the one
+greedy action, and |Q| > delta gives a sign. Along that greedy sigma,
+V* - V = gamma P_sigma (V* - V) + TV - V, so |V* - V| at q is at most the
+largest rho sigma reaches from q over 1 - gamma; that settles other signs.
+Anything left open, an exact tie above all, falls back to policy iteration.
+
 Every exact backup is one integer dot product of the index's coefficients
 L * gamma * p, where L is the state's scale, with values over one common
 denominator D; rewards are numerators over the model's common reward
@@ -74,6 +84,9 @@ FLOAT_ITERATION_CAP = 1_000_000
 # exact rounds repair any action it gets wrong.
 _WARM_RESIDUAL = 3e-4
 _WARM_SWEEPS = 200
+# From this many states on, a warm-start iterate that is not certified runs up
+# to as many sweeps again before policy iteration; below, that costs more.
+_CERTIFY_SWEEPS_FROM = 200
 
 @dataclass(frozen=True)
 class OptimalSolution:
@@ -83,7 +96,8 @@ class OptimalSolution:
     as equal: 0 in exact mode, and in float mode ``FLOAT_EQUALITY`` times the
     scale max(1, max |r| / (1 - gamma)). The greedy sets hold the actions
     whose Q-value is within it of V*. In exact mode ``q_star`` is a
-    read-only mapping that builds each Fraction when it is read.
+    read-only mapping that builds each Fraction when it is read; a certified
+    solution (:func:`_certified`) has None for V* and Q*.
     ``_useless`` holds the non-nothing pairs whose Q-value is at most
     ``tolerance``: the pairs that step one of the audit rejects.
     ``_greedy_template`` is a byte per pair number, 1 on each greedy pair,
@@ -91,8 +105,8 @@ class OptimalSolution:
     count starts for a log that observes no state.
     """
 
-    v_star: Mapping[State, Rational]
-    q_star: Mapping[tuple[State, Action], Rational]
+    v_star: Mapping[State, Rational] | None
+    q_star: Mapping[tuple[State, Action], Rational] | None
     greedy: Mapping[State, tuple[Action, ...]]
     tolerance: Rational | float
     _useless: frozenset = field(compare=False, repr=False)
@@ -341,15 +355,15 @@ def _q_numerators(
 
 
 def _solution(
-    model: EnvironmentModel, values: Sequence, q: Sequence, attained: Sequence,
-    tolerance: Rational | float, q_star: Mapping,
+    model: EnvironmentModel, v_star: Mapping | None, q: Sequence, attained: Sequence,
+    tolerance: Rational | float, q_star: Mapping | None,
 ) -> OptimalSolution:
-    """The solution with V* ``values`` (in state order) and Q* ``q_star``, read
-    off ``q`` per pair number and ``attained`` per state, Q and V on one scale
-    per state: a pair is greedy when its q is within ``tolerance`` of its
-    state's attained value, and useless when its q is at most ``tolerance``.
-    Exact mode passes Q * R * L * D and V * R * L * D with tolerance 0; R, L
-    and D are positive, so signs and ties are those of Q* and V*."""
+    """The solution with V* ``v_star`` and Q* ``q_star``, read off ``q`` per
+    pair number and ``attained`` per state, Q and V on one scale per state:
+    a pair is greedy when its q is within ``tolerance`` of its state's
+    attained value, and useless when its q is at most ``tolerance``. Exact
+    mode passes Q * R * L * D and V * R * L * D with tolerance 0; R, L and D
+    are positive, so signs and ties are those of Q* and V*."""
     pairs, rows = model._index.pairs, model._index.rows
     flags, greedy = bytearray(len(q)), {}
     for state, row, best in zip(model.states, rows, attained):
@@ -358,7 +372,7 @@ def _solution(
         greedy[state] = tuple(pairs[k][1] for k, _ in row if flags[k])
     useless = (p for p, v in zip(pairs, q) if v <= tolerance and p[1] != NOTHING)
     return OptimalSolution(
-        v_star=dict(zip(model.states, values)),
+        v_star=v_star,
         q_star=q_star,
         greedy=greedy,
         tolerance=tolerance,
@@ -367,9 +381,8 @@ def _solution(
     )
 
 
-def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
-    index = model._index
-    choice, last = _warm_start(model), []
+def _policy_iteration(model: EnvironmentModel, choice: list[int]) -> OptimalSolution:
+    index, last = model._index, []
     while True:
         strategy = Strategy(tuple(index.pairs[k] for k in choice))
         values = list(evaluate_strategy(model, strategy).values())
@@ -387,7 +400,7 @@ def _policy_iteration(model: EnvironmentModel) -> OptimalSolution:
             break
         last = values
     q_star = _QTable(index, q, model._reward_numerators[1] * denominator)
-    return _solution(model, values, q, attained, 0, q_star)
+    return _solution(model, dict(zip(model.states, values)), q, attained, 0, q_star)
 
 
 def _sweeps(
@@ -469,23 +482,10 @@ def _lookahead(
     return table
 
 
-def _warm_start(model: EnvironmentModel) -> list[int]:
-    """Greedy policy of a short float value iteration, the first policy of
-    exact policy iteration, as one pair number per state.
-
-    Sweeps are Gauss-Seidel (Puterman 1994, 6.3.3): in state order and in
-    place, so they need about half as many as :func:`_sweeps`. Rewards are
-    divided by max |r| before they become floats, so every value stays in
-    float range whatever the model's magnitudes; with values bounded by
-    1/(1-gamma), the relative stop test reduces to gamma * gap <= residual.
-    A discount that rounds to 0 or 1 only makes the guess worse. Never raises.
-    """
-    rows, gamma = model._index.rows, float(model.discount)
-    numerators, _ = model._reward_numerators
-    top = max(map(abs, numerators)) or 1
-    rewards = [n / top for n in numerators]
-    values = [0.0] * len(rows)
-    for _ in range(_WARM_SWEEPS):
+def _gauss_seidel(rows, rewards, gamma, values: list[float], target, sweeps) -> int:
+    """In-place sweeps (Puterman 1994, 6.3.3) until gamma * (largest change)
+    <= target, which bounds |TV - V|: the number run, or 0 at ``sweeps``."""
+    for sweep in range(1, sweeps + 1):
         gap = 0.0
         for i, row in enumerate(rows):
             best = -math.inf
@@ -499,12 +499,98 @@ def _warm_start(model: EnvironmentModel) -> list[int]:
             if change > gap:
                 gap = change
             values[i] = best
-        if gamma * gap <= _WARM_RESIDUAL:
+        if gamma * gap <= target:
+            return sweep
+    return 0
+
+
+def _warm_start(model: EnvironmentModel) -> tuple:
+    """Gauss-Seidel to ``_WARM_RESIDUAL`` on the rewards over max |r|, which
+    keeps values in float range; never raises. The values, those rewards,
+    their lookahead table, the sweeps run (0 at the cap) and its first-best
+    policy, the guess."""
+    rows, gamma = model._index.rows, float(model.discount)
+    numerators, _ = model._reward_numerators
+    top = max(map(abs, numerators)) or 1
+    rewards, values = [n / top for n in numerators], [0.0] * len(rows)
+    ran = _gauss_seidel(rows, rewards, gamma, values, _WARM_RESIDUAL, _WARM_SWEEPS)
+    table = _lookahead(rows, rewards, values)
+    guess = [row[backups.index(max(backups))][0] for row, backups in zip(rows, table)]
+    return values, rewards, table, ran, guess
+
+
+def _float_margin(index: StructureIndex, table, floor: float) -> float:
+    """Least of half of each state's lead of its best backup over the next
+    and of each non-nothing |backup| > 0, or the first value <= ``floor``."""
+    pairs, margin = index.pairs, math.inf
+    for row, backups in zip(index.rows, table):
+        if len(backups) > 1:
+            second, first = sorted(backups)[-2:]
+            margin = min(margin, (first - second) / 2)
+        for (k, _), backup in zip(row, backups):
+            if backup and abs(backup) < margin and pairs[k][1] != NOTHING:
+                margin = abs(backup)
+        if margin <= floor:
             break
-    return [
-        row[backups.index(max(backups))][0]
-        for row, backups in zip(rows, _lookahead(rows, rewards, values))
-    ]
+    return margin
+
+
+def _certified(model: EnvironmentModel, values: Sequence) -> OptimalSolution | None:
+    """The decision tables certified on float values of the rewards over
+    max |r|, or None; per state, eps >= rho * R * D is an integer."""
+    index, (gn, gd) = model._index, model.discount.as_integer_ratio()
+    rows, scales, pairs = index.rows, index.scales, index.pairs
+    numerators, reward_denominator = model._reward_numerators
+    top, ratios = max(map(abs, numerators)) or 1, [v.as_integer_ratio() for v in values]
+    common = max(d for _, d in ratios)  # each d is a power of two
+    scaled = [n * top * (common // d) for n, d in ratios]
+    q, attained = _q_numerators(model, scaled, common * reward_denominator)
+    best = [max(q[k] for k, _ in row) for row in rows]
+    errors = [-(-abs(b - v) // scale) for b, v, scale in zip(best, attained, scales)]
+    # Comparisons are scaled by u = gd * (1 - gamma): delta * u <= gn max(eps) L.
+    u, worst, sigma, doubtful = gd - gn, gn * max(errors), [], []
+    for i, (row, b) in enumerate(zip(rows, best)):
+        delta = worst * scales[i]
+        sigma += [k for k, _ in row if (b - q[k]) * u <= 2 * delta]
+        doubtful += [(i, k) for k, _ in row if -delta < q[k] * u <= delta]
+    if len(sigma) > len(rows):
+        return None
+    doubtful = [(i, k) for i, k in doubtful if pairs[k][1] != NOTHING]
+    if doubtful:
+        coefficients, reach = index.coefficients, [-1] * len(rows)
+        graph = [[j for j, _ in coefficients[k]] for k in sigma]
+        for block in _components_sinks_first(graph):
+            error = max(max(errors[i], *(reach[j] for j in graph[i])) for i in block)
+            for i in block:
+                reach[i] = error
+        for i, k in doubtful:
+            slack = gn * scales[i] * max(reach[j] for j, _ in coefficients[k])
+            if -slack < q[k] * u <= slack:
+                return None
+    return _solution(model, None, q, best, 0, None)
+
+
+def _decision_solution(model: EnvironmentModel, mode: str) -> OptimalSolution:
+    """The audit's solution: in exact mode, the tables certified on the warm
+    start's iterate when its float residual is below its margin (again after
+    sweeping on, from ``_CERTIFY_SWEEPS_FROM`` states), else policy iteration's."""
+    if mode != "exact":
+        return solve_optimal(model, mode)
+    index, gamma = model._index, float(model.discount)
+    values, rewards, table, ran, guess = _warm_start(model)
+    more = ran if len(values) >= _CERTIFY_SWEEPS_FROM else 0
+    while gamma < 1:
+        floor = gamma * max(abs(max(b) - v) for b, v in zip(table, values)) / (1 - gamma)
+        margin = _float_margin(index, table, 0.0 if more else floor)
+        if margin > floor:
+            solution = _certified(model, values)
+            if solution is not None:
+                return solution
+        if not (more and margin):
+            break
+        _gauss_seidel(index.rows, rewards, gamma, values, (1 - gamma) * margin / 2, more)
+        table, more = _lookahead(index.rows, rewards, values), 0
+    return _policy_iteration(model, guess)
 
 
 def _float_values(
@@ -553,8 +639,8 @@ def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
     values, scale = _float_values(model, top, lambda: model._float_rewards)
     backups = _lookahead(index.rows, model._float_rewards, values)
     q = [value for row in backups for value in row]  # pairs are numbered by row
-    q_star = dict(zip(index.pairs, q))
-    return _solution(model, values, q, values, FLOAT_EQUALITY * scale, q_star)
+    q_star, v_star = dict(zip(index.pairs, q)), dict(zip(model.states, values))
+    return _solution(model, v_star, q, values, FLOAT_EQUALITY * scale, q_star)
 
 
 def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSolution:
@@ -565,7 +651,7 @@ def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSoluti
     ConvergenceError if ``FLOAT_ITERATION_CAP`` sweeps are not enough).
     """
     if mode == "exact":
-        return _policy_iteration(model)
+        return _policy_iteration(model, _warm_start(model)[-1])
     if mode == "float":
         return _value_iteration(model)
     raise ValueError(f"unknown solver mode {mode!r}")

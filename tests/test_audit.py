@@ -561,11 +561,12 @@ class TestTriage:
         treat, profit = fresh["treat"], fresh["profit"]
         solved = []
 
-        def counting(model, mode="exact"):
+        def counting(model, mode):
             solved.append(model)
-            return solve_optimal(model, mode)
+            return decide(model, mode)
 
-        monkeypatch.setattr(auditing, "solve_optimal", counting)
+        decide = auditing._decision_solution
+        monkeypatch.setattr(auditing, "_decision_solution", counting)
         b1, _ = logs
         assert triage(treat, [profit], b1) is False
         assert solved == [treat]

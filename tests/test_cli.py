@@ -219,12 +219,12 @@ class TestOneSolvePerPurpose:
     def test_solves(self, example_dir, monkeypatch, command, purposes, mode):
         solved = []
 
-        def counting(model, mode="exact"):
+        def counting(model, mode):
             solved.append((id(model), mode))
-            return solve(model, mode=mode)
+            return decide(model, mode)
 
-        solve = auditing.solve_optimal
-        monkeypatch.setattr(auditing, "solve_optimal", counting)
+        decide = auditing._decision_solution
+        monkeypatch.setattr(auditing, "_decision_solution", counting)
         name, *options = command
         code, out, _ = run(
             name,

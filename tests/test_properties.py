@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -240,6 +241,102 @@ class TestAuditInvariants:
         model = random_model(rng)
         start = rng.choice(model.states)
         assert not audit(model, Behavior((start,))).empty_intersection
+
+
+class TestCertifiedDecisions:
+    """An exact decision reads tables certified on the warm start's float
+    iterate when every comparison settles, and policy iteration's otherwise.
+    Either way they are ``solve_optimal``'s greedy sets, useless pairs and
+    greedy template, and every audit decides as it does on those. Low action
+    presence leaves states with only the nothing-action, and zero rewards
+    make exact ties, which never settle."""
+
+    GAMMAS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
+
+    @staticmethod
+    def certified(seed, gamma, zero_fraction, presence, sweep_from) -> bool:
+        rng = random.Random(seed)
+        model = random_model(
+            rng,
+            n_states=(2, 12),
+            max_support=3,
+            gammas=(gamma,),
+            action_presence=presence,
+            zero_reward_fraction=zero_fraction,
+        )
+        with mock.patch.object(solve, "_CERTIFY_SWEEPS_FROM", sweep_from):
+            decided = solve._decision_solution(model, "exact")
+        exact = solve_optimal(model)
+        assert decided.greedy == exact.greedy
+        assert decided._useless == exact._useless
+        assert decided._greedy_template == exact._greedy_template
+        twin = model.with_rewards(model.rewards)
+        model._solutions["exact"], twin._solutions["exact"] = decided, exact
+        for _ in range(4):
+            for behavior in (
+                mostly_greedy_walk(rng, model, exact, max_length=8),
+                random_walk_behavior(rng, model),
+            ):
+                assert audit(model, behavior) == audit(twin, behavior)
+        return decided.v_star is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from(GAMMAS),
+        st.sampled_from((0.0, 0.3, 0.6)),
+        st.sampled_from((0.85, 0.4)),
+        st.sampled_from((0, solve._CERTIFY_SWEEPS_FROM)),
+    )
+    def test_tables_and_outcomes_match_the_exact_solve(
+        self, seed, gamma, zero_fraction, presence, sweep_from
+    ):
+        self.certified(seed, gamma, zero_fraction, presence, sweep_from)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from(GAMMAS),
+        st.sampled_from((0.0, 0.3, 0.6)),
+        st.sampled_from((1e-1, 1e-2, 1e-3, 1e-4, 1e-6)),
+    )
+    def test_any_iterate_certifies_only_exact_tables(
+        self, seed, gamma, zero_fraction, noise
+    ):
+        # The bounds hold for every vector, not only for warm-start iterates:
+        # V* over max |r| / R, moved by up to ``noise`` at each state but at
+        # some where V* is 0, is certified either not at all or to the exact
+        # tables, including where the moves reorder actions or flip signs.
+        rng = random.Random(seed)
+        model = random_model(
+            rng,
+            n_states=(2, 8),
+            max_support=3,
+            gammas=(gamma,),
+            action_presence=0.6,
+            zero_reward_fraction=zero_fraction,
+        )
+        exact = solve_optimal(model)
+        numerators, denominator = model._reward_numerators
+        unit = Fraction(denominator, max(map(abs, numerators)) or 1)
+        values = [
+            float(v * unit)
+            + (0.0 if not v and rng.random() < 0.5 else noise * rng.uniform(-1, 1))
+            for v in exact.v_star.values()
+        ]
+        certified = solve._certified(model, values)
+        if certified is not None:
+            assert certified.greedy == exact.greedy
+            assert certified._useless == exact._useless
+            assert certified._greedy_template == exact._greedy_template
+
+    def test_both_branches_occur(self):
+        branches = [
+            self.certified(seed, gamma, 0.3, 0.4, solve._CERTIFY_SWEEPS_FROM)
+            for seed in range(8)
+            for gamma in self.GAMMAS
+        ]
+        assert any(branches) and not all(branches)
 
 
 class TestExactDecisionMatchesPenalisedModel:

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from purpose_audit import (
     NOTHING,
+    AuditReason,
+    Behavior,
     ConvergenceError,
     Strategy,
     audit,
@@ -24,7 +26,7 @@ from purpose_audit import solve
 from purpose_audit.solve import _warm_start, solve_linear_system
 
 from conftest import physician_behaviors, physician_models
-from generators import random_model
+from generators import mostly_greedy_walk, random_model
 
 F = Fraction
 
@@ -398,7 +400,7 @@ class TestWarmStartedSolver:
             rewards={("s", "a"): 1, ("s", "b"): 0, ("t", "a"): lift / gamma},
             discount=gamma,
         )
-        assert model._index.pairs[_warm_start(model)[0]] == ("s", "a")
+        assert model._index.pairs[_warm_start(model)[-1][0]] == ("s", "a")
         solution = solve_optimal(model)
         assert solution.v_star == {"s": 10 * lift, "t": 10 * lift / gamma}
         assert solution.greedy == {"s": ("b",), "t": ("a",)}
@@ -427,7 +429,7 @@ class TestWarmStartedSolver:
             gammas=(gamma,),
             zero_reward_fraction=zero_fraction,
         )
-        choice = _warm_start(model)
+        choice = _warm_start(model)[-1]
         assert len(choice) == len(model.states)
         for k, row in zip(choice, model._index.rows):
             assert k in [pair for pair, _ in row]
@@ -436,7 +438,7 @@ class TestWarmStartedSolver:
         for rewards in ({"a": 10**400, "b": -(10**400)}, {"a": F(1, 10**400)}):
             for gamma in (F(1, 10**400), 1 - F(1, 10**400)):
                 model = one_state_model(rewards, gamma)
-                assert model._index.pairs[_warm_start(model)[0]] == ("s", "a")
+                assert model._index.pairs[_warm_start(model)[-1][0]] == ("s", "a")
 
     def test_rounds_on_trap_family(self, monkeypatch):
         # The benchmark's family shape: n=120, three actions of support at
@@ -653,6 +655,84 @@ class TestSparseElimination:
             solve_optimal(model)
         assert len(rounds) == 2 and rounds[0] != rounds[1]
 
+class TestCertifiedTables:
+    def test_zero_pair_into_nothing_only_state_settles_in_phase_two(self, monkeypatch):
+        # At "s", "a" earns 1 a step for ever and "b" earns 0 and moves to
+        # "t", where only the nothing-action is available: Q*(s, b) = 0, so
+        # (s, b) is useless. The warm start's value at "s" is not exact, so
+        # the global bound delta > 0 leaves Q(s, b) = 0 open; the residual
+        # at "t" is exactly 0, and only the bound along the greedy policy,
+        # which stays at "t", shows Q*(s, b) <= 0.
+        model = validate_model(
+            states=["s", "t"],
+            actions=["a", "b"],
+            transitions={("s", "a"): {"s": 1}, ("s", "b"): {"t": 1}},
+            rewards={("s", "a"): 1},
+            discount=F(1, 2),
+        )
+        values = solve._warm_start(model)[0]  # max |r| = 1, so V is itself
+        iterate = {q: F(v) for q, v in zip(model.states, values)}
+        assert iterate["t"] == 0 and bellman_residual(model, iterate) > 0
+        phase_two = []
+        components = solve._components_sinks_first
+
+        def spy(graph):
+            phase_two.append(graph)
+            return components(graph)
+
+        monkeypatch.setattr(solve, "_components_sinks_first", spy)
+        solution = solve._certified(model, values)
+        assert len(phase_two) == 1
+        assert solution._useless == {("s", "b")}
+        assert solution.greedy == {"s": ("a",), "t": (NOTHING,)}
+        assert solution.v_star is None and solution.q_star is None
+        outcome = audit(model, Behavior(("s", "b", "t")))
+        assert outcome.reason is AuditReason.STEP_ONE_USELESS
+        assert model._solutions["exact"].v_star is None
+
+
+    def test_a_lead_within_twice_the_bound_is_open(self):
+        # Q*(s, a) = 1 beats Q*(s, b) by 2**-10. These values are 2**-6 low
+        # at "t" and 2**-6 high at "u", exactly the error their residuals
+        # allow, so on them b leads by 15 * 2**-10: more than delta = 2**-7,
+        # but not more than 2 delta, which both errors together can reach.
+        model = validate_model(
+            states=["s", "t", "u"],
+            actions=["a", "b", "c"],
+            transitions={
+                ("s", "a"): {"t": 1},
+                ("s", "b"): {"u": 1},
+                ("t", "c"): {"t": 1},
+                ("u", "c"): {"u": 1},
+            },
+            rewards={("t", "c"): 1, ("u", "c"): F(1023, 1024)},
+            discount=F(1, 2),
+        )
+        low, high = 2 - 2**-6, 2 - 2**-9 + 2**-6
+        assert solve_optimal(model).greedy["s"] == ("a",)
+        assert solve._certified(model, [high / 2, low, high]) is None
+
+    def test_error_flows_along_the_greedy_policy(self):
+        # The residual at "j" is 0, but the greedy policy leads from "j" to
+        # "w", whose value is 2**-4 low. So Q(s, a) = 0 on these values
+        # while Q*(s, a) = 2**-6 > 0: the bound at "j" must take in the
+        # residual at "w", and then (s, a) stays open.
+        model = validate_model(
+            states=["s", "j", "w"],
+            actions=["a", "b", "go"],
+            transitions={
+                ("s", "a"): {"j": 1},
+                ("s", "b"): {"s": 1},
+                ("j", "go"): {"w": 1},
+                ("w", "b"): {"w": 1},
+            },
+            rewards={("s", "a"): F(-31, 64), ("s", "b"): 1, ("w", "b"): 1},
+            discount=F(1, 2),
+        )
+        assert ("s", "a") not in solve_optimal(model)._useless
+        assert solve._certified(model, [2.0, 31 / 32, 31 / 16]) is None
+
+
 class TestSolverAtScale:
     def test_n640_exact_solve(self):
         model = random_model(
@@ -667,3 +747,33 @@ class TestSolverAtScale:
         elapsed = time.perf_counter() - start
         assert bellman_residual(model, solution.v_star) == 0
         assert elapsed < 2.0
+
+    def test_n1280_exact_audit_of_step_two_logs(self):
+        # An exact solve of this model takes seconds; its audits read tables
+        # certified on the warm start's float iterate. The logs follow the
+        # float solution's greedy sets, off its useless pairs.
+        def scale_model():
+            return random_model(
+                random.Random(5),
+                n_states=(1280, 1280),
+                n_actions=(3, 3),
+                max_support=3,
+                gammas=(F(9, 10),),
+            )
+
+        guide, rng, logs = scale_model(), random.Random(0), []
+        approx = solve_optimal(guide, mode="float")
+        while len(logs) < 8:
+            behavior = mostly_greedy_walk(rng, guide, approx, max_length=12)
+            if not any(pair in approx._useless for pair in behavior.pairs()):
+                logs.append(behavior)
+        model = scale_model()
+        start = time.perf_counter()
+        outcomes = [audit(model, behavior) for behavior in logs]
+        elapsed = time.perf_counter() - start
+        assert {o.reason for o in outcomes} == {
+            AuditReason.VALUE_GAP_AT_ALL_STATES,
+            AuditReason.WITNESS_STATE_EQUAL_VALUE,
+        }
+        assert model._solutions["exact"].v_star is None
+        assert elapsed < 0.6

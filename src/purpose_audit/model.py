@@ -281,9 +281,6 @@ class EnvironmentModel:
     def successors(self, state: State, action: Action) -> Mapping[State, Rational]:
         return self.transitions[(state, action)]
 
-    def reward(self, state: State, action: Action) -> Rational:
-        return self.rewards[(state, action)]
-
     def pairs(self) -> Iterator[tuple[State, Action]]:
         """Defined (state, action) pairs in deterministic state/action order."""
         return iter(self._index.pairs)
@@ -482,10 +479,6 @@ class Behavior:
             raise BehaviorError(
                 "a behavior is an odd-length alternation starting and ending with a state"
             )
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str]) -> Behavior:
-        return cls(tuple(tokens))
 
     @property
     def start(self) -> State:

@@ -13,7 +13,7 @@ from policy iteration with exact evaluation, which terminates because there
 are finitely many strategies and every round strictly improves some state.
 It starts from the greedy policy of a short float Gauss-Seidel iteration on
 the rewards divided by max |r|; that guess only picks where the exact loop
-begins. The loop stops when no action improves any state, so V*, Q* and the
+begins. The loop stops when no action improves any state, so V* and the
 greedy sets do not depend on the guess.
 
 An audit reads only the signs and argmax sets of Q*, so an exact decision
@@ -31,14 +31,14 @@ L * gamma * p, where L is the state's scale, with values over one common
 denominator D; rewards are numerators over the model's common reward
 denominator R. Evaluation returns one Fraction per state, so a round
 puts those values over D once (:func:`_over_common_denominator`) and compares
-the Q-values of a state as the integers Q * R * L * D. Q* is a read-only
-mapping over the last round's integers that builds a Fraction only for a pair
-someone reads. Both solvers build their solution in :func:`_solution`, which
-reads the greedy sets and step one's useless pairs off Q within the solver's
-tolerance, 0 on those integers. Float mode runs plain value iteration to the
-relative residual ``FLOAT_RESIDUAL``, within ``FLOAT_ITERATION_CAP`` sweeps,
-and is meant for larger models where exact arithmetic gets expensive; audit
-verdicts derived from float values are advisory.
+the Q-values of a state as the integers Q * R * L * D. A solution keeps V*,
+not Q*: Q*(q, a) is one backup from V*. Both solvers build their solution in
+:func:`_solution`, which reads the greedy sets and step one's useless pairs
+off Q within the solver's tolerance, 0 on those integers. Float mode runs
+plain value iteration to the relative residual ``FLOAT_RESIDUAL``, within
+``FLOAT_ITERATION_CAP`` sweeps, and is meant for larger models where exact
+arithmetic gets expensive; audit verdicts derived from float values are
+advisory.
 
 Float mode and float step two, which runs on a penalised reward vector,
 share :func:`_float_values` and its Jacobi sweep kernel, :func:`_sweeps`, on
@@ -90,47 +90,23 @@ _CERTIFY_SWEEPS_FROM = 200
 
 @dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal values, Q-values and the per-state set of maximizing actions.
+    """Optimal values and the per-state set of maximizing actions.
 
-    ``tolerance`` is how far apart two of its values may be and still count
-    as equal: 0 in exact mode, and in float mode ``FLOAT_EQUALITY`` times the
-    scale max(1, max |r| / (1 - gamma)). The greedy sets hold the actions
-    whose Q-value is within it of V*. In exact mode ``q_star`` is a
-    read-only mapping that builds each Fraction when it is read; a certified
-    solution (:func:`_certified`) has None for V* and Q*.
-    ``_useless`` holds the non-nothing pairs whose Q-value is at most
-    ``tolerance``: the pairs that step one of the audit rejects.
+    The greedy sets hold the actions whose Q-value is within the solver's
+    tolerance of V*: 0 in exact mode, and in float mode ``FLOAT_EQUALITY``
+    times the scale max(1, max |r| / (1 - gamma)). Q*(q, a) is one backup
+    from V*; a certified solution (:func:`_certified`) has None for V*.
+    ``_useless`` holds the non-nothing pairs whose Q-value is at most that
+    tolerance: the pairs that step one of the audit rejects.
     ``_greedy_template`` is a byte per pair number, 1 on each greedy pair,
     and the size of each state's greedy set: where the audit's safe-set
     count starts for a log that observes no state.
     """
 
     v_star: Mapping[State, Rational] | None
-    q_star: Mapping[tuple[State, Action], Rational] | None
     greedy: Mapping[State, tuple[Action, ...]]
-    tolerance: Rational | float
     _useless: frozenset = field(compare=False, repr=False)
     _greedy_template: tuple[bytes, tuple[int, ...]] = field(compare=False, repr=False)
-
-
-class _QTable(Mapping):
-    """Exact Q* in pair order, from the integers Q * R * L * D per pair
-    number: a read divides one by R * D and its state's L. It holds the
-    index, not the model, so a model's cached solution makes no cycle."""
-
-    def __init__(self, index: StructureIndex, q: list[int], denominator: int):
-        self._index, self._q, self._denominator = index, q, denominator
-
-    def __getitem__(self, pair):
-        index = self._index
-        k, i = index.number[pair], index.position[pair[0]]
-        return Fraction(self._q[k], self._denominator * index.scales[i])
-
-    def __iter__(self):
-        return iter(self._index.pairs)
-
-    def __len__(self):
-        return len(self._index.pairs)
 
 
 def solve_linear_system(
@@ -356,11 +332,11 @@ def _q_numerators(
 
 def _solution(
     model: EnvironmentModel, v_star: Mapping | None, q: Sequence, attained: Sequence,
-    tolerance: Rational | float, q_star: Mapping | None,
+    tolerance: Rational | float,
 ) -> OptimalSolution:
-    """The solution with V* ``v_star`` and Q* ``q_star``, read off ``q`` per
-    pair number and ``attained`` per state, Q and V on one scale per state:
-    a pair is greedy when its q is within ``tolerance`` of its state's
+    """The solution with V* ``v_star``, its flags read off ``q`` per pair
+    number and ``attained`` per state, Q and V on one scale per state: a
+    pair is greedy when its q is within ``tolerance`` of its state's
     attained value, and useless when its q is at most ``tolerance``. Exact
     mode passes Q * R * L * D and V * R * L * D with tolerance 0; R, L and D
     are positive, so signs and ties are those of Q* and V*."""
@@ -373,9 +349,7 @@ def _solution(
     useless = (p for p, v in zip(pairs, q) if v <= tolerance and p[1] != NOTHING)
     return OptimalSolution(
         v_star=v_star,
-        q_star=q_star,
         greedy=greedy,
-        tolerance=tolerance,
         _useless=frozenset(useless),
         _greedy_template=(bytes(flags), tuple(map(len, greedy.values()))),
     )
@@ -399,8 +373,7 @@ def _policy_iteration(model: EnvironmentModel, choice: list[int]) -> OptimalSolu
         if not changed:
             break
         last = values
-    q_star = _QTable(index, q, model._reward_numerators[1] * denominator)
-    return _solution(model, dict(zip(model.states, values)), q, attained, 0, q_star)
+    return _solution(model, dict(zip(model.states, values)), q, attained, 0)
 
 
 def _sweeps(
@@ -567,7 +540,7 @@ def _certified(model: EnvironmentModel, values: Sequence) -> OptimalSolution | N
             slack = gn * scales[i] * max(reach[j] for j, _ in coefficients[k])
             if -slack < q[k] * u <= slack:
                 return None
-    return _solution(model, None, q, best, 0, None)
+    return _solution(model, None, q, best, 0)
 
 
 def _decision_solution(model: EnvironmentModel, mode: str) -> OptimalSolution:
@@ -639,8 +612,8 @@ def _value_iteration(model: EnvironmentModel) -> OptimalSolution:
     values, scale = _float_values(model, top, lambda: model._float_rewards)
     backups = _lookahead(index.rows, model._float_rewards, values)
     q = [value for row in backups for value in row]  # pairs are numbered by row
-    q_star, v_star = dict(zip(index.pairs, q)), dict(zip(model.states, values))
-    return _solution(model, v_star, q, values, FLOAT_EQUALITY * scale, q_star)
+    v_star = dict(zip(model.states, values))
+    return _solution(model, v_star, q, values, FLOAT_EQUALITY * scale)
 
 
 def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSolution:

@@ -29,12 +29,14 @@ from purpose_audit import (
     triage,
     validate_model,
 )
-from purpose_audit import auditing
+from purpose_audit import auditing, solve
 from purpose_audit.model import observed_choices, validate_behavior
 from purpose_audit.oracle import reference
+from purpose_audit.solve import FLOAT_EQUALITY
 
 from conftest import physician_models
 from generators import mostly_greedy_walk, random_consistent_behavior, random_model
+from test_solve import q_on
 
 F = Fraction
 
@@ -70,18 +72,18 @@ class TestComputeFix:
         b1, _ = logs
         fixed = compute_fix(treat, b1)
         omega = compute_omega(treat)
-        assert fixed.reward("2", "diagnose") == -omega
-        assert fixed.reward("2", "send") == treat.reward("2", "send")
-        assert fixed.reward("2", "N") == -omega
-        assert fixed.reward("6", "send") == -omega
-        assert fixed.reward("6", "N") == 0
+        assert fixed.rewards[("2", "diagnose")] == -omega
+        assert fixed.rewards[("2", "send")] == treat.rewards[("2", "send")]
+        assert fixed.rewards[("2", "N")] == -omega
+        assert fixed.rewards[("6", "send")] == -omega
+        assert fixed.rewards[("6", "N")] == 0
         # The one model whose nothing-action rewards are not all 0: -omega
         # at every observed state that logged another action.
-        assert [q for q in fixed.states if fixed.reward(q, "N") != 0] == ["1", "2", "3"]
-        assert fixed.reward("1", "N") == fixed.reward("3", "N") == -omega
+        assert [q for q in fixed.states if fixed.rewards[(q, "N")] != 0] == ["1", "2", "3"]
+        assert fixed.rewards[("1", "N")] == fixed.rewards[("3", "N")] == -omega
         # Unobserved states keep their rewards.
-        assert fixed.reward("4", "send") == treat.reward("4", "send")
-        assert fixed.reward("5", "diagnose") == 12
+        assert fixed.rewards[("4", "send")] == treat.rewards[("4", "send")]
+        assert fixed.rewards[("5", "diagnose")] == 12
         # Structure is untouched.
         assert fixed.transitions == treat.transitions
         assert fixed.discount == treat.discount
@@ -89,17 +91,15 @@ class TestComputeFix:
         assert list(fixed.rewards) == list(treat.pairs())
 
     def test_inconsistent_behavior_rejected(self, treat):
-        clash = Behavior.from_tokens(
-            ["1", "take", "2", "send", "3", "diagnose", "6", "N", "6", "N", "6"]
+        clash = Behavior(
+            ("1", "take", "2", "send", "3", "diagnose", "6", "N", "6", "N", "6")
         )
         # consistent: repeated (6, N) agrees with itself
         compute_fix(treat, clash)
-        bad = Behavior.from_tokens(["2", "send", "3", "diagnose", "6", "send", "6"])
+        bad = Behavior(("2", "send", "3", "diagnose", "6", "send", "6"))
         constraints = observed_choices(bad)
         assert constraints["6"] == "send"
-        truly_bad = Behavior.from_tokens(
-            ["2", "diagnose", "6", "send", "6", "N", "6"]
-        )
+        truly_bad = Behavior(("2", "diagnose", "6", "send", "6", "N", "6"))
         with pytest.raises(InconsistentBehavior):
             compute_fix(treat, truly_bad)
 
@@ -129,7 +129,7 @@ class TestAudit:
             assert not audit(model, Behavior(("3",))).empty_intersection
 
     def test_step_one_fires_on_useless_pair(self, treat):
-        b = Behavior.from_tokens(["6", "send", "6"])
+        b = Behavior(("6", "send", "6"))
         outcome = audit(treat, b)
         assert outcome.empty_intersection
         assert outcome.reason is AuditReason.STEP_ONE_USELESS
@@ -137,14 +137,14 @@ class TestAudit:
 
     def test_step_one_witness_is_useless(self, treat):
         # Whenever step one fires, the witness pair is useless by definition.
-        b = Behavior.from_tokens(["6", "send", "6"])
+        b = Behavior(("6", "send", "6"))
         outcome = audit(treat, b)
         witness = (outcome.witness_state, outcome.witness_action)
         assert witness in reference(treat).useless
 
     def test_step_one_outranks_inconsistency(self, treat):
         # A clash that also crosses a useless pair: step one fires first.
-        clash = Behavior.from_tokens(["2", "diagnose", "6", "send", "6", "N", "6"])
+        clash = Behavior(("2", "diagnose", "6", "send", "6", "N", "6"))
         outcome = audit(treat, clash)
         assert outcome.empty_intersection
         assert outcome.reason is AuditReason.STEP_ONE_USELESS
@@ -163,7 +163,7 @@ class TestAudit:
             rewards={("s", "a"): 1, ("s", "b"): 1, ("t", "c"): 1},
             discount="1/2",
         )
-        clash = Behavior.from_tokens(["s", "a", "t", "c", "s", "b", "t"])
+        clash = Behavior(("s", "a", "t", "c", "s", "b", "t"))
         outcome = audit(model, clash)
         assert outcome.empty_intersection
         assert outcome.reason is AuditReason.INCONSISTENT_BEHAVIOR
@@ -191,7 +191,7 @@ class TestAudit:
             rewards={("s", "go"): 1},
             discount=1 - F(1, 10**20),
         )
-        behavior = Behavior.from_tokens(["s", "go", "s"])
+        behavior = Behavior(("s", "go", "s"))
         with pytest.raises(ConvergenceError, match="rounds to 1.0"):
             audit(model, behavior, mode="float")
 
@@ -260,7 +260,7 @@ class TestPolicyChecks:
             }
         )
         rule = PolicyRule(RuleKind.PROHIBITIVE, ("spite",))
-        b = Behavior.from_tokens(["1", "take", "2"])
+        b = Behavior(("1", "take", "2"))
         verdict = check_prohibitive({"spite": hopeless}, rule, b)
         assert verdict.status is VerdictStatus.COMPLIANT
         assert (
@@ -288,7 +288,7 @@ class TestPolicyChecks:
             )
 
         rule = PolicyRule(RuleKind.RESTRICTIVE, ("p", "q"))
-        b = Behavior.from_tokens(["s", "go", "t"])
+        b = Behavior(("s", "go", "t"))
         p, q = build("t", 1), build("t", 2)
         assert p.transitions is not q.transitions
         verdict = check_restrictive({"p": p, "q": q}, rule, b)
@@ -341,8 +341,8 @@ class TestPolicyChecks:
 
     def test_invalid_log_raises_as_audit_does(self, physician):
         rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
-        for tokens in (["1", "take", "9"], ["1", "fly", "2"], ["7"]):
-            b = Behavior.from_tokens(tokens)
+        for tokens in (("1", "take", "9"), ("1", "fly", "2"), ("7",)):
+            b = Behavior(tokens)
             with pytest.raises(BehaviorError) as expected:
                 audit(physician["treat"], b)
             with pytest.raises(BehaviorError, match=re.escape(str(expected.value))):
@@ -376,7 +376,7 @@ class TestSafeSet:
         )
         solution = solve_optimal(model)
         assert all(solution.greedy[q] == ("go",) for q in chain[:-1])
-        behavior = Behavior.from_tokens([end, "small", end])
+        behavior = Behavior((end, "small", end))
         started = time.perf_counter()
         outcome = audit(model, behavior)
         elapsed = time.perf_counter() - started
@@ -450,6 +450,19 @@ class TestDecisionTables:
             zero_reward_fraction=rng.choice((0.6, 0.8)),
         )
 
+    @staticmethod
+    def q_on_v_star(model, solution, mode):
+        """Q per pair, one backup from the solution's V*, and the solver's
+        tolerance: Fractions and 0, or the float backups of the solver's
+        own lookahead and FLOAT_EQUALITY times max(1, max |r| / (1 - gamma))."""
+        if mode == "exact":
+            return q_on(model, solution.v_star), 0
+        rewards, values = model._float_rewards, list(solution.v_star.values())
+        table = solve._lookahead(model._index.rows, rewards, values)
+        scale = max(1.0, max(map(abs, rewards)) / (1 - float(model.discount)))
+        q = dict(zip(model.pairs(), (b for row in table for b in row)))
+        return q, FLOAT_EQUALITY * scale
+
     @settings(max_examples=120, deadline=None)
     @given(
         st.integers(min_value=0, max_value=10**9),
@@ -491,7 +504,8 @@ class TestDecisionTables:
         # and the template is built with the solution, not on first read.
         model = self.tied_model(random.Random(seed), gamma, 3)
         solution = solve_optimal(model, mode)
-        greedy, q_star, v_star = solution.greedy, solution.q_star, solution.v_star
+        greedy, v_star = solution.greedy, solution.v_star
+        q_star, tolerance = self.q_on_v_star(model, solution, mode)
         assert "_greedy_template" in {f.name for f in fields(solution)}
         assert solution._greedy_template == (
             bytes(a in greedy[q] for q, a in model.pairs()),
@@ -503,7 +517,7 @@ class TestDecisionTables:
             actions = model.available_actions(q)
             assert greedy[q] == tuple(a for a in actions if flags[number[(q, a)]])
             gaps = (abs(q_star[(q, a)] - v_star[q]) for a in actions)
-            tied = tuple(a for a, gap in zip(actions, gaps) if gap <= solution.tolerance)
+            tied = tuple(a for a, gap in zip(actions, gaps) if gap <= tolerance)
             assert greedy[q] == tied
 
     @settings(max_examples=60, deadline=None)
@@ -515,10 +529,11 @@ class TestDecisionTables:
     def test_step_one_flags(self, seed, gamma, mode):
         model = self.tied_model(random.Random(seed), gamma, 3)
         solution = solve_optimal(model, mode)
+        q_star, tolerance = self.q_on_v_star(model, solution, mode)
         assert solution._useless == {
             pair
             for pair in model.pairs()
-            if pair[1] != NOTHING and solution.q_star[pair] <= solution.tolerance
+            if pair[1] != NOTHING and q_star[pair] <= tolerance
         }
 
 

@@ -1,15 +1,21 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name or class member goes unread.
+"""No module of the package imports a name it never uses, no private
+module-level name or class member goes unread, and no engine class has a
+public member that only the tests read.
 
 A deletion can leave an import behind that nothing reads, or a private
 helper, method or field that nothing calls or reads, and no linter runs in
-the test suite to catch either. The one allowance is ``modelfile``'s
-documented re-export of the literal caps that bound its format.
+the test suite to catch either. A public member that nothing in the package
+reads is a helper kept for the tests; the tests reach the same facts through
+what the program does read. The allowances: ``modelfile``'s documented
+re-export of the literal caps that bound its format, and the reference layer
+(``oracle``, ``nonredundancy``, ``traces``), which exists for the tests and
+may carry members only they read, such as ``Reference.tables``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "purpose_audit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
 RE_EXPORTS = {"modelfile": {"MAX_LITERAL_DIGITS", "MAX_LITERAL_EXPONENT"}}
+ENGINE = ("model", "solve", "auditing", "modelfile", "cli", "errors", "fixtures")
 
 
 def unused_imports(source: str) -> set[str]:
@@ -132,3 +139,55 @@ def test_no_unread_private_member(path):
     read = set().union(*map(attribute_reads, sources))
     unread = private_members(path.read_text(encoding="utf-8")) - read
     assert not unread, f"{path.name}: nothing in src/ reads members {sorted(unread)}"
+
+
+def unread_public_members(source: str, namespace: dict, read: set[str]) -> set[str]:
+    """``Class.name`` of each public method, property and annotated field
+    that a class body of ``source`` defines and ``read`` does not name. A
+    member that a base of the class object in ``namespace`` defines is an
+    override, read wherever the base's callers call it."""
+    unread = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = namespace[node.name].__mro__[1:]
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign):
+                name = ast.unparse(item.target)
+            else:
+                continue
+            if name.startswith("_") or name in read:
+                continue
+            if not any(name in vars(base) for base in bases):
+                unread.add(f"{node.name}.{name}")
+    return unread
+
+
+def test_detects_an_unread_public_member():
+    source = (
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n    def extra(self): pass\n"
+        "class C:\n"
+        "    x: int = 0\n    y: int\n    _z: int\n    w = 1\n"
+        "    def f(self): return self.x\n    def __len__(self): return 0\n"
+        "    @property\n    def p(self): return 1\n"
+        "    def g(self): pass\n"
+        "def use(c): return C(y=2), c.g()\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    unread = unread_public_members(source, namespace, attribute_reads(source))
+    assert unread == {"P.extra", "C.y", "C.f", "C.p"}
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_no_unread_public_member(module):
+    sources = (p.read_text(encoding="utf-8") for p in SOURCES)
+    read = set().union(*map(attribute_reads, sources))
+    namespace = vars(importlib.import_module(f"purpose_audit.{module}"))
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    unread = unread_public_members(source, namespace, read)
+    assert not unread, f"{module}.py: nothing in src/ reads {sorted(unread)}"

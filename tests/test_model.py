@@ -138,12 +138,12 @@ class TestValidateModel:
             "2": Fraction(9, 10),
             "4": Fraction(1, 10),
         }
-        assert treat.reward("1", "take") == 0
+        assert treat.rewards[("1", "take")] == 0
 
     def test_nothing_completed_everywhere(self, treat):
         for q in treat.states:
             assert treat.successors(q, "N") == {q: Fraction(1)}
-            assert treat.reward(q, "N") == 0
+            assert treat.rewards[(q, "N")] == 0
 
     def test_half_probability_row_rejected(self):
         with pytest.raises(DistributionError):
@@ -169,7 +169,7 @@ class TestValidateModel:
         # A pair without a listed reward gets 0, in validate_model and in
         # with_rewards alike.
         model = tiny(rewards={})
-        assert model.reward("s", "a") == 0
+        assert model.rewards[("s", "a")] == 0
         assert list(model.rewards) == list(model.pairs())
         other = tiny().with_rewards({("s", "a"): 3})
         assert other.rewards == {("s", "a"): 3, ("s", "N"): 0, ("u", "N"): 0}
@@ -209,7 +209,7 @@ class TestValidateModel:
     def test_missing_nothing_reward_is_zero(self):
         # A declared nothing row needs no reward entry either.
         model = tiny(transitions={("s", "a"): {"u": 1}, ("s", "N"): {"s": 1}})
-        assert model.reward("s", "N") == 0
+        assert model.rewards[("s", "N")] == 0
         assert list(model.rewards) == list(model.pairs())
 
     def test_explicit_valid_nothing_row_accepted(self):
@@ -349,13 +349,13 @@ class TestRewardTable:
         assert model == twin == reference and reference == model
         assert repr(model) == repr(reference)
         for q, a in model.pairs():
-            assert model.reward(q, a) == full[(q, a)]
+            assert model.rewards[(q, a)] == full[(q, a)]
         q = model.states[0]
         for undefined in ((q, "zz"), ("zz", NOTHING)):
             assert undefined not in model.rewards
             assert model.rewards.get(undefined) is None
             with pytest.raises(KeyError):
-                model.reward(*undefined)
+                model.rewards[undefined]
         for pair in model.pairs():
             if pair[1] != NOTHING:
                 assert model.with_rewards({**listed, pair: full[pair] + 1}) != model
@@ -392,14 +392,14 @@ class TestStrategy:
 class TestBehavior:
     def test_tokens_round_trip(self, logs):
         b1, _ = logs
-        assert Behavior.from_tokens(b1.tokens) == b1
+        assert Behavior(b1.tokens) == b1
         assert b1.pairs() == [
             ("1", "take"), ("2", "send"), ("3", "diagnose"), ("6", "N"),
         ]
 
     def test_even_token_count_rejected(self):
         with pytest.raises(BehaviorError):
-            Behavior.from_tokens(["take", "1"])
+            Behavior(("take", "1"))
 
     def test_constructor_takes_an_odd_length_tuple(self, treat):
         bare = Behavior(("1",))
@@ -409,7 +409,7 @@ class TestBehavior:
         for tokens in ("q1", ["1"], ("1", "take"), ()):
             with pytest.raises(BehaviorError):
                 Behavior(tokens)
-        walk = Behavior.from_tokens(["1", "take", "2"])
+        walk = Behavior(("1", "take", "2"))
         assert walk.tokens == ("1", "take", "2")
         assert walk.pairs() == [("1", "take")]
         (checked,) = parse_log("1 take 2\n", treat)
@@ -422,19 +422,19 @@ class TestBehavior:
         validate_behavior(treat, b2)
 
     def test_zero_probability_step_rejected(self, treat):
-        bad = Behavior.from_tokens(["1", "take", "6"])
+        bad = Behavior(("1", "take", "6"))
         with pytest.raises(BehaviorError):
             validate_behavior(treat, bad)
 
     def test_unknown_tokens_rejected(self, treat):
         with pytest.raises(BehaviorError):
-            validate_behavior(treat, Behavior.from_tokens(["9"]))
+            validate_behavior(treat, Behavior(("9",)))
         with pytest.raises(BehaviorError):
-            validate_behavior(treat, Behavior.from_tokens(["1", "zap", "2"]))
+            validate_behavior(treat, Behavior(("1", "zap", "2")))
 
     def test_unavailable_action_rejected(self, treat):
         # diagnose is a known action, but not one available at state 1.
-        bad = Behavior.from_tokens(["1", "diagnose", "6"])
+        bad = Behavior(("1", "diagnose", "6"))
         message = "action 'diagnose' is not available at state '1'"
         with pytest.raises(BehaviorError, match=message):
             validate_behavior(treat, bad)
@@ -456,10 +456,10 @@ class TestObservedChoices:
         }
 
     def test_inconsistent_behavior_detected(self):
-        b = Behavior.from_tokens(["2", "send", "3", "diagnose", "6", "send", "6"])
+        b = Behavior(("2", "send", "3", "diagnose", "6", "send", "6"))
         # fine: three distinct states
         assert observed_choices(b)["6"] == "send"
-        clash = Behavior.from_tokens(["2", "send", "2", "diagnose", "6"])
+        clash = Behavior(("2", "send", "2", "diagnose", "6"))
         with pytest.raises(InconsistentBehavior):
             observed_choices(clash)
 

@@ -79,7 +79,7 @@ def format_model_document(models: dict) -> str:
         for q, a in model.pairs():
             if a == NOTHING:
                 continue
-            reward = model.reward(q, a)
+            reward = model.rewards[(q, a)]
             if reward != 0:
                 lines.append(f"reward: {q} {a} = {_format_rational(reward)}")
     return "\n".join(lines) + "\n"
@@ -96,17 +96,17 @@ class TestParseModel:
         treat, profit = models["treat"], models["profit"]
         assert treat.transitions == profit.transitions
         assert treat.discount == profit.discount == Fraction(9, 10)
-        assert treat.reward("2", "send") == 0
-        assert profit.reward("2", "send") == 9
+        assert treat.rewards[("2", "send")] == 0
+        assert profit.rewards[("2", "send")] == 9
 
     def test_travel_document(self):
         models = parse_model(TRAVEL_MODEL)
         assert set(models) == {"business", "lecture"}
         business, lecture = models["business"], models["lecture"]
-        assert business.reward("home", "driveNY") == 2
-        assert business.reward("home", "flyNY") == 1
-        assert lecture.reward("home", "driveDC") == 2
-        assert lecture.reward("home", "flyDC") == 1
+        assert business.rewards[("home", "driveNY")] == 2
+        assert business.rewards[("home", "flyNY")] == 1
+        assert lecture.rewards[("home", "driveDC")] == 2
+        assert lecture.rewards[("home", "flyDC")] == 1
         assert business.transitions == lecture.transitions
 
     def test_pairs_follow_declared_action_order(self):
@@ -146,7 +146,7 @@ class TestParseModel:
             parse_model(body.format("transition: s N -> s 1\n"))
         assert str(implicit.value) == str(declared.value)
         zero = parse_model(body.format("").replace("= 5", "= 0"))["p"]
-        assert zero.reward("s", "N") == 0
+        assert zero.rewards[("s", "N")] == 0
 
     def test_missing_gamma(self):
         text = "states: a\nactions: x\ntransition: a x -> a 1\npurpose: p\n"
@@ -161,7 +161,7 @@ class TestParseModel:
         )
         model = parse_model(text)["p"]
         assert model.successors("a", "x") == {"a": Fraction(9, 10), "b": Fraction(1, 10)}
-        assert model.reward("a", "x") == Fraction(1, 4)
+        assert model.rewards[("a", "x")] == Fraction(1, 4)
         assert model.discount == Fraction(1, 2)
 
     def test_errors_carry_line_numbers(self):
@@ -715,11 +715,11 @@ class TestLiteralBounds:
 
     def test_literals_at_the_bounds_accepted(self):
         big = parse_model(self.DOCUMENT.format(f"1e{MAX_LITERAL_EXPONENT}"))["p"]
-        assert big.reward("a", "x") == 10**MAX_LITERAL_EXPONENT
+        assert big.rewards[("a", "x")] == 10**MAX_LITERAL_EXPONENT
         tiny = parse_model(self.DOCUMENT.format(f"25e-{MAX_LITERAL_EXPONENT}"))["p"]
-        assert tiny.reward("a", "x") == Fraction(25, 10**MAX_LITERAL_EXPONENT)
+        assert tiny.rewards[("a", "x")] == Fraction(25, 10**MAX_LITERAL_EXPONENT)
         wide = parse_model(self.DOCUMENT.format("7" * MAX_LITERAL_DIGITS))["p"]
-        assert wide.reward("a", "x") == int("7" * MAX_LITERAL_DIGITS)
+        assert wide.rewards[("a", "x")] == int("7" * MAX_LITERAL_DIGITS)
 
 
 def reward_family(seed: int, count: int) -> dict:
@@ -845,7 +845,7 @@ class TestNothingAtEveryState:
             for q in model.states:
                 assert NOTHING in model.available_actions(q)
                 assert model.successors(q, NOTHING) == {q: 1}
-                assert model.reward(q, NOTHING) == 0
+                assert model.rewards[(q, NOTHING)] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from((0.2, 0.5, 0.85)), st.data())

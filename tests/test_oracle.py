@@ -33,7 +33,7 @@ from generators import (
 def lookahead(model, values, q, a):
     """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
     expected = sum(p * values[t] for t, p in model.successors(q, a).items())
-    return model.reward(q, a) + model.discount * expected
+    return model.rewards[(q, a)] + model.discount * expected
 
 
 def max_q_over_strategies(model, state, action):
@@ -128,9 +128,10 @@ class TestOracleUseless:
         rng = random.Random(71)
         for _ in range(10):
             model = random_model(rng, n_states=(2, 4))
-            solution = solve_optimal(model)
+            v_star = solve_optimal(model).v_star
             for q, a in model.pairs():
-                assert max_q_over_strategies(model, q, a) == solution.q_star[(q, a)]
+                q_star = lookahead(model, v_star, q, a)
+                assert max_q_over_strategies(model, q, a) == q_star
 
 
 class TestOracleAudit:
@@ -144,7 +145,7 @@ class TestOracleAudit:
         assert reference(treat).empty(Behavior(("4",))) is False
 
     def test_inconsistent_behavior_is_empty(self, treat):
-        clash = Behavior.from_tokens(["2", "diagnose", "6", "send", "6", "N", "6"])
+        clash = Behavior(("2", "diagnose", "6", "send", "6", "N", "6"))
         assert reference(treat).empty(clash) is True
 
     def test_agrees_with_engine_on_random_pairs(self):

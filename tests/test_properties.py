@@ -188,14 +188,11 @@ class TestSolverInvariants:
         model = random_model(random.Random(seed))
         solution = solve_optimal(model)
         for q in model.states:
-            best = max(
-                solution.q_star[(q, a)] for a in model.available_actions(q)
-            )
-            assert solution.v_star[q] == best
+            actions = model.available_actions(q)
+            backups = [lookahead(model, solution.v_star, q, a) for a in actions]
+            assert solution.v_star[q] == max(backups)
             assert solution.greedy[q] == tuple(
-                a
-                for a in model.available_actions(q)
-                if solution.q_star[(q, a)] == best
+                a for a, backup in zip(actions, backups) if backup == max(backups)
             )
 
 
@@ -230,9 +227,9 @@ class TestAuditInvariants:
         omega = compute_omega(model)
         for (q, a), reward in model.rewards.items():
             if q in constraints and a != constraints[q]:
-                assert fixed.reward(q, a) == -omega
+                assert fixed.rewards[(q, a)] == -omega
             else:
-                assert fixed.reward(q, a) == reward
+                assert fixed.rewards[(q, a)] == reward
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
@@ -417,7 +414,7 @@ class TestExactDecisionMatchesPenalisedModel:
             rewards={("s0", "a"): Fraction(3, 2), ("s0", "b"): 1, ("s1", "c"): 1},
             discount=Fraction(1, 2),
         )
-        behavior = Behavior.from_tokens(["s0", "a", "s1", "N", "s1"])
+        behavior = Behavior(("s0", "a", "s1", "N", "s1"))
         outcome = audit(model, behavior)
         assert outcome.reason is AuditReason.VALUE_GAP_AT_ALL_STATES
         assert outcome.witness_state == "s0"
@@ -527,7 +524,10 @@ class TestFloatModeIsBitIdentical:
         solution = solve_optimal(model, mode="float")
         v_star, q_star, greedy = reference_value_iteration(model)
         assert hexed(solution.v_star) == hexed(v_star)
-        assert hexed(solution.q_star) == hexed(q_star)
+        values = list(solution.v_star.values())
+        table = solve._lookahead(model._index.rows, model._float_rewards, values)
+        q_float = dict(zip(model.pairs(), (b for row in table for b in row)))
+        assert hexed(q_float) == hexed(q_star)
         assert list(solution.greedy.items()) == list(greedy.items())
         exact = solve_optimal(model)
         for _ in range(3):
@@ -606,7 +606,7 @@ class TestFloatModeIsBitIdentical:
             rewards={("s", "a"): 3, ("s", "b"): 1},
             discount=Fraction(9, 10),
         )
-        behavior = Behavior.from_tokens(["u", "N", "u"])
+        behavior = Behavior(("u", "N", "u"))
         assert compute_fix(model, behavior).rewards == model.rewards
         outcome = audit(model, behavior, mode="float")
         reason, witness = self._expected(
@@ -627,7 +627,7 @@ class TestFloatModeIsBitIdentical:
         )
         solution = solve_optimal(model, mode="float")
         assert solution.v_star["s"] == pytest.approx(2.0**1021, rel=1e-6)
-        behavior = Behavior.from_tokens(["s", "a", "s"])
+        behavior = Behavior(("s", "a", "s"))
         with pytest.raises(ConvergenceError, match="floating-point range"):
             audit(model, behavior, mode="float")
         with pytest.raises(ConvergenceError, match="floating-point range"):
@@ -821,5 +821,5 @@ class TestDroppedActionsKeepFloatValues:
             model.states, model.actions, model.transitions, model.discount
         )
         assert model._index is index and index.rows is rows and rows == fresh.rows
-        assert list(solution.q_star) == list(model.pairs())
+        assert len(solution._greedy_template[0]) == len(model._index.pairs)
 

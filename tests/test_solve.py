@@ -199,7 +199,7 @@ def dense_values(model, choice):
     column = {q: j for j, q in enumerate(states)}
     rows = []
     for i, q in enumerate(states):
-        row = [F(int(i == j)) for j in range(n)] + [model.reward(q, choice[q])]
+        row = [F(int(i == j)) for j in range(n)] + [model.rewards[(q, choice[q])]]
         for target, p in model.successors(q, choice[q]).items():
             row[column[target]] -= model.discount * p
         rows.append(row)
@@ -217,7 +217,12 @@ def dense_values(model, choice):
 def lookahead(model, values, q, a):
     """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
     expected = sum(p * values[t] for t, p in model.successors(q, a).items())
-    return model.reward(q, a) + model.discount * expected
+    return model.rewards[(q, a)] + model.discount * expected
+
+
+def q_on(model, values):
+    """Q per defined pair, one backup from ``values``."""
+    return {pair: lookahead(model, values, *pair) for pair in model.pairs()}
 
 
 def dense_optimal(model):
@@ -225,7 +230,7 @@ def dense_optimal(model):
     choice = {q: NOTHING for q in model.states}
     while True:
         values = dense_values(model, choice)
-        q_star = {pair: lookahead(model, values, *pair) for pair in model.pairs()}
+        q_star = q_on(model, values)
         changed = False
         for q in model.states:
             best = max(model.available_actions(q), key=lambda a: q_star[(q, a)])
@@ -267,7 +272,7 @@ class TestSolverMatchesDenseReference:
         solution = solve_optimal(model)
         v_star, q_star, greedy = dense_optimal(model)
         assert dict(solution.v_star) == v_star
-        assert dict(solution.q_star) == q_star
+        assert q_on(model, solution.v_star) == q_star
         assert dict(solution.greedy) == greedy
         assert bellman_residual(model, solution.v_star) == 0
 
@@ -332,41 +337,20 @@ class TestRationalInputs:
         solution = solve_optimal(model)
         v_star, q_star, greedy = dense_optimal(model)
         assert dict(solution.v_star) == v_star
-        assert dict(solution.q_star) == q_star
+        assert q_on(model, solution.v_star) == q_star
         assert dict(solution.greedy) == greedy
         assert bellman_residual(model, solution.v_star) == 0
         assert model.max_reward_magnitude() == max(map(abs, model.rewards.values()))
         # Off the fixed point: the residual of V* + 1 at every state.
         shifted = {q: v + 1 for q, v in solution.v_star.items()}
-        backups = {pair: lookahead(model, shifted, *pair) for pair in model.pairs()}
+        backups = q_on(model, shifted)
         assert bellman_residual(model, shifted) == max(
             abs(shifted[q] - max(backups[(q, a)] for a in model.available_actions(q)))
             for q in model.states
         )
 
 
-class TestLazyQStar:
-    """Exact Q* is a read-only mapping that builds each Fraction on read."""
-
-    @settings(max_examples=40, deadline=None)
-    @sweep
-    def test_mapping_contract(self, seed, gamma, zero_fraction):
-        model = sweep_model(seed, gamma, zero_fraction)
-        solution = solve_optimal(model)
-        v_star = solution.v_star
-        eager = {pair: lookahead(model, v_star, *pair) for pair in model.pairs()}
-        q_star = solution.q_star
-        assert dict(q_star) == eager
-        assert list(q_star) == list(model.pairs())
-        assert len(q_star) == len(eager)
-        undefined = [
-            (q, a) for q in model.states for a in model.actions if (q, a) not in eager
-        ]
-        for pair in [*undefined, ("no such state", NOTHING), "not a pair"]:
-            assert pair not in q_star
-            with pytest.raises(KeyError):
-                q_star[pair]
-
+class TestCachedSolution:
     def test_solved_model_is_freed_without_the_cycle_collector(self):
         # Each solution is cached on its model, so a solution that refers
         # back to the model makes a cycle, and a dropped model would stay in
@@ -378,7 +362,8 @@ class TestLazyQStar:
                 for behavior in physician_behaviors():
                     audit(model, behavior)
                     audit(model, behavior, mode="float")
-                assert model._solutions["exact"].q_star[("1", "take")] is not None
+                solution = model._solutions["exact"]
+                assert solution.v_star["1"] is not None and solution.greedy["1"]
             dropped = [weakref.ref(model) for model in models.values()]
             del models, model
             assert [ref() for ref in dropped] == [None, None]
@@ -404,7 +389,7 @@ class TestWarmStartedSolver:
         solution = solve_optimal(model)
         assert solution.v_star == {"s": 10 * lift, "t": 10 * lift / gamma}
         assert solution.greedy == {"s": ("b",), "t": ("a",)}
-        assert solution.q_star[("s", "a")] == 1 + gamma * 10 * lift
+        assert lookahead(model, solution.v_star, "s", "a") == 1 + gamma * 10 * lift
         assert bellman_residual(model, solution.v_star) == 0
 
     @settings(max_examples=80, deadline=None)
@@ -685,7 +670,7 @@ class TestCertifiedTables:
         assert len(phase_two) == 1
         assert solution._useless == {("s", "b")}
         assert solution.greedy == {"s": ("a",), "t": (NOTHING,)}
-        assert solution.v_star is None and solution.q_star is None
+        assert solution.v_star is None
         outcome = audit(model, Behavior(("s", "b", "t")))
         assert outcome.reason is AuditReason.STEP_ONE_USELESS
         assert model._solutions["exact"].v_star is None

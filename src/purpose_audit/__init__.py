@@ -56,7 +56,6 @@ from .model import (
 from .modelfile import parse_log, parse_model
 from .solve import (
     OptimalSolution,
-    bellman_residual,
     evaluate_strategy,
     solve_optimal,
 )

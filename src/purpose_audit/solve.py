@@ -24,7 +24,10 @@ and Baird 1993): a best action that leads by more than 2 delta is the one
 greedy action, and |Q| > delta gives a sign. Along that greedy sigma,
 V* - V = gamma P_sigma (V* - V) + TV - V, so |V* - V| at q is at most the
 largest rho sigma reaches from q over 1 - gamma; that settles other signs.
-Anything left open, an exact tie above all, falls back to policy iteration.
+When the warm start met its residual and left anything open, it sweeps on,
+at most as many sweeps again, toward the float margin of every comparison,
+and the new iterate is tried once more. Anything still open, an exact tie
+above all, falls back to policy iteration.
 
 Every exact backup is one integer dot product of the index's coefficients
 L * gamma * p, where L is the state's scale, with values over one common
@@ -84,9 +87,7 @@ FLOAT_ITERATION_CAP = 1_000_000
 # exact rounds repair any action it gets wrong.
 _WARM_RESIDUAL = 3e-4
 _WARM_SWEEPS = 200
-# From this many states on, a warm-start iterate that is not certified runs up
-# to as many sweeps again before policy iteration; below, that costs more.
-_CERTIFY_SWEEPS_FROM = 200
+
 
 @dataclass(frozen=True)
 class OptimalSolution:
@@ -492,9 +493,9 @@ def _warm_start(model: EnvironmentModel) -> tuple:
     return values, rewards, table, ran, guess
 
 
-def _float_margin(index: StructureIndex, table, floor: float) -> float:
+def _float_margin(index: StructureIndex, table) -> float:
     """Least of half of each state's lead of its best backup over the next
-    and of each non-nothing |backup| > 0, or the first value <= ``floor``."""
+    and of each non-nothing |backup| > 0."""
     pairs, margin = index.pairs, math.inf
     for row, backups in zip(index.rows, table):
         if len(backups) > 1:
@@ -503,8 +504,6 @@ def _float_margin(index: StructureIndex, table, floor: float) -> float:
         for (k, _), backup in zip(row, backups):
             if backup and abs(backup) < margin and pairs[k][1] != NOTHING:
                 margin = abs(backup)
-        if margin <= floor:
-            break
     return margin
 
 
@@ -545,16 +544,16 @@ def _certified(model: EnvironmentModel, values: Sequence) -> OptimalSolution | N
 
 def _decision_solution(model: EnvironmentModel, mode: str) -> OptimalSolution:
     """The audit's solution: in exact mode, the tables certified on the warm
-    start's iterate when its float residual is below its margin (again after
-    sweeping on, from ``_CERTIFY_SWEEPS_FROM`` states), else policy iteration's."""
+    start's iterate when its float residual is below its margin, or on that
+    iterate after up to as many sweeps again toward the margin, else policy
+    iteration's."""
     if mode != "exact":
         return solve_optimal(model, mode)
     index, gamma = model._index, float(model.discount)
-    values, rewards, table, ran, guess = _warm_start(model)
-    more = ran if len(values) >= _CERTIFY_SWEEPS_FROM else 0
+    values, rewards, table, more, guess = _warm_start(model)
     while gamma < 1:
         floor = gamma * max(abs(max(b) - v) for b, v in zip(table, values)) / (1 - gamma)
-        margin = _float_margin(index, table, 0.0 if more else floor)
+        margin = _float_margin(index, table)
         if margin > floor:
             solution = _certified(model, values)
             if solution is not None:
@@ -628,21 +627,3 @@ def solve_optimal(model: EnvironmentModel, mode: str = "exact") -> OptimalSoluti
     if mode == "float":
         return _value_iteration(model)
     raise ValueError(f"unknown solver mode {mode!r}")
-
-
-def bellman_residual(model: EnvironmentModel, values: Mapping[State, Rational]):
-    """max over states of |v(q) - max_a [r(q,a) + gamma * sum t v]|, for
-    exact values.
-
-    Exactly zero (as a Fraction) for exact optimal values.
-    """
-    table = [values[q] for q in model.states]
-    numerators, denominator = _over_common_denominator(table)
-    q, attained = _q_numerators(model, numerators, denominator)
-    common = model._reward_numerators[1] * denominator
-    index = model._index
-    return max(
-        Fraction(abs(v - max(q[k] for k, _ in row)), common * scale)
-        for v, row, scale in zip(attained, index.rows, index.scales)
-    )
-

@@ -1,4 +1,5 @@
-"""Randomized model and log generators for the property suites.
+"""Randomized model and log generators for the property suites, and the
+Bellman backup in plain Fractions that the suites check solutions against.
 
 Every generator draws from the ``random.Random`` it is given, so a seed
 reproduces the same models and logs.
@@ -155,3 +156,23 @@ def _random_successor(
     rng: random.Random, model: EnvironmentModel, state: State, action: Action
 ) -> State:
     return rng.choice(sorted(model.successors(state, action)))
+
+
+def lookahead(model: EnvironmentModel, values, q: State, a: Action) -> Fraction:
+    """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
+    expected = sum(p * values[t] for t, p in model.successors(q, a).items())
+    return model.rewards[(q, a)] + model.discount * expected
+
+
+def q_on(model: EnvironmentModel, values) -> dict:
+    """Q per defined pair, one backup from ``values``."""
+    return {pair: lookahead(model, values, *pair) for pair in model.pairs()}
+
+
+def bellman_residual(model: EnvironmentModel, values) -> Fraction:
+    """max over states of |values[q] - max_a lookahead(q, a)|: exactly 0
+    for V*."""
+    return max(
+        abs(v - max(lookahead(model, values, q, a) for a in model.available_actions(q)))
+        for q, v in values.items()
+    )

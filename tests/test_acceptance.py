@@ -16,7 +16,6 @@ from purpose_audit import (
     RuleKind,
     VerdictStatus,
     audit,
-    bellman_residual,
     check_prohibitive,
     compute_fix,
     compute_omega,
@@ -36,6 +35,7 @@ from conftest import (
     step_one_useless,
 )
 from generators import (
+    bellman_residual,
     random_consistent_behavior,
     random_model,
     random_walk_behavior,

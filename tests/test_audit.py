@@ -35,8 +35,12 @@ from purpose_audit.oracle import reference
 from purpose_audit.solve import FLOAT_EQUALITY
 
 from conftest import physician_models
-from generators import mostly_greedy_walk, random_consistent_behavior, random_model
-from test_solve import q_on
+from generators import (
+    mostly_greedy_walk,
+    q_on,
+    random_consistent_behavior,
+    random_model,
+)
 
 F = Fraction
 

@@ -1,13 +1,15 @@
 """No module of the package imports a name it never uses, no private
-module-level name or class member goes unread, and no engine class has a
-public member that only the tests read.
+module-level name or class member goes unread, and no engine module has a
+public function, class or class member that only the tests read.
 
 A deletion can leave an import behind that nothing reads, or a private
 helper, method or field that nothing calls or reads, and no linter runs in
 the test suite to catch either. A public member that nothing in the package
 reads is a helper kept for the tests; the tests reach the same facts through
 what the program does read. The allowances: ``modelfile``'s documented
-re-export of the literal caps that bound its format, and the reference layer
+re-export of the literal caps that bound its format, ``auditing.compute_fix``,
+the paper's definition of the penalised model, which the benchmark's tracer
+names and ``tests/test_bench_hooks.py`` checks, and the reference layer
 (``oracle``, ``nonredundancy``, ``traces``), which exists for the tests and
 may carry members only they read, such as ``Reference.tables``.
 """
@@ -25,6 +27,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
 RE_EXPORTS = {"modelfile": {"MAX_LITERAL_DIGITS", "MAX_LITERAL_EXPONENT"}}
 ENGINE = ("model", "solve", "auditing", "modelfile", "cli", "errors", "fixtures")
+UNREAD_DEFINITIONS = {"auditing": {"compute_fix"}}
 
 
 def unused_imports(source: str) -> set[str]:
@@ -191,3 +194,32 @@ def test_no_unread_public_member(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     unread = unread_public_members(source, namespace, read)
     assert not unread, f"{module}.py: nothing in src/ reads {sorted(unread)}"
+
+
+def public_definitions(source: str) -> set[str]:
+    """Public functions and classes that the module's top level defines."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def test_detects_an_unread_public_definition():
+    source = (
+        "X = 1\ndef f(): return g()\ndef g(): pass\ndef _h(): pass\n"
+        "class C: pass\nclass D:\n    def m(self): pass\nD.m\n"
+    )
+    assert public_definitions(source) == {"f", "g", "C", "D"}
+    assert public_definitions(source) - reads(source) == {"f", "C"}
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_no_unread_public_definition(module):
+    # The package root only re-exports; a name read nowhere else is unused.
+    sources = (p for p in SOURCES if p != PACKAGE / "__init__.py")
+    read = set().union(*(reads(p.read_text(encoding="utf-8")) for p in sources))
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    unread = public_definitions(source) - read - UNREAD_DEFINITIONS.get(module, set())
+    assert not unread, f"{module}.py: nothing in src/ but __init__.py reads {sorted(unread)}"

@@ -24,16 +24,11 @@ from purpose_audit.oracle import (
 )
 
 from generators import (
+    lookahead,
     random_consistent_behavior,
     random_model,
     random_walk_behavior,
 )
-
-
-def lookahead(model, values, q, a):
-    """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
-    expected = sum(p * values[t] for t, p in model.successors(q, a).items())
-    return model.rewards[(q, a)] + model.discount * expected
 
 
 def max_q_over_strategies(model, state, action):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,7 +16,6 @@ from purpose_audit import (
     Strategy,
     audit,
     auditing,
-    bellman_residual,
     compute_fix,
     compute_omega,
     evaluate_strategy,
@@ -37,12 +35,13 @@ from purpose_audit.traces import (
 )
 
 from generators import (
+    bellman_residual,
+    lookahead,
     mostly_greedy_walk,
     random_consistent_behavior,
     random_model,
     random_walk_behavior,
 )
-from test_solve import lookahead
 
 seeds = st.integers(min_value=0, max_value=10**9)
 tokens = st.lists(st.sampled_from("abcxyz"), min_size=0, max_size=8)
@@ -242,7 +241,8 @@ class TestAuditInvariants:
 
 class TestCertifiedDecisions:
     """An exact decision reads tables certified on the warm start's float
-    iterate when every comparison settles, and policy iteration's otherwise.
+    iterate, or on that iterate swept on, when every comparison settles, and
+    policy iteration's otherwise.
     Either way they are ``solve_optimal``'s greedy sets, useless pairs and
     greedy template, and every audit decides as it does on those. Low action
     presence leaves states with only the nothing-action, and zero rewards
@@ -251,7 +251,7 @@ class TestCertifiedDecisions:
     GAMMAS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
 
     @staticmethod
-    def certified(seed, gamma, zero_fraction, presence, sweep_from) -> bool:
+    def certified(seed, gamma, zero_fraction, presence) -> bool:
         rng = random.Random(seed)
         model = random_model(
             rng,
@@ -261,8 +261,7 @@ class TestCertifiedDecisions:
             action_presence=presence,
             zero_reward_fraction=zero_fraction,
         )
-        with mock.patch.object(solve, "_CERTIFY_SWEEPS_FROM", sweep_from):
-            decided = solve._decision_solution(model, "exact")
+        decided = solve._decision_solution(model, "exact")
         exact = solve_optimal(model)
         assert decided.greedy == exact.greedy
         assert decided._useless == exact._useless
@@ -283,12 +282,11 @@ class TestCertifiedDecisions:
         st.sampled_from(GAMMAS),
         st.sampled_from((0.0, 0.3, 0.6)),
         st.sampled_from((0.85, 0.4)),
-        st.sampled_from((0, solve._CERTIFY_SWEEPS_FROM)),
     )
     def test_tables_and_outcomes_match_the_exact_solve(
-        self, seed, gamma, zero_fraction, presence, sweep_from
+        self, seed, gamma, zero_fraction, presence
     ):
-        self.certified(seed, gamma, zero_fraction, presence, sweep_from)
+        self.certified(seed, gamma, zero_fraction, presence)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -329,7 +327,7 @@ class TestCertifiedDecisions:
 
     def test_both_branches_occur(self):
         branches = [
-            self.certified(seed, gamma, 0.3, 0.4, solve._CERTIFY_SWEEPS_FROM)
+            self.certified(seed, gamma, 0.3, 0.4)
             for seed in range(8)
             for gamma in self.GAMMAS
         ]
@@ -585,6 +583,42 @@ class TestFloatModeIsBitIdentical:
             assert (outcome.reason is AuditReason.STEP_ONE_USELESS) == bool(useless)
             if useless:
                 assert (outcome.witness_state, outcome.witness_action) == useless[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from(GAMMAS),
+        st.sampled_from((0.3, 0.6)),
+        st.sampled_from((Fraction(1, 4), Fraction(3, 4), Fraction(3, 2), 3)),
+    )
+    def test_greedy_threshold(self, seed, gamma, zero_fraction, near):
+        # Float mode reads an action as greedy when its float Q* is within
+        # 1e-6 * max(1, max |r| / (1 - gamma)) of V*. A near tie: with (q, a)
+        # too costly to be optimal, V* does not depend on its reward, so a
+        # reward that puts Q*(q, a) at V*(q) - eps keeps V*. eps is `near`
+        # times the tolerance with Q*(q, a) = V*(q), which moves max |r| by
+        # at most eps, so halving or doubling the tolerance fails.
+        rng = random.Random(seed)
+        model = random_model(
+            rng, n_states=(2, 6), gammas=(gamma,), zero_reward_fraction=zero_fraction
+        )
+        candidates = [pair for pair in model.pairs() if pair[1] != "N"]
+        assume(candidates)
+        q, a = rng.choice(candidates)
+        top = model.max_reward_magnitude()
+        penalty = -2 * top / (1 - gamma) - 1
+        v = solve_optimal(model.with_rewards({**model.rewards, (q, a): penalty})).v_star
+        tie = v[q] - gamma * sum(p * v[t] for t, p in model.successors(q, a).items())
+        rewards = {**model.rewards, (q, a): tie}
+        top = max(map(abs, rewards.values()))
+        rewards[(q, a)] = tie - near * Fraction(1, 10**6) * max(1, top / (1 - gamma))
+        model = model.with_rewards(rewards)
+
+        solution = solve_optimal(model, mode="float")
+        assert (a in solution.greedy[q]) == (near <= 1)
+        assert list(solution.greedy.items()) == list(
+            reference_value_iteration(model)[2].items()
+        )
 
     def test_log_without_observed_choice(self):
         model = random_model(random.Random(5), n_states=(3, 3))

@@ -17,7 +17,6 @@ from purpose_audit import (
     ConvergenceError,
     Strategy,
     audit,
-    bellman_residual,
     evaluate_strategy,
     solve_optimal,
     validate_model,
@@ -26,7 +25,13 @@ from purpose_audit import solve
 from purpose_audit.solve import _warm_start, solve_linear_system
 
 from conftest import physician_behaviors, physician_models
-from generators import mostly_greedy_walk, random_model
+from generators import (
+    bellman_residual,
+    lookahead,
+    mostly_greedy_walk,
+    q_on,
+    random_model,
+)
 
 F = Fraction
 
@@ -214,17 +219,6 @@ def dense_values(model, choice):
     return {q: rows[i][n] for i, q in enumerate(states)}
 
 
-def lookahead(model, values, q, a):
-    """r(q, a) + gamma * sum t(q, a)(q') values[q'], in plain Fractions."""
-    expected = sum(p * values[t] for t, p in model.successors(q, a).items())
-    return model.rewards[(q, a)] + model.discount * expected
-
-
-def q_on(model, values):
-    """Q per defined pair, one backup from ``values``."""
-    return {pair: lookahead(model, values, *pair) for pair in model.pairs()}
-
-
 def dense_optimal(model):
     """(V*, Q*, greedy) by policy iteration from the all-nothing strategy."""
     choice = {q: NOTHING for q in model.states}
@@ -341,13 +335,9 @@ class TestRationalInputs:
         assert dict(solution.greedy) == greedy
         assert bellman_residual(model, solution.v_star) == 0
         assert model.max_reward_magnitude() == max(map(abs, model.rewards.values()))
-        # Off the fixed point: the residual of V* + 1 at every state.
+        # Off the fixed point: V* + 1 at every state backs up to V* + gamma.
         shifted = {q: v + 1 for q, v in solution.v_star.items()}
-        backups = q_on(model, shifted)
-        assert bellman_residual(model, shifted) == max(
-            abs(shifted[q] - max(backups[(q, a)] for a in model.available_actions(q)))
-            for q in model.states
-        )
+        assert bellman_residual(model, shifted) == 1 - model.discount
 
 
 class TestCachedSolution:
@@ -675,6 +665,24 @@ class TestCertifiedTables:
         assert outcome.reason is AuditReason.STEP_ONE_USELESS
         assert model._solutions["exact"].v_star is None
 
+    def test_small_model_certifies_after_sweeping_on(self):
+        # The warm start's iterate of this 8-state model leaves a comparison
+        # open; the decision sweeps on toward its float margin and certifies
+        # the new iterate, with no policy iteration.
+        model = random_model(
+            random.Random(0),
+            n_states=(8, 8),
+            n_actions=(3, 3),
+            max_support=3,
+            gammas=(F(9, 10),),
+        )
+        assert solve._certified(model, solve._warm_start(model)[0]) is None
+        decided = solve._decision_solution(model, "exact")
+        exact = solve_optimal(model)
+        assert decided.v_star is None
+        assert decided.greedy == exact.greedy
+        assert decided._useless == exact._useless
+        assert decided._greedy_template == exact._greedy_template
 
     def test_a_lead_within_twice_the_bound_is_open(self):
         # Q*(s, a) = 1 beats Q*(s, b) by 2**-10. These values are 2**-6 low

@@ -24,8 +24,9 @@ all sharing one validated structure: the states, actions, gamma and the very
 same transitions object. The gamma, states and actions lines each appear
 once, and no name is listed twice on one line.
 
-The parser holds each fact once: it splits the text into lines a slice at a
-time, keeps one string per name and lets go of the text before validation;
+The parser holds each fact once: it splits the text into lines 16 KiB at a
+time, keeps one string per name, lets a reward line spelled as its transition
+line reuse that line's pair tuple, and lets go of the text before validation;
 its transition rows and tables of listed rewards become the models' own, with
 no zero stored for an unlisted pair.
 
@@ -57,9 +58,10 @@ from .model import (  # the literal caps are re-exported: they bound this format
 MAX_REWARD_ENTRIES = 1_000_000
 
 
-def _slices(text: str, size: int = 1 << 16) -> Iterator[str]:
-    """``text`` in pieces of at least ``size`` characters, each ending just after
-    a "\\n" or at the end: their ``splitlines()`` make ``text.splitlines()``."""
+def _slices(text: str, size: int = 1 << 14) -> Iterator[str]:
+    """``text`` in pieces of at least ``size`` characters (16 KiB by default),
+    each ending just after a "\\n" or at the end: their ``splitlines()`` make
+    ``text.splitlines()``, and a parse holds the lines of one piece at a time."""
     start, end = 0, len(text)
     while start < end:
         stop = text.find("\n", start + size) + 1 or end
@@ -98,6 +100,9 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     # One object per spelling: each name, and each transition's pair tuple,
     # the one key of that pair in every reward table.
     keys: dict = {}
+    # Each transition head as written, " q a ", to its pair tuple: a reward
+    # line with the same head takes its pair from here, with no split.
+    heads: dict[str, tuple[State, Action]] = {}
     purposes: dict[str, dict[tuple[State, Action], Fraction]] = {}
     current: str | None = None
     table: dict[tuple[State, Action], Fraction] | None = None
@@ -122,11 +127,15 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                 head, eq, value = rest.partition("=")
                 if not eq:
                     raise ParseError("reward line needs '='", line_no)
-                head_tokens = head.split()
-                if len(head_tokens) != 2:
-                    raise ParseError("reward head must be '<state> <action>'", line_no)
-                pair = (head_tokens[0], head_tokens[1])
-                pair = keys.get(pair, pair)
+                pair = heads.get(head)
+                if pair is None:
+                    head_tokens = head.split()
+                    if len(head_tokens) != 2:
+                        raise ParseError(
+                            "reward head must be '<state> <action>'", line_no
+                        )
+                    pair = (head_tokens[0], head_tokens[1])
+                    pair = keys.get(pair, pair)
                 if pair in table:
                     raise ParseError(
                         f"duplicate reward for {pair} under purpose {current!r}", line_no
@@ -168,7 +177,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                         p = _rational(probability, line_no, literals)
                     distribution[target] = p
                 transitions[key] = distribution
-                keys[key] = key
+                keys[key] = heads[head] = key
             elif directive == "purpose":
                 name = rest.strip()
                 if not name or len(name.split()) != 1:
@@ -203,7 +212,7 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
     if not purposes:
         raise ParseError("no purposes declared")
 
-    del keys, text, piece  # only reward lines read keys; a caller's text can go
+    del keys, heads, text, piece  # read by reward lines only; a caller's text can go
     structure = validate_model(
         states=headers["states"],
         actions=headers["actions"],

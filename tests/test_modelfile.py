@@ -614,12 +614,12 @@ class TestLinearInSize:
             assert calls == []
 
     def test_parse_memory_linear_in_document(self):
-        # A parse holds about 6.5 bytes per document byte at its peak, the
-        # lines of one slice and the tables included. A string of its own for
-        # each name in every transition line would take it to about 7.8, and
-        # splitting the whole text into lines at once to about 7.6. A key
-        # tuple and names of its own per reward line, kept until the parse
-        # ends, would take it to about 12.
+        # A parse holds about 5.1 bytes per document byte at its peak, the
+        # lines of one 16 KiB slice, the transition heads and the tables
+        # included. A string of its own for each name in every transition line
+        # would take it to about 6.4, and splitting the whole text into lines
+        # at once to about 8.0. A key tuple and names of its own per reward
+        # line, kept until the parse ends, would take it to about 11.
         rng = random.Random(17)
         model = random_model(
             rng, n_states=(300, 300), n_actions=(3, 3), max_support=3
@@ -640,15 +640,15 @@ class TestLinearInSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * len(text)
+        assert peak <= 6 * len(text)
 
     def test_validate_memory_per_document_byte(self, tmp_path):
         # `validate` holds each fact of the document once: the text, one
         # slice of its lines, the shared rows, one string per name, and per
         # purpose only the rewards it lists. Its peak, the text included, is
-        # about 5.3 bytes per document byte here. A string of its own for
+        # about 5.2 bytes per document byte here. A string of its own for
         # each name in every transition line would take it to about 6.6, and
-        # splitting the whole text into lines at once to about 7.6.
+        # splitting the whole text into lines at once to about 8.2.
         rng = random.Random(5)
         model = random_model(
             rng, n_states=(600, 600), n_actions=(3, 3), max_support=3
@@ -898,7 +898,8 @@ class TestSharedStructure:
 
     def test_one_string_per_name(self):
         # Keys, row targets, reward keys, states and actions share one object
-        # per name, whether the names are declared before or after their use.
+        # per name, whether the names are declared before or after their use,
+        # and every listed reward is keyed by the pair tuple of its transition.
         family = reward_family(8, 3)
         text = format_model_document(family)
         header, _, body = text.partition("\n\n")
@@ -909,10 +910,78 @@ class TestSharedStructure:
             names = [*first.states, *first.actions]
             for pair, row in first.transitions.items():
                 names += (*pair, *row)
+            keys = {pair: pair for pair in first.transitions}
             for model in parsed.values():
                 for pair in model.rewards:
                     names += pair
+                assert model.rewards._listed
+                for pair in model.rewards._listed:
+                    assert pair is keys[pair]
             assert len({id(name) for name in names}) == len(set(names))
+
+    HEAD = "gamma: 1/2\nstates: a b x=y\nactions: go\ntransition: a go -> b 1\n"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # Spelled as its transition, a reward takes the pair from that
+            # line; spelled otherwise, it is split again. A duplicate is
+            # found either way.
+            (
+                HEAD + "purpose: p\nreward: a go = 1\nreward: a  go = 2\n",
+                ("duplicate reward for ('a', 'go') under purpose 'p'", 7),
+            ),
+            (
+                HEAD + "purpose: p\nreward: a  go = 1\nreward: a go = 2\n",
+                ("duplicate reward for ('a', 'go') under purpose 'p'", 7),
+            ),
+            (
+                HEAD + "reward: a go = 1\npurpose: p\n",
+                ("reward line before any purpose", 5),
+            ),
+            # A reward head ends at its first '=', so it never matches a
+            # transition head holding one.
+            (
+                HEAD + "transition: x=y go -> a 1\npurpose: p\nreward: x=y go = 1\n",
+                ("reward head must be '<state> <action>'", 7),
+            ),
+            (
+                HEAD + "transition: b go -> a 1/2, b 1/2\npurpose: p\n"
+                "reward: a go = 1\nreward: b go = -2\npurpose: q\nreward: b go = 3\n",
+                None,
+            ),
+            (PHYSICIAN_MODEL, None),
+            (TRAVEL_MODEL, None),
+        ],
+        ids=[
+            "duplicate-missed",
+            "duplicate-hit",
+            "before-purpose",
+            "equals-in-state",
+            "two-purposes",
+            "physician",
+            "travel",
+        ],
+    )
+    def test_reward_head_spelling_changes_nothing(self, text, error):
+        # Each reward head is respelled with a tab and an extra blank, so no
+        # reward line is spelled as its transition line: the models, or the
+        # error and its line, are the same either way.
+        respelled, count = re.subn(
+            r"^(reward:\s*\S+)\s+(\S+)", "\\1\t \\2", text, flags=re.MULTILINE
+        )
+        assert count == len(re.findall("^reward:", text, flags=re.MULTILINE))
+        outcomes = []
+        for document in (text, respelled):
+            try:
+                outcomes.append(parse_model(document))
+            except ParseError as exc:
+                outcomes.append((exc.message, exc.line))
+        assert outcomes[0] == outcomes[1]
+        if error is None:
+            assert isinstance(outcomes[0], dict)
+        else:
+            assert outcomes[0] == error
 
     def test_long_literal_under_last_purpose(self):
         family = reward_family(5, 3)

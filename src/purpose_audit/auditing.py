@@ -40,12 +40,12 @@ witness the first state whose value differs from V* beyond the float
 equality tolerance.
 
 One rule check, :func:`check`, lifts the boolean to a policy verdict. It
-decides the log for every purpose the rule names; when the log fits none of
-them, a restrictive (only-for) rule is violated and a prohibitive (not-for)
-rule is obeyed, and otherwise the verdict is inconclusive. The purposes of
-one check, or of one :func:`triage` call, share a structure, so the log is
-validated once per call, and not at all when ``parse_log`` validated it
-against the same structure index.
+decides the log exactly for every purpose the rule names; when the log fits
+none of them, a restrictive (only-for) rule is violated and a prohibitive
+(not-for) rule is obeyed, and otherwise the verdict is inconclusive. Neither
+it nor :func:`triage` takes a mode. The purposes of one call share a
+structure, so the log is validated once per call, and not at all when
+``parse_log`` validated it against the same structure index.
 """
 
 from __future__ import annotations
@@ -308,8 +308,6 @@ def check(
     models: Mapping[str, EnvironmentModel],
     rule: PolicyRule,
     behavior: Behavior,
-    *,
-    mode: str = "exact",
 ) -> Verdict:
     """Lift the audit of every purpose the rule names to a policy verdict.
 
@@ -317,52 +315,50 @@ def check(
     not-for rule is obeyed. Otherwise the verdict is INCONCLUSIVE: a fit to
     an allowed purpose does not rule out an ulterior one, and a fit to a
     prohibited one does not prove it was pursued. The purposes must share
-    one structure, so the behavior is validated once; each is solved on its
-    first decision, as in :func:`audit`.
+    one structure, so the behavior is validated once; each is decided
+    exactly, solved on its first decision as in :func:`audit`.
     """
     missing = [p for p in rule.purposes if p not in models]
     if missing:
         raise KeyError(f"rule references unknown purposes {missing}")
     _require_shared_structure([models[p] for p in rule.purposes])
     _validate(models[rule.purposes[0]], behavior)
-    outcomes = {p: _decide(models[p], behavior, mode) for p in rule.purposes}
+    outcomes = {p: _decide(models[p], behavior, "exact") for p in rule.purposes}
     if all(outcome.empty_intersection for outcome in outcomes.values()):
         return Verdict(_EMPTY_FOR_ALL[rule.kind], outcomes)
     return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
 
 
-def check_restrictive(models, rule, behavior, **options) -> Verdict:
+def check_restrictive(models, rule, behavior) -> Verdict:
     """:func:`check` for an only-for rule: VIOLATION or INCONCLUSIVE."""
     if rule.kind is not RuleKind.RESTRICTIVE:
         raise ValueError("check_restrictive needs an only-for rule")
-    return check(models, rule, behavior, **options)
+    return check(models, rule, behavior)
 
 
-def check_prohibitive(models, rule, behavior, **options) -> Verdict:
+def check_prohibitive(models, rule, behavior) -> Verdict:
     """:func:`check` for a not-for rule: COMPLIANT or INCONCLUSIVE."""
     if rule.kind is not RuleKind.PROHIBITIVE:
         raise ValueError("check_prohibitive needs a not-for rule")
-    return check(models, rule, behavior, **options)
+    return check(models, rule, behavior)
 
 
 def triage(
     prohibited: EnvironmentModel,
     allowed: Iterable[EnvironmentModel],
     behavior: Behavior,
-    *,
-    mode: str = "exact",
 ) -> bool:
     """Is this log worth investigating for the prohibited purpose?
 
     True iff the behavior could fit the prohibited purpose and no allowed
-    purpose explains it away. With no allowed purposes the check reduces to
-    the prohibited-purpose audit alone. The models must share one structure,
-    so the behavior is validated once; a purpose is solved only when a
-    decision consults it, as in :func:`audit`.
+    purpose explains it away, each decided exactly. With no allowed
+    purposes the check reduces to the prohibited-purpose audit alone. The
+    models must share one structure, so the behavior is validated once; a
+    purpose is solved only when a decision consults it, as in :func:`audit`.
     """
     allowed = list(allowed)
     _require_shared_structure([prohibited, *allowed])
     _validate(prohibited, behavior)
-    if _decide(prohibited, behavior, mode).empty_intersection:
+    if _decide(prohibited, behavior, "exact").empty_intersection:
         return False
-    return all(_decide(m, behavior, mode).empty_intersection for m in allowed)
+    return all(_decide(m, behavior, "exact").empty_intersection for m in allowed)

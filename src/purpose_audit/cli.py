@@ -167,7 +167,7 @@ def _cmd_check(args, out) -> int:
     checker = (
         check_restrictive if rule.kind is RuleKind.RESTRICTIVE else check_prohibitive
     )
-    verdicts = [checker(models, rule, b, mode=args.mode) for b in behaviors]
+    verdicts = [checker(models, rule, b) for b in behaviors]
     _print_logs(
         args, out, behaviors, verdicts,
         lambda verdict: f"{verdict.status.value} rule={args.rule}",
@@ -191,7 +191,7 @@ def _cmd_triage(args, out) -> int:
     prohibited = _pick(models, args.prohibited)
     allowed = [_pick(models, name) for name in allowed_names]
     behaviors = parse_log(_read(args.log), prohibited)
-    flags = [triage(prohibited, allowed, b, mode=args.mode) for b in behaviors]
+    flags = [triage(prohibited, allowed, b) for b in behaviors]
     _print_logs(
         args, out, behaviors, flags,
         lambda investigate: "INVESTIGATE" if investigate else "SKIP",
@@ -247,7 +247,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="purpose-audit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, log=True, mode=True):
+    def command(name, run, help, log=True, mode=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("model", help="model document")
@@ -258,22 +258,19 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable records")
         return p
 
-    command(
-        "validate", _cmd_validate, "parse and validate a model document",
-        log=False, mode=False,
+    command("validate", _cmd_validate, "parse and validate a model document", log=False)
+    p = command(
+        "solve", _cmd_solve, "print optimal values for one purpose", log=False, mode=True
     )
-    p = command("solve", _cmd_solve, "print optimal values for one purpose", log=False)
     p.add_argument("--purpose", required=True)
-    p = command("audit", _cmd_audit, "emptiness decision per behavior")
+    p = command("audit", _cmd_audit, "emptiness decision per behavior", mode=True)
     p.add_argument("--purpose", required=True)
     p = command("check", _cmd_check, "policy verdict per behavior")
     p.add_argument("--rule", required=True, help="only-for:P1,P2 or not-for:P")
     p = command("triage", _cmd_triage, "flag logs worth investigating")
     p.add_argument("--prohibited", required=True)
     p.add_argument("--allowed", default="", help="comma-separated purposes")
-    p = command(
-        "oracle", _cmd_oracle, "cross-check exact mode by brute force", mode=False
-    )
+    p = command("oracle", _cmd_oracle, "cross-check exact mode by brute force")
     p.add_argument("--purpose", required=True)
     p = sub.add_parser("examples", help="write the bundled example files")
     p.set_defaults(run=_cmd_examples)

@@ -300,6 +300,20 @@ class TestPolicyChecks:
         with pytest.raises(ValueError, match="share"):
             check_restrictive({"p": p, "q": build("u", 2)}, rule, b)
 
+    def test_lift_takes_no_mode(self, physician, logs):
+        # Policy verdicts are exact only: the lift and triage refuse a mode,
+        # even mode="exact", and decide every purpose exactly.
+        b1, _ = logs
+        only = PolicyRule(RuleKind.RESTRICTIVE, ("treat",))
+        not_for = PolicyRule(RuleKind.PROHIBITIVE, ("profit",))
+        for lift, rule in ((check_restrictive, only), (check_prohibitive, not_for)):
+            with pytest.raises(TypeError):
+                lift(physician, rule, b1, mode="exact")
+            outcomes = lift(physician, rule, b1).per_purpose.values()
+            assert {outcome.mode for outcome in outcomes} == {"exact"}
+        with pytest.raises(TypeError):
+            triage(physician["profit"], [physician["treat"]], b1, mode="exact")
+
     def test_unknown_purpose_rejected(self, physician, logs):
         b1, _ = logs
         with pytest.raises(KeyError):
@@ -662,19 +676,13 @@ class TestFixProperties:
 
 class TestFloatStepTwoBuildsNoModel:
     """Float step two iterates a penalised reward vector on the purpose's own
-    index: once each purpose is solved, a float audit, check or triage of
-    logs that reach step two calls neither ``compute_fix`` nor the model
-    constructor."""
+    index: once the purpose is solved, a float audit of logs that reach step
+    two calls neither ``compute_fix`` nor the model constructor."""
 
     def test_no_penalised_model_after_the_first_solve(self, monkeypatch):
         rng = random.Random(17)
         base = random_model(rng, n_states=(6, 6), zero_reward_fraction=0.3)
-        shifted = {
-            pair: r / 3 - 1 for pair, r in base.rewards.items() if pair[1] != NOTHING
-        }
-        purposes = {"p": base, "r": base.with_rewards(shifted)}
-        for model in purposes.values():
-            audit(model, Behavior((model.states[0],)), mode="float")
+        audit(base, Behavior((base.states[0],)), mode="float")
         exact = solve_optimal(base)
         walks = [mostly_greedy_walk(rng, base, exact, max_length=8) for _ in range(20)]
         reasons = {b: audit(base, b, mode="float").reason for b in walks}
@@ -701,11 +709,8 @@ class TestFloatStepTwoBuildsNoModel:
 
         monkeypatch.setattr(EnvironmentModel, "__post_init__", counting_post_init)
         monkeypatch.setattr(auditing, "compute_fix", counting_fix)
-        rule = PolicyRule(RuleKind.RESTRICTIVE, tuple(purposes))
         for b in logs:
             audit(base, b, mode="float")
-            check_restrictive(purposes, rule, b, mode="float")
-            triage(purposes["r"], [base], b, mode="float")
         assert built == [] and fixes == []
         base.with_rewards(base.rewards)  # the counter sees a construction
         assert len(built) == 1
@@ -716,7 +721,7 @@ class TestFloatModeDefects:
         strict=True,
         reason="float audit compares penalised values iterated to a residual "
         "scaled by omega at a 1e-6 relative tolerance, so a fit reads as a "
-        "gap; certified float verdicts are ROADMAP item 2",
+        "gap; exact-only verdicts are ROADMAP item 16",
     )
     def test_fitting_log_is_not_a_gap(self):
         rng = random.Random(2)

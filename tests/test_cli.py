@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -86,8 +87,9 @@ class TestInputFileErrors:
 
 class TestGoldenOutput:
     """The whole stdout of validate, solve, audit, check, triage and oracle
-    on the physician and travel examples, in exact and float mode, as text
-    and as --json, is pinned byte for byte."""
+    on the physician and travel examples, as text and as --json, is pinned
+    byte for byte: solve and audit in exact and float mode, and the other
+    commands, which take no --mode, as they are."""
 
     @pytest.mark.parametrize("command_line", sorted(GOLDEN))
     def test_stdout(self, example_dir, command_line):
@@ -100,6 +102,73 @@ def golden_argv(example_dir, command_line):
     fixture, command, *options = command_line.split()
     kinds = ("model",) if command in ("validate", "solve") else ("model", "log")
     return [command, *(str(example_dir / f"{fixture}.{kind}") for kind in kinds), *options]
+
+
+def per_purpose(purposes):
+    return [["--purpose", p] for p in purposes]
+
+
+# Option lists that run a log-deciding command once per purpose, or per
+# rule, of a document with the given purposes.
+VERDICT_OPTIONS = {
+    "audit": per_purpose,
+    "check": lambda purposes: [
+        ["--rule", "only-for:" + ",".join(purposes)],
+        *(["--rule", f"not-for:{p}"] for p in purposes),
+    ],
+    "triage": lambda purposes: [
+        ["--prohibited", p, "--allowed", ",".join(q for q in purposes if q != p)]
+        for p in purposes
+    ],
+    "oracle": per_purpose,
+}
+
+
+def float_verdict_commands() -> list[str]:
+    """Every subcommand of the parser that decides logs and whose --mode
+    accepts float."""
+    (subcommands,) = (
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    found = []
+    for name, parser in subcommands.choices.items():
+        actions = {action.dest: action for action in parser._actions}
+        if "log" in actions:
+            assert name in VERDICT_OPTIONS
+            mode = actions.get("mode")
+            if mode is not None and "float" in mode.choices:
+                found.append(name)
+    return found
+
+
+class TestFloatVerdictsAreLabelled:
+    """Every verdict a command prints in float mode says it is advisory: each
+    text line ends in " (advisory)", and each --json record, and each of its
+    per_purpose records, carries "mode": "float"."""
+
+    @pytest.mark.parametrize("fixture", ["physician", "travel"])
+    @pytest.mark.parametrize("command", float_verdict_commands())
+    def test_every_purpose(self, example_dir, command, fixture):
+        model, log = (str(example_dir / f"{fixture}.{kind}") for kind in ("model", "log"))
+        purposes = list(parse_model(Path(model).read_text()))
+        for options in VERDICT_OPTIONS[command](purposes):
+            argv = [command, model, log, *options, "--mode", "float"]
+            code, out, err = run(*argv)
+            assert (code, err) == (0, "")
+            assert out and all(
+                line.endswith(" (advisory)") for line in out.splitlines()
+            ), argv
+            code, out, err = run(*argv, "--json")
+            assert (code, err) == (0, "")
+            records = [json.loads(line) for line in out.splitlines()]
+            assert records, argv
+            for record in records:
+                nested = record.get("per_purpose", {}).values()
+                assert all(r.get("mode") == "float" for r in [record, *nested]), (
+                    argv, record,
+                )
 
 
 class TestDeclarationOrder:
@@ -207,13 +276,13 @@ class TestOneSolvePerPurpose:
     """A verdict command solves each purpose its decisions consult once per
     run, however many logs it decides, on the models it parses itself."""
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(
-        "command, purposes",
+        "command, purposes, mode",
         [
-            (("audit", "--purpose", "treat"), 1),
-            (("check", "--rule", "only-for:treat,profit"), 2),
-            (("triage", "--prohibited", "profit", "--allowed", "treat"), 2),
+            (("audit", "--purpose", "treat"), 1, "exact"),
+            (("audit", "--purpose", "treat"), 1, "float"),
+            (("check", "--rule", "only-for:treat,profit"), 2, None),
+            (("triage", "--prohibited", "profit", "--allowed", "treat"), 2, None),
         ],
     )
     def test_solves(self, example_dir, monkeypatch, command, purposes, mode):
@@ -231,13 +300,12 @@ class TestOneSolvePerPurpose:
             str(example_dir / "physician.model"),
             str(example_dir / "physician.log"),
             *options,
-            "--mode",
-            mode,
+            *(("--mode", mode) if mode else ()),
         )
         assert code == 0
         assert len(out.splitlines()) == 2
         assert len(solved) == len(set(solved)) == purposes
-        assert {m for _, m in solved} == {mode}
+        assert {m for _, m in solved} == {mode or "exact"}
 
 
 class TestOneValidationPerLog:
@@ -582,16 +650,26 @@ class TestOracle:
         assert (code, out) == (0, "b1 AGREE\nb2 AGREE\nb3 AGREE\n")
         assert len(calls) == 1
 
-    def test_mode_is_a_usage_error(self, example_dir):
-        # The oracle is exact only, so it takes no --mode.
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("oracle", "--purpose", "treat"),
+            ("check", "--rule", "only-for:treat"),
+            ("triage", "--prohibited", "profit", "--allowed", "treat"),
+        ],
+    )
+    def test_mode_is_a_usage_error(self, example_dir, command, mode):
+        # The oracle and the policy lift decide exactly only, so they take
+        # no --mode, not even --mode exact.
+        name, *options = command
         code, out, err = run(
-            "oracle",
+            name,
             str(example_dir / "physician.model"),
             str(example_dir / "physician.log"),
-            "--purpose",
-            "treat",
+            *options,
             "--mode",
-            "float",
+            mode,
         )
         assert code == 1
         assert out == ""

@@ -21,6 +21,7 @@ from purpose_audit import (
     RuleKind,
     VerdictStatus,
     audit,
+    check,
     check_prohibitive,
     check_restrictive,
     compute_fix,
@@ -40,6 +41,7 @@ from generators import (
     q_on,
     random_consistent_behavior,
     random_model,
+    random_walk_behavior,
 )
 
 F = Fraction
@@ -300,19 +302,32 @@ class TestPolicyChecks:
         with pytest.raises(ValueError, match="share"):
             check_restrictive({"p": p, "q": build("u", 2)}, rule, b)
 
-    def test_lift_takes_no_mode(self, physician, logs):
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "lift", ["check", "check_restrictive", "check_prohibitive", "triage"]
+    )
+    def test_lift_takes_no_mode(self, physician, logs, monkeypatch, lift, mode):
         # Policy verdicts are exact only: the lift and triage refuse a mode,
         # even mode="exact", and decide every purpose exactly.
         b1, _ = logs
-        only = PolicyRule(RuleKind.RESTRICTIVE, ("treat",))
-        not_for = PolicyRule(RuleKind.PROHIBITIVE, ("profit",))
-        for lift, rule in ((check_restrictive, only), (check_prohibitive, not_for)):
-            with pytest.raises(TypeError):
-                lift(physician, rule, b1, mode="exact")
-            outcomes = lift(physician, rule, b1).per_purpose.values()
-            assert {outcome.mode for outcome in outcomes} == {"exact"}
+        args = {
+            "check": (physician, PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit")), b1),
+            "check_restrictive": (physician, PolicyRule(RuleKind.RESTRICTIVE, ("treat",)), b1),
+            "check_prohibitive": (physician, PolicyRule(RuleKind.PROHIBITIVE, ("profit",)), b1),
+            "triage": (physician["profit"], [physician["treat"]], b1),
+        }[lift]
+        function = getattr(auditing, lift)
         with pytest.raises(TypeError):
-            triage(physician["profit"], [physician["treat"]], b1, mode="exact")
+            function(*args, mode=mode)
+        decide, modes = auditing._decide, []
+
+        def recording(model, behavior, mode):
+            modes.append(mode)
+            return decide(model, behavior, mode)
+
+        monkeypatch.setattr(auditing, "_decide", recording)
+        function(*args)
+        assert modes and set(modes) == {"exact"}
 
     def test_unknown_purpose_rejected(self, physician, logs):
         b1, _ = logs
@@ -672,6 +687,40 @@ class TestFixProperties:
             v_fixed = solve_optimal(compute_fix(model, behavior)).v_star
             gap_somewhere = any(v_model[q] != v_fixed[q] for q in model.states)
             assert (not consistent_optimal) == gap_somewhere
+
+
+class TestPolicyLiftIsExact:
+    """On random three-purpose documents the lift and triage give the verdicts
+    that the brute-force reference layer's emptiness bits give."""
+
+    @pytest.mark.parametrize("lift", ["only-for", "not-for", "triage"])
+    def test_agrees_with_reference(self, lift):
+        rng = random.Random(89)
+        seen = set()
+        for _ in range(30):
+            p = random_model(rng, n_states=(2, 4))
+            purposes = {"p": p}
+            for name in "qr":
+                purposes[name] = p.with_rewards(
+                    {pair: rng.randint(-10, 12) for pair in p.transitions if pair[1] != NOTHING}
+                )
+            b = random_walk_behavior(rng, p)
+            empty = {name: reference(m).empty(b) for name, m in purposes.items()}
+            if lift == "triage":
+                got = triage(p, [purposes["q"], purposes["r"]], b)
+                want = not empty["p"] and empty["q"] and empty["r"]
+            else:
+                kind = RuleKind(lift)
+                rule = PolicyRule(kind, ("p", "q") if lift == "only-for" else ("q", "r"))
+                got = check(purposes, rule, b).status
+                fits = [not empty[name] for name in rule.purposes]
+                want = (
+                    VerdictStatus.INCONCLUSIVE if any(fits)
+                    else auditing._EMPTY_FOR_ALL[kind]
+                )
+            assert got == want, (lift, b)
+            seen.add(want)
+        assert len(seen) == 2
 
 
 class TestFloatStepTwoBuildsNoModel:

@@ -148,27 +148,60 @@ class TestFloatVerdictsAreLabelled:
     text line ends in " (advisory)", and each --json record, and each of its
     per_purpose records, carries "mode": "float"."""
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("fixture", ["physician", "travel"])
     @pytest.mark.parametrize("command", float_verdict_commands())
-    def test_every_purpose(self, example_dir, command, fixture):
+    def test_every_purpose(self, example_dir, command, fixture, as_json):
         model, log = (str(example_dir / f"{fixture}.{kind}") for kind in ("model", "log"))
         purposes = list(parse_model(Path(model).read_text()))
         for options in VERDICT_OPTIONS[command](purposes):
             argv = [command, model, log, *options, "--mode", "float"]
-            code, out, err = run(*argv)
+            code, out, err = run(*argv, *(["--json"] if as_json else []))
             assert (code, err) == (0, "")
-            assert out and all(
-                line.endswith(" (advisory)") for line in out.splitlines()
-            ), argv
-            code, out, err = run(*argv, "--json")
-            assert (code, err) == (0, "")
-            records = [json.loads(line) for line in out.splitlines()]
-            assert records, argv
-            for record in records:
+            assert out, argv
+            if not as_json:
+                assert all(line.endswith(" (advisory)") for line in out.splitlines()), argv
+                continue
+            for record in map(json.loads, out.splitlines()):
                 nested = record.get("per_purpose", {}).values()
                 assert all(r.get("mode") == "float" for r in [record, *nested]), (
                     argv, record,
                 )
+
+
+class TestPolicyVerdictsMatchOracle:
+    """check and triage print, for every rule of a bundled example, the
+    verdict that the brute-force reference layer's emptiness bits give, as
+    ``oracle --json`` reports them per purpose."""
+
+    @pytest.mark.parametrize("fixture", ["physician", "travel"])
+    @pytest.mark.parametrize("command", ["check", "triage"])
+    def test_every_rule(self, example_dir, command, fixture):
+        model, log = (str(example_dir / f"{fixture}.{kind}") for kind in ("model", "log"))
+        purposes = list(parse_model(Path(model).read_text()))
+        empty = {}
+        for p in purposes:
+            code, out, _ = run("oracle", model, log, "--purpose", p, "--json")
+            assert code == 0
+            empty[p] = [json.loads(line)["oracle"] for line in out.splitlines()]
+        for options in VERDICT_OPTIONS[command](purposes):
+            code, out, err = run(command, model, log, *options, "--json")
+            assert (code, err) == (0, "")
+            records = [json.loads(line) for line in out.splitlines()]
+            assert len(records) == len(empty[purposes[0]])
+            for i, record in enumerate(records):
+                if command == "triage":
+                    want = not empty[record["prohibited"]][i] and all(
+                        empty[q][i] for q in record["allowed"]
+                    )
+                    assert record["investigate"] == want, (options, record)
+                    continue
+                kind, names = record["rule"].split(":")
+                if not all(empty[q][i] for q in names.split(",")):
+                    want = "INCONCLUSIVE"
+                else:
+                    want = "VIOLATION" if kind == "only-for" else "COMPLIANT"
+                assert record["status"] == want, (options, record)
 
 
 class TestDeclarationOrder:

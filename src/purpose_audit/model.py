@@ -144,6 +144,11 @@ class StructureIndex:
         )
 
     @cached_property
+    def nothing(self) -> tuple[tuple[State, Action], ...]:
+        """The rows' own (q, NOTHING) keys, one per state once validated."""
+        return tuple(pair for pair in self.transitions if pair[1] == NOTHING)
+
+    @cached_property
     def number(self) -> dict[tuple[State, Action], int]:
         """Pair -> pair number."""
         return {pair: k for k, pair in enumerate(self.pairs)}
@@ -210,8 +215,10 @@ class StructureIndex:
 
 
 class _Handed(dict):
-    """A table the document parser hands over: validate_model keeps its rows
-    and with_rewards keeps it, where they copy any other mapping."""
+    """A table the document parser hands over, whose values are all Fractions:
+    the transitions, with Fraction probabilities in every row, or a purpose's
+    rewards. validate_model keeps its rows and with_rewards keeps it, with no
+    conversion, where they copy any other mapping; both still check the rest."""
 
 
 class RewardTable(Mapping):
@@ -289,20 +296,22 @@ class EnvironmentModel:
         """This structure with the reward table ``rewards``.
 
         Each listed reward must sit on a defined pair, and a nothing-action
-        reward must be zero; a pair not listed reads 0. A copy of the listed
-        entries is stored, in a :class:`RewardTable` ordered like :meth:`pairs`.
-        Only entries that are not Fractions are converted, and only once every
-        entry has converted is an error raised: NothingActionConflict for the
-        first state in state order with a nonzero nothing-action reward, else
+        reward must be zero; a pair not listed reads 0. The listed entries are
+        stored in a :class:`RewardTable` ordered like :meth:`pairs`: a parser's
+        ``_Handed`` table, all Fractions, as it is, any other mapping as a copy
+        with its entries that are not Fractions converted. Only once every entry
+        has converted is an error raised: NothingActionConflict for the first
+        state in state order with a nonzero nothing-action reward, else
         DomainMismatch for the first undefined pair listed.
         """
         table = rewards if type(rewards) is _Handed else dict(rewards)
-        for pair, r in table.items():
-            if type(r) is not Fraction:
-                table[pair] = as_rational(r)
-        for q in self.states:
-            if table.get((q, NOTHING)):
-                raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
+        if table is not rewards:  # a handed table holds Fractions only
+            for pair, r in table.items():
+                if type(r) is not Fraction:
+                    table[pair] = as_rational(r)
+        if any(map(table.get, self._index.nothing)):
+            q = next(q for q in self.states if table.get((q, NOTHING)))
+            raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
         if not table.keys() <= self.transitions.keys():
             pair = next(pair for pair in table if pair not in self.transitions)
             raise DomainMismatch(f"reward defined for {pair} but no transition is")
@@ -351,7 +360,10 @@ def _check_distribution(pair, distribution, states, keep=False) -> dict[State, R
     for target, probability in distribution.items():
         p = probability if type(probability) is Fraction else as_rational(probability)
         n, d = p.as_integer_ratio()
-        if cleaned is distribution and (not n or p is not probability):
+        if cleaned is not distribution:
+            if n:
+                cleaned[target] = p
+        elif not n or p is not probability:
             return _check_distribution(pair, distribution, states)
         if n < 0:
             raise DistributionError(
@@ -360,9 +372,8 @@ def _check_distribution(pair, distribution, states, keep=False) -> dict[State, R
         if unknown is None and target not in states:
             unknown = target
         if n:
-            cleaned[target] = p
-            if d != denominator:
-                lcm = math.lcm(denominator, d)
+            if d != denominator:  # L is d itself until an entry is summed
+                lcm = math.lcm(denominator, d) if total else d
                 total *= lcm // denominator
                 n *= lcm // d
                 denominator = lcm
@@ -420,7 +431,7 @@ def validate_model(
         table[pair] = _check_distribution(pair, distribution, known_states, keep)
 
     for q in known_states:
-        if table.setdefault((q, NOTHING), {q: ONE}) != {q: ONE}:
+        if table.setdefault((q, NOTHING), row := {q: ONE}) != row:
             raise NothingActionConflict(
                 f"nothing-action at {q!r} must be a self-loop with probability 1"
             )

@@ -28,7 +28,9 @@ The parser holds each fact once: it splits the text into lines 16 KiB at a
 time, keeps one string per name, lets a reward line spelled as its transition
 line reuse that line's pair tuple, and lets go of the text before validation;
 its transition rows and tables of listed rewards become the models' own, with
-no zero stored for an unlisted pair.
+no zero stored for an unlisted pair. Every number it hands over is a Fraction
+within the caps and nothing is given twice: validation converts none of them
+again, and checks row sums, targets, nothing rows and the reward domain.
 
 A log document holds one behavior per line: alternating state and action
 tokens, starting and ending with a state.
@@ -109,8 +111,9 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
 
     line_no = 0
     for piece in _slices(text):
+        comments = "#" in piece
         for line_no, line in enumerate(piece.splitlines(), line_no + 1):
-            if "#" in line:
+            if comments and "#" in line:
                 line = line.partition("#")[0]
             directive, colon, rest = line.partition(":")
             if not colon:
@@ -118,10 +121,10 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                 if not words:
                     continue
                 raise ParseError("expected 'directive: ...'", line_no, line.find(words) + 1)
-            directive = directive.strip()
 
-            # Most lines of a document are rewards, so they are matched first.
-            if directive == "reward":
+            # Most lines of a document are rewards, so they are matched first:
+            # a directive written exactly "reward" needs no strip.
+            if directive == "reward" or (directive := directive.strip()) == "reward":
                 if table is None:
                     raise ParseError("reward line before any purpose", line_no)
                 head, eq, value = rest.partition("=")
@@ -140,10 +143,9 @@ def parse_model(text: str) -> dict[str, EnvironmentModel]:
                     raise ParseError(
                         f"duplicate reward for {pair} under purpose {current!r}", line_no
                     )
-                value = value.strip()
-                reward = literals.get(value)
+                reward = literals.get(value)  # keyed by the unstripped spelling too
                 if reward is None:
-                    reward = _rational(value, line_no, literals)
+                    reward = literals[value] = _rational(value.strip(), line_no, literals)
                 table[pair] = reward
             elif directive == "transition":
                 head, arrow, targets = rest.partition("->")

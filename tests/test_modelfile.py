@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 
@@ -297,6 +298,11 @@ MALFORMED = [
         HEAD + "transition: a x -> c 1/2\npurpose: p\n",
         DistributionError, "probabilities for ('a', 'x') sum to 1/2, not 1", 0, 0,
     ),
+    # A row of zeros sums to 0, however its first entry is spelled.
+    (
+        HEAD + "transition: a x -> a 0, b 0/3\npurpose: p\n",
+        DistributionError, "probabilities for ('a', 'x') sum to 0, not 1", 0, 0,
+    ),
     # A negative entry is reported before the row's bad sum.
     (
         HEAD + "transition: a x -> a -1/4, b 1/2\npurpose: p\n",
@@ -423,6 +429,10 @@ class TestPinnedErrors:
             (("a", NOTHING), 0),
             (("b", NOTHING), 0),
         ]
+        # A table not handed over by the parser is converted, whatever its values.
+        for value in (-3, "-3", -3.0, "5e-1", 0.5):
+            reward = structure.with_rewards({("a", "x"): value}).rewards[("a", "x")]
+            assert type(reward) is Fraction and reward == Fraction(str(value))
 
 
 class TestRoundTrip:
@@ -762,9 +772,37 @@ def respell(text: str, rng: random.Random) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def spell_numbers(text: str, rng: random.Random) -> str:
+    """``text`` with each probability and reward literal spelled another way
+    of the same value: "a/b", and where it terminates "0.5", "5e-1" or "5E-1";
+    an integer also as "-3", "-3.0" or "-30e-1"."""
+
+    def spell(match: re.Match) -> str:
+        value = Fraction(match.group(2))
+        k = next((k for k in range(8) if (value * 10**k).denominator == 1), None)
+        choices = [f"{value.numerator}/{value.denominator}"]
+        if k is not None:
+            m = int(value * 10**k)
+            choices += [str(Decimal(m).scaleb(-k)), f"{m}e-{k}", f"{m * 10}E-{k + 1}"]
+            if not k:
+                choices.append(f"{m}.0")
+        return match.group(1) + rng.choice(choices)
+
+    return re.sub(r"(= |(?:->|,) \S+ )(-?\d+(?:/\d+)?)\b", spell, text)
+
+
+def assert_fractions(models: dict) -> None:
+    """Every probability and reward of ``models`` is exactly a Fraction."""
+    for model in models.values():
+        for row in model.transitions.values():
+            assert all(type(p) is Fraction for p in row.values())
+        assert all(type(r) is Fraction for r in model.rewards.values())
+
+
 class TestSpelling:
-    """Comments, blank lines, blanks around separators and line ends do not
-    change what a document means."""
+    """Comments, blank lines, blanks around separators, line ends and the
+    spelling of a number do not change what a document means, and its models
+    hold Fractions only."""
 
     def test_examples(self):
         text = BODY + "reward: a x = 3\n"
@@ -776,10 +814,32 @@ class TestSpelling:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 3), st.integers(0, 10**9))
     def test_respelled_document_parses_equal(self, seed, count, spelling):
-        text = format_model_document(reward_family(seed, count))
-        respelled = respell(text, random.Random(spelling))
+        family = reward_family(seed, count)
+        text = format_model_document(family)
+        rng = random.Random(spelling)
+        respelled = respell(spell_numbers(text, rng), rng)
         assert respelled != text
-        assert parse_model(respelled) == parse_model(text)
+        parsed = parse_model(respelled)
+        assert parsed == parse_model(text) == family
+        # validate_model and with_rewards convert none of the parser's values.
+        assert_fractions(parsed)
+
+    def test_number_spellings(self):
+        spelled = parse_model(
+            "gamma: 9e-1\nstates: a b\nactions: x y\n"
+            "transition: a x -> a 0.5, b 5e-1\ntransition: a y -> b 1.0\n"
+            "transition: b x -> a 25E-2, b 3/4\npurpose: p\n"
+            "reward: a x = -3\nreward: a y = 0.5\nreward: b x = 5e-1\n"
+            "purpose: q\nreward: a x = -3.0\nreward: b N = 0e0\n"
+        )
+        assert_fractions(spelled)
+        assert spelled == parse_model(
+            "gamma: 9/10\nstates: a b\nactions: x y\n"
+            "transition: a x -> a 1/2, b 1/2\ntransition: a y -> b 1\n"
+            "transition: b x -> a 1/4, b 3/4\npurpose: p\n"
+            "reward: a x = -3\nreward: a y = 1/2\nreward: b x = 1/2\n"
+            "purpose: q\nreward: a x = -3\n"
+        )
 
 
 # Every character str.splitlines() breaks at, "\r\n" counted as one break.
@@ -819,6 +879,34 @@ class TestSlices:
         with pytest.raises(ParseError) as err:
             parse_model(text)
         assert (err.value.line, err.value.column) == (20_002, 1)
+
+    def test_comments_after_a_comment_free_slice(self):
+        # A parse looks for '#' in a line only where its slice has one.
+        rng = random.Random(8)
+        model = random_model(rng, n_states=(250, 250), n_actions=(3, 3), max_support=3)
+        text = format_model_document({"p": model, "r": model})
+        first = next(_slices(text))
+        lines = text[len(first):].splitlines()
+        assert "#" not in first and len(text) > 2 * len(first)
+        spelled = []
+        for line in lines:
+            directive, colon, rest = line.partition(":")
+            if colon:  # ' reward :', ' transition :', ' purpose :\t'
+                pad = "\t" if directive == "purpose" else ""
+                line = f" {directive} :{pad}{rest}"
+            if rng.random() < 0.3:
+                line += " # reward: q0 a0 = 1"
+            spelled.append(line)
+            if rng.random() < 0.1:
+                spelled.append("# purpose: x")
+        respelled = first + "\n".join(spelled) + "\n"
+        assert next(_slices(respelled)) == first
+        assert parse_model(respelled) == parse_model(text)
+        at = len(spelled) // 2
+        spelled.insert(at, "  stray words # reward: q0 a0 = 1")
+        with pytest.raises(ParseError) as err:
+            parse_model(first + "\n".join(spelled))
+        assert (err.value.line, err.value.column) == (first.count("\n") + at + 1, 3)
 
 
 class TestNothingAtEveryState:

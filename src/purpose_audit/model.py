@@ -10,6 +10,7 @@ factor are exact rationals.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,58 +42,53 @@ ZERO = Fraction(0)
 MAX_LITERAL_DIGITS = 300
 #: Largest decimal exponent magnitude a numeric literal may carry: "1e300".
 MAX_LITERAL_EXPONENT = 300
-# A literal this short without an exponent cannot exceed the bounds.
-_SHORT_LITERAL = 32
 
-
-def _check_literal_size(text: str) -> None:
-    """Reject literals whose exact value would be huge before building it:
-    ``Fraction("1e10000000")`` alone takes seconds."""
-    mantissa, _, exponent = text.lower().partition("e")
-    if sum(ch.isdecimal() for ch in mantissa) > MAX_LITERAL_DIGITS:
-        raise ValueError(f"numeric literal has more than {MAX_LITERAL_DIGITS} digits")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if exponent.isdecimal() and (
-        len(exponent) > len(str(MAX_LITERAL_EXPONENT))
-        or int(exponent) > MAX_LITERAL_EXPONENT
-    ):
-        raise ValueError(
-            f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}"
-        )
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(
+    rf"\s*([-+]?)(?=\.?\d)({_DIGITS})?"
+    rf"(?:/({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?)({_DIGITS}))?)\s*"
+)
 
 
 def as_rational(value) -> Fraction:
     """Convert a number to an exact Fraction.
 
-    Strings may be "a/b" or terminating decimals, with at most
-    MAX_LITERAL_DIGITS digits and a decimal exponent of at most
-    MAX_LITERAL_EXPONENT in magnitude; floats are read through their decimal
-    repr so that 0.9 means 9/10, not the nearest binary double.
+    Strings follow one grammar on every Python version, in Unicode decimal
+    digits as int() reads them, single underscores allowed between two:
+    [ws] [+|-] (n/d | n | n.f | .f | n.) [(e|E) [+|-] digits] [ws], with no
+    exponent on n/d and no space inside. At most MAX_LITERAL_DIGITS digits,
+    underscores aside, precede the exponent, at most MAX_LITERAL_EXPONENT in
+    magnitude; each cap is checked before the integer it bounds is built.
+    Floats are read through their decimal repr: 0.9 means 9/10, not a double.
     """
-    if isinstance(value, bool):
+    if not isinstance(value, str):
+        if isinstance(value, bool):
+            raise TypeError(f"cannot interpret {value!r} as a rational number")
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(repr(value))
         raise TypeError(f"cannot interpret {value!r} as a rational number")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        if len(value) > _SHORT_LITERAL or "e" in value or "E" in value:
-            _check_literal_size(value)
-        elif value.isascii():
-            # A short "n" or "n/d" in ASCII digits is read as ints, without
-            # Fraction's regex; any other spelling takes the path below.
-            numerator, slash, denominator = value.partition("/")
-            if numerator[numerator[:1] == "-":].isdigit() and (
-                not slash or denominator.isdigit() and int(denominator)
-            ):
-                return Fraction(int(numerator), int(denominator or 1))
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {value!r}") from exc
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    match = _LITERAL.fullmatch(value)
+    if match is None:
+        raise ValueError(f"bad rational literal {value!r}")
+    sign, whole, denominator, point, exponent_sign, exponent = match.groups("")
+    digits = whole + denominator + point
+    if len(digits) - digits.count("_") > MAX_LITERAL_DIGITS:
+        raise ValueError(f"numeric literal has more than {MAX_LITERAL_DIGITS} digits")
+    n, d = int(sign + whole + point), int(denominator or 1)
+    if not d:
+        raise ValueError(f"bad rational literal {value!r}")
+    if not (point or exponent):
+        return Fraction(n, d)
+    e = exponent.replace("_", "").lstrip("0") or "0"
+    if len(e) > len(str(MAX_LITERAL_EXPONENT)) or int(e) > MAX_LITERAL_EXPONENT:
+        raise ValueError(f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}")
+    # Each digit after the point divides by 10; the exponent shifts that.
+    shift = int(exponent_sign + e) - len(point) + point.count("_")
+    return Fraction(n, 10**-shift) if shift < 0 else Fraction(n * 10**shift)
 
 
 class StructureIndex:

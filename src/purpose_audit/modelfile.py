@@ -13,16 +13,15 @@ A model document is line oriented::
     purpose: treat
     reward: 2 diagnose = 12
 
-Probabilities, rewards and gamma are exact rationals, written "a/b" or as
-terminating decimals, with at most MAX_LITERAL_DIGITS digits and a decimal
-exponent of at most MAX_LITERAL_EXPONENT in magnitude. Rewards not listed for
-a defined transition are zero. The nothing-action rows are implicit (the
-validator adds them); a document may still declare them, as long as they are
-self-loops. A reward on a nothing-action pair must be zero, whether its row is
-declared or implicit. One environment model is produced per declared purpose,
-all sharing one validated structure: the states, actions, gamma and the very
-same transitions object. The gamma, states and actions lines each appear
-once, and no name is listed twice on one line.
+Probabilities, rewards and gamma are exact rationals in the grammar that
+``model.as_rational`` states (README: "Numbers are exact rationals"). Rewards
+not listed for a defined transition are zero. The nothing-action rows are
+implicit (the validator adds them); a document may still declare them, as
+long as they are self-loops. A reward on a nothing-action pair must be zero,
+whether its row is declared or implicit. One environment model is produced
+per declared purpose, all sharing one validated structure: the states,
+actions, gamma and the very same transitions object. The gamma, states and
+actions lines each appear once, and no name is listed twice on one line.
 
 The parser holds each fact once: it splits the text into lines 16 KiB at a
 time, keeps one string per name, lets a reward line spelled as its transition

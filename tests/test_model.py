@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import unicodedata
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -33,9 +34,102 @@ from purpose_audit import (
     validate_model,
 )
 from purpose_audit.errors import ModelError
-from purpose_audit.model import MAX_LITERAL_DIGITS, RewardTable, _check_distribution
+from purpose_audit.model import (
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
+    RewardTable,
+    _check_distribution,
+)
 
 from generators import random_model, random_walk_behavior
+
+
+# Decimal digits of three scripts: ASCII, ARABIC-INDIC and FULLWIDTH.
+LITERAL_DIGITS = "0123456789" "\u0660\u0661\u0662\u0663\u0669" "\uff10\uff11\uff15\uff19"
+
+
+def digit_runs(max_chunks=3, max_size=3):
+    """A run of digits as chunks: its spelling joins them with single
+    underscores, its value reads the digits by their Unicode decimal value."""
+    chunk = st.text(st.sampled_from(LITERAL_DIGITS), min_size=1, max_size=max_size)
+    return st.lists(chunk, min_size=1, max_size=max_chunks)
+
+
+def run_value(chunks) -> int:
+    value = 0
+    for ch in "".join(chunks):
+        value = 10 * value + unicodedata.decimal(ch)
+    return value
+
+
+def run_length(chunks) -> int:
+    return sum(map(len, chunks))
+
+
+@st.composite
+def spelled_literals(draw):
+    """A literal spelled from parts, and its value computed from those parts
+    with integer arithmetic: optional whitespace, an optional sign, then a
+    ratio of two runs, or a decimal with an optional point part and exponent."""
+    space = st.sampled_from(["", " ", "\t", "\n", " \r\n", "\u00a0"])
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    if draw(st.booleans()):
+        numerator = draw(digit_runs())
+        denominator = draw(digit_runs().filter(run_value))
+        body = "_".join(numerator) + "/" + "_".join(denominator)
+        n, d = run_value(numerator), run_value(denominator)
+    else:
+        whole = draw(st.none() | digit_runs())
+        point = draw(st.none() | st.just([]) | digit_runs())
+        if whole is None and not point:
+            whole = draw(digit_runs())
+        body = "_".join(whole or [])
+        n, shift = run_value(whole or []), 0
+        if point is not None:
+            body += "." + "_".join(point)
+            n = n * 10 ** run_length(point) + run_value(point)
+            shift -= run_length(point)
+        if draw(st.booleans()):
+            exponent_sign = draw(st.sampled_from(["", "+", "-"]))
+            exponent = draw(digit_runs(max_chunks=2, max_size=1))
+            body += draw(st.sampled_from("eE")) + exponent_sign + "_".join(exponent)
+            shift += -run_value(exponent) if exponent_sign == "-" else run_value(exponent)
+        n, d = n * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    text = draw(space) + sign + body + draw(space)
+    return text, Fraction(-n if sign == "-" else n, d)
+
+
+@st.composite
+def near_miss_literals(draw):
+    """A spelling one step outside the grammar, with an optional sign."""
+    a, b, c = ("_".join(draw(digit_runs())) for _ in range(3))
+    broken = draw(
+        st.sampled_from(
+            [
+                f"{a}__{b}",  # doubled underscore
+                f"_{a}",  # leading underscore
+                f"{a}_",  # trailing underscore
+                f"{a}_.{b}",
+                f"{a}._{b}",
+                f"{a}e_{b}",
+                f"{a}_/{b}",
+                f"{a}/_{b}",
+                f"{a} /{b}",  # space around "/"
+                f"{a}/ {b}",
+                f"{a} / {b}",
+                f"\u2212{a}",  # MINUS SIGN
+                f"0x{a}",
+                f"{a}e",  # dangling exponent
+                f"{a}E-",
+                f"{a}.{b}e",
+                f"{a}/",  # dangling "/"
+                f"/{a}",
+                f"{a}/{b}e{c}",  # exponent on a ratio
+                f"{a}/{b}.{c}",
+            ]
+        )
+    )
+    return draw(st.sampled_from(["", "+", "-"])) + broken
 
 
 def tiny(**overrides):
@@ -71,9 +165,8 @@ class TestAsRational:
             model = tiny()
             model.with_rewards({**model.rewards, ("s", "a"): "1e10000000"})
 
-    # Each spelling and what Fraction's own parser makes of it: a value, or
-    # the exception type and message. Short ASCII "n" and "n/d" literals are
-    # read as ints, so this table pins the edges of that reading.
+    # Each spelling and what as_rational's own grammar makes of it, the same
+    # on every Python version: a value, or the exception type and message.
     BAD = "bad rational literal "
     LITERALS = [
         ("3", Fraction(3)),
@@ -109,6 +202,21 @@ class TestAsRational:
             "9" * (MAX_LITERAL_DIGITS + 1),
             (ValueError, f"numeric literal has more than {MAX_LITERAL_DIGITS} digits"),
         ),
+        ("1 / 2", (ValueError, BAD + "'1 / 2'")),  # no space around "/"
+        ("1_0/2", Fraction(5)),
+        ("1_000.000_1", Fraction(10_000_001, 10_000)),
+        (".5", Fraction(1, 2)),
+        ("5.", Fraction(5)),
+        ("+.5", Fraction(1, 2)),
+        ("-5.e2", Fraction(-500)),
+        ("1e+3", Fraction(1000)),
+        ("1E3", Fraction(1000)),
+        ("\t2\n", Fraction(2)),
+        ("1/2e3", (ValueError, BAD + "'1/2e3'")),  # no exponent on a ratio
+        ("1e", (ValueError, BAD + "'1e'")),
+        ("e3", (ValueError, BAD + "'e3'")),
+        (".", (ValueError, BAD + "'.'")),
+        ("1.5e_3", (ValueError, BAD + "'1.5e_3'")),
     ]
 
     @pytest.mark.parametrize("text, expected", LITERALS)
@@ -130,6 +238,43 @@ class TestAsRational:
             as_rational(True)
         with pytest.raises(TypeError, match="cannot interpret None"):
             as_rational(None)
+
+    @given(spelled_literals())
+    @settings(max_examples=300, deadline=None)
+    def test_spellings_from_parts(self, spelled):
+        text, expected = spelled
+        value = as_rational(text)
+        assert type(value) is Fraction and value == expected
+
+    @given(near_miss_literals())
+    @settings(max_examples=300, deadline=None)
+    def test_near_misses(self, text):
+        with pytest.raises(ValueError) as raised:
+            as_rational(text)
+        assert str(raised.value) == f"bad rational literal {text!r}"
+
+    def test_caps_before_big_integers(self):
+        # Digits are counted without underscores.
+        digits = f"numeric literal has more than {MAX_LITERAL_DIGITS} digits"
+        with pytest.raises(ValueError) as raised:
+            as_rational("1" + "_1" * MAX_LITERAL_DIGITS)
+        assert str(raised.value) == digits
+        assert as_rational("1" + "_1" * (MAX_LITERAL_DIGITS - 1)) == (
+            10**MAX_LITERAL_DIGITS - 1
+        ) // 9
+        # On 3.11 and later int() refuses more than 4,300 digits with a message
+        # of its own, so these read their caps' messages only if the caps come
+        # first; each answers long before building the integer would.
+        exponent = f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}"
+        for text, message in (("1" * 100_000, digits), ("1e" + "9" * 5000, exponent)):
+            elapsed = []
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(ValueError) as raised:
+                    as_rational(text)
+                elapsed.append(time.perf_counter() - start)
+                assert str(raised.value) == message
+            assert min(elapsed) < 0.01
 
 
 class TestValidateModel:

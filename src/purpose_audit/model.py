@@ -83,11 +83,12 @@ def as_rational(value) -> Fraction:
         raise ValueError(f"bad rational literal {value!r}")
     if not (point or exponent):
         return Fraction(n, d)
-    e = exponent.replace("_", "").lstrip("0") or "0"
-    if len(e) > len(str(MAX_LITERAL_EXPONENT)) or int(e) > MAX_LITERAL_EXPONENT:
+    width = len(str(MAX_LITERAL_EXPONENT))  # digits before the last must be 0s
+    e = exponent.replace("_", "") or "0"
+    if any(map(int, e[:-width])) or int(e[-width:]) > MAX_LITERAL_EXPONENT:
         raise ValueError(f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}")
     # Each digit after the point divides by 10; the exponent shifts that.
-    shift = int(exponent_sign + e) - len(point) + point.count("_")
+    shift = int(exponent_sign + e[-width:]) - len(point) + point.count("_")
     return Fraction(n, 10**-shift) if shift < 0 else Fraction(n * 10**shift)
 
 
@@ -213,8 +214,8 @@ class StructureIndex:
 class _Handed(dict):
     """A table the document parser hands over, whose values are all Fractions:
     the transitions, with Fraction probabilities in every row, or a purpose's
-    rewards. validate_model keeps its rows and with_rewards keeps it, with no
-    conversion, where they copy any other mapping; both still check the rest."""
+    rewards. The caller decides ownership: validate_model keeps its rows and
+    with_rewards keeps it, copying any other mapping; the checks are the same."""
 
 
 class RewardTable(Mapping):
@@ -294,17 +295,14 @@ class EnvironmentModel:
         Each listed reward must sit on a defined pair, and a nothing-action
         reward must be zero; a pair not listed reads 0. The listed entries are
         stored in a :class:`RewardTable` ordered like :meth:`pairs`: a parser's
-        ``_Handed`` table, all Fractions, as it is, any other mapping as a copy
-        with its entries that are not Fractions converted. Only once every entry
-        has converted is an error raised: NothingActionConflict for the first
-        state in state order with a nonzero nothing-action reward, else
-        DomainMismatch for the first undefined pair listed.
+        ``_Handed`` table, all Fractions, as it is, any other mapping converted
+        into a new dict. Only once every entry has converted is an error raised:
+        NothingActionConflict for the first state in state order with a nonzero
+        nothing-action reward, else DomainMismatch for the first undefined pair.
         """
-        table = rewards if type(rewards) is _Handed else dict(rewards)
-        if table is not rewards:  # a handed table holds Fractions only
-            for pair, r in table.items():
-                if type(r) is not Fraction:
-                    table[pair] = as_rational(r)
+        table = rewards if type(rewards) is _Handed else {
+            pair: as_rational(r) for pair, r in rewards.items()
+        }
         if any(map(table.get, self._index.nothing)):
             q = next(q for q in self.states if table.get((q, NOTHING)))
             raise NothingActionConflict(f"nothing-action at {q!r} must have reward 0")
@@ -344,23 +342,22 @@ class EnvironmentModel:
         return tuple(n / denominator for n in numerators)
 
 
-def _check_distribution(pair, distribution, states, keep=False) -> dict[State, Rational]:
+def _check_distribution(pair, row, states) -> dict[State, Rational]:
     """The row's nonzero entries, in order, after one walk checks that no
     entry is negative, that the integers n * (L // d) sum to L, L the lcm of
     the denominators, so the row sums to 1 without adding Fractions, and then
     that every target, zero-probability ones included, is in ``states``.
-    With ``keep``, a row of nonzero Fractions is its own cleaned copy."""
-    cleaned: dict[State, Rational] = distribution if keep else {}
+    The caller owns ``row``; a row of nonzero Fractions is its own result."""
+    cleaned = row
     unknown = None
     total, denominator = 0, 1
-    for target, probability in distribution.items():
+    for target, probability in row.items():
         p = probability if type(probability) is Fraction else as_rational(probability)
         n, d = p.as_integer_ratio()
-        if cleaned is not distribution:
-            if n:
-                cleaned[target] = p
-        elif not n or p is not probability:
-            return _check_distribution(pair, distribution, states)
+        if not n or p is not probability:  # the result is a copy from here on
+            if cleaned is row:
+                cleaned = dict(row)
+            cleaned[target] = p
         if n < 0:
             raise DistributionError(
                 f"negative probability {p} for {pair} -> {target!r}"
@@ -374,6 +371,8 @@ def _check_distribution(pair, distribution, states, keep=False) -> dict[State, R
                 n *= lcm // d
                 denominator = lcm
             total += n
+        else:  # a zero made the copy above, which drops it
+            del cleaned[target]
     if total != denominator:
         raise DistributionError(
             f"probabilities for {pair} sum to {Fraction(total, denominator)}, not 1"
@@ -415,8 +414,8 @@ def validate_model(
 
     # Rows keep the caller's pair tuples and order; StructureIndex orders pairs.
     table: dict[tuple[State, Action], dict[State, Rational]] = {}
-    keep = type(transitions) is _Handed
-    for pair, distribution in transitions.items():
+    handed = type(transitions) is _Handed  # rows to keep; any other is copied
+    for pair, row in transitions.items():
         q, a = pair
         if q not in known_states:
             raise ModelError(f"transition references unknown state {q!r}")
@@ -424,7 +423,7 @@ def validate_model(
             raise ModelError(f"transition references unknown action {a!r}")
         if type(pair) is not tuple:
             pair = (q, a)
-        table[pair] = _check_distribution(pair, distribution, known_states, keep)
+        table[pair] = _check_distribution(pair, row if handed else dict(row), known_states)
 
     for q in known_states:
         if table.setdefault((q, NOTHING), row := {q: ONE}) != row:

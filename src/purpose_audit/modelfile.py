@@ -32,7 +32,7 @@ within the caps and nothing is given twice: validation converts none of them
 again, and checks row sums, targets, nothing rows and the reward domain.
 
 A log document holds one behavior per line: alternating state and action
-tokens, starting and ending with a state.
+tokens, starting and ending with a state, as ``Behavior`` itself checks.
 """
 
 from __future__ import annotations
@@ -244,14 +244,14 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
         line = raw_line.partition("#")[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        if len(tokens) % 2 == 0:
+        try:
+            behavior = Behavior(tuple(line.split()))
+        except BehaviorError:  # its one check: an odd-length token tuple
             raise AlternationError(
                 "behavior must alternate state, action, ... starting and ending "
                 "with a state",
                 line_no,
-            )
-        behavior = Behavior(tuple(tokens))
+            ) from None
         try:
             validate_behavior(model, behavior)
         except BehaviorError as exc:

@@ -251,12 +251,12 @@ def evaluate_strategy(
     V(q) = (L r + sum over q' != q of c(q') V(q')) / (L - c(q)), with c the
     coefficients L * gamma * p of q's chosen pair.
     """
-    choice = strategy.as_dict()
-    Strategy.from_mapping(choice, model)  # StrategyError unless total and defined
+    # StrategyError unless total and defined; the pairs come in state order.
+    checked = Strategy.from_mapping(strategy.as_dict(), model)
     index = model._index
     scales, coefficients = index.scales, index.coefficients
     rewards, reward_denominator = model._reward_numerators
-    chosen = [index.number[(q, choice[q])] for q in model.states]
+    chosen = [index.number[pair] for pair in checked.assignments]
     values: list[Fraction] = [ZERO] * len(chosen)
     # Downstream values over the current block's M. A state's entry is set
     # only once it is solved, so the entries of unsolved states, the current

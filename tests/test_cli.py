@@ -4,7 +4,10 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,6 +280,40 @@ class TestHelp:
         assert out.startswith(f"usage: purpose-audit {command}".rstrip() + " ")
         assert "show this help message and exit" in out
         assert capsys.readouterr() == ("", "")
+
+
+class TestModuleEntryPoint:
+    """``python -m purpose_audit.cli`` exits with main()'s code and prints
+    what main() prints in process."""
+
+    def _run_module(self, *argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        return subprocess.run(
+            [sys.executable, "-m", "purpose_audit.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_audit_matches_main(self, example_dir):
+        argv = (
+            "audit", str(example_dir / "physician.model"),
+            str(example_dir / "physician.log"), "--purpose", "treat",
+        )
+        result = self._run_module(*argv)
+        code, out, _ = run(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, out.encode(), b""
+        )
+        assert code == 0
+
+    def test_usage_error_exits_one(self, example_dir):
+        result = self._run_module(
+            "audit", str(example_dir / "physician.model"),
+            str(example_dir / "physician.log"), "--purpose", "nosuch",
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"usage error:")
+        assert result.stdout == b""
 
 
 class TestRepeatedCalls:

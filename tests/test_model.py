@@ -217,6 +217,11 @@ class TestAsRational:
         ("e3", (ValueError, BAD + "'e3'")),
         (".", (ValueError, BAD + "'.'")),
         ("1.5e_3", (ValueError, BAD + "'1.5e_3'")),
+        ("1e٠٠٠٣", Fraction(1000)),  # leading zeros of any script
+        (
+            "1e٠٣٠١",
+            (ValueError, f"numeric literal has an exponent beyond {MAX_LITERAL_EXPONENT}"),
+        ),
     ]
 
     @pytest.mark.parametrize("text, expected", LITERALS)
@@ -274,6 +279,14 @@ class TestAsRational:
                     as_rational(text)
                 elapsed.append(time.perf_counter() - start)
                 assert str(raised.value) == message
+            assert min(elapsed) < 0.01
+        # An exponent's leading zeros, in any script, are read without int().
+        for text in ("1e" + "0" * 5000 + "3", "1e" + "٠" * 5000 + "3"):
+            elapsed = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert as_rational(text) == 1000
+                elapsed.append(time.perf_counter() - start)
             assert min(elapsed) < 0.01
 
 
@@ -376,6 +389,21 @@ class TestValidateModel:
         with pytest.raises(ModelError):
             tiny(transitions={("s", "a"): {"x": 1}})
 
+    def test_negative_entry_before_bad_literal_wins(self):
+        # One walk converts and checks each entry in turn, so the negative
+        # entry is reported before the literal after it is read.
+        with pytest.raises(DistributionError) as raised:
+            tiny(transitions={("s", "a"): {"u": "-1/2", "s": "x"}})
+        assert str(raised.value) == "negative probability -1/2 for ('s', 'a') -> 'u'"
+        with pytest.raises(ValueError, match="bad rational literal 'x'"):
+            tiny(transitions={("s", "a"): {"u": "x", "s": "-1/2"}})
+
+    def test_caller_rows_are_not_written(self):
+        # The check converts and cleans a copy of a row the caller owns.
+        spelled = {"u": "1", "s": 0}
+        assert tiny(transitions={("s", "a"): spelled}).successors("s", "a") == {"u": 1}
+        assert spelled == {"u": "1", "s": 0}
+
 
 def fraction_sum_check(pair, distribution):
     """The row check as it was before the integer sum: Fractions added and
@@ -441,9 +469,9 @@ class TestCheckDistribution:
     @given(rows())
     def test_kept_row_is_returned_only_when_clean(self, row):
         # A row of nonzero Fractions comes back as it is; any other row comes
-        # back cleaned, exactly as without ``keep``.
+        # back as a cleaned copy.
         def keep(pair, row):
-            return _check_distribution(pair, row, row, keep=True)
+            return _check_distribution(pair, row, row)
 
         result = _result(keep, row)
         assert result == _result(fraction_sum_check, row)

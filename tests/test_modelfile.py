@@ -486,6 +486,36 @@ class TestParseLog:
         with pytest.raises(AlternationError):
             parse_log("take 1\n", treat)
 
+    def test_even_length_record_names_its_line(self, treat):
+        with pytest.raises(AlternationError) as raised:
+            parse_log("1 take 2\n\n# note\n1 take 2 send\n", treat)
+        error = raised.value
+        assert (error.line, error.column) == (4, 0)
+        assert str(error) == (
+            "line 4: behavior must alternate state, action, ... starting and "
+            "ending with a state"
+        )
+        # No chained error shows in its traceback.
+        assert error.__cause__ is None
+        assert error.__context__ is None or error.__suppress_context__
+
+    def test_first_fault_wins(self, treat):
+        # Records are read in order, and a record's steps in order.
+        cases = (
+            ("1 zap 2 take 9\n", 1, "unknown action 'zap' in behavior"),
+            ("1 take 2 zap\n1 zap 2\n", 1, None),
+            ("1 zap 2\n1 take 2 send\n", 1, "unknown action 'zap' in behavior"),
+            ("1 take 2\n1 take 6\n1 take\n", 2,
+             "transition '1' --take--> '6' has probability 0"),
+        )
+        for text, line, message in cases:
+            with pytest.raises(ParseError) as raised:
+                parse_log(text, treat)
+            assert raised.value.line == line
+            assert type(raised.value) is (ParseError if message else AlternationError)
+            if message:
+                assert raised.value.message == message
+
     def test_unknown_tokens_are_hard_errors(self, treat):
         with pytest.raises(ParseError):
             parse_log("1 take 9\n", treat)

@@ -16,6 +16,7 @@ from purpose_audit import (
     Behavior,
     ConvergenceError,
     Strategy,
+    StrategyError,
     audit,
     evaluate_strategy,
     solve_optimal,
@@ -78,6 +79,20 @@ class TestEvaluateStrategy:
         values = evaluate_strategy(treat, sigma1)
         for q in treat.states:
             assert values[q] == lookahead(treat, values, q, sigma1[q])
+
+    def test_unchecked_strategy_is_checked_and_read_in_state_order(self, treat, sigmas):
+        # A Strategy built directly is checked as from_mapping checks it, and
+        # its pairs are read in state order, however they were listed.
+        sigma1, _, _ = sigmas
+        reversed_sigma = Strategy(sigma1.assignments[::-1])
+        assert list(evaluate_strategy(treat, reversed_sigma).items()) == list(
+            SIGMA1_TREAT_VALUES.items()
+        )
+        with pytest.raises(StrategyError, match="chooses nothing at states \\['6'\\]"):
+            evaluate_strategy(treat, Strategy(sigma1.assignments[:-1]))
+        undefined = Strategy((("1", "diagnose"), *sigma1.assignments[1:]))
+        with pytest.raises(StrategyError, match="'diagnose' is not available at state '1'"):
+            evaluate_strategy(treat, undefined)
 
 
 class TestSolveOptimal:
@@ -630,6 +645,24 @@ class TestSparseElimination:
             solve_optimal(model)
         assert len(rounds) == 2 and rounds[0] != rounds[1]
 
+class TestGaussSeidel:
+    def test_returns_the_sweeps_run_or_zero_at_the_cap(self):
+        # One state, V = max(1 + V / 2, V / 2). From 0 the sweeps give 1, 3/2,
+        # 7/4, and gamma times each change is 1/2, 1/4, 1/8; from 4 they fall
+        # to 3, 5/2 by the same steps. Every one of these floats is exact.
+        rows = one_state_model({"loop": 1})._index.rows
+
+        def run(start, target, sweeps):
+            values = [start]
+            ran = solve._gauss_seidel(rows, [1.0, 0.0], 0.5, values, target, sweeps)
+            return ran, values
+
+        assert run(0.0, 0.25, 200) == (2, [1.5])  # gamma * change <= target
+        assert run(0.0, 0.25, 2) == (2, [1.5])  # the last sweep allowed counts
+        assert run(0.0, 0.1, 3) == (0, [1.75])  # 0 at the cap, all sweeps run
+        assert run(4.0, 0.25, 200) == (2, [2.5])  # a fall is a change too
+
+
 class TestCertifiedTables:
     def test_zero_pair_into_nothing_only_state_settles_in_phase_two(self, monkeypatch):
         # At "s", "a" earns 1 a step for ever and "b" earns 0 and moves to
@@ -683,6 +716,45 @@ class TestCertifiedTables:
         assert decided.greedy == exact.greedy
         assert decided._useless == exact._useless
         assert decided._greedy_template == exact._greedy_template
+
+    def test_one_sweep_on_then_policy_iteration(self, monkeypatch):
+        # This model's iterate certifies neither before nor after sweeping
+        # on, so the decision is policy iteration's after two float runs: the
+        # warm start's and one sweep-on of at most as many sweeps again.
+        model = random_model(
+            random.Random(9),
+            n_states=(5, 5),
+            n_actions=(3, 3),
+            max_support=3,
+            gammas=(F(1, 2),),
+        )
+        exact = solve_optimal(model)
+        caps = []
+        sweeps = solve._gauss_seidel
+
+        def spy(*args):
+            caps.append(args[-1])
+            assert len(caps) <= 2, "swept on more than once"
+            return sweeps(*args)
+
+        monkeypatch.setattr(solve, "_gauss_seidel", spy)
+        decided = solve._decision_solution(model, "exact")
+        assert decided.v_star == exact.v_star and decided.greedy == exact.greedy
+        assert caps == [solve._WARM_SWEEPS, 12]
+
+    def test_discount_that_rounds_to_one_skips_the_float_bound(self):
+        # float(gamma) is 1.0, where no float bound holds: the decision is
+        # policy iteration's, with no division by 1 - gamma.
+        model = random_model(
+            random.Random(3),
+            n_states=(6, 6),
+            n_actions=(3, 3),
+            max_support=3,
+            gammas=(1 - F(1, 10**20),),
+        )
+        assert float(model.discount) == 1.0
+        decided = solve._decision_solution(model, "exact")
+        assert decided.v_star == solve_optimal(model).v_star
 
     def test_a_lead_within_twice_the_bound_is_open(self):
         # Q*(s, a) = 1 beats Q*(s, b) by 2**-10. These values are 2**-6 low

@@ -645,6 +645,7 @@ class TestSparseElimination:
             solve_optimal(model)
         assert len(rounds) == 2 and rounds[0] != rounds[1]
 
+
 class TestGaussSeidel:
     def test_returns_the_sweeps_run_or_zero_at_the_cap(self):
         # One state, V = max(1 + V / 2, V / 2). From 0 the sweeps give 1, 3/2,

@@ -40,12 +40,13 @@ witness the first state whose value differs from V* beyond the float
 equality tolerance.
 
 One rule check, :func:`check`, lifts the boolean to a policy verdict. It
-decides the log exactly for every purpose the rule names; when the log fits
-none of them, a restrictive (only-for) rule is violated and a prohibitive
-(not-for) rule is obeyed, and otherwise the verdict is inconclusive. Neither
-it nor :func:`triage` takes a mode. The purposes of one call share a
-structure, so the log is validated once per call, and not at all when
-``parse_log`` validated it against the same structure index.
+decides the log exactly for every purpose the rule names, each by one
+:func:`audit` call; when the log fits none of them, a restrictive (only-for)
+rule is violated and a prohibitive (not-for) rule is obeyed, and otherwise
+the verdict is inconclusive. Neither it nor :func:`triage` takes a mode.
+``validate_behavior`` marks a log it passes with the model's structure
+index, so the purposes of one document, which share that index, check a log
+once between them, and not at all when ``parse_log`` already checked it.
 """
 
 from __future__ import annotations
@@ -148,25 +149,15 @@ def audit(
 ) -> AuditOutcome:
     """Decide whether the behavior could come from planning for this purpose.
 
-    The model is solved in ``mode`` on its first audit and that solution is
-    kept on the model, so auditing many behaviors against one model solves
-    it once. Float mode is advisory: its comparisons use tolerances where
-    exact mode uses equality of rationals.
+    The behavior is validated first, unless ``validate_behavior`` last passed
+    it on this model's structure, as ``parse_log`` does. The model is solved
+    in ``mode`` on its first audit and that solution is kept on the model, so
+    auditing many behaviors against one model solves it once. Float mode is
+    advisory: its comparisons use tolerances where exact mode uses equality
+    of rationals.
     """
-    _validate(model, behavior)
-    return _decide(model, behavior, mode)
-
-
-def _validate(model: EnvironmentModel, behavior: Behavior) -> None:
-    """validate_behavior, unless parse_log checked it on the model's index."""
     if behavior._checked is not model._index:
         validate_behavior(model, behavior)
-
-
-def _decide(model: EnvironmentModel, behavior: Behavior, mode: str) -> AuditOutcome:
-    """The audit of a behavior already validated against ``model``, on the
-    model's ``mode`` solution, solved here on the first decision that needs
-    it."""
     solution = model._solutions.get(mode)
     if solution is None:
         solution = model._solutions[mode] = _decision_solution(model, mode)
@@ -315,15 +306,13 @@ def check(
     not-for rule is obeyed. Otherwise the verdict is INCONCLUSIVE: a fit to
     an allowed purpose does not rule out an ulterior one, and a fit to a
     prohibited one does not prove it was pursued. The purposes must share
-    one structure, so the behavior is validated once; each is decided
-    exactly, solved on its first decision as in :func:`audit`.
+    one structure; each is decided by an exact :func:`audit`.
     """
     missing = [p for p in rule.purposes if p not in models]
     if missing:
         raise KeyError(f"rule references unknown purposes {missing}")
     _require_shared_structure([models[p] for p in rule.purposes])
-    _validate(models[rule.purposes[0]], behavior)
-    outcomes = {p: _decide(models[p], behavior, "exact") for p in rule.purposes}
+    outcomes = {p: audit(models[p], behavior) for p in rule.purposes}
     if all(outcome.empty_intersection for outcome in outcomes.values()):
         return Verdict(_EMPTY_FOR_ALL[rule.kind], outcomes)
     return Verdict(VerdictStatus.INCONCLUSIVE, outcomes)
@@ -353,12 +342,11 @@ def triage(
     True iff the behavior could fit the prohibited purpose and no allowed
     purpose explains it away, each decided exactly. With no allowed
     purposes the check reduces to the prohibited-purpose audit alone. The
-    models must share one structure, so the behavior is validated once; a
-    purpose is solved only when a decision consults it, as in :func:`audit`.
+    models must share one structure; each purpose consulted is decided by an
+    exact :func:`audit`.
     """
     allowed = list(allowed)
     _require_shared_structure([prohibited, *allowed])
-    _validate(prohibited, behavior)
-    if _decide(prohibited, behavior, "exact").empty_intersection:
+    if audit(prohibited, behavior).empty_intersection:
         return False
-    return all(_decide(m, behavior, "exact").empty_intersection for m in allowed)
+    return all(audit(m, behavior).empty_intersection for m in allowed)

@@ -347,7 +347,9 @@ def _check_distribution(pair, row, states) -> dict[State, Rational]:
     entry is negative, that the integers n * (L // d) sum to L, L the lcm of
     the denominators, so the row sums to 1 without adding Fractions, and then
     that every target, zero-probability ones included, is in ``states``.
-    The caller owns ``row``; a row of nonzero Fractions is its own result."""
+    ``row`` itself is never changed. A row of nonzero Fractions is returned
+    as it is, so a caller that must not share the row copies that result;
+    any other row's result is already a new dict."""
     cleaned = row
     unknown = None
     total, denominator = 0, 1
@@ -423,7 +425,8 @@ def validate_model(
             raise ModelError(f"transition references unknown action {a!r}")
         if type(pair) is not tuple:
             pair = (q, a)
-        table[pair] = _check_distribution(pair, row if handed else dict(row), known_states)
+        checked = _check_distribution(pair, row, known_states)
+        table[pair] = dict(row) if checked is row and not handed else checked
 
     for q in known_states:
         if table.setdefault((q, NOTHING), row := {q: ONE}) != row:
@@ -474,8 +477,9 @@ class Strategy:
 @dataclass(frozen=True, slots=True)
 class Behavior:
     """A finite logged prefix b = [q0, a1, q1, ..., an, qn] of an execution,
-    as that token tuple. ``_checked`` is the structure index ``parse_log``
-    validated it against, or None; equality and hashing ignore it."""
+    as that token tuple. ``_checked`` is the structure index that
+    ``validate_behavior``, its only writer, last passed it on, or None;
+    equality and hashing ignore it."""
 
     tokens: tuple[str, ...]
     _checked: object = field(default=None, init=False, compare=False, repr=False)
@@ -519,6 +523,9 @@ def validate_behavior(model: EnvironmentModel, behavior: Behavior) -> None:
     Every token of the tuple must be in the model's vocabulary, every step
     q --a--> t must use a defined pair (q, a), and every transition taken
     must have nonzero probability: a logged behavior comes from a contingency.
+    A behavior that passes is marked with the model's structure index, so an
+    audit on that structure does not check it again; a failure leaves the
+    mark as it was.
     """
     index, transitions = model._index, model.transitions
     tokens = behavior.tokens
@@ -537,3 +544,4 @@ def validate_behavior(model: EnvironmentModel, behavior: Behavior) -> None:
                 f"transition {q!r} --{action}--> {target!r} has probability 0"
             )
         q = target
+    object.__setattr__(behavior, "_checked", index)

@@ -41,9 +41,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import AlternationError, BehaviorError, ParseError
-from .model import (  # the literal caps are re-exported: they bound this format
-    MAX_LITERAL_DIGITS,
-    MAX_LITERAL_EXPONENT,
+from .model import (
     Action,
     Behavior,
     EnvironmentModel,
@@ -235,9 +233,9 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
 
     Each record becomes a ``Behavior`` of its token tuple. Unknown tokens,
     undefined pairs and zero-probability steps are hard errors: a log outside
-    the model's vocabulary cannot be audited. Each behavior's ``_checked``
-    field notes the structure index it was checked against, so the audits of
-    a model with that index do not check it again.
+    the model's vocabulary cannot be audited. ``validate_behavior`` marks
+    each behavior with the structure index it passed on, so the audits of a
+    model with that index do not check it again.
     """
     behaviors = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -256,7 +254,6 @@ def parse_log(text: str, model: EnvironmentModel) -> list[Behavior]:
             validate_behavior(model, behavior)
         except BehaviorError as exc:
             raise ParseError(str(exc), line_no) from exc
-        object.__setattr__(behavior, "_checked", model._index)
         behaviors.append(behavior)
     return behaviors
 

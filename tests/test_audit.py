@@ -308,7 +308,7 @@ class TestPolicyChecks:
     )
     def test_lift_takes_no_mode(self, physician, logs, monkeypatch, lift, mode):
         # Policy verdicts are exact only: the lift and triage refuse a mode,
-        # even mode="exact", and decide every purpose exactly.
+        # even mode="exact", and decide every purpose by an exact audit.
         b1, _ = logs
         args = {
             "check": (physician, PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit")), b1),
@@ -319,13 +319,14 @@ class TestPolicyChecks:
         function = getattr(auditing, lift)
         with pytest.raises(TypeError):
             function(*args, mode=mode)
-        decide, modes = auditing._decide, []
+        decide, modes = auditing.audit, []
 
-        def recording(model, behavior, mode):
-            modes.append(mode)
-            return decide(model, behavior, mode)
+        def recording(model, behavior, **kwargs):
+            outcome = decide(model, behavior, **kwargs)
+            modes.append(outcome.mode)
+            return outcome
 
-        monkeypatch.setattr(auditing, "_decide", recording)
+        monkeypatch.setattr(auditing, "audit", recording)
         function(*args)
         assert modes and set(modes) == {"exact"}
 
@@ -342,7 +343,8 @@ class TestPolicyChecks:
             return validate_behavior(model, behavior)
 
         monkeypatch.setattr(auditing, "validate_behavior", counting)
-        b1, b2 = logs
+        # Unmarked copies: the session's logs may carry this structure's mark.
+        b1, b2 = (Behavior(b.tokens) for b in logs)
         only = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit"))
         not_for = PolicyRule(RuleKind.PROHIBITIVE, ("profit", "treat"))
         for b in (b1, b2):
@@ -351,11 +353,12 @@ class TestPolicyChecks:
             for p, outcome in restrictive.per_purpose.items():
                 assert outcome == audit(physician[p], b)
                 assert prohibitive.per_purpose[p] == outcome
-        assert len(calls) == 4 + 4  # one per verdict, one per audit call
+        # One per log: the first decision marks it for the shared structure.
+        assert [id(b) for b in calls] == [id(b1), id(b2)]
 
     def test_parsed_log_is_checked_again_on_another_structure(self, logs):
-        # parse_log notes the structure a log was checked against; a model
-        # with another structure checks the log again and rejects it.
+        # parse_log's validation marks the structure a log passed on; a
+        # model with another structure checks the log again and rejects it.
         b1, _ = logs
         states = ("1", "2", "3", "4", "5", "6")
         other = validate_model(
@@ -380,6 +383,164 @@ class TestPolicyChecks:
                 audit(physician["treat"], b)
             with pytest.raises(BehaviorError, match=re.escape(str(expected.value))):
                 check_restrictive(physician, rule, b)
+
+
+class TestOneDecisionEntry:
+    """``check``, its two kind-checking forms and ``triage`` decide each
+    purpose they consult by one call of the module's ``audit``, with the
+    caller's behavior and no mode, so whatever wraps ``auditing.audit`` sees
+    every decision."""
+
+    @pytest.mark.parametrize(
+        "lift, arguments, log, consulted",
+        [
+            ("check", (RuleKind.RESTRICTIVE, ("treat", "profit")), 0, ["treat", "profit"]),
+            ("check", (RuleKind.PROHIBITIVE, ("profit", "treat")), 1, ["profit", "treat"]),
+            ("check_restrictive", (RuleKind.RESTRICTIVE, ("treat",)), 1, ["treat"]),
+            (
+                "check_prohibitive",
+                (RuleKind.PROHIBITIVE, ("profit", "treat")),
+                0,
+                ["profit", "treat"],
+            ),
+            # b1 fits profit and not treat; b2 fits both.
+            ("triage", ("profit", ("treat", "treat")), 0, ["profit", "treat", "treat"]),
+            ("triage", ("treat", ("profit",)), 0, ["treat"]),
+            ("triage", ("treat", ("profit", "treat")), 1, ["treat", "profit"]),
+        ],
+        ids=[
+            "check-only-for",
+            "check-not-for",
+            "check_restrictive",
+            "check_prohibitive",
+            "triage-none-allowed-fits",
+            "triage-prohibited-does-not-fit",
+            "triage-an-allowed-fits",
+        ],
+    )
+    def test_one_audit_per_consulted_purpose(
+        self, physician, logs, monkeypatch, lift, arguments, log, consulted
+    ):
+        names = {id(model): name for name, model in physician.items()}
+        behavior, calls = logs[log], []
+
+        def recording(model, b, **kwargs):
+            calls.append((names[id(model)], b, kwargs))
+            return decide(model, b, **kwargs)
+
+        decide = auditing.audit
+        monkeypatch.setattr(auditing, "audit", recording)
+        if lift == "triage":
+            prohibited, allowed = arguments
+            triage(physician[prohibited], [physician[p] for p in allowed], behavior)
+        else:
+            getattr(auditing, lift)(physician, PolicyRule(*arguments), behavior)
+        assert [name for name, _, _ in calls] == consulted
+        assert all(b is behavior and kwargs == {} for _, b, kwargs in calls)
+
+    def test_errors_keep_their_order(self, physician, treat):
+        # Unknown purpose, then a structure not shared, then the log itself.
+        bad = Behavior(("1", "fly", "2"))
+        other = validate_model(
+            states=["1"], actions=["take"], transitions={}, discount="1/2"
+        )
+        rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "billing"))
+        with pytest.raises(KeyError, match="billing"):
+            check({**physician, "other": other}, rule, bad)
+        rule = PolicyRule(RuleKind.RESTRICTIVE, ("treat", "other"))
+        with pytest.raises(ValueError, match="share"):
+            check({**physician, "other": other}, rule, bad)
+        with pytest.raises(ValueError, match="share"):
+            triage(treat, [other], bad)
+        with pytest.raises(BehaviorError, match="unknown action 'fly'"):
+            check(physician, PolicyRule(RuleKind.RESTRICTIVE, ("treat",)), bad)
+        with pytest.raises(BehaviorError, match="unknown action 'fly'"):
+            triage(treat, [], bad)
+
+
+class TestValidationMark:
+    """``validate_behavior`` marks a behavior that passes with the model's
+    structure index, and only then; ``audit`` checks a behavior again unless
+    it carries the mark of the model it decides on."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(model, behavior):
+            calls.append(model._index)
+            return validate_behavior(model, behavior)
+
+        monkeypatch.setattr(auditing, "validate_behavior", counting)
+        return calls
+
+    @staticmethod
+    def chain():
+        """A model of another structure: states 1 to 6, ``take`` steps q to
+        q + 1, and 6 to itself."""
+        states = ("1", "2", "3", "4", "5", "6")
+        return validate_model(
+            states=states,
+            actions=["take"],
+            transitions={(q, "take"): {t: 1} for q, t in zip(states, (*states[1:], "6"))},
+            rewards={("1", "take"): 1},
+            discount=F(9, 10),
+        )
+
+    def test_checked_once_per_structure(self, physician, treat, profit, logs, counted):
+        for b in (Behavior(log.tokens) for log in logs):
+            assert b._checked is None
+            audit(treat, b)
+            audit(profit, b, mode="float")
+            audit(treat, b)
+            check(physician, PolicyRule(RuleKind.RESTRICTIVE, ("treat", "profit")), b)
+            check_prohibitive(physician, PolicyRule(RuleKind.PROHIBITIVE, ("profit",)), b)
+            triage(profit, [treat], b)
+            assert b._checked is treat._index
+        assert counted == [treat._index] * 2
+
+    def test_failed_check_keeps_the_mark(self, treat, counted):
+        # 1 --take--> 4 has probability 1/10 in treat and 0 in the chain.
+        b = Behavior(("1", "take", "4"))
+        chain = self.chain()
+        with pytest.raises(BehaviorError, match="probability 0"):
+            audit(chain, b)
+        assert b._checked is None
+        audit(treat, b)
+        with pytest.raises(BehaviorError, match="probability 0"):
+            validate_behavior(chain, b)
+        with pytest.raises(BehaviorError, match="probability 0"):
+            triage(chain, [], b)
+        assert b._checked is treat._index
+        audit(treat, b)
+        assert counted == [chain._index, treat._index, chain._index]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_rejected_log_solves_nothing(self, mode):
+        # Validation comes before the solve: a rejected log costs no solve,
+        # and a model that float mode cannot solve still reports the log.
+        model = validate_model(
+            states=["s"],
+            actions=["go"],
+            transitions={("s", "go"): {"s": 1}},
+            rewards={("s", "go"): 1},
+            discount=1 - F(1, 10**20),
+        )
+        with pytest.raises(BehaviorError, match="unknown action 'fly'"):
+            audit(model, Behavior(("s", "fly", "s")), mode=mode)
+        assert model._solutions == {}
+
+    def test_another_structure_checks_again(self, treat, counted):
+        # The mark holds one structure, the last one the behavior passed on.
+        b = Behavior(("1", "take", "2"))
+        chain = self.chain()
+        audit(treat, b)
+        audit(chain, b)
+        assert b._checked is chain._index
+        audit(chain, b)
+        audit(treat, b)
+        assert b._checked is treat._index
+        assert counted == [treat._index, chain._index, treat._index]
 
 
 class TestSafeSet:
@@ -598,10 +759,11 @@ class TestTriage:
             return validate_behavior(model, behavior)
 
         monkeypatch.setattr(auditing, "validate_behavior", counting)
-        b1, b2 = logs
+        # Unmarked copies: the session's logs may carry this structure's mark.
+        b1, b2 = (Behavior(b.tokens) for b in logs)
         assert triage(profit, [treat, treat], b1) is True
         assert triage(profit, [treat], b2) is False
-        assert calls == [b1, b2]
+        assert [id(b) for b in calls] == [id(b1), id(b2)]
 
     def test_empty_prohibited_purpose_decides_no_allowed_one(self, logs, monkeypatch):
         # Fresh models: the session fixtures may already hold their solutions.

@@ -1,17 +1,21 @@
 """No module of the package imports a name it never uses, no private
-module-level name or class member goes unread, and no engine module has a
-public function, class or class member that only the tests read.
+module-level name or class member goes unread, no engine module has a
+public function, class or class member that only the tests read, and no
+module but ``model`` writes into a frozen object.
 
 A deletion can leave an import behind that nothing reads, or a private
 helper, method or field that nothing calls or reads, and no linter runs in
 the test suite to catch either. A public member that nothing in the package
 reads is a helper kept for the tests; the tests reach the same facts through
-what the program does read. The allowances: ``modelfile``'s documented
-re-export of the literal caps that bound its format, ``auditing.compute_fix``,
-the paper's definition of the penalised model, which the benchmark's tracer
+what the program does read. The allowances: ``auditing.compute_fix``, the
+paper's definition of the penalised model, which the benchmark's tracer
 names and ``tests/test_bench_hooks.py`` checks, and the reference layer
 (``oracle``, ``nonredundancy``, ``traces``), which exists for the tests and
 may carry members only they read, such as ``Reference.tables``.
+
+The frozen model classes live in ``model``, and ``object.__setattr__`` is how
+their own code fills a derived field; any other module that calls it edits
+another module's object behind its back.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "purpose_audit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
-RE_EXPORTS = {"modelfile": {"MAX_LITERAL_DIGITS", "MAX_LITERAL_EXPONENT"}}
 ENGINE = ("model", "solve", "auditing", "modelfile", "cli", "errors", "fixtures")
 UNREAD_DEFINITIONS = {"auditing": {"compute_fix"}}
 
@@ -50,7 +53,6 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_import(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
-    unused -= RE_EXPORTS.get(path.stem, set())
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
@@ -223,3 +225,31 @@ def test_no_unread_public_definition(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     unread = public_definitions(source) - read - UNREAD_DEFINITIONS.get(module, set())
     assert not unread, f"{module}.py: nothing in src/ but __init__.py reads {sorted(unread)}"
+
+
+def frozen_writes(source: str) -> list[int]:
+    """Lines of the source that call ``object.__setattr__``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+
+
+def test_detects_a_frozen_write():
+    source = (
+        "object.__setattr__(b, 'x', 1)\nsetattr(b, 'x', 1)\n"
+        "super().__setattr__('x', 1)\nf(object.__setattr__)\n"
+        "if b:\n    object.__setattr__(b, 'y', 2)\n"
+    )
+    assert frozen_writes(source) == [1, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_model_writes_frozen_objects(path):
+    lines = [] if path.stem == "model" else frozen_writes(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} calls object.__setattr__ on lines {lines}"

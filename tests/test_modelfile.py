@@ -35,13 +35,8 @@ from purpose_audit.fixtures import (
     TRAVEL_LOG,
     TRAVEL_MODEL,
 )
-from purpose_audit.modelfile import (
-    MAX_LITERAL_DIGITS,
-    MAX_LITERAL_EXPONENT,
-    MAX_REWARD_ENTRIES,
-    _rational,
-    _slices,
-)
+from purpose_audit.model import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT
+from purpose_audit.modelfile import MAX_REWARD_ENTRIES, _rational, _slices
 
 from generators import random_model
 
